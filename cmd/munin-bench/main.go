@@ -63,7 +63,7 @@ func main() {
 		rounds      = flag.Int("rounds", 0, "critical-section / per-phase rounds for the scale table (default 3)")
 		adaptive    = flag.Bool("adaptive", false, "run the application tables with the adaptive protocol engine enabled")
 		consistency = flag.String("consistency", "eager", "release-consistency engine for the application tables: eager or lazy")
-		transport   = flag.String("transport", "sim", "transport for the Munin runs: sim (virtual time), chan, tcp or mux (real concurrency, wall clock)")
+		transport   = flag.String("transport", "sim", "transport for the Munin runs: sim (virtual time), chan or mux (real concurrency, wall clock)")
 		delayWindow = flag.Int64("delay-window", 0, "delay window for the wire table's windowed runs, transport-clock ns (0 = 20000)")
 		jsonOut     = flag.String("json", "", "also write the collected results as JSON to this file (\"-\" for stdout)")
 	)

@@ -44,7 +44,7 @@ func main() {
 		consistency = flag.String("consistency", "eager", "release-consistency engine: eager (release-time flush) or lazy (acquire-directed, internal/lrc)")
 		rounds      = flag.Int("rounds", 12, "critical-section rounds (lockheavy)")
 		batch       = flag.Bool("batch", false, "coalesce same-destination protocol messages into batch envelopes (fewer transport sends; see munin.WithBatching)")
-		transport   = flag.String("transport", "sim", "transport: sim (deterministic virtual time), chan (concurrent goroutine-per-node), tcp (concurrent over loopback sockets) or mux (multiplexed loopback sockets, zero-copy receive)")
+		transport   = flag.String("transport", "sim", "transport: sim (deterministic virtual time), chan (concurrent goroutine-per-node) or mux (concurrent over multiplexed loopback sockets)")
 		profile     = flag.Bool("profile", false, "enable per-run metrics and print the hot-object table and latency percentiles (munin.WithMetrics; charges nothing to the cost model)")
 		top         = flag.Int("top", 10, "number of objects in the -profile table")
 	)

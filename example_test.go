@@ -102,12 +102,12 @@ func ExampleWithTransport() {
 		fmt.Println("sim run failed:", err)
 		return
 	}
-	tcp, err := p.Run(context.Background(), root, munin.WithTransport(munin.TransportTCP))
+	mux, err := p.Run(context.Background(), root, munin.WithTransport(munin.TransportMux))
 	if err != nil {
-		fmt.Println("tcp run failed:", err)
+		fmt.Println("mux run failed:", err)
 		return
 	}
-	fmt.Println("same final memory:", sameFinalImage(sim, tcp))
+	fmt.Println("same final memory:", sameFinalImage(sim, mux))
 	// Output:
 	// same final memory: true
 }

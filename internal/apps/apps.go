@@ -155,7 +155,7 @@ type MatMulConfig struct {
 	// Metrics enables latency histograms and hot-object profiles
 	// (munin.WithMetrics; charges nothing to the cost model).
 	Metrics bool
-	// Transport selects the substrate: "sim" (default), "chan", "tcp" or "mux".
+	// Transport selects the substrate: "sim" (default), "chan" or "mux".
 	Transport string
 }
 
@@ -187,7 +187,7 @@ type SORConfig struct {
 	// Metrics enables latency histograms and hot-object profiles
 	// (munin.WithMetrics; charges nothing to the cost model).
 	Metrics bool
-	// Transport selects the substrate: "sim" (default), "chan", "tcp" or "mux".
+	// Transport selects the substrate: "sim" (default), "chan" or "mux".
 	Transport string
 	// PhaseBarrier inserts a second barrier between the compute and copy
 	// phases of every iteration, making the program data-race-free. The
@@ -195,7 +195,7 @@ type SORConfig struct {
 	// completing before any worker's release — deterministically true
 	// under the simulator's cost model, but mere chaotic relaxation under
 	// real concurrency, so MuninSOR forces this on for the "chan" and
-	// "tcp" transports. The cross-transport equivalence tests also set it
+	// "mux" transports. The cross-transport equivalence tests also set it
 	// on "sim" so the final grid is bit-identical on every transport.
 	PhaseBarrier bool
 }

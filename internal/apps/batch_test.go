@@ -15,7 +15,7 @@ import (
 // and is compared against the unbatched sim reference; on sim the whole
 // final image must match byte for byte, and the batched run must not
 // send more envelopes than the unbatched run sent messages. Running
-// multi-node on chan/tcp, this is also the suite that drives the batch
+// multi-node on chan/mux, this is also the suite that drives the batch
 // dispatch path under `go test -race`.
 
 func TestBatchedEquivalencePipeline(t *testing.T) {
@@ -25,7 +25,7 @@ func TestBatchedEquivalencePipeline(t *testing.T) {
 	if err != nil {
 		t.Fatalf("sim unbatched: %v", err)
 	}
-	for _, tr := range []string{"sim", "chan", "tcp", "mux"} {
+	for _, tr := range []string{"sim", "chan", "mux"} {
 		c := cfg
 		c.Transport = tr
 		c.Batch = true
@@ -62,7 +62,7 @@ func TestBatchedEquivalenceLockHeavy(t *testing.T) {
 		if err != nil {
 			t.Fatalf("sim unbatched (lazy=%v): %v", lazy, err)
 		}
-		for _, tr := range []string{"sim", "chan", "tcp", "mux"} {
+		for _, tr := range []string{"sim", "chan", "mux"} {
 			bc := c
 			bc.Transport = tr
 			bc.Batch = true
@@ -92,7 +92,7 @@ func TestBatchedConventionalInvalidate(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := SORReference(24, 64, 3)
-	for _, tr := range []string{"sim", "chan", "tcp", "mux"} {
+	for _, tr := range []string{"sim", "chan", "mux"} {
 		got, err := app.Run(context.Background(),
 			munin.WithTransport(tr), munin.WithBatching())
 		if err != nil {

@@ -134,7 +134,7 @@ func NewSOR(c SORConfig) (*App, error) {
 }
 
 // MuninSOR builds the SOR App and runs it once under the config's
-// per-run knobs. On the live transports ("chan", "tcp", "mux") the phase
+// per-run knobs. On the live transports ("chan", "mux") the phase
 // barrier is forced on: real concurrency voids the cost-model timing
 // argument that makes the single-barrier program deterministic; without
 // it a live run is chaotic relaxation and its grid diverges from the

@@ -23,7 +23,7 @@ import (
 // deterministic on every transport.
 
 // transportsUnderTest lists the live transports compared against sim.
-var transportsUnderTest = []string{"chan", "tcp", "mux"}
+var transportsUnderTest = []string{"chan", "mux"}
 
 // sameImage asserts two runs ended with byte-identical shared memory.
 func sameImage(t *testing.T, label string, ref, got RunResult) {

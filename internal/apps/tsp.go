@@ -42,7 +42,7 @@ type TSPConfig struct {
 	// Metrics enables latency histograms and hot-object profiles
 	// (munin.WithMetrics; charges nothing to the cost model).
 	Metrics bool
-	// Transport selects the substrate: "sim" (default), "chan", "tcp" or "mux".
+	// Transport selects the substrate: "sim" (default), "chan" or "mux".
 	Transport string
 }
 

@@ -67,7 +67,7 @@ type AdaptiveOpts struct {
 	Rows, Cols, Iters int
 	Rounds            int
 	Model             model.CostModel
-	// Transport selects the substrate: "sim" (default), "chan", "tcp" or "mux".
+	// Transport selects the substrate: "sim" (default), "chan" or "mux".
 	Transport string
 }
 

@@ -44,7 +44,7 @@ type AppOpts struct {
 	// engine (WithConsistency(LazyRC)) instead of the eager default.
 	Lazy bool
 	// Transport selects the substrate the Munin versions run on: "sim"
-	// (default, virtual time), "chan", "tcp" or "mux" (real concurrency,
+	// (default, virtual time), "chan" or "mux" (real concurrency,
 	// wall clock). The hand-coded message-passing comparisons always run
 	// on the simulator, so the DM column and DiffPct are only meaningful
 	// with the default.

@@ -53,7 +53,7 @@ func lazyCounterRun(t *testing.T, tr rt.Transport, procs, rounds int) (map[vm.Ad
 func TestLazyLockCounter(t *testing.T) {
 	const procs, rounds = 4, 8
 	want := words(procs*rounds, 0)
-	for _, name := range []string{"sim", "chan", "tcp"} {
+	for _, name := range []string{"sim", "chan", "mux"} {
 		img, err := lazyCounterRun(t, transportFor(t, name, procs), procs, rounds)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -65,7 +65,7 @@ func TestLazyLockCounter(t *testing.T) {
 }
 
 // TestLazyLockCounterUnderReorder injects bounded cross-sender delivery
-// reordering (per-pair FIFO preserved, as TCP guarantees): the lazy
+// reordering (per-pair FIFO preserved, as the sockets guarantee): the lazy
 // engine's consistency information travels inside the synchronization
 // messages themselves and its diffs move by request/response, so unlike
 // the eager engine it needs no update acknowledgements to survive this.
@@ -126,7 +126,7 @@ func lazyReaderWriter(t *testing.T, name string, faults *rt.Faults) error {
 // TestLazyReaderWriterClean sanity-checks the two-node exchange without
 // faults on every transport (the fault tests below reuse the workload).
 func TestLazyReaderWriterClean(t *testing.T) {
-	for _, name := range []string{"sim", "chan", "tcp"} {
+	for _, name := range []string{"sim", "chan", "mux"} {
 		if err := lazyReaderWriter(t, name, nil); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -138,7 +138,7 @@ func TestLazyReaderWriterClean(t *testing.T) {
 // event queue) and the live runtime (idle watchdog) must report the
 // stuck machine rather than hang.
 func TestLazyDropDiffRespDeadlock(t *testing.T) {
-	for _, name := range []string{"sim", "chan", "tcp"} {
+	for _, name := range []string{"sim", "chan", "mux"} {
 		var dropped atomic.Int32
 		err := lazyReaderWriter(t, name, &rt.Faults{Drop: func(src, dst int, m wire.Message) bool {
 			if m.Kind() == wire.KindLrcDiffResp {
@@ -183,7 +183,7 @@ func TestLazyDropFetchRespDeadlock(t *testing.T) {
 // (and with it the write notices) can never cross the cut, and the
 // machine must report the deadlock on both transport families.
 func TestLazyPartitionDeadlock(t *testing.T) {
-	for _, name := range []string{"sim", "chan", "tcp"} {
+	for _, name := range []string{"sim", "chan", "mux"} {
 		faults := &rt.Faults{Partition: []int{0, 1}}
 		err := lazyReaderWriter(t, name, faults)
 		var dl *sim.DeadlockError

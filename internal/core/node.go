@@ -280,12 +280,7 @@ func newNode(s *System, id int) *Node {
 		n.obs = obs.NewRecorder(id, &s.obsSeq, s.cfg.Metrics, s.cfg.TraceEvents)
 	}
 	if s.cfg.Adaptive {
-		n.adaptEng = adapt.New(adapt.Config{
-			Self: id, Nodes: s.cfg.Processors,
-			MinEvents:     s.cfg.AdaptMinEvents,
-			MinChurn:      s.cfg.AdaptMinChurn,
-			StableFlushes: s.cfg.AdaptStableFlushes,
-		})
+		n.adaptEng = adapt.New(adapt.Config{Self: id, Nodes: s.cfg.Processors})
 		n.annotWait = make(map[vm.Addr]rt.Future)
 	}
 	n.space.SetHandler(vm.FaultHandlerFunc(func(ctx any, base vm.Addr, write bool) {
@@ -320,8 +315,13 @@ func (n *Node) startDispatcher() {
 	n.sys.tr.Spawn(n.id, fmt.Sprintf("munin-root@n%d", n.id), func(p rt.Proc) {
 		n.procs = append(n.procs, p)
 		p.SetKind(rt.KindSystem)
+		// A dispatcher unwound in the middle of a dispatch (the machine
+		// stopped or failed while a handler was at a yield point) still
+		// holds that envelope's buffer; Release is a no-op otherwise.
+		var env network.Envelope
+		defer func() { env.Release() }()
 		for {
-			env, ok := network.Envelope{}, false
+			ok := false
 			if window {
 				env, ok = n.sys.tr.TryRecv(p, n.id)
 			}

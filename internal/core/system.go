@@ -81,11 +81,6 @@ type Config struct {
 	// non-reduction object, stable-sharing violations) become recovery
 	// signals instead of aborts.
 	Adaptive bool
-	// AdaptMinEvents, AdaptMinChurn and AdaptStableFlushes tune the
-	// engine's hysteresis (zero = adapt package defaults).
-	AdaptMinEvents     int
-	AdaptMinChurn      int
-	AdaptStableFlushes int
 	// Lazy selects the lazy release consistency engine (internal/lrc)
 	// for the DUQ-buffered multiple-writer protocols (write_shared,
 	// producer_consumer): releases close intervals instead of flushing,
@@ -142,7 +137,7 @@ type Config struct {
 	TraceEvents int
 	// Transport carries the machine's messages and hosts its procs. Nil
 	// means the deterministic simulator (rt.NewSim) — the transport the
-	// paper's tables are measured on. rt.NewChan and rt.NewTCP run the
+	// paper's tables are measured on. rt.NewChan and rt.NewMux run the
 	// same protocol code under real concurrency.
 	Transport rt.Transport
 }
@@ -263,9 +258,9 @@ func NewSystem(cfg Config, decls []Decl, locks []LockDecl, barriers []BarrierDec
 		panic(fmt.Sprintf("core: transport has %d nodes for %d processors",
 			cfg.Transport.Nodes(), cfg.Processors))
 	}
-	if name := cfg.Transport.Name(); name == "tcp" || name == "mux" {
-		// TCP and Mux guarantee only per-pair FIFO, not the cross-sender
-		// causal order the simulator's serialized bus and the chan
+	if cfg.Transport.Name() == "mux" {
+		// Mux guarantees only per-pair FIFO, not the cross-sender causal
+		// order the simulator's serialized bus and the chan
 		// transport's synchronous enqueue both give. Release consistency
 		// then needs flushes to block until their updates are
 		// acknowledged (see the AwaitUpdateAcks comment above).

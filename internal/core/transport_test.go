@@ -22,10 +22,10 @@ func transportFor(t *testing.T, name string, procs int) rt.Transport {
 		return rt.NewSim(model.Default(), procs)
 	case "chan":
 		return rt.NewChan(model.Default(), procs)
-	case "tcp":
-		tr, err := rt.NewTCP(model.Default(), procs)
+	case "mux":
+		tr, err := rt.NewMux(model.Default(), procs)
 		if err != nil {
-			t.Fatalf("NewTCP: %v", err)
+			t.Fatalf("NewMux: %v", err)
 		}
 		return tr
 	}
@@ -66,7 +66,7 @@ func TestTransportLockCounter(t *testing.T) {
 	if !bytes.Equal(ref[page(0)], want) {
 		t.Fatalf("sim counter = %v, want %v", ref[page(0)], want)
 	}
-	for _, name := range []string{"chan", "tcp"} {
+	for _, name := range []string{"chan", "mux"} {
 		img, err := run(name)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -80,7 +80,7 @@ func TestTransportLockCounter(t *testing.T) {
 // TestTransportRuntimeError checks that annotation misuse aborts the run
 // with a RuntimeError on every transport (the prototype's behaviour).
 func TestTransportRuntimeError(t *testing.T) {
-	for _, name := range []string{"sim", "chan", "tcp"} {
+	for _, name := range []string{"sim", "chan", "mux"} {
 		decl := Decl{Name: "ro", Start: page(0), Size: 4, Annot: protocol.ReadOnly, Synchq: -1}
 		sys := NewSystem(Config{Processors: 2, Transport: transportFor(t, name, 2)},
 			[]Decl{decl}, nil, nil)

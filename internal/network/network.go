@@ -182,7 +182,7 @@ func (nw *Network) Send(p *sim.Proc, src, dst int, msg wire.Message) {
 	if src == dst {
 		panic(fmt.Sprintf("network: node %d sending %v to itself", src, msg.Kind()))
 	}
-	bp := wire.GetBuf()
+	bp := wire.GetBufN(wire.Size(msg))
 	encoded := wire.AppendTo(*bp, msg)
 	*bp = encoded
 	decoded, err := wire.Unmarshal(encoded)

@@ -15,7 +15,7 @@ import (
 
 // This file is the transport conformance suite: every behavioral contract
 // the runtime (internal/core) leans on, asserted identically against all
-// four Transport implementations via eachTransport. The fault-injection
+// three Transport implementations via eachTransport. The fault-injection
 // and deadlock-watchdog contracts live in rt_test.go; this file covers
 // the zero-copy envelope lifecycle, TryRecv drain semantics, broadcast
 // fan-out and context cancellation.
@@ -33,10 +33,9 @@ func payload(src, seq, size int) wire.Message {
 // TestConformanceReleaseBalance drives all-to-all traffic with page-sized
 // payloads, releases every envelope after inspection, and requires the
 // pooled-buffer outstanding count to return to its baseline once the
-// machine stops. On mux every received envelope borrows a pooled buffer,
-// so a missing Release (or a double Put) shows up as a nonzero delta; on
-// the other transports Release is a no-op and the delta proves it stays
-// one.
+// machine stops. On chan and mux every received envelope borrows a pooled
+// buffer, so a missing Release (or a double Put) shows up as a nonzero
+// delta; on sim Release is a no-op and the delta proves it stays one.
 func TestConformanceReleaseBalance(t *testing.T) {
 	const nodes, perPair = 4, 8
 	baseline := wire.Outstanding()
@@ -187,6 +186,95 @@ func TestConformanceContextCancel(t *testing.T) {
 		defer timer.Stop()
 		if err := tr.Run(); !errors.Is(err, context.Canceled) {
 			t.Fatalf("%s: Run = %v, want context.Canceled", tr.Name(), err)
+		}
+	})
+}
+
+// TestConformanceStoppedRunReturnsQueued stops a machine while page-sized
+// envelopes nobody will ever receive sit in an inbox (chan) or are still
+// crossing a socket (mux): teardown owns whatever was delivered and not
+// picked up, so the outstanding count must still return to its baseline.
+func TestConformanceStoppedRunReturnsQueued(t *testing.T) {
+	const queued = 16
+	baseline := wire.Outstanding()
+	eachTransport(t, 2, func(t *testing.T, tr rt.Transport) {
+		tr.Spawn(1, "sender", func(p rt.Proc) {
+			for seq := 0; seq < queued; seq++ {
+				tr.Send(p, 1, 0, payload(1, seq, 8<<10))
+			}
+			tr.Stop()
+		})
+		if err := tr.Run(); err != nil {
+			t.Fatalf("%s: Run: %v", tr.Name(), err)
+		}
+		if got := wire.Outstanding() - baseline; got != 0 {
+			t.Fatalf("%s: %d pooled buffers still borrowed after a stopped Run", tr.Name(), got)
+		}
+	})
+}
+
+// TestConformanceCutReturnsBuffer drops every message at the fault hook:
+// a cut envelope is encoded but never delivered, and its encode buffer
+// must go back to the pool all the same.
+func TestConformanceCutReturnsBuffer(t *testing.T) {
+	const total = 10
+	baseline := wire.Outstanding()
+	eachTransport(t, 2, func(t *testing.T, tr rt.Transport) {
+		faults := &rt.Faults{Drop: func(src, dst int, m wire.Message) bool { return true }}
+		tr.SetFaults(faults)
+		tr.Spawn(1, "sender", func(p rt.Proc) {
+			for seq := 0; seq < total; seq++ {
+				tr.Send(p, 1, 0, payload(1, seq, 8<<10))
+			}
+		})
+		if err := tr.Run(); err != nil {
+			t.Fatalf("%s: Run: %v", tr.Name(), err)
+		}
+		if d := faults.Dropped(); d != total {
+			t.Errorf("%s: Dropped = %d, want %d", tr.Name(), d, total)
+		}
+		if got := wire.Outstanding() - baseline; got != 0 {
+			t.Fatalf("%s: %d pooled buffers still borrowed after %d cut sends", tr.Name(), got, total)
+		}
+	})
+}
+
+// TestConformanceNoSenderAliasing overwrites a payload the moment Send
+// returns. The receiver looks at it only after a second message has
+// arrived behind it (per-pair FIFO), so the overwrite has certainly
+// happened: the bytes it sees must be the ones that were sent, whichever
+// buffer the transport decoded them from.
+func TestConformanceNoSenderAliasing(t *testing.T) {
+	const size = 8 << 10
+	eachTransport(t, 2, func(t *testing.T, tr rt.Transport) {
+		tr.Spawn(1, "sender", func(p rt.Proc) {
+			m := payload(1, 5, size).(wire.ReadReply)
+			tr.Send(p, 1, 0, m)
+			for i := range m.Data {
+				m.Data[i] = 0xEE
+			}
+			tr.Send(p, 1, 0, msg(1, 0))
+		})
+		tr.Spawn(0, "receiver", func(p rt.Proc) {
+			first := tr.Recv(p, 0)
+			second := tr.Recv(p, 0)
+			second.Release()
+			data := first.Msg.(wire.ReadReply).Data
+			if len(data) != size {
+				t.Errorf("%s: payload of %d bytes, want %d", tr.Name(), len(data), size)
+			}
+			for i, b := range data {
+				if want := byte(5 + i); b != want {
+					t.Errorf("%s: payload byte %d = %#x, want %#x (receiver aliases sender memory)",
+						tr.Name(), i, b, want)
+					break
+				}
+			}
+			first.Release()
+			tr.Stop()
+		})
+		if err := tr.Run(); err != nil {
+			t.Fatalf("%s: Run: %v", tr.Name(), err)
 		}
 	})
 }

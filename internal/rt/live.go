@@ -15,29 +15,27 @@ import (
 	"munin/internal/wire"
 )
 
-// Live is the real concurrent runtime shared by the Chan and TCP
+// Live is the real concurrent runtime shared by the Chan and Mux
 // transports. Each node is a monitor: its procs (user threads plus the
 // dispatcher) are goroutines serialized by the node mutex, which is
 // released at exactly the points where the simulator yields — Advance,
 // Send, and every blocking Wait/Acquire/Recv. Nodes run against real
 // time and in true parallel; only delivery differs between Chan
-// (synchronous in-process enqueue) and TCP (loopback sockets).
+// (synchronous in-process enqueue) and Mux (loopback sockets).
 type Live struct {
 	name  string
 	cost  model.CostModel
 	nodes []*liveNode
 	start time.Time
 
-	// deliver moves one encoded message toward its destination inbox.
-	deliver func(env Envelope, encoded []byte)
+	// deliver moves one encoded message toward its destination inbox and
+	// takes ownership of bp, the pooled buffer holding the encoding: it
+	// either hands bp on inside a Borrowed envelope or returns it to the
+	// pool. env.Msg is the sender's message and may alias sender memory;
+	// what reaches an inbox is always decoded from a buffer.
+	deliver func(env Envelope, bp *[]byte)
 	// shutdown tears down delivery resources after every proc exited.
 	shutdown func()
-	// rawSend skips the sender-side decode round-trip: set by transports
-	// whose delivery layer ships the encoded frame and re-decodes on the
-	// receive side (mux), where a sender-side Unmarshal would only
-	// duplicate the receiver's work. The receiver still decodes from its
-	// own buffer, so handlers never alias sender memory.
-	rawSend bool
 
 	statsMu sync.Mutex
 	stats   Stats
@@ -57,8 +55,8 @@ type Live struct {
 
 	wg sync.WaitGroup
 	// running counts procs not parked; queued counts messages sitting in
-	// inboxes; inflight counts messages sent but not yet enqueued (TCP
-	// socket transit). activity increments on every state change. The
+	// inboxes; inflight counts messages sent but not yet enqueued (socket
+	// transit). activity increments on every state change. The
 	// deadlock watchdog declares a deadlock only after observing
 	// running == queued == inflight == 0 across two samples with no
 	// activity in between.
@@ -97,8 +95,35 @@ type stopSignal struct{}
 // real time.
 func NewChan(cost model.CostModel, n int) *Live {
 	l := newLive("chan", cost, n)
-	l.deliver = func(env Envelope, encoded []byte) { l.enqueue(env) }
+	l.deliver = l.deliverChan
 	return l
+}
+
+// deliverChan decodes the sender's encode buffer in place and enqueues
+// the result: the buffer becomes the receiver's, exactly as a frame read
+// off a mux lane does, so the message never aliases sender memory and a
+// kind that does not round-trip the codec fails here.
+func (l *Live) deliverChan(env Envelope, bp *[]byte) {
+	kind := env.Msg.Kind()
+	env, err := borrow(env, bp)
+	if err != nil {
+		l.fail(fmt.Errorf("rt: message %v does not round-trip: %w", kind, err))
+		return
+	}
+	l.enqueue(env)
+}
+
+// borrow is the one place a live transport turns bytes into a delivered
+// message: it view-decodes the encoding in bp into env.Msg and makes env
+// the owner of bp. On a decode error bp goes back to the pool.
+func borrow(env Envelope, bp *[]byte) (Envelope, error) {
+	msg, err := wire.UnmarshalView(*bp)
+	if err != nil {
+		wire.PutBuf(bp)
+		return Envelope{}, err
+	}
+	env.Msg, env.Borrowed, env.Buf = msg, true, bp
+	return env, nil
 }
 
 func newLive(name string, cost model.CostModel, n int) *Live {
@@ -133,7 +158,7 @@ func (l *Live) Nodes() int { return len(l.nodes) }
 // The clock intentionally starts at construction, not Run: procs spawn
 // (and may stamp envelopes) before Run is called, and a single origin
 // keeps every stamp consistent. Short runs therefore include setup time
-// (e.g. the TCP transport's dialing) in Elapsed — wall-clock numbers on
+// (e.g. the Mux transport's dialing) in Elapsed — wall-clock numbers on
 // the live transports are informational, not modeled.
 func (l *Live) Now() Time { return Time(time.Since(l.start)) }
 
@@ -234,6 +259,9 @@ func (l *Live) Run() error {
 	if l.shutdown != nil {
 		l.shutdown()
 	}
+	// Nothing delivers any more: whatever a stopped dispatcher never
+	// picked up still holds its receive buffer.
+	l.releaseInboxes()
 	l.failMu.Lock()
 	defer l.failMu.Unlock()
 	return l.failure
@@ -338,11 +366,11 @@ func (l *Live) NewSemaphore(node int, name string, permits int) Semaphore {
 	return &liveSemaphore{n: l.nodes[node], name: name, permits: permits}
 }
 
-// Send marshals msg, applies fault injection, and hands the encoded form
-// to the delivery layer. The sender's monitor is released around
-// delivery: Send is a yield point on the simulator too, and holding two
-// node monitors at once (src then dst) could deadlock against a
-// concurrent dst-to-src send.
+// Send encodes msg into a pooled buffer, applies fault injection, and
+// hands the buffer to the delivery layer, which owns it from then on.
+// The sender's monitor is released around delivery: Send is a yield
+// point on the simulator too, and holding two node monitors at once (src
+// then dst) could deadlock against a concurrent dst-to-src send.
 func (l *Live) Send(p Proc, src, dst int, msg wire.Message) {
 	if dst < 0 || dst >= len(l.nodes) {
 		panic(fmt.Sprintf("rt: send to invalid node %d", dst))
@@ -351,35 +379,21 @@ func (l *Live) Send(p Proc, src, dst int, msg wire.Message) {
 		panic(fmt.Sprintf("rt: node %d sending %v to itself", src, msg.Kind()))
 	}
 	lp := l.liveProcOf(p, src)
-	// Encode into a pooled buffer; the round-trip through Unmarshal both
-	// checks the codec and deep-copies the message, so the receiver never
-	// aliases sender memory. The buffer is recycled once delivery (which
-	// copies or frames it) returns.
-	bp := wire.GetBuf()
-	encoded := wire.AppendTo(*bp, msg)
-	*bp = encoded
-	decoded := msg
-	if !l.rawSend {
-		var err error
-		decoded, err = wire.Unmarshal(encoded)
-		if err != nil {
-			panic(fmt.Sprintf("rt: message %v does not round-trip: %v", msg.Kind(), err))
-		}
-	}
-	size := len(encoded) + network.HeaderBytes
+	bp := wire.GetBufN(wire.Size(msg))
+	*bp = wire.AppendTo(*bp, msg)
+	size := len(*bp) + network.HeaderBytes
 	lp.charge(l.cost.SendCPU(wire.Riders(msg)))
-	if l.faults.Cut(src, dst, decoded) {
+	if l.faults.Cut(src, dst, msg) {
 		// Whole-envelope semantics: a dropped batch loses every rider.
 		wire.PutBuf(bp)
 		return
 	}
 	l.statsMu.Lock()
-	l.stats.CountSend(decoded, size)
+	l.stats.CountSend(msg, size)
 	l.statsMu.Unlock()
-	env := Envelope{Src: src, Dst: dst, Msg: decoded, Bytes: size, SentAt: l.Now()}
+	env := Envelope{Src: src, Dst: dst, Msg: msg, Bytes: size, SentAt: l.Now()}
 	lp.exit()
-	l.deliver(env, encoded)
-	wire.PutBuf(bp)
+	l.deliver(env, bp)
 	lp.enter()
 	lp.checkStop()
 }
@@ -447,8 +461,8 @@ func (l *Live) Recv(p Proc, node int) Envelope {
 }
 
 // releaseInboxes returns any borrowed receive buffers still queued to
-// the pool: messages a stopped dispatcher never picked up. Called by the
-// mux shutdown hook after every proc and reader has exited.
+// the pool. Called by Run once every proc (and, via the shutdown hook,
+// every socket reader) has exited.
 func (l *Live) releaseInboxes() {
 	for _, n := range l.nodes {
 		n.mu.Lock()

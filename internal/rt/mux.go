@@ -14,24 +14,25 @@ import (
 
 // Mux is the Live runtime with every node pair's traffic multiplexed over
 // a small fixed set of shared loopback TCP connections ("lanes"), the way
-// a proxy core tunnels many sessions over one transport stream. Where the
-// TCP transport builds an O(n²) connection mesh, Mux keeps muxLanes
+// a proxy core tunnels many sessions over one transport stream. Where a
+// connection per node pair would be an O(n²) mesh, Mux keeps muxLaneCount
 // connections total: each frame carries its own (src,dst) route and a
 // deterministic hash pins every directed pair to one lane, so a pair's
 // frames share a single FIFO byte stream end to end and per-(src,dst)
-// order is exactly what the socket gives. Like TCP — and unlike the
-// simulator's serialized bus and Chan's synchronous enqueue — Mux does
-// NOT order deliveries across different senders, so the runtime awaits
-// update acknowledgements on it (see core.Config.AwaitUpdateAcks).
+// order is exactly what the socket gives. Unlike the simulator's
+// serialized bus and Chan's synchronous enqueue, Mux does NOT order
+// deliveries across different senders, so the runtime awaits update
+// acknowledgements on it (see core.Config.AwaitUpdateAcks).
 //
 // The receive path is zero-copy: a frame's payload is read into a pooled
 // buffer (wire.GetBufN) and decoded with wire.UnmarshalView, so the
 // envelope's message borrows its byte payloads from the buffer instead of
 // copying them. The envelope carries the buffer (Envelope.Borrowed/Buf)
 // and the consumer releases it after dispatch; anything retained past
-// dispatch is re-owned explicitly (wire.Own / wire.OwnEntry). The sender
-// side skips the decode round-trip entirely (Live.rawSend): the receiver
-// decodes from its own buffer, so handlers never alias sender memory.
+// dispatch is re-owned explicitly (wire.Own / wire.OwnEntry). The
+// sender's encode buffer goes back to the pool once the socket write
+// returns: the receiver decodes from its own buffer, so handlers never
+// alias sender memory.
 //
 // Frame format, length-prefixed on the wire:
 //
@@ -75,7 +76,6 @@ func laneFor(src, dst, lanes int) int {
 // listener and muxLaneCount connections, regardless of n.
 func NewMux(cost model.CostModel, n int) (*Mux, error) {
 	t := &Mux{Live: newLive("mux", cost, n)}
-	t.Live.rawSend = true
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return nil, fmt.Errorf("rt: mux listen: %w", err)
@@ -97,12 +97,15 @@ func NewMux(cost model.CostModel, n int) (*Mux, error) {
 	t.Live.shutdown = func() {
 		t.closeAll()
 		t.readers.Wait()
-		// Borrowed envelopes still queued when the machine stopped were
-		// never picked up by a dispatcher; return their buffers.
-		t.Live.releaseInboxes()
 	}
 	return t, nil
 }
+
+// NewTCP builds the mux transport.
+//
+// Deprecated: the connection-per-pair "tcp" transport is gone; the name
+// is kept for callers of the old constructor. Use NewMux.
+func NewTCP(cost model.CostModel, n int) (*Mux, error) { return NewMux(cost, n) }
 
 // acceptLoop accepts the inbound side of each lane and starts its reader.
 func (t *Mux) acceptLoop(ln net.Listener) {
@@ -136,10 +139,12 @@ func (t *Mux) readLoop(c net.Conn) {
 	}
 }
 
-// deliverMux frames the encoded message onto the pair's lane. Runs
-// without any node monitor held; the lane mutex keeps concurrent senders
-// from interleaving frames.
-func (t *Mux) deliverMux(env Envelope, encoded []byte) {
+// deliverMux frames the encoded message onto the pair's lane and returns
+// the encode buffer once the write is done. Runs without any node monitor
+// held; the lane mutex keeps concurrent senders from interleaving frames.
+func (t *Mux) deliverMux(env Envelope, bp *[]byte) {
+	defer wire.PutBuf(bp)
+	encoded := *bp
 	lane := t.lanes[laneFor(env.Src, env.Dst, len(t.lanes))]
 	var hdr [muxFrameHeader]byte
 	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(encoded)))
@@ -213,14 +218,9 @@ func (f *muxFramer) frame() (Envelope, error) {
 		wire.PutBuf(bp)
 		return Envelope{}, fmt.Errorf("rt: mux frame payload truncated: %w", err)
 	}
-	msg, err := wire.UnmarshalView(*bp)
+	env, err := borrow(Envelope{Src: src, Dst: dst, Bytes: size + network.HeaderBytes, SentAt: sentAt}, bp)
 	if err != nil {
-		wire.PutBuf(bp)
 		return Envelope{}, fmt.Errorf("rt: mux frame from node %d does not decode: %w", src, err)
 	}
-	return Envelope{
-		Src: src, Dst: dst, Msg: msg,
-		Bytes: size + network.HeaderBytes, SentAt: sentAt,
-		Borrowed: true, Buf: bp,
-	}, nil
+	return env, nil
 }

@@ -202,7 +202,8 @@ func FuzzMuxFramer(f *testing.F) {
 
 // TestMuxConnectionCount checks the tentpole scaling property: the
 // transport's connection count is fixed at muxLaneCount lanes no matter
-// how many nodes the machine has (TCP's mesh would need n*(n-1)/2).
+// how many nodes the machine has (a connection per directed pair would
+// need n*(n-1)).
 func TestMuxConnectionCount(t *testing.T) {
 	for _, n := range []int{2, 16, 64} {
 		tr, err := NewMux(model.Default(), n)

@@ -11,13 +11,14 @@
 //     communicate over in-process queues in real time. Cross-node
 //     parallelism is genuine, so `go test -race` exercises the protocol
 //     under true concurrency.
-//   - TCP: the Chan runtime with delivery over loopback TCP sockets, one
-//     connection per node pair, messages marshaled through internal/wire.
 //   - Mux: the Chan runtime with every node pair's traffic multiplexed
 //     over a small fixed set of shared loopback TCP connections using
-//     session frames, and a zero-copy receive path: frames decode as
-//     borrowed views into pooled buffers (wire.UnmarshalView) that the
-//     dispatcher releases after handling.
+//     session frames. (NewTCP is a deprecated alias for NewMux.)
+//
+// Chan and Mux share one send path (Live.Send) and one receive rule: a
+// delivered message is a borrowed view (wire.UnmarshalView) into a
+// pooled buffer its envelope owns, which the dispatcher releases after
+// handling.
 //
 // The protocol code runs unmodified on all three: it sees only Proc,
 // Future, Semaphore and Transport. The simulator's cooperative scheduler
@@ -112,10 +113,10 @@ type ContextBinder interface {
 // the Chan runtime's synchronous enqueue additionally preserve causal
 // order (a message sent before a causally later one is delivered first),
 // which is the guarantee release consistency leans on when update acks
-// are not awaited. TCP and Mux only guarantee per-pair FIFO, so the
-// runtime enables update acknowledgements on them.
+// are not awaited. Mux only guarantees per-pair FIFO, so the runtime
+// enables update acknowledgements on it.
 type Transport interface {
-	// Name identifies the implementation: "sim", "chan", "tcp" or "mux".
+	// Name identifies the implementation: "sim", "chan" or "mux".
 	Name() string
 	// Nodes returns the node count.
 	Nodes() int

@@ -19,13 +19,6 @@ func eachTransport(t *testing.T, nodes int, fn func(t *testing.T, tr rt.Transpor
 	cost := model.Default()
 	t.Run("sim", func(t *testing.T) { fn(t, rt.NewSim(cost, nodes)) })
 	t.Run("chan", func(t *testing.T) { fn(t, rt.NewChan(cost, nodes)) })
-	t.Run("tcp", func(t *testing.T) {
-		tr, err := rt.NewTCP(cost, nodes)
-		if err != nil {
-			t.Fatalf("NewTCP: %v", err)
-		}
-		fn(t, tr)
-	})
 	t.Run("mux", func(t *testing.T) {
 		tr, err := rt.NewMux(cost, nodes)
 		if err != nil {
@@ -83,13 +76,15 @@ func TestDeliveryOrder(t *testing.T) {
 	})
 }
 
-// TestDropFault drops every odd-sequence message and checks the
-// receiver sees exactly the even ones, with the drops counted.
+// TestDropFault drops every even-sequence message and checks the
+// receiver sees exactly the odd ones, with the drops counted. The last
+// message sent is a delivered one, so every drop has been counted by the
+// time the receiver stops the machine, however asynchronous delivery is.
 func TestDropFault(t *testing.T) {
 	const total = 20
 	eachTransport(t, 2, func(t *testing.T, tr rt.Transport) {
 		faults := &rt.Faults{Drop: func(src, dst int, m wire.Message) bool {
-			return m.(wire.ReduceReply).Old%2 == 1
+			return m.(wire.ReduceReply).Old%2 == 0
 		}}
 		tr.SetFaults(faults)
 		tr.Spawn(1, "sender", func(p rt.Proc) {
@@ -109,8 +104,8 @@ func TestDropFault(t *testing.T) {
 			t.Fatalf("%s: Run: %v", tr.Name(), err)
 		}
 		for i, seq := range got {
-			if seq != 2*i {
-				t.Fatalf("%s: received %v, want the even sequence", tr.Name(), got)
+			if seq != 2*i+1 {
+				t.Fatalf("%s: received %v, want the odd sequence", tr.Name(), got)
 			}
 		}
 		if d := faults.Dropped(); d != total/2 {

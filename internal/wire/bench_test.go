@@ -102,15 +102,16 @@ func BenchmarkUnmarshal(b *testing.B) {
 	}
 }
 
-// BenchmarkPooledEncode measures the GetBuf/PutBuf scheme the transports
-// use per send: pooled buffer, encode, release.
+// BenchmarkPooledEncode measures the GetBufN/PutBuf scheme the transports
+// use per send: pooled buffer of the message's size class, encode,
+// release.
 func BenchmarkPooledEncode(b *testing.B) {
 	msgs := benchMessages()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, m := range msgs {
-			bp := GetBuf()
+			bp := GetBufN(Size(m))
 			*bp = AppendTo(*bp, m)
 			PutBuf(bp)
 		}

@@ -1,14 +1,15 @@
 package wire
 
-// Tiered size-class buffer pools. Every transport borrows scratch
-// buffers here — the simulator to size and round-trip each message, the
-// live runtimes to frame sends and (on the mux transport) to hold
-// received frames that the zero-copy decode path hands to the dispatcher
-// as borrowed views. A single 1 KB pool served when every buffer was an
-// encode scratch released within one send; framed receives live longer
-// and span three orders of magnitude in size (a lock acquire vs a
-// piggybacked page image), so buffers are now pooled per size class and
-// routed back by capacity.
+// Tiered size-class buffer pools. Every transport borrows buffers here
+// — the simulator to size and round-trip each message, the live runtimes
+// to encode sends, frame them, and hold the received bytes the view
+// decoder hands to the dispatcher as a borrowed message. Those buffers
+// outlive a send and span three orders of magnitude in size (a lock
+// acquire vs a piggybacked page image), so there are four classes — 1 KB,
+// 8 KB, 64 KB, 512 KB — and a returned buffer is routed by capacity.
+// Every encoder asks for GetBufN(Size(msg)): a buffer drawn from too
+// small a class regrows on append and is then filed under a class its
+// next borrower never looks in.
 
 import (
 	"sync"
@@ -33,9 +34,10 @@ func init() {
 // balance the leak checks assert returns to its starting value.
 var outstanding atomic.Int64
 
-// GetBuf returns a zero-length pooled scratch buffer (smallest class)
-// for AppendTo. Return it with PutBuf once the bytes are no longer
-// referenced.
+// GetBuf returns a zero-length pooled buffer of the smallest class. No
+// code in this module calls it any more (encoders size their request
+// with GetBufN); it is kept for the perf module's pooled-encode
+// measurement.
 func GetBuf() *[]byte { return GetBufN(0) }
 
 // GetBufN returns a zero-length pooled buffer with at least n bytes of

@@ -139,7 +139,7 @@ func TestProgramMixedConsistencyConcurrent(t *testing.T) {
 		cons      munin.Consistency
 	}
 	var jobs []job
-	for _, tr := range []string{"sim", "chan", "tcp"} {
+	for _, tr := range []string{"sim", "chan", "mux"} {
 		jobs = append(jobs, job{tr, munin.EagerRC}, job{tr, munin.LazyRC})
 	}
 	jobs = append(jobs, job{"sim", munin.LazyRC}, job{"sim", munin.EagerRC})

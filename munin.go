@@ -32,7 +32,7 @@
 //	    done.Wait(root)
 //	}
 //	res, err := p.Run(ctx, root)                                  // deterministic simulator
-//	res2, err := p.Run(ctx, root, munin.WithTransport("tcp"))     // same program, real sockets
+//	res2, err := p.Run(ctx, root, munin.WithTransport("mux"))     // same program, real sockets
 //	res3, err := p.Run(ctx, root, munin.WithOverride(munin.Conventional)) // Table 6 comparison
 //	_ = res.Stats().Elapsed
 //
@@ -92,13 +92,17 @@ const (
 const (
 	TransportSim  = "sim"
 	TransportChan = "chan"
-	TransportTCP  = "tcp"
 	TransportMux  = "mux"
+
+	// TransportTCP is a deprecated alias for TransportMux: the
+	// connection-per-node-pair transport it used to name is gone, and a
+	// run that asks for it runs on (and reports) "mux".
+	TransportTCP = "tcp"
 )
 
-// Transports lists the valid WithTransport values.
+// Transports lists the transports a run can execute on.
 func Transports() []string {
-	return []string{TransportSim, TransportChan, TransportTCP, TransportMux}
+	return []string{TransportSim, TransportChan, TransportMux}
 }
 
 // MaxProcessors is the largest machine a run accepts (the wire format's

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"os"
 	"path/filepath"
@@ -11,6 +12,7 @@ import (
 	"sync"
 	"testing"
 
+	"munin/internal/core"
 	"munin/internal/network"
 	"munin/internal/wire"
 )
@@ -65,7 +67,7 @@ func obsEngines() map[string][]RunOption {
 // and fault on every transport × engine combination.
 func TestLatenciesAllTransportsAndEngines(t *testing.T) {
 	const procs = 4
-	for _, tr := range []string{TransportSim, TransportChan, TransportTCP} {
+	for _, tr := range []string{TransportSim, TransportChan, TransportMux} {
 		for eng, engOpts := range obsEngines() {
 			t.Run(tr+"/"+eng, func(t *testing.T) {
 				p, root := obsProgram(procs)
@@ -105,7 +107,7 @@ func TestLatenciesAllTransportsAndEngines(t *testing.T) {
 // actually issued.
 func TestCounterConservation(t *testing.T) {
 	const procs = 4
-	for _, tr := range []string{TransportSim, TransportChan, TransportTCP} {
+	for _, tr := range []string{TransportSim, TransportChan, TransportMux} {
 		for eng, engOpts := range obsEngines() {
 			for _, batch := range []bool{false, true} {
 				name := tr + "/" + eng
@@ -160,7 +162,7 @@ func TestCounterConservation(t *testing.T) {
 // total must equal the sum of delivered envelope sizes.
 func TestPerKindBytesConservation(t *testing.T) {
 	const procs = 4
-	for _, tr := range []string{TransportSim, TransportChan, TransportTCP} {
+	for _, tr := range []string{TransportSim, TransportChan, TransportMux} {
 		for _, batch := range []bool{false, true} {
 			name := tr
 			if batch {
@@ -321,6 +323,31 @@ func TestTraceEvents(t *testing.T) {
 	}
 	if len(out.TraceEvents) < len(events) {
 		t.Fatalf("chrome trace has %d entries for %d events", len(out.TraceEvents), len(events))
+	}
+}
+
+// TestTraceSurvivesFailedRun: the event stream matters most when the run
+// fails, so a run that ends in a runtime error still fills its sink.
+func TestTraceSurvivesFailedRun(t *testing.T) {
+	p := NewProgram(2)
+	shared := Declare[uint32](p, "shared", 16, WriteShared)
+	ro := Declare[uint32](p, "ro", 4, ReadOnly)
+	bar := p.CreateBarrier(2)
+	sink := &TraceBuffer{}
+	_, err := p.Run(context.Background(), func(root *Thread) {
+		root.Spawn(1, "reader", func(th *Thread) {
+			_ = shared.Get(th, 0)
+			bar.Wait(th)
+		})
+		bar.Wait(root)
+		ro.Set(root, 0, 1) // annotation misuse with the adaptive engine off
+	}, WithTracing(sink))
+	var rerr *core.RuntimeError
+	if !errors.As(err, &rerr) {
+		t.Fatalf("err = %v, want a *core.RuntimeError", err)
+	}
+	if len(sink.Events()) == 0 {
+		t.Fatal("failed run left an empty TraceBuffer")
 	}
 }
 

@@ -62,7 +62,7 @@ func TestProgramReuseAcrossTransportsAndOverrides(t *testing.T) {
 	checkProduct("sim2", sim2)
 
 	// Runs 3 and 4: the same Program on the live transports.
-	for _, tr := range []string{TransportChan, TransportTCP} {
+	for _, tr := range []string{TransportChan, TransportMux} {
 		res, err := prog.Run(context.Background(), root, WithTransport(tr))
 		if err != nil {
 			t.Fatalf("%s run: %v", tr, err)
@@ -80,6 +80,23 @@ func TestProgramReuseAcrossTransportsAndOverrides(t *testing.T) {
 			t.Fatalf("override %v run: %v", ov, err)
 		}
 		checkProduct(ov.String(), res)
+	}
+}
+
+// TestTCPAliasRunsOnMux: "tcp" is accepted for callers that still name
+// the removed transport, runs on mux and says so; it is not a fourth
+// transport.
+func TestTCPAliasRunsOnMux(t *testing.T) {
+	prog, root, _ := buildMatmulProgram(2, 8)
+	res, err := prog.Run(context.Background(), root, WithTransport("tcp"))
+	if err != nil {
+		t.Fatalf("tcp run: %v", err)
+	}
+	if res.Transport() != TransportMux {
+		t.Errorf("result reports transport %q, want %q", res.Transport(), TransportMux)
+	}
+	if got := Transports(); len(got) != 3 {
+		t.Errorf("Transports() = %v, want sim, chan and mux", got)
 	}
 }
 
@@ -103,9 +120,9 @@ func spinProgram() (*Program, func(*Thread)) {
 }
 
 // TestContextCancellationStopsLiveTransports: cancelling the context
-// makes an in-flight chan/tcp run unwind and return ctx.Err().
+// makes an in-flight chan/mux run unwind and return ctx.Err().
 func TestContextCancellationStopsLiveTransports(t *testing.T) {
-	for _, tr := range []string{TransportChan, TransportTCP} {
+	for _, tr := range []string{TransportChan, TransportMux} {
 		t.Run(tr, func(t *testing.T) {
 			ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 			defer cancel()

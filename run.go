@@ -48,21 +48,18 @@ type runConfig struct {
 //	                 goroutine cluster (user threads + dispatcher)
 //	                 exchanging messages over in-process queues in
 //	                 real time
-//	"tcp"            the concurrent runtime with delivery over
-//	                 loopback TCP sockets, one connection per node
-//	                 pair (update acknowledgements are enabled
-//	                 automatically; TCP gives only per-pair FIFO)
 //	"mux"            the concurrent runtime with every node pair's
 //	                 traffic multiplexed over a small fixed set of
 //	                 shared loopback TCP connections (session frames
 //	                 route each message; the connection count does not
-//	                 grow with the node count) and a zero-copy receive
-//	                 path that decodes payloads in place from pooled
-//	                 buffers. Per-pair FIFO like "tcp", so update
-//	                 acknowledgements are enabled automatically.
+//	                 grow with the node count). Sockets give only
+//	                 per-pair FIFO, so update acknowledgements are
+//	                 enabled automatically.
 //
-// The protocol code is identical on all four; on the live transports
-// Stats times are wall-clock, not modeled.
+// "tcp" is a deprecated alias for "mux". The protocol code is identical
+// on all three; on the live transports Stats times are wall-clock, not
+// modeled, and a received message's payload bytes are decoded in place
+// from a pooled buffer.
 func WithTransport(name string) RunOption {
 	return func(c *runConfig) { c.transport = name }
 }
@@ -183,7 +180,10 @@ func WithDelayWindow(d xrt.Time) RunOption {
 	return func(c *runConfig) { c.delayWindow = d; c.delayWindowSet = true }
 }
 
-// WithTrace observes every delivered protocol message.
+// WithTrace observes every delivered protocol message. On the live
+// transports the message's byte payloads alias a pooled receive buffer:
+// an observer that keeps a message past its own return must copy it
+// first (wire.Own).
 func WithTrace(fn func(network.Envelope)) RunOption {
 	return func(c *runConfig) { c.trace = fn }
 }
@@ -207,7 +207,9 @@ func (p *Program) resolve(opts []RunOption) (runConfig, error) {
 		return cfg, fmt.Errorf("munin: barrier tree fanout %d below 2", cfg.barrierFanout)
 	}
 	switch cfg.transport {
-	case "", TransportSim, TransportChan, TransportTCP, TransportMux:
+	case "", TransportSim, TransportChan, TransportMux:
+	case TransportTCP:
+		cfg.transport = TransportMux
 	default:
 		return cfg, errUnknownTransport(cfg.transport)
 	}
@@ -250,7 +252,7 @@ func (p *Program) resolve(opts []RunOption) (runConfig, error) {
 // newTransport's defensive default reuses it so the two switches cannot
 // drift apart in what they report.
 func errUnknownTransport(name string) error {
-	return fmt.Errorf("munin: unknown transport %q (want sim, chan, tcp or mux)", name)
+	return fmt.Errorf("munin: unknown transport %q (want sim, chan or mux)", name)
 }
 
 // newTransport builds the transport the run configuration names (already
@@ -262,8 +264,6 @@ func newTransport(cfg runConfig) (xrt.Transport, error) {
 		return xrt.NewSim(cfg.model, cfg.procs), nil
 	case TransportChan:
 		return xrt.NewChan(cfg.model, cfg.procs), nil
-	case TransportTCP:
-		return xrt.NewTCP(cfg.model, cfg.procs)
 	case TransportMux:
 		return xrt.NewMux(cfg.model, cfg.procs)
 	default:
@@ -278,7 +278,7 @@ func newTransport(cfg runConfig) (xrt.Transport, error) {
 // concurrently — on one Program, with per-run knobs supplied as options.
 //
 // The context cancels a run in flight: on the live transports ("chan",
-// "tcp") every node observes the cancellation and unwinds; on the
+// "mux") every node observes the cancellation and unwinds; on the
 // simulator the event loop stops between events. A canceled run returns
 // ctx.Err().
 //
@@ -327,11 +327,14 @@ func (p *Program) Run(ctx context.Context, root func(t *Thread), opts ...RunOpti
 	for lock, addrs := range p.assoc {
 		sys.AssociateDataAndSynch(lock, addrs...)
 	}
-	if err := sys.Run(root); err != nil {
-		return nil, err
-	}
+	err = sys.Run(root)
 	if cfg.traceSink != nil {
+		// Filled on failure too: the protocol history that led to an
+		// error is what the trace is for.
 		cfg.traceSink.events, cfg.traceSink.dropped = sys.ObsEvents()
+	}
+	if err != nil {
+		return nil, err
 	}
 	return newResult(p, cfg, sys), nil
 }
