@@ -31,7 +31,7 @@ import (
 func main() {
 	var (
 		app         = flag.String("app", "matmul", "application: matmul, sor, tsp or lockheavy")
-		procs       = flag.Int("procs", 8, "processor count (1-16)")
+		procs       = flag.Int("procs", 8, fmt.Sprintf("processor count (1-%d)", munin.MaxProcessors))
 		n           = flag.Int("n", 400, "matrix dimension (matmul)")
 		rows        = flag.Int("rows", 512, "grid rows (sor)")
 		cols        = flag.Int("cols", 2048, "grid columns (sor)")
@@ -144,7 +144,11 @@ func main() {
 	tw.Flush()
 
 	if *profile {
-		fmt.Println("\nlatency percentiles (virtual ns):")
+		unit := "virtual ns"
+		if apps.LiveTransport(*transport) {
+			unit = "wall ns"
+		}
+		fmt.Printf("\nlatency percentiles (%s):\n", unit)
 		tw = tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 		fmt.Fprintf(tw, "  op\tcount\tp50\tp99\tp999\tmax\t\n")
 		ops := make([]string, 0, len(r.Latencies))

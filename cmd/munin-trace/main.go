@@ -40,7 +40,7 @@ func main() {
 	var (
 		workload    = flag.String("workload", "lock", "workload from the registry (see -list)")
 		list        = flag.Bool("list", false, "list the workload registry and exit")
-		procs       = flag.Int("procs", 4, "processor count (2-16; pipeline needs 4)")
+		procs       = flag.Int("procs", 4, fmt.Sprintf("processor count (2-%d; pipeline needs 4)", munin.MaxProcessors))
 		batch       = flag.Bool("batch", false, "coalesce same-destination protocol messages into batch envelopes (they appear in the trace as one 'batch' delivery)")
 		consistency = flag.String("consistency", "eager", "release-consistency engine: eager or lazy (the lazy engine's acquire-with-notices grants, diff fetches and GC broadcasts appear in the trace)")
 		obsFlag     = flag.Bool("obs", false, "record structured protocol events (faults, fetches, invalidations, ...) and print them as JSON lines after the run")

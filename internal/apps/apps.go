@@ -130,7 +130,7 @@ func LiveTransport(name string) bool {
 
 // MatMulConfig parameterizes a matrix-multiply run (Tables 3, 4, 6).
 type MatMulConfig struct {
-	// Procs is the number of processors (workers), 1–16.
+	// Procs is the number of processors (workers), 1–munin.MaxProcessors.
 	Procs int
 	// N is the square matrix dimension (the paper uses 400×400).
 	N int
@@ -161,7 +161,7 @@ type MatMulConfig struct {
 
 // SORConfig parameterizes an SOR run (Tables 5, 6).
 type SORConfig struct {
-	// Procs is the number of processors (workers), 1–16.
+	// Procs is the number of processors (workers), 1–munin.MaxProcessors.
 	Procs int
 	// Rows and Cols give the grid size. With 2048 float32 columns a row
 	// is exactly one 8 KB page, the regime the paper's "one message

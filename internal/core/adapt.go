@@ -118,7 +118,7 @@ func (n *Node) commitSwitch(p rt.Proc, e *directory.Entry, annot protocol.Annota
 	n.adaptEng.Commits++
 	n.broadcast(p, wire.AdaptCommit{Addr: base, Annot: uint8(annot), Epoch: epoch})
 	n.adaptEng.ResetGroup(base)
-	n.wakeAnnotWaiters(base)
+	n.wakeAnnotWaiters(p, base)
 	return true
 }
 
@@ -163,15 +163,15 @@ func (n *Node) serveAdaptCommit(p rt.Proc, m wire.AdaptCommit) {
 	if n.adaptEng != nil {
 		n.adaptEng.ResetGroup(m.Addr)
 	}
-	n.wakeAnnotWaiters(m.Addr)
+	n.wakeAnnotWaiters(p, m.Addr)
 }
 
 // wakeAnnotWaiters resumes threads blocked on an urgent switch of the
 // group.
-func (n *Node) wakeAnnotWaiters(base vm.Addr) {
+func (n *Node) wakeAnnotWaiters(p rt.Proc, base vm.Addr) {
 	if f, ok := n.annotWait[base]; ok {
 		delete(n.annotWait, base)
-		f.Complete(nil)
+		n.wake(p, f)
 	}
 }
 

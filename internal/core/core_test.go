@@ -53,7 +53,7 @@ func TestReadOnlyReplication(t *testing.T) {
 		t.Errorf("node 2 read misses = %d, want 1", sys.Node(2).ReadMisses)
 	}
 	// Messages flowed: dir fetch + read req/reply.
-	st := sys.Net().Stats()
+	st := sys.Transport().Stats()
 	if st.Messages[wire.KindReadReq] != 1 || st.Messages[wire.KindReadReply] != 1 {
 		t.Errorf("read traffic = %d/%d, want 1/1",
 			st.Messages[wire.KindReadReq], st.Messages[wire.KindReadReply])
@@ -94,7 +94,7 @@ func TestConventionalOwnershipTransfer(t *testing.T) {
 	if seen != 77 {
 		t.Errorf("seen = %d, want 77", seen)
 	}
-	st := sys.Net().Stats()
+	st := sys.Transport().Stats()
 	if st.Messages[wire.KindOwnReq] != 1 || st.Messages[wire.KindOwnReply] != 1 {
 		t.Errorf("ownership traffic %d/%d, want 1/1",
 			st.Messages[wire.KindOwnReq], st.Messages[wire.KindOwnReply])
@@ -133,7 +133,7 @@ func TestConventionalWriteInvalidatesReplicas(t *testing.T) {
 			t.Errorf("node %d read %d, want 99", i, v)
 		}
 	}
-	if sys.Net().Stats().Messages[wire.KindInvalidate] == 0 {
+	if sys.Transport().Stats().Messages[wire.KindInvalidate] == 0 {
 		t.Error("no invalidations sent")
 	}
 }
@@ -167,7 +167,7 @@ func TestMigratoryMovesWithAccess(t *testing.T) {
 	}
 	// Two migrations: home→worker on the worker's read, worker→home on
 	// the root's read-back.
-	st := sys.Net().Stats()
+	st := sys.Transport().Stats()
 	if st.Messages[wire.KindMigrateReq] != 2 || st.Messages[wire.KindMigrateReply] != 2 {
 		t.Errorf("migrate traffic %d/%d, want 2/2",
 			st.Messages[wire.KindMigrateReq], st.Messages[wire.KindMigrateReply])
@@ -207,7 +207,7 @@ func TestWriteSharedConcurrentWritersMerge(t *testing.T) {
 	if sys.Node(0).Twins == 0 || sys.Node(1).Twins == 0 {
 		t.Error("twins were not created for multiple-writer object")
 	}
-	if sys.Net().Stats().Messages[wire.KindCopysetQuery] == 0 {
+	if sys.Transport().Stats().Messages[wire.KindCopysetQuery] == 0 {
 		t.Error("no dynamic copyset determination happened")
 	}
 }
@@ -252,7 +252,7 @@ func TestProducerConsumerStableSharing(t *testing.T) {
 		t.Errorf("consumer read misses = %d, want 1", rm)
 	}
 	// Copyset determination happens exactly once (S bit caches it).
-	if q := sys.Net().Stats().Messages[wire.KindCopysetQuery]; q != 1 {
+	if q := sys.Transport().Stats().Messages[wire.KindCopysetQuery]; q != 1 {
 		t.Errorf("copyset queries = %d, want 1", q)
 	}
 }
@@ -351,7 +351,7 @@ func TestResultFlushesOnlyToHome(t *testing.T) {
 	}
 	// Result objects never run copyset determination; updates go to the
 	// home only, and worker copies die after the flush.
-	st := sys.Net().Stats()
+	st := sys.Transport().Stats()
 	if st.Messages[wire.KindCopysetQuery] != 0 {
 		t.Errorf("copyset queries = %d, want 0 for result objects", st.Messages[wire.KindCopysetQuery])
 	}
@@ -487,7 +487,7 @@ func TestLockDataAssociationPiggybacksData(t *testing.T) {
 	}
 	// With the association, lock grants carry the object: after the
 	// first migration, accesses under the lock cause no migrate traffic.
-	st := sys.Net().Stats()
+	st := sys.Transport().Stats()
 	if st.Messages[wire.KindMigrateReq] > 1 {
 		t.Errorf("migrate requests = %d, want ≤1 (data rides lock grants)",
 			st.Messages[wire.KindMigrateReq])
@@ -542,7 +542,7 @@ func TestSingleObjectGranularity(t *testing.T) {
 	if a != 1 || b != 7 {
 		t.Errorf("a=%d b=%d, want 1,7", a, b)
 	}
-	st := sys.Net().Stats()
+	st := sys.Transport().Stats()
 	if st.Messages[wire.KindReadReq] != 1 {
 		t.Errorf("read requests = %d, want 1 (single object)", st.Messages[wire.KindReadReq])
 	}

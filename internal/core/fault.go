@@ -27,8 +27,7 @@ func advance(p rt.Proc, d rt.Time) {
 // retries.
 func (n *Node) handleFault(t *Thread, base vm.Addr, write bool) {
 	p := t.proc
-	prev := p.SetKind(rt.KindSystem)
-	defer p.SetKind(prev)
+	defer t.endSystem(t.system())
 	p.Advance(n.sys.cost.FaultTrap)
 
 	if n.obs == nil {
@@ -260,16 +259,12 @@ func (n *Node) serveRead(p rt.Proc, m wire.ReadReq) {
 		n.complete(pendKey{pendRead, uint64(e.Start)}, wire.ReadReply{Addr: e.Start, Owner: uint8(owner), Data: data})
 		return
 	}
-	b := n.newBatcher(p)
-	b.send(req, wire.ReadReply{Addr: e.Start, Owner: uint8(owner), Data: data})
+	n.send(p, req, wire.ReadReply{Addr: e.Start, Owner: uint8(owner), Data: data})
 	if n.sys.cfg.ExactCopyset && e.Home != n.id {
 		// Keep the home's tracked copyset complete: it is the node the
-		// improved determination algorithm will ask (§3.3). When the
-		// requester IS the home, the notification rides the reply's
-		// envelope under batching.
-		b.send(e.Home, wire.CopysetNotify{Addr: e.Start, Reader: uint8(req)})
+		// improved determination algorithm will ask (§3.3).
+		n.send(p, e.Home, wire.CopysetNotify{Addr: e.Start, Reader: uint8(req)})
 	}
-	b.flush()
 }
 
 // migrate moves a migratory object here with read+write access,
@@ -349,13 +344,11 @@ func (n *Node) serveMigrate(p rt.Proc, m wire.MigrateReq) {
 		n.redispatchChase(p, e)
 	}
 	p.Advance(n.sys.cost.CopyCost(e.Size))
-	b := n.newBatcher(p)
-	b.send(req, wire.MigrateReply{Addr: e.Start, Data: data})
+	n.send(p, req, wire.MigrateReply{Addr: e.Start, Data: data})
 	if e.Home != n.id {
 		// Anchor the home's hint to the transfer history (see forward).
-		b.send(e.Home, wire.OwnNotify{Addr: e.Start, Owner: uint8(req)})
+		n.send(p, e.Home, wire.OwnNotify{Addr: e.Start, Owner: uint8(req)})
 	}
-	b.flush()
 }
 
 // delayedWrite implements the DUQ write path (§3.3): fetch current data if
@@ -528,13 +521,11 @@ func (n *Node) serveOwn(p rt.Proc, m wire.OwnReq) {
 		n.redispatchChase(p, e)
 	}
 	p.Advance(n.sys.cost.CopyCost(e.Size))
-	b := n.newBatcher(p)
-	b.send(req, wire.OwnReply{Addr: e.Start, Copyset: cs, Data: data})
+	n.send(p, req, wire.OwnReply{Addr: e.Start, Copyset: cs, Data: data})
 	if e.Home != n.id {
 		// Anchor the home's hint to the transfer history (see forward).
-		b.send(e.Home, wire.OwnNotify{Addr: e.Start, Owner: uint8(req)})
+		n.send(p, e.Home, wire.OwnNotify{Addr: e.Start, Owner: uint8(req)})
 	}
-	b.flush()
 }
 
 // serveInvalidate drops the local copy. A dirty copy under a
@@ -571,15 +562,12 @@ func (n *Node) serveInvalidate(p rt.Proc, src int, m wire.Invalidate) {
 			// dying copy.
 			n.puq.drop(e.Start)
 		}
-		b := n.newBatcher(p)
 		if e.Modified {
 			if e.Params.MultipleWriters && e.Twin != nil {
 				entry, _ := n.encodeEntry(p, e)
 				if entry != nil {
 					n.UpdatesSent++
-					// The dying copy's updates and the acknowledgement go
-					// to the same node: one envelope under batching.
-					b.send(src, wire.UpdateBatch{
+					n.send(p, src, wire.UpdateBatch{
 						From: uint8(n.id), Entries: []wire.UpdateEntry{*entry},
 					})
 				}
@@ -598,9 +586,6 @@ func (n *Node) serveInvalidate(p rt.Proc, src int, m wire.Invalidate) {
 		if e.Home == n.id {
 			e.BackingStale = true
 		}
-		b.send(src, wire.InvalidateAck{Addr: m.Addr})
-		b.flush()
-		return
 	}
 	n.send(p, src, wire.InvalidateAck{Addr: m.Addr})
 }

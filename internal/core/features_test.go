@@ -41,7 +41,7 @@ func TestServeReadDowngradesSingleWriterOwner(t *testing.T) {
 	if second != 8 {
 		t.Errorf("reader saw %d after the second write, want 8 (stale replica)", second)
 	}
-	st := sys.Net().Stats()
+	st := sys.Transport().Stats()
 	if st.Messages[wire.KindInvalidate] == 0 {
 		t.Error("second write sent no invalidation")
 	}
@@ -76,7 +76,7 @@ func TestInvalidateSharedDelaysInvalidations(t *testing.T) {
 	if after != 42 {
 		t.Errorf("consumer read %d after invalidation, want 42", after)
 	}
-	st := sys.Net().Stats()
+	st := sys.Transport().Stats()
 	if st.Messages[wire.KindInvalidate] != 1 {
 		t.Errorf("invalidations = %d, want exactly 1 (delayed and batched)", st.Messages[wire.KindInvalidate])
 	}
@@ -149,7 +149,7 @@ func TestExactCopysetUsesHomeDirectedMessages(t *testing.T) {
 	if seen[1] != 6 || seen[2] != 6 {
 		t.Errorf("consumers saw %v, want updated 6s", seen)
 	}
-	st := sys.Net().Stats()
+	st := sys.Transport().Stats()
 	if st.Messages[wire.KindCopysetQuery] != 0 {
 		t.Errorf("broadcast queries = %d, want 0 in exact mode", st.Messages[wire.KindCopysetQuery])
 	}
@@ -200,7 +200,7 @@ func TestExactCopysetRemoteWriterLooksUpHome(t *testing.T) {
 	if rootSees != 77 {
 		t.Errorf("root sees %d, want 77", rootSees)
 	}
-	st := sys.Net().Stats()
+	st := sys.Transport().Stats()
 	if st.Messages[wire.KindCopysetLookup] != 1 || st.Messages[wire.KindCopysetInfo] != 1 {
 		t.Errorf("lookup/info = %d/%d, want 1/1",
 			st.Messages[wire.KindCopysetLookup], st.Messages[wire.KindCopysetInfo])
@@ -277,7 +277,7 @@ func TestFlushWithoutAcksStillOrdersBeforeRelease(t *testing.T) {
 		if got != 9 {
 			t.Errorf("await=%v: consumer read %d, want 9", await, got)
 		}
-		st := sys.Net().Stats()
+		st := sys.Transport().Stats()
 		if await && st.Messages[wire.KindUpdateAck] == 0 {
 			t.Error("awaited flush produced no acks")
 		}
@@ -434,7 +434,7 @@ func TestBarrierTreeFewerOwnerSends(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return sys.Net().Stats().Messages[wire.KindBarrierRelease]
+		return sys.Transport().Stats().Messages[wire.KindBarrierRelease]
 	}
 	central, tree := run(false), run(true)
 	if central != 15 {

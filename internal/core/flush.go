@@ -15,11 +15,8 @@ import (
 // releaseFlush propagates every pending write on the DUQ. It runs whenever
 // a local thread releases a lock or arrives at a barrier (§3.3) — the
 // conservative, eager implementation of release consistency: updates are
-// propagated (and acknowledged) at the release itself. The caller's
-// batcher lets the flushed updates share envelopes with whatever the
-// release sends next (a lock grant, a barrier arrival); the caller owns
-// the final flush.
-func (n *Node) releaseFlush(t *Thread, b *batcher) {
+// propagated (and acknowledged) at the release itself.
+func (n *Node) releaseFlush(t *Thread) {
 	if n.duq.Len() == 0 {
 		return
 	}
@@ -27,14 +24,13 @@ func (n *Node) releaseFlush(t *Thread, b *batcher) {
 	defer n.flushSem.Release()
 	entries := n.duq.Drain()
 	n.Flushes++
-	n.flushEntries(t, entries, b)
+	n.flushEntries(t, entries)
 }
 
 // flushEntries pushes the given enqueued entries' modifications out:
 // determine destinations, encode diffs, combine per-destination batches
-// into single messages, send, and wait for acknowledgements. Sends go
-// through b; any path that must block first forces b.flush().
-func (n *Node) flushEntries(t *Thread, entries []*directory.Entry, b *batcher) {
+// into single messages, send, and wait for acknowledgements.
+func (n *Node) flushEntries(t *Thread, entries []*directory.Entry) {
 	p := t.proc
 
 	// Phase 1: find the set of remote copies for entries that need it.
@@ -143,26 +139,17 @@ func (n *Node) flushEntries(t *Thread, entries []*directory.Entry, b *batcher) {
 			c = n.newCollector(pendKey{pendRead, 0}, len(dests), "flush-acks")
 		}
 		for _, d := range dests {
-			b.send(d, wire.UpdateBatch{
+			n.send(p, d, wire.UpdateBatch{
 				From: uint8(n.id), NeedAck: await, Entries: batches[d],
 			})
 		}
 		if await {
-			// The acknowledged flush blocks here, so the updates must be
-			// on the wire first (nothing later can share their envelopes).
-			// Under a delay window the await's pre-block hard flush is
-			// what actually forces them out.
-			b.flush()
 			n.await(p, c.fut)
 		}
 	}
 
 	// Delayed invalidations (A1 ablation): invalidate remote copies at
-	// the release instead of updating them. invalidateCopies blocks for
-	// acks, so everything queued so far goes out first.
-	if len(invalidateDelayed) > 0 {
-		b.flush()
-	}
+	// the release instead of updating them.
 	for _, e := range invalidateDelayed {
 		n.invalidateCopies(t, e)
 		duq.DropTwin(e)
@@ -173,11 +160,9 @@ func (n *Node) flushEntries(t *Thread, entries []*directory.Entry, b *batcher) {
 	// Annotation switches that arrived while these entries had buffered
 	// writes apply now: the writes above propagated under the protocol
 	// they were made under, and this is a release point, so the
-	// transition is safe (release consistency). The switch broadcasts
-	// bypass the batcher, so the buffered updates must precede them.
+	// transition is safe (release consistency).
 	for _, e := range entries {
 		if e.PendingAnnot != nil {
-			b.flush()
 			n.applyAnnotationSwitch(p, e, *e.PendingAnnot)
 		}
 	}

@@ -67,7 +67,7 @@ func (n *Node) lrcState(e *directory.Entry) *directory.LrcEntry {
 // entries the lazy engine manages close an interval (no messages at all);
 // everything else on the DUQ — result objects, delayed invalidations —
 // flushes through the eager machinery unchanged.
-func (n *Node) lrcRelease(t *Thread, b *batcher) {
+func (n *Node) lrcRelease(t *Thread) {
 	if n.duq.Len() == 0 {
 		return
 	}
@@ -84,7 +84,7 @@ func (n *Node) lrcRelease(t *Thread, b *batcher) {
 	}
 	if len(eager) > 0 {
 		n.Flushes++
-		n.flushEntries(t, eager, b)
+		n.flushEntries(t, eager)
 	}
 	if len(lazyEntries) > 0 {
 		n.lrcCloseEntries(t.proc, lazyEntries)
@@ -542,9 +542,9 @@ func (n *Node) lrcLockAcquire(t *Thread, id int, se *directory.SynchEntry) {
 // lazy acquire-with-notices grant tailored to the acquirer's vector
 // timestamp. Both piggyback the associated objects' data (lazily managed
 // associates are excluded — their consistency travels as notices).
-func (n *Node) sendLockGrant(p rt.Proc, id int, se *directory.SynchEntry, dst, tail int, reqVT []uint32, b *batcher) {
+func (n *Node) sendLockGrant(p rt.Proc, id int, se *directory.SynchEntry, dst, tail int, reqVT []uint32) {
 	if n.lrc != nil {
-		b.send(dst, wire.LrcLockGrant{
+		n.send(p, dst, wire.LrcLockGrant{
 			Lock: uint32(id), Tail: uint8(tail),
 			VT:      n.lrc.VT(),
 			Notices: n.lrc.NoticesSince(reqVT),
@@ -552,7 +552,7 @@ func (n *Node) sendLockGrant(p rt.Proc, id int, se *directory.SynchEntry, dst, t
 		})
 		return
 	}
-	b.send(dst, wire.LockGrant{
+	n.send(p, dst, wire.LockGrant{
 		Lock: uint32(id), Tail: uint8(tail), Updates: n.lockPiggyback(p, se),
 	})
 }
@@ -584,14 +584,14 @@ func (n *Node) serveLrcLockSetSucc(m wire.LrcLockSetSucc) {
 // lrcBarrierArrive sends (or locally records) a barrier arrival with the
 // lazy payload: vector timestamp, write notices above the sender's
 // floor, and the sender's applied floors for garbage collection.
-func (n *Node) lrcBarrierArrive(p rt.Proc, id int, se *directory.SynchEntry, b *batcher) {
+func (n *Node) lrcBarrierArrive(p rt.Proc, id int, se *directory.SynchEntry) {
 	if se.Home == n.id {
 		se.Arrived++
 		n.lrcNoteArrival(id, n.id, n.lrc.VT(), n.lrcFloors(), true)
-		n.checkBarrier(p, id, se, b)
+		n.checkBarrier(p, id, se)
 		return
 	}
-	b.send(se.Home, wire.LrcBarrierArrive{
+	n.send(p, se.Home, wire.LrcBarrierArrive{
 		Barrier: uint32(id), From: uint8(n.id),
 		VT:      n.lrc.VT(),
 		Floors:  n.lrcFloors(),
@@ -612,9 +612,7 @@ func (n *Node) serveLrcBarrierArrive(p rt.Proc, m wire.LrcBarrierArrive) {
 	se.Arrived++
 	n.barrierFrom[id] = append(n.barrierFrom[id], int(m.From))
 	n.lrcNoteArrival(id, int(m.From), m.VT, m.Floors, false)
-	b := n.newBatcher(p)
-	n.checkBarrier(p, id, se, b)
-	b.flush()
+	n.checkBarrier(p, id, se)
 }
 
 // lrcNoteArrival accumulates one barrier arrival's lazy payload at the
@@ -637,7 +635,7 @@ func (n *Node) lrcNoteArrival(id, from int, vt, floors []uint32, local bool) {
 // the arrival had seen, then the knowledge floor advances and — when
 // every node of the machine took part — the merged applied floors are
 // broadcast as the garbage-collection message.
-func (n *Node) lrcBarrierComplete(p rt.Proc, id int, from []int, b *batcher) {
+func (n *Node) lrcBarrierComplete(p rt.Proc, id int, from []int) {
 	mergedVT := n.lrc.VT()
 	vts := n.barrierVTs[id]
 	n.barrierVTs[id] = nil
@@ -649,7 +647,12 @@ func (n *Node) lrcBarrierComplete(p rt.Proc, id int, from []int, b *batcher) {
 		for _, vt := range vts {
 			minVT = lrc.MinFloors(minVT, vt)
 		}
-		n.lrcTreeRelease(p, id, nodes, mergedVT, n.lrc.NoticesSince(minVT), b)
+		notices := n.lrc.NoticesSince(minVT)
+		n.treeFanout(p, nodes, func(sub []uint8) wire.Message {
+			return wire.LrcBarrierRelease{
+				Barrier: uint32(id), Tree: true, Subtree: sub, VT: mergedVT, Notices: notices,
+			}
+		})
 	} else {
 		for i, src := range from {
 			p.Advance(n.sys.cost.BarrierHandlerCPU)
@@ -657,7 +660,7 @@ func (n *Node) lrcBarrierComplete(p rt.Proc, id int, from []int, b *batcher) {
 			if i < len(vts) {
 				vt = vts[i]
 			}
-			b.send(src, wire.LrcBarrierRelease{
+			n.send(p, src, wire.LrcBarrierRelease{
 				Barrier: uint32(id), VT: mergedVT, Notices: n.lrc.NoticesSince(vt),
 			})
 		}
@@ -669,14 +672,7 @@ func (n *Node) lrcBarrierComplete(p rt.Proc, id int, from []int, b *batcher) {
 	contributors := n.barrierNodes[id]
 	n.barrierNodes[id] = nil
 	if len(contributors) == n.sys.Nodes() && n.lrcFloorsAdvanced(floors) {
-		// The GC broadcast shares envelopes with the releases above:
-		// a node that both departs the barrier and advances its floors
-		// gets one message, not two.
-		for dst := 0; dst < n.sys.Nodes(); dst++ {
-			if dst != n.id {
-				b.send(dst, wire.LrcGC{Floors: floors})
-			}
-		}
+		n.broadcast(p, wire.LrcGC{Floors: floors})
 		n.lrc.GC(floors)
 		copy(n.lrcLastGC, floors)
 	}
@@ -695,34 +691,6 @@ func (n *Node) lrcFloorsAdvanced(floors []uint32) bool {
 		}
 	}
 	return false
-}
-
-// lrcTreeRelease fans a lazy barrier release down the tree, every
-// message carrying the same merged timestamp and notice payload.
-func (n *Node) lrcTreeRelease(p rt.Proc, id int, nodes []int, vt []uint32, notices []wire.LrcInterval, b *batcher) {
-	fanout := n.sys.cfg.BarrierFanout
-	if fanout <= 1 {
-		fanout = 4
-	}
-	if len(nodes) == 0 {
-		return
-	}
-	k := fanout
-	if k > len(nodes) {
-		k = len(nodes)
-	}
-	rest := nodes[k:]
-	for i := 0; i < k; i++ {
-		child := nodes[i]
-		var sub []uint8
-		for j := i; j < len(rest); j += k {
-			sub = append(sub, uint8(rest[j]))
-		}
-		p.Advance(n.sys.cost.BarrierHandlerCPU)
-		b.send(child, wire.LrcBarrierRelease{
-			Barrier: uint32(id), Tree: true, Subtree: sub, VT: vt, Notices: notices,
-		})
-	}
 }
 
 // --- post-run reconciliation ---
@@ -864,29 +832,11 @@ func (s *System) LrcStats() lrc.Stats {
 // absorbing the release's notices and advancing the knowledge floor
 // first so the departing threads' acquire refresh sees them.
 func (n *Node) serveLrcBarrierRelease(p rt.Proc, m wire.LrcBarrierRelease) {
-	id := int(m.Barrier)
 	n.lrcAbsorb(p, m.VT, m.Notices)
 	n.lrc.AdvanceFloor(m.VT)
-	ws := n.barrierWait[id]
-	if m.Tree {
-		if len(m.Subtree) > 0 {
-			nodes := make([]int, len(m.Subtree))
-			for i, c := range m.Subtree {
-				nodes[i] = int(c)
-			}
-			b := n.newBatcher(p)
-			n.lrcTreeRelease(p, id, nodes, m.VT, m.Notices, b)
-			b.flush()
+	n.barrierDepart(p, int(m.Barrier), m.Tree, m.Subtree, func(sub []uint8) wire.Message {
+		return wire.LrcBarrierRelease{
+			Barrier: m.Barrier, Tree: true, Subtree: sub, VT: m.VT, Notices: m.Notices,
 		}
-		n.barrierWait[id] = nil
-		for _, f := range ws {
-			f.Complete(nil)
-		}
-		return
-	}
-	if len(ws) == 0 {
-		fail(n.id, 0, "barrier", fmt.Sprintf("lazy release for barrier %d with no local waiters", id))
-	}
-	n.barrierWait[id] = ws[1:]
-	ws[0].Complete(nil)
+	})
 }

@@ -165,10 +165,10 @@ type Node struct {
 	// re-dispatch when the home's ownership knowledge refreshes.
 	deferredChase map[vm.Addr][]wire.Message
 
-	// delayed holds each local proc's persistent delay-window batcher
-	// (Config.DelayWindow); nil when the window is off. Lazily allocated
-	// and only touched under the node monitor — see delay.go.
-	delayed map[rt.Proc]*batcher
+	// outboxes holds each local proc's outbox; nil unless Config.Batching
+	// (which is what makes n.send a plain transport send). Only touched
+	// under the node monitor — see outbox.go.
+	outboxes map[rt.Proc]*outbox
 }
 
 // stashedImage reconstructs the object's current content from the fetch
@@ -264,6 +264,9 @@ func newNode(s *System, id int) *Node {
 		deferredReads: make(map[vm.Addr][]wire.ReadReq),
 		deferredChase: make(map[vm.Addr][]wire.Message),
 	}
+	if s.cfg.Batching {
+		n.outboxes = make(map[rt.Proc]*outbox)
+	}
 	if s.cfg.PendingUpdates {
 		n.puq = newPendingUpdates()
 		n.puqSem = s.tr.NewSemaphore(id, fmt.Sprintf("puq[%d]", id), 1)
@@ -306,10 +309,11 @@ func (n *Node) Dir() *directory.Table { return n.dir }
 // serves remote requests. It never blocks on remote state — requests it
 // cannot answer are forwarded — so request chains cannot deadlock.
 //
-// Under a delay window the loop drains bursts with TryRecv and only
-// hard-flushes its own delay buffer before parking in the blocking Recv:
-// a dispatcher answering a burst of requests (the grant churn at a
-// lock's home, say) coalesces its replies until the inbox runs dry.
+// Each dispatched envelope is one operation: its replies leave when the
+// handler returns (see outbox.go). Under a delay window the loop drains
+// bursts with TryRecv and that operation-end flush is soft, so a
+// dispatcher answering a burst of requests (the grant churn at a lock's
+// home, say) coalesces its replies until the inbox runs dry.
 func (n *Node) startDispatcher() {
 	window := n.sys.cfg.DelayWindow > 0
 	n.sys.tr.Spawn(n.id, fmt.Sprintf("munin-root@n%d", n.id), func(p rt.Proc) {
@@ -326,11 +330,15 @@ func (n *Node) startDispatcher() {
 				env, ok = n.sys.tr.TryRecv(p, n.id)
 			}
 			if !ok {
-				n.preBlock(p)
+				n.flush(p)
 				env = n.sys.tr.Recv(p, n.id)
 			}
 			p.Advance(n.sys.cost.RequestHandlerCPU)
 			n.dispatch(p, env)
+			// The operation ends before the buffer goes back: without a
+			// delay window nothing a handler queued outlives the envelope
+			// it answers.
+			n.endOp(p)
 			// A borrowed envelope's payloads alias the transport's pooled
 			// receive buffer; everything a handler retains past this point
 			// was re-owned in dispatch, so the buffer goes back now.
@@ -468,10 +476,7 @@ func (n *Node) dispatch(p rt.Proc, env network.Envelope) {
 }
 
 // rpc registers a future under key, sends msg, and blocks t until the
-// reply completes it. The request routes through the delay buffer (when
-// a window is on) and the wait hard-flushes it: a release's update batch
-// and the next acquire's lock request bound for the same node leave as
-// one envelope.
+// reply completes it.
 func (n *Node) rpc(t *Thread, dst int, key pendKey, msg wire.Message) any {
 	if _, ok := n.pending[key]; ok {
 		panic(fmt.Sprintf("core: node %d duplicate outstanding request %v", n.id, key))

@@ -153,9 +153,7 @@ func (n *Node) flushObject(t *Thread, addr vm.Addr) {
 		n.lrcMaterialize(t.proc, e)
 		return
 	}
-	b := n.newBatcher(t.proc)
-	n.flushEntries(t, []*directory.Entry{e}, b)
-	b.flush()
+	n.flushEntries(t, []*directory.Entry{e})
 }
 
 // invalidateObject implements the Invalidate library routine (§2.5):
@@ -184,9 +182,7 @@ func (n *Node) invalidateObject(t *Thread, addr vm.Addr) {
 	if e.Enqueued {
 		n.acquire(p, n.flushSem)
 		n.duq.Remove(e)
-		b := n.newBatcher(p)
-		n.flushEntries(t, []*directory.Entry{e}, b)
-		b.flush()
+		n.flushEntries(t, []*directory.Entry{e})
 		n.flushSem.Release()
 	}
 	if !e.Valid {
@@ -278,9 +274,7 @@ func (n *Node) changeAnnotation(t *Thread, addr vm.Addr, annot protocol.Annotati
 	if e.Enqueued {
 		n.acquire(t.proc, n.flushSem)
 		n.duq.Remove(e)
-		b := n.newBatcher(t.proc)
-		n.flushEntries(t, []*directory.Entry{e}, b)
-		b.flush()
+		n.flushEntries(t, []*directory.Entry{e})
 		n.flushSem.Release()
 	}
 	n.applyAnnotation(e, annot)

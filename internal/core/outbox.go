@@ -1,0 +1,176 @@
+package core
+
+// The outbox: the one way protocol code sends. §3.3's release is one
+// sentence — "the update mechanism automatically combines the elements
+// destined for the same node into a single message" — and the runtime
+// has one idiom to match: n.send(p, dst, msg). With Config.Batching off
+// that is the transport send itself, bit for bit the unbatched
+// prototype. With it on, every proc owns an outbox that queues what the
+// proc sends per destination and emits each destination's queue as a
+// single wire.Batch envelope (the bare message when only one queued):
+// one transport send, one wire header, one send-path CPU charge plus the
+// reduced per-rider increment (model.CostModel.SendCPU), the receiving
+// dispatcher unpacking the riders in order.
+//
+// Three rules make that safe, and they are the whole contract:
+//
+//  1. One send idiom. Nothing reaches the transport except through the
+//     sender's outbox, so per-destination order is exactly send order —
+//     no message can overtake an earlier one to the same node.
+//
+//  2. Flush where an operation ends or stops. The outbox empties at
+//     operation end — Thread.endSystem, deferred by every user-thread
+//     runtime entry and the fault handler; the dispatcher loop after
+//     each dispatched envelope — and before the proc parks: n.await,
+//     n.acquire when it would block, the dispatcher before Recv, proc
+//     exit. A proc therefore never parks, and never exits, with a
+//     non-empty outbox: a message a remote node needs in order to make
+//     progress cannot sit buffered across a wait. The check-then-flush
+//     is atomic because a proc holds its node monitor between block
+//     points (a future that is Done stays Done; a semaphore that turns
+//     free between Busy() and Acquire costs only an early flush). One
+//     more flush sits in n.wake: before an operation wakes another proc
+//     of the same node (a local lock hand-off, local barrier or
+//     annotation waiters), because what the woken proc then says must
+//     not overtake what this one already said.
+//
+//  3. Acknowledged flushes wherever batching meets a live transport.
+//     An envelope leaves at the position of its FIRST rider, so order
+//     ACROSS destinations is not send order: a barrier arrival riding
+//     the envelope that carries the home's update leaves before the
+//     updates to the nodes after it, and the home can release a node
+//     whose update is still unsent. The simulator's cost model hides
+//     that (a release is several message times behind the flush that
+//     precedes it); chan's sender-order delivery does not, so core
+//     turns AwaitUpdateAcks on there exactly as it does for mux
+//     (needsUpdateAcks, applied in NewSystem) — a selection from
+//     (transport, batching), not a knob.
+//
+// Delay window (Config.DelayWindow, implies Batching): the operation-end
+// flush becomes soft — it holds the queue while its oldest message is
+// younger than the window, so consecutive operations coalesce their
+// traffic (a release's update and lock grant with the next acquire's
+// request, a dispatcher's replies across a burst it drains with TryRecv)
+// the way Nagle's algorithm coalesces small writes. Every other flush
+// stays unconditional, so rule 2 holds unchanged and the added latency
+// is bounded by the time the sender was going to spend running anyway.
+
+import (
+	"munin/internal/obs"
+	"munin/internal/rt"
+	"munin/internal/wire"
+)
+
+// outbox queues one proc's outgoing messages per destination. Only its
+// proc touches it, under the node monitor, so it needs no locking.
+type outbox struct {
+	dsts []int // first-enqueue order; also emission order
+	q    map[int][]wire.Message
+	// oldest is when the first message entered the empty outbox (the
+	// delay window's age reference).
+	oldest rt.Time
+}
+
+// needsUpdateAcks reports whether releases must block for update
+// acknowledgements on the named transport: always on mux (per-pair FIFO
+// only), and wherever an outbox reorders across destinations on a
+// transport that would otherwise deliver in sender order (rule 3).
+func needsUpdateAcks(transport string, batching bool) bool {
+	return transport == "mux" || (batching && transport != "sim")
+}
+
+// send transmits msg from this node to dst: directly with batching off,
+// through p's outbox otherwise.
+func (n *Node) send(p rt.Proc, dst int, msg wire.Message) {
+	if n.outboxes == nil {
+		n.sys.tr.Send(p, n.id, dst, msg)
+		return
+	}
+	o := n.outboxes[p]
+	if o == nil {
+		o = &outbox{q: make(map[int][]wire.Message, 4)}
+		n.outboxes[p] = o
+	}
+	if len(o.dsts) == 0 {
+		o.oldest = p.Now()
+	}
+	if _, ok := o.q[dst]; !ok {
+		o.dsts = append(o.dsts, dst)
+	}
+	o.q[dst] = append(o.q[dst], msg)
+}
+
+// broadcast sends msg to every other node.
+func (n *Node) broadcast(p rt.Proc, msg wire.Message) {
+	for dst := 0; dst < n.sys.Nodes(); dst++ {
+		if dst != n.id {
+			n.send(p, dst, msg)
+		}
+	}
+}
+
+// flush empties p's outbox onto the transport, one envelope per
+// destination in first-enqueue order.
+func (n *Node) flush(p rt.Proc) {
+	if n.outboxes == nil {
+		return
+	}
+	o := n.outboxes[p]
+	if o == nil || len(o.dsts) == 0 {
+		return
+	}
+	for _, dst := range o.dsts {
+		msgs := o.q[dst]
+		delete(o.q, dst)
+		if len(msgs) == 1 {
+			n.sys.tr.Send(p, n.id, dst, msgs[0])
+			continue
+		}
+		if n.obs != nil {
+			n.obs.Event(obs.EvBatchFlush, int64(p.Now()), 0, 0, dst, int64(len(msgs)))
+		}
+		n.sys.tr.Send(p, n.id, dst, wire.Batch{Msgs: msgs})
+	}
+	o.dsts = o.dsts[:0]
+}
+
+// endOp is the operation-end flush: unconditional without a delay
+// window, held under one while the outbox's oldest message is younger
+// than the window.
+func (n *Node) endOp(p rt.Proc) {
+	if w := n.sys.cfg.DelayWindow; w > 0 {
+		if o := n.outboxes[p]; o != nil && len(o.dsts) > 0 && p.Now()-o.oldest < w {
+			return
+		}
+	}
+	n.flush(p)
+}
+
+// wake completes futures that other procs of this node are parked on.
+// What this proc has queued leaves first (rule 2): whatever a woken proc
+// says next must not overtake it.
+func (n *Node) wake(p rt.Proc, ws ...rt.Future) {
+	if len(ws) == 0 {
+		return
+	}
+	n.flush(p)
+	for _, f := range ws {
+		f.Complete(nil)
+	}
+}
+
+// await waits on f, flushing first if the wait would park.
+func (n *Node) await(p rt.Proc, f rt.Future) any {
+	if n.outboxes != nil && !f.Done() {
+		n.flush(p)
+	}
+	return f.Wait(p)
+}
+
+// acquire takes s, flushing first if the acquire would park.
+func (n *Node) acquire(p rt.Proc, s rt.Semaphore) {
+	if n.outboxes != nil && s.Busy() {
+		n.flush(p)
+	}
+	s.Acquire(p)
+}

@@ -78,21 +78,12 @@ func (n *Node) applyGrantUpdates(t *Thread, updates []wire.UpdateEntry, se *dire
 
 // releaseLock implements ReleaseLock: flush the DUQ (release consistency),
 // then hand the lock to a local waiter or the distributed queue's head.
-// One batcher spans the whole release, so the flushed updates and the
-// grant (or home notification) bound for the same node share an envelope
-// — the per-destination coalescing the wire fast path exists for.
 func (n *Node) releaseLock(t *Thread, id int) {
 	p := t.proc
-	b := n.newBatcher(p)
 	if n.lrc != nil {
-		n.lrcRelease(t, b)
+		n.lrcRelease(t)
 	} else {
-		n.releaseFlush(t, b)
-	}
-	if n.adaptEng != nil {
-		// The adaptive sweep's proposals and commit broadcasts bypass the
-		// batcher; the flushed updates must precede them on the wire.
-		b.flush()
+		n.releaseFlush(t)
 	}
 	n.adaptAtRelease(t)
 	p.Advance(n.sys.cost.LockHandlerCPU)
@@ -105,9 +96,8 @@ func (n *Node) releaseLock(t *Thread, id int) {
 		// Hand directly to a local waiter; ownership and Held stay (and
 		// under the lazy engine the waiter shares this node's timestamp
 		// and notice state, so nothing needs to travel).
-		b.flush()
 		n.lockWait[id] = ws[1:]
-		ws[0].Complete(nil)
+		n.wake(p, ws[0])
 		return
 	}
 	if se.Succ >= 0 {
@@ -124,25 +114,23 @@ func (n *Node) releaseLock(t *Thread, id int) {
 		if n.lrc != nil {
 			succVT = n.lrcSuccVT(id)
 		}
-		n.sendLockGrant(p, id, se, succ, tail, succVT, b)
-		n.notifyLockHome(p, se, id, succ, b)
-		b.flush()
+		n.sendLockGrant(p, id, se, succ, tail, succVT)
+		n.notifyLockHome(p, se, id, succ)
 		n.redispatchLockChase(p, id)
 		return
 	}
 	se.Held = false
-	b.flush()
 }
 
 // notifyLockHome anchors the lock home's hint to the transfer history
 // (the lock analogue of OwnNotify): after a remote-to-remote transfer
 // the home is the one node guaranteed to eventually learn the current
 // owner, so dead-ended request chases re-route through it.
-func (n *Node) notifyLockHome(p rt.Proc, se *directory.SynchEntry, id, owner int, b *batcher) {
+func (n *Node) notifyLockHome(p rt.Proc, se *directory.SynchEntry, id, owner int) {
 	if se.Home == n.id || se.Home == owner {
 		return
 	}
-	b.send(se.Home, wire.LockOwnNotify{Lock: uint32(id), Owner: uint8(owner)})
+	n.send(p, se.Home, wire.LockOwnNotify{Lock: uint32(id), Owner: uint8(owner)})
 }
 
 // serveLockOwnNotify records a lock transfer at the lock's home.
@@ -208,16 +196,11 @@ func (n *Node) serveLockRequest(p rt.Proc, m wire.Message, id, req int, reqVT []
 		return
 	}
 	if !se.Held && len(n.lockWait[id]) == 0 && se.Succ < 0 {
-		// Free: transfer ownership directly to the requester. The grant
-		// and the home notification batch per destination (they share one
-		// only when the requester is the home's neighbor case, but the
-		// batcher is cheap either way).
-		b := n.newBatcher(p)
+		// Free: transfer ownership directly to the requester.
 		se.Owned = false
 		se.ProbOwner = req
-		n.sendLockGrant(p, id, se, req, req, reqVT, b)
-		n.notifyLockHome(p, se, id, req, b)
-		b.flush()
+		n.sendLockGrant(p, id, se, req, req, reqVT)
+		n.notifyLockHome(p, se, id, req)
 		n.redispatchLockChase(p, id)
 		return
 	}
@@ -297,21 +280,12 @@ func (n *Node) lockPiggyback(p rt.Proc, se *directory.SynchEntry) []wire.UpdateE
 
 // waitAtBarrier implements WaitAtBarrier: flush the DUQ, then report
 // arrival to the barrier's owner node and block until released (§3.4).
-// One batcher spans the flush and the arrival (and, at the master whose
-// own arrival completes the barrier, the release fan-out), so updates
-// and barrier traffic bound for one node share an envelope.
 func (n *Node) waitAtBarrier(t *Thread, id int) {
 	p := t.proc
-	b := n.newBatcher(p)
 	if n.lrc != nil {
-		n.lrcRelease(t, b)
+		n.lrcRelease(t)
 	} else {
-		n.releaseFlush(t, b)
-	}
-	if n.adaptEng != nil {
-		// See releaseLock: the adaptive sweep's messages bypass the
-		// batcher and must not overtake the flushed updates.
-		b.flush()
+		n.releaseFlush(t)
 	}
 	n.adaptAtRelease(t)
 	p.Advance(n.sys.cost.BarrierHandlerCPU)
@@ -319,14 +293,13 @@ func (n *Node) waitAtBarrier(t *Thread, id int) {
 	f := n.sys.tr.NewFuture(n.id, fmt.Sprintf("barrier[n%d b%d]", n.id, id))
 	n.barrierWait[id] = append(n.barrierWait[id], f)
 	if n.lrc != nil {
-		n.lrcBarrierArrive(p, id, se, b)
+		n.lrcBarrierArrive(p, id, se)
 	} else if se.Home == n.id {
 		se.Arrived++
-		n.checkBarrier(p, id, se, b)
+		n.checkBarrier(p, id, se)
 	} else {
-		b.send(se.Home, wire.BarrierArrive{Barrier: uint32(id), From: uint8(n.id)})
+		n.send(p, se.Home, wire.BarrierArrive{Barrier: uint32(id), From: uint8(n.id)})
 	}
-	b.flush()
 	n.await(p, f)
 	// Departing the barrier is an acquire: queued updates apply now, and
 	// under the lazy engine the stale copies this node holds refresh
@@ -347,17 +320,12 @@ func (n *Node) serveBarrierArrive(p rt.Proc, m wire.BarrierArrive) {
 	}
 	se.Arrived++
 	n.barrierFrom[id] = append(n.barrierFrom[id], int(m.From))
-	b := n.newBatcher(p)
-	n.checkBarrier(p, id, se, b)
-	b.flush()
+	n.checkBarrier(p, id, se)
 }
 
 // checkBarrier releases everyone once the expected number of threads have
 // arrived: one reply per remote arrival, plus completing local waiters.
-// Releases go through the caller's batcher: several threads of one node
-// arriving remotely (or, under the lazy engine, the GC broadcast behind
-// the releases) coalesce into one envelope per destination.
-func (n *Node) checkBarrier(p rt.Proc, id int, se *directory.SynchEntry, b *batcher) {
+func (n *Node) checkBarrier(p rt.Proc, id int, se *directory.SynchEntry) {
 	if se.Arrived < se.Expected {
 		return
 	}
@@ -371,83 +339,79 @@ func (n *Node) checkBarrier(p rt.Proc, id int, se *directory.SynchEntry, b *batc
 	local := n.barrierWait[id]
 	n.barrierWait[id] = nil
 	if n.lrc != nil {
-		n.lrcBarrierComplete(p, id, from, b)
-		for _, f := range local {
-			f.Complete(nil)
-		}
-		return
-	}
-	if n.sys.cfg.BarrierTree {
+		n.lrcBarrierComplete(p, id, from)
+	} else if n.sys.cfg.BarrierTree {
 		// One release per node, fanned out down a tree: the owner
 		// releases its immediate children, each of which wakes its own
 		// waiters and forwards to its share of the subtree (§3.4's
 		// scalable scheme). The release path costs O(log N) serial sends
 		// at every node instead of O(N) at the owner.
-		n.treeRelease(p, id, dedupeNodes(from), b)
+		n.treeFanout(p, dedupeNodes(from), func(sub []uint8) wire.Message {
+			return wire.BarrierRelease{Barrier: uint32(id), Tree: true, Subtree: sub}
+		})
 	} else {
 		for _, src := range from {
 			p.Advance(n.sys.cost.BarrierHandlerCPU)
-			b.send(src, wire.BarrierRelease{Barrier: uint32(id)})
+			n.send(p, src, wire.BarrierRelease{Barrier: uint32(id)})
 		}
 	}
-	for _, f := range local {
-		f.Complete(nil)
-	}
+	n.wake(p, local...)
 }
 
 // serveBarrierRelease wakes threads blocked at the barrier: one per
 // message under the centralized scheme, every local waiter (plus subtree
 // forwarding) under the tree scheme.
 func (n *Node) serveBarrierRelease(p rt.Proc, m wire.BarrierRelease) {
-	id := int(m.Barrier)
-	ws := n.barrierWait[id]
-	if m.Tree {
-		if len(m.Subtree) > 0 {
-			nodes := make([]int, len(m.Subtree))
-			for i, c := range m.Subtree {
-				nodes[i] = int(c)
-			}
-			b := n.newBatcher(p)
-			n.treeRelease(p, id, nodes, b)
-			b.flush()
-		}
-		n.barrierWait[id] = nil
-		for _, f := range ws {
-			f.Complete(nil)
-		}
-		return
-	}
-	if len(ws) == 0 {
-		fail(n.id, 0, "barrier", fmt.Sprintf("release for barrier %d with no local waiters", id))
-	}
-	n.barrierWait[id] = ws[1:]
-	ws[0].Complete(nil)
+	n.barrierDepart(p, int(m.Barrier), m.Tree, m.Subtree, func(sub []uint8) wire.Message {
+		return wire.BarrierRelease{Barrier: m.Barrier, Tree: true, Subtree: sub}
+	})
 }
 
-// treeRelease forwards a tree-scheme barrier release to up to fanout
-// children, handing each its slice of the remaining nodes.
-func (n *Node) treeRelease(p rt.Proc, id int, nodes []int, b *batcher) {
-	fanout := n.sys.cfg.BarrierFanout
-	if fanout <= 1 {
-		fanout = 4
-	}
-	if len(nodes) == 0 {
+// barrierDepart is the receiving end of a barrier release, eager or
+// lazy: under the tree scheme wake every local waiter and forward the
+// release to this node's share of the subtree (release builds the
+// message for one child's subtree); under the centralized scheme wake
+// one waiter per message.
+func (n *Node) barrierDepart(p rt.Proc, id int, tree bool, subtree []uint8, release func(sub []uint8) wire.Message) {
+	ws := n.barrierWait[id]
+	if !tree {
+		if len(ws) == 0 {
+			fail(n.id, 0, "barrier", fmt.Sprintf("release for barrier %d with no local waiters", id))
+		}
+		n.barrierWait[id] = ws[1:]
+		n.wake(p, ws[0])
 		return
 	}
-	k := fanout
+	n.barrierWait[id] = nil
+	if len(subtree) > 0 {
+		nodes := make([]int, len(subtree))
+		for i, c := range subtree {
+			nodes[i] = int(c)
+		}
+		n.treeFanout(p, nodes, release)
+	}
+	n.wake(p, ws...)
+}
+
+// treeFanout sends a tree-scheme barrier release to up to fanout
+// children, handing each its round-robin share of the remaining nodes
+// (so subtrees balance); release builds the message for one child.
+func (n *Node) treeFanout(p rt.Proc, nodes []int, release func(sub []uint8) wire.Message) {
+	k := n.sys.cfg.BarrierFanout
+	if k <= 1 {
+		k = 4
+	}
 	if k > len(nodes) {
 		k = len(nodes)
 	}
 	rest := nodes[k:]
 	for i := 0; i < k; i++ {
-		child := nodes[i]
-		// Split the remaining nodes round-robin so subtrees balance.
 		var sub []uint8
 		for j := i; j < len(rest); j += k {
 			sub = append(sub, uint8(rest[j]))
 		}
 		p.Advance(n.sys.cost.BarrierHandlerCPU)
-		b.send(child, wire.BarrierRelease{Barrier: uint32(id), Tree: true, Subtree: sub})
+		n.send(p, nodes[i], release(sub))
 	}
 }
 

@@ -93,22 +93,22 @@ type Config struct {
 	// Batching coalesces the messages one protocol operation sends to
 	// the same destination — a release flush's update plus the lock
 	// grant behind it, a barrier master's updates plus its releases, a
-	// lazy release plus the GC broadcast — into single wire.Batch
-	// envelopes: fewer transport sends, fewer wire headers, a cheaper
-	// per-rider send path (model.CostModel.SendCPU). Off by default so
-	// the paper tables' traffic shape is untouched; the wire bench table
-	// (munin-bench -table wire) measures the difference.
+	// lazy release plus the GC broadcast, a dispatcher's replies to one
+	// envelope's riders — into single wire.Batch envelopes: fewer
+	// transport sends, fewer wire headers, a cheaper per-rider send path
+	// (model.CostModel.SendCPU). Off by default so the paper tables'
+	// traffic shape is untouched; the wire bench table (munin-bench
+	// -table wire) measures the difference. See outbox.go.
 	Batching bool
 	// DelayWindow, when positive, extends batching across consecutive
-	// protocol operations: each proc keeps one persistent batcher whose
-	// flush is soft — buffered messages are held until the oldest has
-	// aged past the window or the proc is about to block — so a
-	// release's update batch and the next acquire's lock request bound
-	// for the same node leave as one envelope (a bounded Nagle delay
-	// for the DSM protocol). Implies Batching. Liveness is preserved by
-	// hard-flushing at every block point (see delay.go); the cost is up
-	// to one window of added latency on messages with no follow-up
-	// traffic.
+	// protocol operations: the flush at the end of an operation is soft
+	// — queued messages are held until the oldest has aged past the
+	// window or the proc is about to park — so a release's update batch
+	// and the next acquire's lock request bound for the same node leave
+	// as one envelope (a bounded Nagle delay for the DSM protocol).
+	// Implies Batching. Liveness is preserved by flushing before every
+	// park (see outbox.go); the cost is up to one window of added
+	// latency on messages with no follow-up traffic.
 	DelayWindow rt.Time
 	// AwaitUpdateAcks makes a release block until every update it sent is
 	// acknowledged (decoded and merged remotely). The prototype does not
@@ -117,7 +117,9 @@ type Config struct {
 	// the release (a barrier departure or a lock grant) necessarily
 	// receives the earlier updates first, which is exactly the guarantee
 	// release consistency requires. The simulated bus is globally FIFO,
-	// so the same reasoning holds here. Acked flushes remain available
+	// so the same reasoning holds here. NewSystem turns acked flushes on
+	// where that reasoning fails (needsUpdateAcks: the mux transport, and
+	// batching on any live transport); they remain available elsewhere
 	// for the Table 2 microbenchmark (whose Reply row times the
 	// acknowledgement) and for stress tests.
 	AwaitUpdateAcks bool
@@ -258,19 +260,19 @@ func NewSystem(cfg Config, decls []Decl, locks []LockDecl, barriers []BarrierDec
 		panic(fmt.Sprintf("core: transport has %d nodes for %d processors",
 			cfg.Transport.Nodes(), cfg.Processors))
 	}
-	if cfg.Transport.Name() == "mux" {
-		// Mux guarantees only per-pair FIFO, not the cross-sender causal
-		// order the simulator's serialized bus and the chan
-		// transport's synchronous enqueue both give. Release consistency
-		// then needs flushes to block until their updates are
-		// acknowledged (see the AwaitUpdateAcks comment above).
-		cfg.AwaitUpdateAcks = true
-	}
 	if cfg.DelayWindow > 0 {
-		// The delay window is cross-operation batching; the per-operation
-		// machinery (wire.Batch envelopes, per-destination queues) is the
-		// same.
+		// The delay window is cross-operation batching: the same outbox,
+		// with a soft operation-end flush.
 		cfg.Batching = true
+	}
+	if needsUpdateAcks(cfg.Transport.Name(), cfg.Batching) {
+		// Mux guarantees only per-pair FIFO, not the cross-sender causal
+		// order the simulator's serialized bus and the chan transport's
+		// synchronous enqueue both give; and an outbox gives up sender
+		// order across destinations on any transport (outbox.go, rule 3).
+		// Release consistency then needs flushes to block until their
+		// updates are acknowledged (see the AwaitUpdateAcks comment above).
+		cfg.AwaitUpdateAcks = true
 	}
 	s := &System{
 		cfg:      cfg,
@@ -372,10 +374,6 @@ func NewSystem(cfg Config, decls []Decl, locks []LockDecl, barriers []BarrierDec
 // Transport exposes the transport carrying the machine's messages.
 func (s *System) Transport() rt.Transport { return s.tr }
 
-// Net exposes the transport for statistics (historical name; protocol
-// tests read sys.Net().Stats()).
-func (s *System) Net() rt.Transport { return s.tr }
-
 // Node returns node i.
 func (s *System) Node(i int) *Node { return s.nodes[i] }
 
@@ -413,9 +411,9 @@ func (s *System) Run(root func(t *Thread)) error {
 			}
 		}()
 		root(rootThread)
-		// The root thread exits here: anything left in its delay buffer
-		// must go out before the liveUser countdown can stop the machine.
-		rootThread.node.preBlock(p)
+		// Anything left in the root thread's outbox must go out before
+		// the liveUser countdown can stop the machine.
+		rootThread.node.flush(p)
 	})
 	return s.tr.Run()
 }

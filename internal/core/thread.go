@@ -48,9 +48,8 @@ func (t *Thread) Spawn(node int, name string, fn func(*Thread)) {
 			}
 		}()
 		fn(nt)
-		// Thread exit is a block point: hard-flush any delay buffer so
-		// no message dies with the proc.
-		nt.node.preBlock(p)
+		// No message dies with the proc.
+		nt.node.flush(p)
 	})
 }
 
@@ -80,7 +79,7 @@ func (t *Thread) Slice(addr vm.Addr, n int, write bool) [][]byte {
 // AcquireLock blocks until the thread holds the lock (§2.1). Runtime work
 // is charged as system time.
 func (t *Thread) AcquireLock(id int) {
-	defer t.system()()
+	defer t.endSystem(t.system())
 	if t.node.obs == nil {
 		t.node.acquireLock(t, id)
 		return
@@ -93,7 +92,7 @@ func (t *Thread) AcquireLock(id int) {
 // ReleaseLock releases the lock, first flushing the delayed update queue
 // (release consistency).
 func (t *Thread) ReleaseLock(id int) {
-	defer t.system()()
+	defer t.endSystem(t.system())
 	if t.node.obs == nil {
 		t.node.releaseLock(t, id)
 		return
@@ -106,7 +105,7 @@ func (t *Thread) ReleaseLock(id int) {
 // WaitAtBarrier flushes the DUQ and blocks until the barrier's expected
 // number of threads have arrived.
 func (t *Thread) WaitAtBarrier(id int) {
-	defer t.system()()
+	defer t.endSystem(t.system())
 	if t.node.obs == nil {
 		t.node.waitAtBarrier(t, id)
 		return
@@ -119,7 +118,7 @@ func (t *Thread) WaitAtBarrier(id int) {
 // FetchAndOp performs a Fetch-and-Φ on word off of a reduction object,
 // returning the previous value.
 func (t *Thread) FetchAndOp(addr vm.Addr, off int, op wire.ReduceOp, operand uint32) uint32 {
-	defer t.system()()
+	defer t.endSystem(t.system())
 	return t.node.fetchAndOp(t, addr, off, op, operand)
 }
 
@@ -135,21 +134,21 @@ func (t *Thread) FetchAndMin(addr vm.Addr, off int, v uint32) uint32 {
 
 // Flush propagates an object's buffered writes immediately (§2.5).
 func (t *Thread) Flush(addr vm.Addr) {
-	defer t.system()()
+	defer t.endSystem(t.system())
 	t.node.flushObject(t, addr)
 }
 
 // Invalidate deletes the local copy of an object, migrating or updating
 // remote state as needed (§2.5).
 func (t *Thread) Invalidate(addr vm.Addr) {
-	defer t.system()()
+	defer t.endSystem(t.system())
 	t.node.invalidateObject(t, addr)
 }
 
 // PreAcquire fetches a read copy of an object in anticipation of use
 // (§2.5).
 func (t *Thread) PreAcquire(addr vm.Addr) {
-	defer t.system()()
+	defer t.endSystem(t.system())
 	t.node.preAcquire(t, addr)
 }
 
@@ -157,20 +156,25 @@ func (t *Thread) PreAcquire(addr vm.Addr) {
 // (§2.5), for adaptive programs whose stable patterns shift between
 // phases.
 func (t *Thread) PhaseChange(addr vm.Addr) {
-	defer t.system()()
+	defer t.endSystem(t.system())
 	t.node.phaseChange(t, addr)
 }
 
 // ChangeAnnotation switches the object's sharing annotation and protocol
 // (§2.5).
 func (t *Thread) ChangeAnnotation(addr vm.Addr, annot protocol.Annotation) {
-	defer t.system()()
+	defer t.endSystem(t.system())
 	t.node.changeAnnotation(t, addr, annot)
 }
 
-// system switches the thread into system-time accounting and returns the
-// restore function.
-func (t *Thread) system() func() {
-	prev := t.proc.SetKind(rt.KindSystem)
-	return func() { t.proc.SetKind(prev) }
+// system switches the thread into system-time accounting for one runtime
+// operation and returns the kind to restore; every entry point pairs it
+// with endSystem as `defer t.endSystem(t.system())`.
+func (t *Thread) system() rt.TimeKind { return t.proc.SetKind(rt.KindSystem) }
+
+// endSystem ends the runtime operation: whatever it queued for other
+// nodes leaves now (see outbox.go), and the accounting kind goes back.
+func (t *Thread) endSystem(prev rt.TimeKind) {
+	t.node.endOp(t.proc)
+	t.proc.SetKind(prev)
 }

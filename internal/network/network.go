@@ -236,16 +236,6 @@ func (nw *Network) Send(p *sim.Proc, src, dst int, msg wire.Message) {
 	})
 }
 
-// Broadcast sends msg from src to every other node as separate messages
-// (the prototype's dynamic copyset determination does exactly this, §3.3).
-func (nw *Network) Broadcast(p *sim.Proc, src int, msg wire.Message) {
-	for dst := range nw.inboxes {
-		if dst != src {
-			nw.Send(p, src, dst, msg)
-		}
-	}
-}
-
 // Recv blocks p until a message arrives for node and charges the
 // receive-path CPU.
 func (nw *Network) Recv(p *sim.Proc, node int) Envelope {

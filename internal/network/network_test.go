@@ -102,7 +102,9 @@ func TestStatsAccumulate(t *testing.T) {
 	s.Spawn("sender", func(p *sim.Proc) {
 		nw.Send(p, 0, 1, wire.UpdateAck{Count: 1})
 		nw.Send(p, 0, 2, wire.UpdateAck{Count: 2})
-		nw.Broadcast(p, 0, wire.CopysetQuery{From: 0})
+		for dst := 1; dst < 4; dst++ {
+			nw.Send(p, 0, dst, wire.CopysetQuery{From: 0})
+		}
 	})
 	for i := 1; i < 4; i++ {
 		i := i
@@ -121,7 +123,7 @@ func TestStatsAccumulate(t *testing.T) {
 		t.Errorf("update-ack count = %d, want 2", st.Messages[wire.KindUpdateAck])
 	}
 	if st.Messages[wire.KindCopysetQuery] != 3 {
-		t.Errorf("copyset-query count = %d, want 3 (broadcast to 3 peers)", st.Messages[wire.KindCopysetQuery])
+		t.Errorf("copyset-query count = %d, want 3 (one per peer)", st.Messages[wire.KindCopysetQuery])
 	}
 	if st.TotalMessages() != 5 {
 		t.Errorf("total = %d, want 5", st.TotalMessages())

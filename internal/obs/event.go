@@ -17,7 +17,7 @@ const (
 	EvIntervalClose
 	// EvNoticeApply is a batch of lazy-engine write notices absorbed.
 	EvNoticeApply
-	// EvBatchFlush is a batcher flushing a multi-rider envelope.
+	// EvBatchFlush is an outbox flushing a multi-rider envelope.
 	EvBatchFlush
 	// EvEngineSwitch is the adaptive engine committing an annotation
 	// switch on this node.

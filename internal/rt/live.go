@@ -398,15 +398,6 @@ func (l *Live) Send(p Proc, src, dst int, msg wire.Message) {
 	lp.checkStop()
 }
 
-// Broadcast sends msg from src to every other node as separate messages.
-func (l *Live) Broadcast(p Proc, src int, msg wire.Message) {
-	for dst := range l.nodes {
-		if dst != src {
-			l.Send(p, src, dst, msg)
-		}
-	}
-}
-
 // enqueue delivers one envelope into its destination inbox. Callers must
 // not hold any node monitor.
 func (l *Live) enqueue(env Envelope) {

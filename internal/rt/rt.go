@@ -114,7 +114,9 @@ type ContextBinder interface {
 // order (a message sent before a causally later one is delivered first),
 // which is the guarantee release consistency leans on when update acks
 // are not awaited. Mux only guarantees per-pair FIFO, so the runtime
-// enables update acknowledgements on it.
+// enables update acknowledgements on it — as it does on any live
+// transport once batching reorders a sender's envelopes across
+// destinations (core/outbox.go).
 type Transport interface {
 	// Name identifies the implementation: "sim", "chan" or "mux".
 	Name() string
@@ -131,16 +133,13 @@ type Transport interface {
 	// Send transmits msg from src to dst, charging p the send path.
 	// Sending to self is a setup bug and panics.
 	Send(p Proc, src, dst int, msg wire.Message)
-	// Broadcast sends msg from src to every other node.
-	Broadcast(p Proc, src int, msg wire.Message)
 	// Recv blocks p until a message arrives for node and charges the
 	// receive path. When the transport is stopped, Recv unwinds the
 	// calling proc instead of returning.
 	Recv(p Proc, node int) Envelope
 	// TryRecv returns a queued message for node without blocking,
 	// charging the receive path only on success. Dispatchers use it to
-	// drain bursts before flushing their delay buffers and parking in
-	// Recv.
+	// drain bursts before flushing their outboxes and parking in Recv.
 	TryRecv(p Proc, node int) (Envelope, bool)
 	// Stats returns accumulated traffic statistics. Stable only while no
 	// procs run (before Run, or after it returns).

@@ -81,11 +81,6 @@ func (t *Sim) Send(p Proc, src, dst int, msg wire.Message) {
 	t.net.Send(simProc(p), src, dst, msg)
 }
 
-// Broadcast sends to every other node as separate messages.
-func (t *Sim) Broadcast(p Proc, src int, msg wire.Message) {
-	t.net.Broadcast(simProc(p), src, msg)
-}
-
 // Recv blocks until a message arrives for node.
 func (t *Sim) Recv(p Proc, node int) Envelope {
 	return t.net.Recv(simProc(p), node)

@@ -82,7 +82,7 @@ func (b *TraceBuffer) capacity() int {
 // Result.Profile the per-object activity. Recording is histogram
 // increments under the node monitor and charges no modeled time.
 func WithMetrics() RunOption {
-	return func(c *runConfig) { c.metrics = true }
+	return func(c *runConfig) { c.Metrics = true }
 }
 
 // WithTracing enables structured protocol event tracing for this run,

@@ -76,7 +76,7 @@ type Result struct {
 
 // newResult captures a finished system's observable state.
 func newResult(p *Program, cfg runConfig, sys *core.System) *Result {
-	st := sys.Net().Stats()
+	st := sys.Transport().Stats()
 	perKind := make(map[wire.Kind]int, len(st.Messages))
 	for k, v := range st.Messages {
 		perKind[k] = v

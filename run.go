@@ -17,26 +17,17 @@ import (
 // declarations.
 type RunOption func(*runConfig)
 
-// runConfig is the resolved per-run machine configuration.
+// runConfig is the resolved per-run configuration: the machine knobs the
+// options fill in directly, plus what only a run knows. resolve derives
+// Processors, Lazy, Model and TraceEvents from the extras; Run supplies
+// Transport.
 type runConfig struct {
-	procs           int
-	transport       string
-	homePolicy      string
-	consistency     Consistency
-	model           model.CostModel
-	override        *Annotation
-	adaptive        bool
-	exactCopyset    bool
-	awaitUpdateAcks bool
-	barrierTree     bool
-	barrierFanout   int
-	pendingUpdates  bool
-	batching        bool
-	delayWindow     xrt.Time
-	delayWindowSet  bool
-	trace           func(network.Envelope)
-	metrics         bool
-	traceSink       *TraceBuffer
+	core.Config
+	procs          int
+	transport      string
+	consistency    Consistency
+	delayWindowSet bool
+	traceSink      *TraceBuffer
 }
 
 // WithTransport selects the substrate the machine runs on:
@@ -80,7 +71,7 @@ func WithTransport(name string) RunOption {
 // node-0 relay is introduced; final memory contents are identical under
 // either policy for a properly synchronized program.
 func WithHomePolicy(policy string) RunOption {
-	return func(c *runConfig) { c.homePolicy = policy }
+	return func(c *runConfig) { c.HomePolicy = policy }
 }
 
 // WithConsistency selects the release-consistency engine for this run:
@@ -100,13 +91,13 @@ func WithProcessors(n int) RunOption {
 
 // WithModel overrides the calibrated cost model (zero value = default).
 func WithModel(m model.CostModel) RunOption {
-	return func(c *runConfig) { c.model = m }
+	return func(c *runConfig) { c.Model = m }
 }
 
 // WithOverride forces every shared object to one annotation for this run
 // (Table 6's single-protocol configurations).
 func WithOverride(a Annotation) RunOption {
-	return func(c *runConfig) { c.override = &a }
+	return func(c *runConfig) { c.Override = &a }
 }
 
 // WithAdaptive enables the adaptive protocol engine (internal/adapt):
@@ -118,21 +109,21 @@ func WithOverride(a Annotation) RunOption {
 // (munin.Adaptive) variables converge toward the right protocol instead
 // of running slowly or aborting.
 func WithAdaptive() RunOption {
-	return func(c *runConfig) { c.adaptive = true }
+	return func(c *runConfig) { c.Adaptive = true }
 }
 
 // WithExactCopyset selects the improved home-directed copyset
 // determination algorithm of §3.3 instead of the prototype's broadcast
 // (ablation A4 in DESIGN.md).
 func WithExactCopyset() RunOption {
-	return func(c *runConfig) { c.exactCopyset = true }
+	return func(c *runConfig) { c.ExactCopyset = true }
 }
 
 // WithAwaitUpdateAcks makes every release block until its updates are
 // acknowledged remotely. The prototype (and the default here) relies on
 // in-order delivery instead; see core.Config.AwaitUpdateAcks.
 func WithAwaitUpdateAcks() RunOption {
-	return func(c *runConfig) { c.awaitUpdateAcks = true }
+	return func(c *runConfig) { c.AwaitUpdateAcks = true }
 }
 
 // WithBarrierTree releases barriers down a fan-out tree of the given
@@ -140,7 +131,7 @@ func WithAwaitUpdateAcks() RunOption {
 // envisioned scheme for larger systems. fanout 0 means the default (4);
 // a fanout below 2 is a configuration error reported by Run.
 func WithBarrierTree(fanout int) RunOption {
-	return func(c *runConfig) { c.barrierTree = true; c.barrierFanout = fanout }
+	return func(c *runConfig) { c.BarrierTree = true; c.BarrierFanout = fanout }
 }
 
 // WithPendingUpdates enables the pending update queue of §6's future
@@ -148,7 +139,7 @@ func WithBarrierTree(fanout int) RunOption {
 // at the receiver and apply at its next synchronization point,
 // coalescing repeated full-object updates.
 func WithPendingUpdates() RunOption {
-	return func(c *runConfig) { c.pendingUpdates = true }
+	return func(c *runConfig) { c.PendingUpdates = true }
 }
 
 // WithBatching coalesces the messages one protocol operation sends to
@@ -162,7 +153,7 @@ func WithPendingUpdates() RunOption {
 // tables keep the prototype's traffic shape; `munin-bench -table wire`
 // measures the difference, and Stats.Sends/BatchEnvelopes report it.
 func WithBatching() RunOption {
-	return func(c *runConfig) { c.batching = true }
+	return func(c *runConfig) { c.Batching = true }
 }
 
 // WithDelayWindow extends batching across consecutive protocol
@@ -177,7 +168,7 @@ func WithBatching() RunOption {
 // traffic. Final memory contents are unchanged. Implies WithBatching;
 // d <= 0 is a configuration error reported by Run.
 func WithDelayWindow(d xrt.Time) RunOption {
-	return func(c *runConfig) { c.delayWindow = d; c.delayWindowSet = true }
+	return func(c *runConfig) { c.DelayWindow = d; c.delayWindowSet = true }
 }
 
 // WithTrace observes every delivered protocol message. On the live
@@ -185,7 +176,7 @@ func WithDelayWindow(d xrt.Time) RunOption {
 // an observer that keeps a message past its own return must copy it
 // first (wire.Own).
 func WithTrace(fn func(network.Envelope)) RunOption {
-	return func(c *runConfig) { c.trace = fn }
+	return func(c *runConfig) { c.Trace = fn }
 }
 
 // resolve assembles and validates the run configuration. Every
@@ -198,13 +189,13 @@ func (p *Program) resolve(opts []RunOption) (runConfig, error) {
 	if cfg.procs <= 0 || cfg.procs > MaxProcessors {
 		return cfg, fmt.Errorf("munin: %d processors outside 1–%d", cfg.procs, MaxProcessors)
 	}
-	switch cfg.homePolicy {
+	switch cfg.HomePolicy {
 	case "", HomeRoot, HomeStriped:
 	default:
-		return cfg, fmt.Errorf("munin: unknown home policy %q (want %q or %q)", cfg.homePolicy, HomeRoot, HomeStriped)
+		return cfg, fmt.Errorf("munin: unknown home policy %q (want %q or %q)", cfg.HomePolicy, HomeRoot, HomeStriped)
 	}
-	if cfg.barrierTree && cfg.barrierFanout != 0 && cfg.barrierFanout < 2 {
-		return cfg, fmt.Errorf("munin: barrier tree fanout %d below 2", cfg.barrierFanout)
+	if cfg.BarrierTree && cfg.BarrierFanout != 0 && cfg.BarrierFanout < 2 {
+		return cfg, fmt.Errorf("munin: barrier tree fanout %d below 2", cfg.BarrierFanout)
 	}
 	switch cfg.transport {
 	case "", TransportSim, TransportChan, TransportMux:
@@ -213,26 +204,26 @@ func (p *Program) resolve(opts []RunOption) (runConfig, error) {
 	default:
 		return cfg, errUnknownTransport(cfg.transport)
 	}
-	if cfg.delayWindowSet && cfg.delayWindow <= 0 {
-		return cfg, fmt.Errorf("munin: delay window %d is not positive", cfg.delayWindow)
+	if cfg.delayWindowSet && cfg.DelayWindow <= 0 {
+		return cfg, fmt.Errorf("munin: delay window %d is not positive", cfg.DelayWindow)
 	}
 	switch cfg.consistency {
 	case EagerRC, LazyRC:
 	default:
 		return cfg, fmt.Errorf("munin: unknown consistency %v (want EagerRC or LazyRC)", cfg.consistency)
 	}
-	if cfg.consistency == LazyRC && cfg.adaptive {
+	if cfg.consistency == LazyRC && cfg.Adaptive {
 		return cfg, fmt.Errorf("munin: the lazy consistency engine does not compose with the adaptive protocol engine (an online annotation switch would change an object's engine membership mid-interval)")
 	}
-	if cfg.model == (model.CostModel{}) {
-		cfg.model = model.Default()
+	if cfg.Model == (model.CostModel{}) {
+		cfg.Model = model.Default()
 	}
-	if err := cfg.model.Validate(); err != nil {
+	if err := cfg.Model.Validate(); err != nil {
 		return cfg, fmt.Errorf("munin: %w", err)
 	}
-	if !cfg.adaptive {
-		if cfg.override != nil {
-			if *cfg.override == protocol.Adaptive {
+	if !cfg.Adaptive {
+		if cfg.Override != nil {
+			if *cfg.Override == protocol.Adaptive {
 				return cfg, fmt.Errorf("munin: override to the adaptive (no hint) annotation needs the adaptive engine; run with WithAdaptive")
 			}
 		} else {
@@ -243,6 +234,11 @@ func (p *Program) resolve(opts []RunOption) (runConfig, error) {
 				}
 			}
 		}
+	}
+	cfg.Processors = cfg.procs
+	cfg.Lazy = cfg.consistency == LazyRC
+	if cfg.traceSink != nil {
+		cfg.TraceEvents = cfg.traceSink.capacity()
 	}
 	return cfg, nil
 }
@@ -261,11 +257,11 @@ func errUnknownTransport(name string) error {
 func newTransport(cfg runConfig) (xrt.Transport, error) {
 	switch cfg.transport {
 	case "", TransportSim:
-		return xrt.NewSim(cfg.model, cfg.procs), nil
+		return xrt.NewSim(cfg.Model, cfg.procs), nil
 	case TransportChan:
-		return xrt.NewChan(cfg.model, cfg.procs), nil
+		return xrt.NewChan(cfg.Model, cfg.procs), nil
 	case TransportMux:
-		return xrt.NewMux(cfg.model, cfg.procs)
+		return xrt.NewMux(cfg.Model, cfg.procs)
 	default:
 		return nil, errUnknownTransport(cfg.transport)
 	}
@@ -305,25 +301,8 @@ func (p *Program) Run(ctx context.Context, root func(t *Thread), opts ...RunOpti
 			b.BindContext(ctx)
 		}
 	}
-	sys := core.NewSystem(core.Config{
-		Transport:       tr,
-		Processors:      cfg.procs,
-		HomePolicy:      cfg.homePolicy,
-		Model:           cfg.model,
-		Override:        cfg.override,
-		Adaptive:        cfg.adaptive,
-		ExactCopyset:    cfg.exactCopyset,
-		AwaitUpdateAcks: cfg.awaitUpdateAcks,
-		BarrierTree:     cfg.barrierTree,
-		BarrierFanout:   cfg.barrierFanout,
-		PendingUpdates:  cfg.pendingUpdates,
-		Batching:        cfg.batching,
-		DelayWindow:     cfg.delayWindow,
-		Lazy:            cfg.consistency == LazyRC,
-		Trace:           cfg.trace,
-		Metrics:         cfg.metrics,
-		TraceEvents:     traceCap(cfg.traceSink),
-	}, p.decls, p.locks, p.barriers)
+	cfg.Transport = tr
+	sys := core.NewSystem(cfg.Config, p.decls, p.locks, p.barriers)
 	for lock, addrs := range p.assoc {
 		sys.AssociateDataAndSynch(lock, addrs...)
 	}
@@ -337,13 +316,4 @@ func (p *Program) Run(ctx context.Context, root func(t *Thread), opts ...RunOpti
 		return nil, err
 	}
 	return newResult(p, cfg, sys), nil
-}
-
-// traceCap resolves the per-node event ring capacity for a run: zero
-// (tracing off) without a sink.
-func traceCap(sink *TraceBuffer) int {
-	if sink == nil {
-		return 0
-	}
-	return sink.capacity()
 }
