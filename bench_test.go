@@ -13,8 +13,10 @@ package munin_test
 // paper-format tables come from cmd/munin-bench.
 
 import (
+	"context"
 	"testing"
 
+	"munin"
 	"munin/internal/apps"
 	"munin/internal/bench"
 	"munin/internal/diffenc"
@@ -324,6 +326,68 @@ func BenchmarkCriticalSection(b *testing.B) {
 			b.ReportMetric(float64(r.Messages), "msgs/op")
 		})
 	}
+}
+
+// accessBench times body on the root thread of a one-node program whose
+// float32 matrix — 64 rows of 8 KB, one page each — is already valid for
+// write: the access path alone, no fault and no message. CI gates these
+// at 0 allocs/op.
+func accessBench(b *testing.B, body func(t *munin.Thread, m *munin.Matrix[float32], row []float32)) {
+	const rows, cols = 64, accessBenchCols
+	p := munin.NewProgram(1)
+	m := munin.DeclareMatrix[float32](p, "rows", rows, cols, munin.WriteShared)
+	_, err := p.Run(context.Background(), func(t *munin.Thread) {
+		row := make([]float32, cols)
+		for i := 0; i < rows; i++ {
+			m.WriteRow(t, i, row)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		body(t, m, row)
+		b.StopTimer()
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+}
+
+// accessBenchCols is the row length accessBench declares: 8 KB of float32.
+const accessBenchCols = 2048
+
+// nsPerWord reports a row benchmark's cost per 32-bit word moved.
+func nsPerWord(b *testing.B) {
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*accessBenchCols), "ns/word")
+}
+
+// BenchmarkReadRow measures Matrix.ReadRow of one 8 KB row.
+func BenchmarkReadRow(b *testing.B) {
+	accessBench(b, func(t *munin.Thread, m *munin.Matrix[float32], row []float32) {
+		for i := 0; i < b.N; i++ {
+			m.ReadRow(t, i%m.Rows(), row)
+		}
+	})
+	nsPerWord(b)
+}
+
+// BenchmarkWriteRow measures Matrix.WriteRow of one 8 KB row.
+func BenchmarkWriteRow(b *testing.B) {
+	accessBench(b, func(t *munin.Thread, m *munin.Matrix[float32], row []float32) {
+		for i := 0; i < b.N; i++ {
+			m.WriteRow(t, i%m.Rows(), row)
+		}
+	})
+	nsPerWord(b)
+}
+
+// BenchmarkGet measures one-element loads striding across the pages.
+func BenchmarkGet(b *testing.B) {
+	var acc float32
+	accessBench(b, func(t *munin.Thread, m *munin.Matrix[float32], _ []float32) {
+		for i := 0; i < b.N; i++ {
+			acc += m.Get(t, i%m.Rows(), i*7%m.Cols())
+		}
+	})
+	_ = acc
 }
 
 func benchName(procs int) string {

@@ -46,19 +46,23 @@ func sameImage(t *testing.T, label string, ref, got RunResult) {
 }
 
 func TestEquivalenceMatMul(t *testing.T) {
-	run := func(tr string) RunResult {
-		r, err := MuninMatMul(MatMulConfig{Procs: 4, N: 48, Transport: tr})
-		if err != nil {
-			t.Fatalf("%s matmul: %v", tr, err)
+	// N=100: 400-byte rows do not divide the 8 KB page, so rows straddle
+	// pages (and objects) on every matrix.
+	for _, n := range []int{48, 100} {
+		run := func(tr string) RunResult {
+			r, err := MuninMatMul(MatMulConfig{Procs: 4, N: n, Transport: tr})
+			if err != nil {
+				t.Fatalf("%s matmul N=%d: %v", tr, n, err)
+			}
+			return r
 		}
-		return r
-	}
-	ref := run("sim")
-	if want := MatMulReference(48); ref.Check != want {
-		t.Fatalf("sim matmul checksum %08x, want reference %08x", ref.Check, want)
-	}
-	for _, tr := range transportsUnderTest {
-		sameImage(t, "matmul/"+tr, ref, run(tr))
+		ref := run("sim")
+		if want := MatMulReference(n); ref.Check != want {
+			t.Fatalf("sim matmul N=%d checksum %08x, want reference %08x", n, ref.Check, want)
+		}
+		for _, tr := range transportsUnderTest {
+			sameImage(t, fmt.Sprintf("matmul/%s N=%d", tr, n), ref, run(tr))
+		}
 	}
 }
 

@@ -313,8 +313,9 @@ func (n *Node) serveCopysetQuery(p rt.Proc, m wire.CopysetQuery) {
 // changed=false if the diff is empty.
 func (n *Node) encodeEntry(p rt.Proc, e *directory.Entry) (*wire.UpdateEntry, bool) {
 	if e.Twin != nil {
-		cur := n.readObject(e)
-		diff, st := diffenc.Encode(e.Twin, cur)
+		// Encode copies the words it keeps, and the view is not used past
+		// it: the Advance below yields.
+		diff, st := diffenc.Encode(e.Twin, n.viewObject(e))
 		p.Advance(n.sys.cost.DiffScanPerWord*rt.Time(st.Words) +
 			n.sys.cost.DiffEncodePerWord*rt.Time(st.Changed) +
 			n.sys.cost.DiffRunOverhead*rt.Time(st.Runs))

@@ -682,6 +682,21 @@ func (n *Node) readObject(e *directory.Entry) []byte {
 	return out
 }
 
+// viewObject returns the entry's bytes without copying when the object
+// lies within one page (a copy otherwise). The view aliases page storage:
+// read it before the next yield and never retain it.
+func (n *Node) viewObject(e *directory.Entry) []byte {
+	base := n.space.PageBase(e.Start)
+	if e.End()-base > vm.Addr(n.sys.cfg.PageSize) {
+		return n.readObject(e)
+	}
+	pg, ok := n.space.Lookup(base)
+	if !ok {
+		panic(fmt.Sprintf("core: node %d reading unmapped page %#x of %v", n.id, base, e))
+	}
+	return pg.Data[e.Start-base : e.End()-base]
+}
+
 // installObject maps data as the entry's local copy with the given
 // protection, allocating pages as needed.
 func (n *Node) installObject(p rt.Proc, e *directory.Entry, data []byte, prot vm.Prot) {

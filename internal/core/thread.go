@@ -58,7 +58,8 @@ func (t *Thread) Spawn(node int, name string, fn func(*Thread)) {
 // message-passing versions are charged identically).
 func (t *Thread) Compute(d rt.Time) { t.proc.Advance(d) }
 
-// Read copies shared memory at addr into buf, faulting as needed.
+// Read copies shared memory at addr into buf, faulting as needed: one copy
+// per page, the bulk path kernels' row accesses take.
 func (t *Thread) Read(addr vm.Addr, buf []byte) { t.node.space.Read(t, addr, buf) }
 
 // Write stores buf to shared memory at addr, faulting as needed.
@@ -69,12 +70,6 @@ func (t *Thread) ReadWord(addr vm.Addr) uint32 { return t.node.space.ReadWord(t,
 
 // WriteWord stores one 32-bit shared word.
 func (t *Thread) WriteWord(addr vm.Addr, v uint32) { t.node.space.WriteWord(t, addr, v) }
-
-// Slice returns direct page-backed views of [addr, addr+n), faulting each
-// page for the requested access. This is the bulk path for kernels.
-func (t *Thread) Slice(addr vm.Addr, n int, write bool) [][]byte {
-	return t.node.space.Slice(t, addr, n, write)
-}
 
 // AcquireLock blocks until the thread holds the lock (§2.1). Runtime work
 // is charged as system time.

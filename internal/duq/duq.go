@@ -77,9 +77,10 @@ func (q *Queue) Entries() []*directory.Entry {
 // Len reports the number of queued entries.
 func (q *Queue) Len() int { return len(q.entries) }
 
-// MakeTwin installs a pristine copy of data as e's twin. The runtime makes
-// a twin when the first delayed write hits an object that allows multiple
-// writers, so a later flush can diff out exactly the changed words.
+// MakeTwin installs data, a pristine copy of the object the caller hands
+// over, as e's twin. The runtime makes a twin when the first delayed write
+// hits an object that allows multiple writers, so a later flush can diff
+// out exactly the changed words.
 func MakeTwin(e *directory.Entry, data []byte) {
 	if e.Twin != nil {
 		panic(fmt.Sprintf("duq: entry %v already has a twin", e))
@@ -87,7 +88,7 @@ func MakeTwin(e *directory.Entry, data []byte) {
 	if len(data) != e.Size {
 		panic(fmt.Sprintf("duq: twin of %d bytes for object of %d", len(data), e.Size))
 	}
-	e.Twin = append([]byte(nil), data...)
+	e.Twin = data
 }
 
 // DropTwin discards e's twin (after a flush, or when the object becomes

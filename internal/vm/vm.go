@@ -11,7 +11,10 @@
 // protocol action → map/unprotect → resume cycle as the prototype.
 package vm
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+)
 
 // Addr is an address in the 32-bit shared segment.
 type Addr uint32
@@ -52,7 +55,9 @@ func (p Prot) String() string {
 	}
 }
 
-// Page is one local page copy.
+// Page is one local page copy. Data is the page image: 32-bit words are
+// little-endian on every host, since diffs, wire payloads and final images
+// are all made of these bytes.
 type Page struct {
 	Base Addr
 	Data []byte
@@ -166,23 +171,26 @@ func (s *Space) Mapped(addr Addr) bool {
 	return ok
 }
 
-// accessible reports whether one access of the given kind would succeed.
-func (s *Space) accessible(base Addr, write bool) bool {
-	pg, ok := s.pages[base]
-	if !ok {
-		return false
-	}
+// page returns the page at base once it grants the access, driving the
+// fault handler as needed. The hit path is one table lookup. A bounded
+// retry count turns a handler that fails to establish access into a crash
+// with a useful message instead of an infinite loop.
+//
+// The handler may yield to the runtime, which may revoke any OTHER page
+// meanwhile; nothing runs between page's return and the caller's use of
+// the result, so the bytes of an access move under the same monitor hold
+// as the fault that made their page accessible. Callers therefore finish
+// with one page before asking for the next and keep no page reference
+// across a call to page.
+func (s *Space) page(ctx any, base Addr, write bool) *Page {
+	need := ProtRead
 	if write {
-		return pg.Prot == ProtReadWrite
+		need = ProtReadWrite
 	}
-	return pg.Prot >= ProtRead
-}
-
-// fault drives the handler until the page is accessible. A bounded retry
-// count turns a handler that fails to establish access into a crash with a
-// useful message instead of an infinite loop.
-func (s *Space) fault(ctx any, base Addr, write bool) {
-	for tries := 0; !s.accessible(base, write); tries++ {
+	for tries := 0; ; tries++ {
+		if pg := s.pages[base]; pg != nil && pg.Prot >= need {
+			return pg
+		}
 		if s.handler == nil {
 			panic(fmt.Sprintf("vm: fault at %#x (write=%v) with no handler", base, write))
 		}
@@ -198,96 +206,41 @@ func (s *Space) fault(ctx any, base Addr, write bool) {
 	}
 }
 
-// Read copies len(buf) bytes at addr into buf, faulting as needed.
+// Read copies len(buf) bytes at addr into buf, one copy per page, faulting
+// as needed.
 func (s *Space) Read(ctx any, addr Addr, buf []byte) {
-	for n := 0; n < len(buf); {
-		base := s.PageBase(addr + Addr(n))
-		s.fault(ctx, base, false)
-		pg := s.pages[base]
-		off := int(addr) + n - int(base)
-		c := copy(buf[n:], pg.Data[off:])
-		n += c
+	for len(buf) > 0 {
+		base := s.PageBase(addr)
+		n := copy(buf, s.page(ctx, base, false).Data[addr-base:])
+		buf, addr = buf[n:], addr+Addr(n)
 	}
 }
 
-// Write copies src to addr, faulting as needed.
+// Write copies src to addr, one copy per page, faulting as needed.
 func (s *Space) Write(ctx any, addr Addr, src []byte) {
-	for n := 0; n < len(src); {
-		base := s.PageBase(addr + Addr(n))
-		s.fault(ctx, base, true)
-		pg := s.pages[base]
-		off := int(addr) + n - int(base)
-		c := copy(pg.Data[off:], src[n:])
-		n += c
+	for len(src) > 0 {
+		base := s.PageBase(addr)
+		n := copy(s.page(ctx, base, true).Data[addr-base:], src)
+		src, addr = src[n:], addr+Addr(n)
 	}
-}
-
-// Slice returns direct views of the page bytes covering [addr, addr+n),
-// faulting each page for the requested access. The pieces are aliased with
-// page storage: mutating them is a store to shared memory, which is why
-// callers must request write access to mutate. This is the bulk path
-// application kernels use so that per-element arithmetic runs natively.
-func (s *Space) Slice(ctx any, addr Addr, n int, write bool) [][]byte {
-	if n <= 0 {
-		return nil
-	}
-	bases := s.PageSpan(addr, n)
-	// Fault every page in, then verify the whole span is still accessible
-	// before building any slice: resolving a later page's fault can yield
-	// to the runtime, which may serve an earlier page away — a slice
-	// built then would point into an orphaned buffer and writes through
-	// it would be silently lost. Retry until one pass stays intact.
-	for tries := 0; ; tries++ {
-		if tries == 16 {
-			panic(fmt.Sprintf("vm: span at %#x+%d repeatedly lost pages while faulting in", addr, n))
-		}
-		for _, base := range bases {
-			s.fault(ctx, base, write)
-		}
-		ok := true
-		for _, base := range bases {
-			if !s.accessible(base, write) {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			break
-		}
-	}
-	var out [][]byte
-	for done := 0; done < n; {
-		a := addr + Addr(done)
-		base := s.PageBase(a)
-		pg := s.pages[base]
-		off := int(a) - int(base)
-		take := s.pageSize - off
-		if take > n-done {
-			take = n - done
-		}
-		out = append(out, pg.Data[off:off+take])
-		done += take
-	}
-	return out
 }
 
 // ReadWord returns the 32-bit word at addr (little-endian), faulting as
-// needed. addr must be word-aligned.
+// needed. addr must be word-aligned, so the word lies within one page.
 func (s *Space) ReadWord(ctx any, addr Addr) uint32 {
 	if addr%WordSize != 0 {
 		panic(fmt.Sprintf("vm: unaligned word read at %#x", addr))
 	}
-	var b [WordSize]byte
-	s.Read(ctx, addr, b[:])
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
+	base := s.PageBase(addr)
+	return binary.LittleEndian.Uint32(s.page(ctx, base, false).Data[addr-base:])
 }
 
 // WriteWord stores a 32-bit word at addr (little-endian), faulting as
-// needed. addr must be word-aligned.
+// needed. addr must be word-aligned, so the word lies within one page.
 func (s *Space) WriteWord(ctx any, addr Addr, v uint32) {
 	if addr%WordSize != 0 {
 		panic(fmt.Sprintf("vm: unaligned word write at %#x", addr))
 	}
-	b := [WordSize]byte{byte(v), byte(v >> 8), byte(v >> 16), byte(v >> 24)}
-	s.Write(ctx, addr, b[:])
+	base := s.PageBase(addr)
+	binary.LittleEndian.PutUint32(s.page(ctx, base, true).Data[addr-base:], v)
 }

@@ -1,14 +1,17 @@
 package munin
 
-// Typed views over shared memory, implemented once as generics over a
-// little-endian element codec: Array[T] (one-dimensional), Matrix[T]
-// (row-major two-dimensional) and Var[T] (a scalar). T ranges over the
-// 4- and 8-byte numeric element types; the per-type copy-paste the old
-// Int32Matrix/Float32Matrix/Words trio needed is gone, and new element
-// types (float64 grids, uint32 counters) come for free.
+// Typed views over shared memory, implemented once as generics: Array[T]
+// (one-dimensional), Matrix[T] (row-major two-dimensional) and Var[T] (a
+// scalar). T ranges over the 4- and 8-byte numeric element types.
+//
+// An access is a byte copy, not a codec: the caller's []T is viewed as
+// bytes and handed to the node's address space, which moves it one page
+// at a time. Page images are little-endian on every host (diffs, wire
+// payloads, FinalImage and snapshots are made of page bytes), so on the
+// little-endian build that view is the page image itself; a big-endian
+// build (endian_big.go) swaps each element's bytes on the way through.
 
 import (
-	"encoding/binary"
 	"fmt"
 	"reflect"
 	"unsafe"
@@ -22,35 +25,72 @@ type Elem interface {
 	~int32 | ~uint32 | ~float32 | ~float64
 }
 
-// maxElemSize bounds the element codec's staging buffers.
-const maxElemSize = 8
-
 // elemSize returns T's size in bytes (4 or 8).
 func elemSize[T Elem]() int {
 	var z T
 	return int(unsafe.Sizeof(z))
 }
 
-// putElem stores v's native bit pattern little-endian into b. The bit
+// asBytes views s's storage as bytes, in the host's byte order. The bit
 // pattern of every Elem member is well defined (two's complement, IEEE
-// 754), so the encoding is identical on every platform.
-func putElem[T Elem](b []byte, v T) {
-	if unsafe.Sizeof(v) == 8 {
-		binary.LittleEndian.PutUint64(b, *(*uint64)(unsafe.Pointer(&v)))
-	} else {
-		binary.LittleEndian.PutUint32(b, *(*uint32)(unsafe.Pointer(&v)))
+// 754), so only the order differs between hosts.
+func asBytes[T Elem](s []T) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(s))), len(s)*elemSize[T]())
+}
+
+// swapElems reverses the bytes of each size-byte element of b in place.
+func swapElems(b []byte, size int) {
+	for ; len(b) >= size; b = b[size:] {
+		for i, j := 0, size-1; i < j; i, j = i+1, j-1 {
+			b[i], b[j] = b[j], b[i]
+		}
 	}
 }
 
-// getElem decodes one element from b.
-func getElem[T Elem](b []byte) T {
-	var v T
-	if unsafe.Sizeof(v) == 8 {
-		u := binary.LittleEndian.Uint64(b)
-		return *(*T)(unsafe.Pointer(&u))
+// reorder converts b, the bytes of a []T, between the host's byte order
+// and the page image's, in place; the conversion is its own inverse. On a
+// little-endian build it is nothing.
+func reorder[T Elem](b []byte) {
+	if bigEndian {
+		swapElems(b, elemSize[T]())
 	}
-	u := binary.LittleEndian.Uint32(b)
-	return *(*T)(unsafe.Pointer(&u))
+}
+
+// load copies the page image at addr into buf, faulting pages as needed.
+func load[T Elem](t *Thread, addr vm.Addr, buf []T) {
+	b := asBytes(buf)
+	t.Read(addr, b)
+	reorder[T](b)
+}
+
+// store copies vals into the page image at addr, faulting pages for
+// write. vals is never modified (other threads may be reading it), so a
+// big-endian host swaps through a stack buffer.
+func store[T Elem](t *Thread, addr vm.Addr, vals []T) {
+	if bigEndian {
+		storeSwapped(t, addr, asBytes(vals), elemSize[T]())
+		return
+	}
+	t.Write(addr, asBytes(vals))
+}
+
+// storeSwapped is store on a big-endian host.
+func storeSwapped(t *Thread, addr vm.Addr, b []byte, size int) {
+	var chunk [512]byte
+	for len(b) > 0 {
+		n := copy(chunk[:], b)
+		swapElems(chunk[:n], size)
+		t.Write(addr, chunk[:n])
+		b, addr = b[n:], addr+vm.Addr(n)
+	}
+}
+
+// decodeBytes converts a snapshot's raw page-image bytes to elements.
+func decodeBytes[T Elem](raw []byte) []T {
+	out := make([]T, len(raw)/elemSize[T]())
+	copy(asBytes(out), raw)
+	reorder[T](asBytes(out))
+	return out
 }
 
 // bits32 and fromBits32 reinterpret a 4-byte element as the runtime's
@@ -66,75 +106,6 @@ func reduceable[T Elem]() bool {
 		return true
 	}
 	return false
-}
-
-// decodeInto fills out from the byte pieces of a faulted-in range. An
-// element never straddles pieces in practice (element offsets divide the
-// page size), but the carry path keeps the codec correct regardless.
-func decodeInto[T Elem](pieces [][]byte, out []T) {
-	es := elemSize[T]()
-	var carry [maxElemSize]byte
-	nc, k := 0, 0
-	for _, p := range pieces {
-		o := 0
-		if nc > 0 {
-			n := copy(carry[nc:es], p)
-			nc += n
-			o = n
-			if nc < es {
-				continue
-			}
-			out[k] = getElem[T](carry[:])
-			k++
-			nc = 0
-		}
-		for ; o+es <= len(p) && k < len(out); o += es {
-			out[k] = getElem[T](p[o:])
-			k++
-		}
-		if o < len(p) {
-			nc = copy(carry[:], p[o:])
-		}
-	}
-}
-
-// encodeFrom scatters vals into the byte pieces of a faulted-for-write
-// range, with the same carry handling as decodeInto.
-func encodeFrom[T Elem](pieces [][]byte, vals []T) {
-	es := elemSize[T]()
-	var carry [maxElemSize]byte
-	nc, k := 0, 0
-	for _, p := range pieces {
-		o := 0
-		if nc > 0 {
-			n := copy(p, carry[nc:es])
-			nc += n
-			o = n
-			if nc < es {
-				continue
-			}
-			nc = 0
-		}
-		for ; o+es <= len(p) && k < len(vals); o += es {
-			putElem(p[o:], vals[k])
-			k++
-		}
-		if o < len(p) && k < len(vals) {
-			putElem(carry[:], vals[k])
-			k++
-			nc = copy(p[o:], carry[:])
-		}
-	}
-}
-
-// decodeBytes converts a snapshot's raw bytes to elements.
-func decodeBytes[T Elem](raw []byte) []T {
-	es := elemSize[T]()
-	out := make([]T, len(raw)/es)
-	for i := range out {
-		out[i] = getElem[T](raw[i*es:])
-	}
-	return out
 }
 
 // Array is a shared one-dimensional vector of n elements of type T.
@@ -186,22 +157,25 @@ func (a *Array[T]) Init(vals ...T) {
 		panic(fmt.Sprintf("munin: %d initial values for %q, declared length %d",
 			len(vals), a.name, a.n))
 	}
-	es := elemSize[T]()
-	data := make([]byte, a.n*es)
-	for i, v := range vals {
-		putElem(data[i*es:], v)
-	}
-	a.p.setInit(a.base, a.n*es, a.name, data)
+	full := make([]T, a.n)
+	copy(full, vals)
+	a.setInit(full)
 }
 
 // InitFunc fills every element from f.
 func (a *Array[T]) InitFunc(f func(i int) T) {
-	es := elemSize[T]()
-	data := make([]byte, a.n*es)
-	for i := 0; i < a.n; i++ {
-		putElem(data[i*es:], f(i))
+	full := make([]T, a.n)
+	for i := range full {
+		full[i] = f(i)
 	}
-	a.p.setInit(a.base, a.n*es, a.name, data)
+	a.setInit(full)
+}
+
+// setInit installs full, which it takes over, as the initial contents.
+func (a *Array[T]) setInit(full []T) {
+	data := asBytes(full)
+	reorder[T](data)
+	a.p.setInit(a.base, len(data), a.name, data)
 }
 
 // Get loads element i (replicating on demand).
@@ -210,9 +184,9 @@ func (a *Array[T]) Get(t *Thread, i int) T {
 	if elemSize[T]() == 4 {
 		return fromBits32[T](t.ReadWord(addr))
 	}
-	var out [1]T
-	decodeInto(t.Slice(addr, 8, false), out[:])
-	return out[0]
+	var v [1]T
+	load(t, addr, v[:])
+	return v[0]
 }
 
 // Set stores element i under the variable's protocol.
@@ -222,7 +196,8 @@ func (a *Array[T]) Set(t *Thread, i int, v T) {
 		t.WriteWord(addr, bits32(v))
 		return
 	}
-	encodeFrom(t.Slice(addr, 8, true), []T{v})
+	w := [1]T{v}
+	store(t, addr, w[:])
 }
 
 // Read copies elements [off, off+len(buf)) into buf, faulting pages as
@@ -231,9 +206,8 @@ func (a *Array[T]) Read(t *Thread, off int, buf []T) {
 	if len(buf) == 0 {
 		return
 	}
-	_ = a.Addr(off)
 	_ = a.Addr(off + len(buf) - 1)
-	decodeInto(t.Slice(a.base+vm.Addr(off*elemSize[T]()), len(buf)*elemSize[T](), false), buf)
+	load(t, a.Addr(off), buf)
 }
 
 // Write stores vals at elements [off, off+len(vals)), faulting pages for
@@ -242,9 +216,8 @@ func (a *Array[T]) Write(t *Thread, off int, vals []T) {
 	if len(vals) == 0 {
 		return
 	}
-	_ = a.Addr(off)
 	_ = a.Addr(off + len(vals) - 1)
-	encodeFrom(t.Slice(a.base+vm.Addr(off*elemSize[T]()), len(vals)*elemSize[T](), true), vals)
+	store(t, a.Addr(off), vals)
 }
 
 // checkReduce guards the Fetch-and-Φ surface, which the runtime defines
@@ -357,14 +330,23 @@ func (m *Matrix[T]) Init(f func(i, j int) T) {
 
 // ReadRow copies row i into buf (len ≥ cols), faulting pages as needed.
 func (m *Matrix[T]) ReadRow(t *Thread, i int, buf []T) {
-	_ = m.RowAddr(i)
+	m.checkRow(i, len(buf))
 	m.arr.Read(t, i*m.cols, buf[:m.cols])
 }
 
 // WriteRow stores vals (len ≥ cols) into row i, faulting pages for write.
 func (m *Matrix[T]) WriteRow(t *Thread, i int, vals []T) {
-	_ = m.RowAddr(i)
+	m.checkRow(i, len(vals))
 	m.arr.Write(t, i*m.cols, vals[:m.cols])
+}
+
+// checkRow bounds-checks a row access through a caller buffer of n
+// elements.
+func (m *Matrix[T]) checkRow(i, n int) {
+	_ = m.RowAddr(i)
+	if n < m.cols {
+		panic(fmt.Sprintf("munin: %s row buffer holds %d elements, need %d", m.arr.name, n, m.cols))
+	}
 }
 
 // at bounds-checks both coordinates and returns the flat element index.
