@@ -51,7 +51,7 @@ func TestMux64Engines(t *testing.T) {
 }
 
 // TestMux256Soak is the full-width soak: 256 nodes — every node id the
-// 8-bit wire field can carry — over four lanes, for the two workloads
+// 8-bit wire field can carry — over at most four lanes, for the two workloads
 // with the nastiest traffic shapes (lock-transfer chains; phase-changing
 // producer/consumer updates). Each must match the simulator's final
 // image byte for byte. Skipped under -short; the -race CI job runs it.

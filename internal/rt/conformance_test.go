@@ -82,6 +82,58 @@ func TestConformanceReleaseBalance(t *testing.T) {
 	})
 }
 
+// TestConformanceConcurrentSenders has eight nodes send to every other
+// node from two procs each, all at once. A proc's sends to one
+// destination are ordered, so per-(src,dst) FIFO means each proc's
+// sequence arrives in order whatever the transport does to combine or
+// interleave traffic — on mux, sixteen procs appending to shared lanes
+// while the writers drain them.
+func TestConformanceConcurrentSenders(t *testing.T) {
+	const nodes, procs, perProc = 8, 2, 40
+	baseline := wire.Outstanding()
+	eachTransport(t, nodes, func(t *testing.T, tr rt.Transport) {
+		var done atomic.Int32
+		for n := 0; n < nodes; n++ {
+			n := n
+			for k := 0; k < procs; k++ {
+				k := k
+				tr.Spawn(n, fmt.Sprintf("sender%d.%d", n, k), func(p rt.Proc) {
+					for seq := 0; seq < perProc; seq++ {
+						for dst := 0; dst < nodes; dst++ {
+							if dst != n {
+								tr.Send(p, n, dst, msg(k, seq))
+							}
+						}
+					}
+				})
+			}
+			tr.Spawn(n, fmt.Sprintf("receiver%d", n), func(p rt.Proc) {
+				var next [nodes][procs]int
+				for i := 0; i < (nodes-1)*procs*perProc; i++ {
+					env := tr.Recv(p, n)
+					m := env.Msg.(wire.ReduceReply)
+					k, seq := int(m.Addr)-0x10000, int(m.Old)
+					if seq != next[env.Src][k] {
+						t.Errorf("%s: node %d got seq %d from proc %d of node %d, want %d",
+							tr.Name(), n, seq, k, env.Src, next[env.Src][k])
+					}
+					next[env.Src][k] = seq + 1
+					env.Release()
+				}
+				if done.Add(1) == nodes {
+					tr.Stop()
+				}
+			})
+		}
+		if err := tr.Run(); err != nil {
+			t.Fatalf("%s: Run: %v", tr.Name(), err)
+		}
+		if got := wire.Outstanding() - baseline; got != 0 {
+			t.Fatalf("%s: %d pooled buffers still borrowed after Run", tr.Name(), got)
+		}
+	})
+}
+
 // TestConformanceTryRecvDrain checks the non-blocking receive the delay
 // window's dispatcher loop depends on: TryRecv drains queued messages in
 // per-pair FIFO order, reports false on an empty queue instead of

@@ -37,10 +37,8 @@ type Live struct {
 	// shutdown tears down delivery resources after every proc exited.
 	shutdown func()
 
-	statsMu sync.Mutex
-	stats   Stats
-	trace   func(Envelope)
-	faults  *Faults
+	trace  func(Envelope)
+	faults *Faults
 
 	stopOnce sync.Once
 	stopped  atomic.Bool
@@ -67,24 +65,60 @@ type Live struct {
 }
 
 type liveNode struct {
-	rt    *Live
-	id    int
-	mu    sync.Mutex
-	cond  *sync.Cond
+	rt   *Live
+	id   int
+	mu   sync.Mutex
+	cond *sync.Cond
+	// inbox[head:] are the delivered envelopes nobody has received yet,
+	// oldest first. receive rewinds the slice whenever it drains, so a node
+	// whose dispatcher keeps up queues into one backing array for the
+	// whole run.
 	inbox []Envelope
+	head  int
 	procs []*liveProc
+	// stats counts what this node sent and what was delivered to it, under
+	// its own monitor; Live.Stats sums the nodes.
+	stats Stats
 }
 
 // liveProc is one goroutine under its node's monitor. Fields are
 // accessed only while the monitor is held (or post-run).
 type liveProc struct {
-	node        *liveNode
-	name        string
-	kind        TimeKind
-	user        Time
-	system      Time
-	blockReason string
-	locked      bool
+	node   *liveNode
+	name   string
+	kind   TimeKind
+	user   Time
+	system Time
+	// parkedOn and parkedName say what the proc is blocked on, if it is;
+	// the text of a deadlock report is built from them only when one is
+	// written, not at every park.
+	parkedOn   parkKind
+	parkedName string
+	locked     bool
+}
+
+// parkKind is the kind of primitive a parked proc waits on.
+type parkKind uint8
+
+const (
+	notParked parkKind = iota
+	onInbox
+	onFuture
+	onSemaphore
+)
+
+// blockReason words what the proc is parked on the way the simulator's
+// deadlock report does, or returns "" for a proc that is not parked.
+func (p *liveProc) blockReason() string {
+	switch p.parkedOn {
+	case onInbox:
+		return "inbox[" + p.parkedName + "]"
+	case onFuture:
+		return "future " + p.parkedName
+	case onSemaphore:
+		return "semaphore " + p.parkedName
+	}
+	return ""
 }
 
 // stopSignal unwinds a proc parked (or yielding) on a stopped transport.
@@ -135,13 +169,9 @@ func newLive(name string, cost model.CostModel, n int) *Live {
 		cost:  cost,
 		start: time.Now(),
 		done:  make(chan struct{}),
-		stats: Stats{
-			Messages: make(map[wire.Kind]int),
-			Bytes:    make(map[wire.Kind]int),
-		},
 	}
 	for i := 0; i < n; i++ {
-		nd := &liveNode{rt: l, id: i}
+		nd := &liveNode{rt: l, id: i, stats: newStats()}
 		nd.cond = sync.NewCond(&nd.mu)
 		l.nodes = append(l.nodes, nd)
 	}
@@ -162,8 +192,31 @@ func (l *Live) Nodes() int { return len(l.nodes) }
 // the live transports are informational, not modeled.
 func (l *Live) Now() Time { return Time(time.Since(l.start)) }
 
-// Stats returns the accumulated traffic statistics.
-func (l *Live) Stats() *Stats { return &l.stats }
+// newStats returns a zero Stats ready to count into.
+func newStats() Stats {
+	return Stats{Messages: make(map[wire.Kind]int), Bytes: make(map[wire.Kind]int)}
+}
+
+// Stats returns the accumulated traffic statistics, summed over the
+// nodes that counted them.
+func (l *Live) Stats() *Stats {
+	total := newStats()
+	for _, n := range l.nodes {
+		n.mu.Lock()
+		for k, v := range n.stats.Messages {
+			total.Messages[k] += v
+		}
+		for k, v := range n.stats.Bytes {
+			total.Bytes[k] += v
+		}
+		total.Sends += n.stats.Sends
+		total.BatchEnvelopes += n.stats.BatchEnvelopes
+		total.BatchedMessages += n.stats.BatchedMessages
+		total.Delivered += n.stats.Delivered
+		n.mu.Unlock()
+	}
+	return &total
+}
 
 // SetTrace installs a delivery observer. It runs with the destination
 // node's monitor held, possibly concurrently for different destinations,
@@ -334,8 +387,8 @@ func (l *Live) blockedReasons() []string {
 	for _, n := range l.nodes {
 		n.mu.Lock()
 		for _, p := range n.procs {
-			if p.blockReason != "" {
-				out = append(out, p.name+": "+p.blockReason)
+			if reason := p.blockReason(); reason != "" {
+				out = append(out, p.name+": "+reason)
 			}
 		}
 		n.mu.Unlock()
@@ -388,9 +441,7 @@ func (l *Live) Send(p Proc, src, dst int, msg wire.Message) {
 		wire.PutBuf(bp)
 		return
 	}
-	l.statsMu.Lock()
-	l.stats.CountSend(msg, size)
-	l.statsMu.Unlock()
+	lp.node.stats.CountSend(msg, size) // under the sender's monitor, held until exit
 	env := Envelope{Src: src, Dst: dst, Msg: msg, Bytes: size, SentAt: l.Now()}
 	lp.exit()
 	l.deliver(env, bp)
@@ -401,22 +452,27 @@ func (l *Live) Send(p Proc, src, dst int, msg wire.Message) {
 // enqueue delivers one envelope into its destination inbox. Callers must
 // not hold any node monitor.
 func (l *Live) enqueue(env Envelope) {
-	l.statsMu.Lock()
-	l.stats.Delivered++
-	l.statsMu.Unlock()
 	n := l.nodes[env.Dst]
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	n.stats.Delivered++
 	env.DeliveredAt = l.Now()
 	if l.trace != nil {
 		l.trace(env)
+	}
+	if n.head > 0 && len(n.inbox) == cap(n.inbox) {
+		// Full only because of what has been received: close the gap
+		// instead of growing.
+		k := copy(n.inbox, n.inbox[n.head:])
+		clear(n.inbox[k:])
+		n.inbox, n.head = n.inbox[:k], 0
 	}
 	pos := len(n.inbox)
 	if l.faults != nil && l.faults.ReorderSeed != 0 {
 		// Fault-injected reordering: insert ahead of queued messages
 		// from OTHER senders; per-(src,dst) FIFO always holds.
-		floor := 0
-		for i := len(n.inbox) - 1; i >= 0; i-- {
+		floor := n.head
+		for i := len(n.inbox) - 1; i >= n.head; i-- {
 			if n.inbox[i].Src == env.Src {
 				floor = i + 1
 				break
@@ -441,13 +497,24 @@ func (l *Live) Recv(p Proc, node int) Envelope {
 	n := lp.node
 	for len(n.inbox) == 0 {
 		lp.checkStop()
-		lp.block("inbox[" + lp.name + "]")
+		lp.block(onInbox, lp.name)
 	}
-	env := n.inbox[0]
-	n.inbox = n.inbox[1:]
+	return lp.receive()
+}
+
+// receive takes the oldest envelope out of the proc's node's inbox,
+// which must not be empty, and charges the receive path.
+func (p *liveProc) receive() Envelope {
+	n, l := p.node, p.node.rt
+	env := n.inbox[n.head]
+	n.inbox[n.head] = Envelope{}
+	n.head++
+	if n.head == len(n.inbox) {
+		n.inbox, n.head = n.inbox[:0], 0
+	}
 	l.queued.Add(-1)
 	l.activity.Add(1)
-	lp.charge(l.cost.MsgRecvCPU)
+	p.charge(l.cost.MsgRecvCPU)
 	return env
 }
 
@@ -460,7 +527,7 @@ func (l *Live) releaseInboxes() {
 		for i := range n.inbox {
 			n.inbox[i].Release()
 		}
-		n.inbox = nil
+		n.inbox, n.head = nil, 0
 		n.mu.Unlock()
 	}
 }
@@ -474,12 +541,7 @@ func (l *Live) TryRecv(p Proc, node int) (Envelope, bool) {
 	if len(n.inbox) == 0 {
 		return Envelope{}, false
 	}
-	env := n.inbox[0]
-	n.inbox = n.inbox[1:]
-	l.queued.Add(-1)
-	l.activity.Add(1)
-	lp.charge(l.cost.MsgRecvCPU)
-	return env, true
+	return lp.receive(), true
 }
 
 // ---- liveProc -------------------------------------------------------
@@ -560,15 +622,15 @@ func (p *liveProc) checkStop() {
 
 // block parks the proc on the node condition until the next broadcast.
 // Must hold the monitor; the caller re-checks its condition in a loop.
-func (p *liveProc) block(reason string) {
+func (p *liveProc) block(on parkKind, name string) {
 	rt := p.node.rt
-	p.blockReason = reason
+	p.parkedOn, p.parkedName = on, name
 	rt.running.Add(-1)
 	rt.activity.Add(1)
 	p.node.cond.Wait()
 	rt.running.Add(1)
 	rt.activity.Add(1)
-	p.blockReason = ""
+	p.parkedOn = notParked
 }
 
 // ---- blocking primitives -------------------------------------------
@@ -600,7 +662,7 @@ func (f *liveFuture) Wait(p Proc) any {
 	lp := f.n.rt.liveProcOf(p, f.n.id)
 	for !f.done {
 		lp.checkStop()
-		lp.block("future " + f.name)
+		lp.block(onFuture, f.name)
 	}
 	return f.v
 }
@@ -616,7 +678,7 @@ func (s *liveSemaphore) Acquire(p Proc) {
 	lp := s.n.rt.liveProcOf(p, s.n.id)
 	for s.permits == 0 {
 		lp.checkStop()
-		lp.block("semaphore " + s.name)
+		lp.block(onSemaphore, s.name)
 	}
 	s.permits--
 }

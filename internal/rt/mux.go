@@ -1,10 +1,12 @@
 package rt
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"net"
+	"runtime"
 	"sync"
 
 	"munin/internal/model"
@@ -15,41 +17,62 @@ import (
 // Mux is the Live runtime with every node pair's traffic multiplexed over
 // a small fixed set of shared loopback TCP connections ("lanes"), the way
 // a proxy core tunnels many sessions over one transport stream. Where a
-// connection per node pair would be an O(n²) mesh, Mux keeps muxLaneCount
-// connections total: each frame carries its own (src,dst) route and a
-// deterministic hash pins every directed pair to one lane, so a pair's
-// frames share a single FIFO byte stream end to end and per-(src,dst)
-// order is exactly what the socket gives. Unlike the simulator's
-// serialized bus and Chan's synchronous enqueue, Mux does NOT order
-// deliveries across different senders, so the runtime awaits update
-// acknowledgements on it (see core.Config.AwaitUpdateAcks).
+// connection per node pair would be an O(n²) mesh, Mux keeps muxLanes()
+// connections total: each frame carries its own (src,dst) route and every
+// frame a node sends takes that node's lane, so a pair's frames share a
+// single FIFO byte stream end to end and per-(src,dst) order is exactly
+// what the socket gives. Unlike the simulator's serialized bus and Chan's
+// synchronous enqueue, Mux does NOT order deliveries across different
+// senders, so the runtime awaits update acknowledgements on it (see
+// core.Config.AwaitUpdateAcks).
 //
-// The receive path is zero-copy: a frame's payload is read into a pooled
-// buffer (wire.GetBufN) and decoded with wire.UnmarshalView, so the
-// envelope's message borrows its byte payloads from the buffer instead of
-// copying them. The envelope carries the buffer (Envelope.Borrowed/Buf)
-// and the consumer releases it after dispatch; anything retained past
-// dispatch is re-owned explicitly (wire.Own / wire.OwnEntry). The
-// sender's encode buffer goes back to the pool once the socket write
-// returns: the receiver decodes from its own buffer, so handlers never
-// alias sender memory.
+// Syscalls scale with wake-ups, not messages. A sender appends its frame
+// to the lane's pending buffer and returns; the lane's writer goroutine
+// puts everything queued by the time it runs into one Write, and the
+// reader's buffered framer takes every frame the kernel holds out of one
+// read. Frames queue while the previous Write is in the kernel, so the
+// busier a lane is the more each syscall carries, and an idle lane
+// still writes a lone frame at once: there is no timer and no window.
+//
+// The receive path is zero-copy past the socket: a frame's payload is
+// read into a pooled buffer (wire.GetBufN) and decoded with
+// wire.UnmarshalView, so the envelope's message borrows its byte payloads
+// from the buffer instead of copying them. The envelope carries the
+// buffer (Envelope.Borrowed/Buf) and the consumer releases it after
+// dispatch; anything retained past dispatch is re-owned explicitly
+// (wire.Own / wire.OwnEntry). The sender's encode buffer goes back to the
+// pool as soon as its bytes are in the lane's buffer: the receiver
+// decodes from its own buffer, so handlers never alias sender memory.
 //
 // Frame format, length-prefixed on the wire:
 //
 //	[4B payload length][1B src][1B dst][8B sent-at nanos][payload = wire.Marshal]
 type Mux struct {
 	*Live
-	ln      net.Listener
-	lanes   []*muxLane
-	readers sync.WaitGroup
+	ln    net.Listener
+	lanes []*muxLane
+	// loops counts the accept loop, every lane reader and every lane
+	// writer: close shuts the sockets and waits for all of them.
+	loops sync.WaitGroup
 }
 
-// muxLane serializes writers on one shared connection: procs of every
-// node write frames here (the node monitor is released during delivery),
-// and the mutex keeps their frames from interleaving.
+// muxLane is one shared connection and the frames waiting to go out on
+// it. Procs of every node append here (the node monitor is released
+// during delivery); the mutex keeps their frames whole and in order, and
+// the lane's writer is the only goroutine that touches the socket.
 type muxLane struct {
-	mu sync.Mutex
-	c  net.Conn
+	c    net.Conn
+	mu   sync.Mutex
+	cond *sync.Cond // the writer parks here while pending is empty
+	// pending holds the frames queued since the writer last took the
+	// buffer, frames of them. The writer swaps it against the buffer it
+	// has just written, so a lane owns two pooled buffers for its whole
+	// life and a steady run allocates nothing per frame.
+	pending *[]byte
+	frames  int64
+	// closed is set by close and by a failed Write: nothing more is
+	// queued or written, and what is pending is dropped.
+	closed bool
 }
 
 // muxFrameHeader is the fixed-size frame prefix: length, route, send
@@ -61,44 +84,58 @@ const muxFrameHeader = 4 + 1 + 1 + 8
 // a corrupt length field cannot make the framer allocate gigabytes.
 const muxMaxFrame = 16 << 20
 
-// muxLaneCount is the number of shared connections. Fixed and small by
-// design: the transport's connection count must not grow with the node
-// count.
-const muxLaneCount = 4
+// muxLaneBuffer is the size of a lane's two write buffers and of its
+// reader's buffer: several page-sized frames or a few hundred small
+// ones. A burst beyond it grows the write buffer, which keeps the size
+// it grew to.
+const muxLaneBuffer = 64 << 10
 
-// laneFor deterministically maps a directed pair to a lane. Every frame
-// of the pair takes the same lane, which is what preserves per-pair FIFO.
-func laneFor(src, dst, lanes int) int {
-	return (src*network.MaxNodes + dst) % lanes
-}
+// muxLanes is the number of shared connections: fixed and small by
+// design, so the connection count does not grow with the node count. A
+// lane is one writer and one reader goroutine, so more lanes than
+// processors adds no parallelism and only spreads the same frames over
+// more syscalls; beyond four the per-lane goroutines cost more than the
+// shorter queues save. Derived, not configured: nothing a caller knows
+// would pick a better value than what the machine reports.
+func muxLanes() int { return min(4, runtime.GOMAXPROCS(0)) }
+
+// laneFor maps a sending node to its lane. Every frame of a directed
+// pair takes the same lane, which is what preserves per-pair FIFO; every
+// frame of one sender does too, so a burst to many destinations (a
+// copyset query, a barrier fan-out) is contiguous in one byte stream and
+// can leave in one Write.
+func laneFor(src, lanes int) int { return src % lanes }
 
 // NewMux builds the multiplexed loopback transport of n nodes: one
-// listener and muxLaneCount connections, regardless of n.
+// listener and muxLanes() connections, regardless of n.
 func NewMux(cost model.CostModel, n int) (*Mux, error) {
-	t := &Mux{Live: newLive("mux", cost, n)}
+	t := newMux(cost, n)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return nil, fmt.Errorf("rt: mux listen: %w", err)
 	}
 	t.ln = ln
-	// The accept loop is counted in readers, so the nested readers.Add
-	// for each inbound lane always fires while the counter is positive.
-	t.readers.Add(1)
+	// The accept loop is counted in loops, so the nested loops.Add for
+	// each inbound lane always fires while the counter is positive.
+	t.loops.Add(1)
 	go t.acceptLoop(ln)
-	for i := 0; i < muxLaneCount; i++ {
+	for i, lanes := 0, muxLanes(); i < lanes; i++ {
 		c, err := net.Dial("tcp", ln.Addr().String())
 		if err != nil {
-			t.closeAll()
+			t.close()
 			return nil, fmt.Errorf("rt: mux dial lane %d: %w", i, err)
 		}
-		t.lanes = append(t.lanes, &muxLane{c: c})
-	}
-	t.Live.deliver = t.deliverMux
-	t.Live.shutdown = func() {
-		t.closeAll()
-		t.readers.Wait()
+		t.addLane(c)
 	}
 	return t, nil
+}
+
+// newMux is a mux transport with no listener and no lanes yet.
+func newMux(cost model.CostModel, n int) *Mux {
+	t := &Mux{Live: newLive("mux", cost, n)}
+	t.Live.deliver = t.deliverMux
+	t.Live.shutdown = t.close
+	return t
 }
 
 // NewTCP builds the mux transport.
@@ -107,15 +144,24 @@ func NewMux(cost model.CostModel, n int) (*Mux, error) {
 // is kept for callers of the old constructor. Use NewMux.
 func NewTCP(cost model.CostModel, n int) (*Mux, error) { return NewMux(cost, n) }
 
+// addLane makes c the next lane and starts its writer.
+func (t *Mux) addLane(c net.Conn) {
+	lane := &muxLane{c: c, pending: wire.GetBufN(muxLaneBuffer)}
+	lane.cond = sync.NewCond(&lane.mu)
+	t.lanes = append(t.lanes, lane)
+	t.loops.Add(1)
+	go t.writeLoop(lane, len(t.lanes)-1)
+}
+
 // acceptLoop accepts the inbound side of each lane and starts its reader.
 func (t *Mux) acceptLoop(ln net.Listener) {
-	defer t.readers.Done()
+	defer t.loops.Done()
 	for {
 		c, err := ln.Accept()
 		if err != nil {
 			return // listener closed at shutdown
 		}
-		t.readers.Add(1)
+		t.loops.Add(1)
 		go t.readLoop(c)
 	}
 }
@@ -124,8 +170,9 @@ func (t *Mux) acceptLoop(ln net.Listener) {
 // destination inbox. Frames arrive for many destinations interleaved;
 // the header says where each one goes.
 func (t *Mux) readLoop(c net.Conn) {
-	defer t.readers.Done()
-	f := &muxFramer{r: c, nodes: t.Nodes()}
+	defer t.loops.Done()
+	defer c.Close()
+	f := newMuxFramer(c, t.Nodes())
 	for {
 		env, err := f.frame()
 		if err != nil {
@@ -139,45 +186,104 @@ func (t *Mux) readLoop(c net.Conn) {
 	}
 }
 
-// deliverMux frames the encoded message onto the pair's lane and returns
-// the encode buffer once the write is done. Runs without any node monitor
-// held; the lane mutex keeps concurrent senders from interleaving frames.
+// deliverMux queues the encoded message as a frame on the sender's lane
+// and returns the encode buffer: the frame is built in the lane's buffer,
+// so the one copy a message takes on its way out is the one into the
+// bytes the socket is handed. Runs without any node monitor held.
 func (t *Mux) deliverMux(env Envelope, bp *[]byte) {
 	defer wire.PutBuf(bp)
 	encoded := *bp
-	lane := t.lanes[laneFor(env.Src, env.Dst, len(t.lanes))]
-	var hdr [muxFrameHeader]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(encoded)))
-	hdr[4] = byte(env.Src)
-	hdr[5] = byte(env.Dst)
-	binary.LittleEndian.PutUint64(hdr[6:14], uint64(env.SentAt))
-	// Frame in a pooled buffer sized for header plus payload: the Write
-	// completes before this returns, so the bytes are dead on exit.
-	fp := wire.GetBufN(muxFrameHeader + len(encoded))
-	frame := append(append(*fp, hdr[:]...), encoded...)
-	*fp = frame
-	defer wire.PutBuf(fp)
+	lane := t.lanes[laneFor(env.Src, len(t.lanes))]
+	lane.mu.Lock()
+	defer lane.mu.Unlock()
+	if lane.closed {
+		return // the run is over or has failed; nobody will read it
+	}
 	t.inflight.Add(1)
 	t.activity.Add(1)
+	b := *lane.pending
+	if len(b) == 0 {
+		lane.cond.Signal()
+	}
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(encoded)))
+	b = append(b, byte(env.Src), byte(env.Dst))
+	b = binary.LittleEndian.AppendUint64(b, uint64(env.SentAt))
+	*lane.pending = append(b, encoded...)
+	lane.frames++
+}
+
+// writeLoop is a lane's writer: it parks while nothing is pending, then
+// writes everything that is in one call, and exits when the lane closes
+// or a Write fails (which fails the run).
+func (t *Mux) writeLoop(lane *muxLane, id int) {
+	defer t.loops.Done()
+	out := wire.GetBufN(muxLaneBuffer)
+	var failure error
 	lane.mu.Lock()
-	_, err := lane.c.Write(frame)
-	lane.mu.Unlock()
-	if err != nil {
-		t.inflight.Add(-1)
-		if !t.stopped.Load() {
-			t.fail(fmt.Errorf("rt: mux send %d->%d: %w", env.Src, env.Dst, err))
+	for {
+		parked := false
+		for len(*lane.pending) == 0 && !lane.closed {
+			lane.cond.Wait()
+			parked = true
 		}
+		if lane.closed {
+			break
+		}
+		if parked {
+			// The frame that woke us is often the first of several: its
+			// sender has more destinations to go, or other senders are
+			// runnable. Let them run once before taking the buffer. A
+			// lone frame pays a reschedule, not a wait.
+			lane.mu.Unlock()
+			runtime.Gosched()
+			lane.mu.Lock()
+		}
+		out, lane.pending = lane.pending, out
+		*lane.pending = (*lane.pending)[:0]
+		frames := lane.frames
+		lane.frames = 0
+		lane.mu.Unlock()
+		_, err := lane.c.Write(*out)
+		lane.mu.Lock()
+		if err != nil {
+			t.inflight.Add(-frames)
+			if !lane.closed && !t.stopped.Load() {
+				failure = fmt.Errorf("rt: mux send on lane %d: %w", id, err)
+			}
+			lane.closed = true
+		}
+	}
+	// Whatever is still pending is dropped with the lane; closed keeps
+	// deliverMux off the buffer from here on.
+	t.inflight.Add(-lane.frames)
+	wire.PutBuf(lane.pending)
+	lane.mu.Unlock()
+	wire.PutBuf(out)
+	if failure != nil {
+		t.fail(failure)
 	}
 }
 
-// closeAll tears down the listener and every lane.
-func (t *Mux) closeAll() {
+// close stops the lane: its writer drops what is pending and exits, and
+// closing the socket ends the reader at the other end.
+func (lane *muxLane) close() {
+	lane.mu.Lock()
+	lane.closed = true
+	lane.cond.Signal()
+	lane.mu.Unlock()
+	lane.c.Close()
+}
+
+// close tears down the listener and every lane and waits for the
+// goroutines serving them.
+func (t *Mux) close() {
 	if t.ln != nil {
 		t.ln.Close()
 	}
 	for _, lane := range t.lanes {
-		lane.c.Close()
+		lane.close()
 	}
+	t.loops.Wait()
 }
 
 // muxFramer reads and validates mux frames from a byte stream, decoding
@@ -185,8 +291,14 @@ func (t *Mux) closeAll() {
 // separable from the transport (any io.Reader) so the fuzzer can drive it
 // with corrupt, truncated, oversized and interleaved frames directly.
 type muxFramer struct {
-	r     io.Reader
+	r     *bufio.Reader
 	nodes int
+}
+
+// newMuxFramer frames r through a buffer, so one read of the underlying
+// stream brings in every frame it has ready, however many those are.
+func newMuxFramer(r io.Reader, nodes int) *muxFramer {
+	return &muxFramer{r: bufio.NewReaderSize(r, muxLaneBuffer), nodes: nodes}
 }
 
 // frame reads one frame. io.EOF is returned only at a clean frame
@@ -195,10 +307,14 @@ type muxFramer struct {
 // payload that does not decode — is a distinct error, never a panic, and
 // never leaves a pooled buffer borrowed.
 func (f *muxFramer) frame() (Envelope, error) {
-	var hdr [muxFrameHeader]byte
-	if _, err := io.ReadFull(f.r, hdr[:]); err != nil {
+	// The header is parsed where it lies in the read buffer.
+	hdr, err := f.r.Peek(muxFrameHeader)
+	if err != nil {
 		if err == io.EOF {
-			return Envelope{}, io.EOF
+			if len(hdr) == 0 {
+				return Envelope{}, io.EOF
+			}
+			err = io.ErrUnexpectedEOF
 		}
 		return Envelope{}, fmt.Errorf("rt: mux frame header truncated: %w", err)
 	}
@@ -206,6 +322,7 @@ func (f *muxFramer) frame() (Envelope, error) {
 	src := int(hdr[4])
 	dst := int(hdr[5])
 	sentAt := Time(binary.LittleEndian.Uint64(hdr[6:14]))
+	f.r.Discard(muxFrameHeader) // cannot fail: Peek has just buffered these bytes
 	if size < 1 || size > muxMaxFrame {
 		return Envelope{}, fmt.Errorf("rt: mux frame size %d out of range", size)
 	}

@@ -3,6 +3,7 @@ package rt_test
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"sync/atomic"
 	"testing"
 
@@ -214,6 +215,35 @@ func TestDeadlockDetection(t *testing.T) {
 			t.Errorf("%s: blocked list %v, want the one starved proc", tr.Name(), dl.Blocked)
 		}
 	})
+}
+
+// TestLiveDeadlockReportText pins the wording of a live deadlock report
+// for each thing a proc can park on: it is what a user reads and what the
+// stress job's failure histogram groups by, and it is assembled only when
+// a report is written.
+func TestLiveDeadlockReportText(t *testing.T) {
+	tr := rt.NewChan(model.Default(), 2)
+	fut := tr.NewFuture(1, "reply")
+	sem := tr.NewSemaphore(1, "entry", 1)
+	tr.Spawn(0, "starved", func(p rt.Proc) { tr.Recv(p, 0) })
+	tr.Spawn(1, "waiter", func(p rt.Proc) {
+		sem.Acquire(p)
+		fut.Wait(p)
+	})
+	tr.Spawn(1, "queued", func(p rt.Proc) {
+		for !sem.Busy() {
+			p.Yield()
+		}
+		sem.Acquire(p)
+	})
+	var dl *sim.DeadlockError
+	if err := tr.Run(); !errors.As(err, &dl) {
+		t.Fatalf("Run = %v, want DeadlockError", err)
+	}
+	want := []string{"queued: semaphore entry", "starved: inbox[starved]", "waiter: future reply"}
+	if !reflect.DeepEqual(dl.Blocked, want) {
+		t.Errorf("blocked list %q, want %q", dl.Blocked, want)
+	}
 }
 
 // TestProcFailure checks a proc panic surfaces as the Run error and
