@@ -16,7 +16,6 @@
 //	munin-bench -table 3 -adaptive         # run the apps with the adaptive engine on
 //	munin-bench -table lazy                # eager vs lazy release consistency
 //	munin-bench -table wire                # batched vs unbatched transport sends
-//	munin-bench -table wire -delay-window 50000  # widen the cross-operation hold
 //	munin-bench -table 5 -consistency lazy # run the apps under the lazy engine
 //
 // Times are virtual seconds from the calibrated cost model (a 1991-era
@@ -48,9 +47,6 @@ var tableOut io.Writer = os.Stdout
 // scaleRounds is -rounds, consumed by the scale table only.
 var scaleRounds int
 
-// wireDelayWindow is -delay-window, consumed by the wire table only.
-var wireDelayWindow int64
-
 func main() {
 	var (
 		table       = flag.String("table", "", "table to regenerate: 1, 2, 3, 4, 5, 6, 6b, tsp, adaptive, lazy, wire, scale or all")
@@ -64,7 +60,6 @@ func main() {
 		adaptive    = flag.Bool("adaptive", false, "run the application tables with the adaptive protocol engine enabled")
 		consistency = flag.String("consistency", "eager", "release-consistency engine for the application tables: eager or lazy")
 		transport   = flag.String("transport", "sim", "transport for the Munin runs: sim (virtual time), chan or mux (real concurrency, wall clock)")
-		delayWindow = flag.Int64("delay-window", 0, "delay window for the wire table's windowed runs, transport-clock ns (0 = 20000)")
 		jsonOut     = flag.String("json", "", "also write the collected results as JSON to this file (\"-\" for stdout)")
 	)
 	flag.Parse()
@@ -85,7 +80,6 @@ func main() {
 		fatal(fmt.Errorf("unknown consistency %q (want eager or lazy)", *consistency))
 	}
 	scaleRounds = *rounds
-	wireDelayWindow = *delayWindow
 	opts := bench.AppOpts{N: *n, Rows: *rows, Cols: *cols, Iters: *iters, Adaptive: *adaptive, Lazy: lazyRC, Transport: *transport}
 	if *procs != "" {
 		ps, err := parseProcs(*procs)
@@ -220,7 +214,7 @@ func runTable(t string, opts bench.AppOpts) {
 		r.Format(tableOut)
 		results["tsp"] = r
 	case "wire":
-		wo := bench.WireOpts{Transport: opts.Transport, DelayWindow: munin.Time(wireDelayWindow)}
+		wo := bench.WireOpts{Transport: opts.Transport}
 		if len(opts.Procs) > 0 {
 			wo.Procs = opts.Procs[len(opts.Procs)-1]
 			if len(opts.Procs) > 1 {

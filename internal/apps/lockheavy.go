@@ -15,7 +15,7 @@ package apps
 // engine the release sends nothing; the pair's next acquirer learns of
 // the writes from notices on the lock grant and pulls one diff from one
 // writer. The message count per critical section drops from O(P) to
-// O(1), which is the table the bench gate holds.
+// O(1), which is what TestLazyTable holds.
 //
 // At the end node 0 (every region's home) reads the whole array, which
 // both defines the final image at one place and advances every applied

@@ -14,7 +14,7 @@ import (
 // (lane contention is worst when nodes >> lanes).
 
 // TestMux64Engines runs the 64-node lock-heavy workload through mux on
-// every engine combination — eager, lazy, batched, windowed, adaptive —
+// every engine combination — eager, lazy, batched —
 // and requires each to terminate with the reference image. Liveness is
 // the point as much as the values: a lost or misrouted frame under lane
 // sharing would park a lock transfer forever and trip the idle watchdog.
@@ -32,7 +32,6 @@ func TestMux64Engines(t *testing.T) {
 		{"eager", nil},
 		{"lazy", []munin.RunOption{munin.WithConsistency(munin.LazyRC)}},
 		{"batched", []munin.RunOption{munin.WithBatching()}},
-		{"windowed", []munin.RunOption{munin.WithDelayWindow(20000)}},
 		// The adaptive engine is absent on purpose: adaptive lockheavy at
 		// 64 nodes fails on every transport including the simulator
 		// ("diff received for an invalid local copy") — an engine
@@ -77,9 +76,9 @@ func TestMux256Soak(t *testing.T) {
 	}
 	sameImage(t, "lockheavy256/mux", ref,
 		run(lh, "mux lockheavy256", munin.WithTransport("mux")))
-	sameImage(t, "lockheavy256/mux-windowed", ref,
-		run(lh, "mux windowed lockheavy256",
-			munin.WithTransport("mux"), munin.WithDelayWindow(20000)))
+	sameImage(t, "lockheavy256/mux-batched", ref,
+		run(lh, "mux batched lockheavy256",
+			munin.WithTransport("mux"), munin.WithBatching()))
 
 	ws := protocol.WriteShared
 	pl, err := NewPipeline(PipelineConfig{Procs: 256, Override: &ws, Rounds1: 3, Rounds2: 3})

@@ -7,9 +7,9 @@ package bench
 // whole copyset at every release, so its per-op traffic grows with the
 // machine, while the lazy engine's demand-pulled diffs keep it near
 // flat. The node count where a series' per-op traffic has doubled over
-// its smallest-machine value is reported as that series' knee; the CI
-// scale gate (munin-benchgate -scale) holds the lazy-below-eager
-// ordering at and past 32 nodes.
+// its smallest-machine value is reported as that series' knee;
+// TestScaleMatchesBaseline holds the 8-64 sweep equal to BENCH_scale.json
+// and the lazy-below-eager ordering at and past 32 nodes.
 
 import (
 	"context"
@@ -67,8 +67,7 @@ type ScaleKnee struct {
 	KneeProcs int
 }
 
-// ScaleTable is the full sweep — the JSON artifact the CI scale job
-// uploads and gates on.
+// ScaleTable is the full sweep — the shape of BENCH_scale.json.
 type ScaleTable struct {
 	Procs  []int
 	Rounds int

@@ -10,8 +10,8 @@ package bench
 // deterministic sim transport the batched and unbatched finals images
 // are compared byte for byte.
 //
-// The shape of the result is part of the design, and munin-benchgate
-// -wire holds it in CI:
+// The shape of the result is part of the design, and TestWireTable
+// holds it in tier-1:
 //
 //   - pipeline, both engines: strictly fewer transport sends. Every
 //     phase-2 worker's release flush and barrier arrival go to the
@@ -26,14 +26,6 @@ package bench
 //     timing leaves the lock grants decoupled from the flushes. The row
 //     is kept in the table precisely because "batching cannot help here"
 //     is a measurable property of the eager protocol, not a missing case.
-//
-// Each row also carries a third, delay-windowed run
-// (munin.WithDelayWindow): batching plus a bounded hold on outgoing
-// envelopes, so traffic from ADJACENT operations coalesces too. That is
-// exactly the mechanism the eager lock-heavy row needs — a release's
-// update fan-out and lock grant ride with the releaser's next acquire —
-// so the gate requires the windowed run to strictly reduce that row's
-// sends where plain batching could not.
 
 import (
 	"context"
@@ -72,13 +64,6 @@ type WireRow struct {
 	// batching saves one header per coalesced rider.
 	PlainBytes   int
 	BatchedBytes int
-	// Windowed* report the batched-plus-delay-window run: the bounded
-	// cross-operation hold that coalesces traffic from adjacent
-	// operations, not just within one release.
-	Windowed         sim.Time
-	WindowedSends    int
-	WindowedMessages int
-	WindowedBytes    int
 	// Envelopes counts the wire.Batch envelopes the batched run sent and
 	// Riders the messages that rode inside them.
 	Envelopes int
@@ -109,9 +94,6 @@ type WireOpts struct {
 	// Transport selects the substrate ("sim" default; the image
 	// comparison runs only there).
 	Transport string
-	// DelayWindow is the hold applied to the windowed run, in the
-	// transport clock's nanoseconds (0 = 20µs of virtual time).
-	DelayWindow sim.Time
 }
 
 func (o WireOpts) withDefaults() WireOpts {
@@ -123,9 +105,6 @@ func (o WireOpts) withDefaults() WireOpts {
 	}
 	if o.Model == (model.CostModel{}) {
 		o.Model = model.Default()
-	}
-	if o.DelayWindow == 0 {
-		o.DelayWindow = 20000
 	}
 	return o
 }
@@ -185,34 +164,24 @@ func RunWire(o WireOpts) (WireTable, error) {
 			if err != nil {
 				return WireTable{}, fmt.Errorf("bench: wire %s %v batched: %w", w.name, cons, err)
 			}
-			windowed, err := w.app.Run(context.Background(),
-				append(append([]munin.RunOption(nil), base...), munin.WithDelayWindow(o.DelayWindow))...)
-			if err != nil {
-				return WireTable{}, fmt.Errorf("bench: wire %s %v windowed: %w", w.name, cons, err)
-			}
 			row := WireRow{
-				App:              w.name,
-				Consistency:      cons.String(),
-				Plain:            plain.Elapsed,
-				Batched:          batched.Elapsed,
-				PlainSends:       plain.Sends,
-				BatchedSends:     batched.Sends,
-				PlainMessages:    plain.Messages,
-				BatchedMessages:  batched.Messages,
-				PlainBytes:       plain.Bytes,
-				BatchedBytes:     batched.Bytes,
-				Envelopes:        batched.BatchedInto,
-				Riders:           batched.Riders,
-				Windowed:         windowed.Elapsed,
-				WindowedSends:    windowed.Sends,
-				WindowedMessages: windowed.Messages,
-				WindowedBytes:    windowed.Bytes,
-				ChecksOK:         plain.Check == w.ref && batched.Check == w.ref && windowed.Check == w.ref,
-				ImageMatch:       true,
+				App:             w.name,
+				Consistency:     cons.String(),
+				Plain:           plain.Elapsed,
+				Batched:         batched.Elapsed,
+				PlainSends:      plain.Sends,
+				BatchedSends:    batched.Sends,
+				PlainMessages:   plain.Messages,
+				BatchedMessages: batched.Messages,
+				PlainBytes:      plain.Bytes,
+				BatchedBytes:    batched.Bytes,
+				Envelopes:       batched.BatchedInto,
+				Riders:          batched.Riders,
+				ChecksOK:        plain.Check == w.ref && batched.Check == w.ref,
+				ImageMatch:      true,
 			}
 			if o.Transport == "" || o.Transport == munin.TransportSim {
-				row.ImageMatch = sameImage(imageOf(plain), imageOf(batched)) &&
-					sameImage(imageOf(plain), imageOf(windowed))
+				row.ImageMatch = sameImage(imageOf(plain), imageOf(batched))
 			}
 			t.Rows = append(t.Rows, row)
 		}
@@ -224,7 +193,7 @@ func RunWire(o WireOpts) (WireTable, error) {
 func (t WireTable) Format(w io.Writer) {
 	fmt.Fprintf(w, "Batched vs unbatched transport sends, %d processors\n", t.Procs)
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', tabwriter.AlignRight)
-	fmt.Fprintf(tw, "App\tEngine\tPlain sends\tBatched sends\tWindowed sends\tEnvelopes\tRiders\tPlain KB\tWindowed KB\tPlain s\tWindowed s\timage\tok\t\n")
+	fmt.Fprintf(tw, "App\tEngine\tPlain sends\tBatched sends\tEnvelopes\tRiders\tPlain KB\tBatched KB\tPlain s\tBatched s\timage\tok\t\n")
 	for _, r := range t.Rows {
 		img := "same"
 		if !r.ImageMatch {
@@ -234,11 +203,11 @@ func (t WireTable) Format(w io.Writer) {
 		if !r.ChecksOK {
 			ok = "NO"
 		}
-		fmt.Fprintf(tw, "%s\t%s\t%d\t%d\t%d\t%d\t%d\t%.0f\t%.0f\t%.2f\t%.2f\t%s\t%s\t\n",
+		fmt.Fprintf(tw, "%s\t%s\t%d\t%d\t%d\t%d\t%.0f\t%.0f\t%.2f\t%.2f\t%s\t%s\t\n",
 			r.App, r.Consistency,
-			r.PlainSends, r.BatchedSends, r.WindowedSends, r.Envelopes, r.Riders,
-			float64(r.PlainBytes)/1024, float64(r.WindowedBytes)/1024,
-			r.Plain.Seconds(), r.Windowed.Seconds(), img, ok)
+			r.PlainSends, r.BatchedSends, r.Envelopes, r.Riders,
+			float64(r.PlainBytes)/1024, float64(r.BatchedBytes)/1024,
+			r.Plain.Seconds(), r.Batched.Seconds(), img, ok)
 	}
 	tw.Flush()
 }

@@ -310,12 +310,8 @@ func (n *Node) Dir() *directory.Table { return n.dir }
 // cannot answer are forwarded — so request chains cannot deadlock.
 //
 // Each dispatched envelope is one operation: its replies leave when the
-// handler returns (see outbox.go). Under a delay window the loop drains
-// bursts with TryRecv and that operation-end flush is soft, so a
-// dispatcher answering a burst of requests (the grant churn at a lock's
-// home, say) coalesces its replies until the inbox runs dry.
+// handler returns (see outbox.go).
 func (n *Node) startDispatcher() {
-	window := n.sys.cfg.DelayWindow > 0
 	n.sys.tr.Spawn(n.id, fmt.Sprintf("munin-root@n%d", n.id), func(p rt.Proc) {
 		n.procs = append(n.procs, p)
 		p.SetKind(rt.KindSystem)
@@ -325,20 +321,12 @@ func (n *Node) startDispatcher() {
 		var env network.Envelope
 		defer func() { env.Release() }()
 		for {
-			ok := false
-			if window {
-				env, ok = n.sys.tr.TryRecv(p, n.id)
-			}
-			if !ok {
-				n.flush(p)
-				env = n.sys.tr.Recv(p, n.id)
-			}
+			env = n.sys.tr.Recv(p, n.id)
 			p.Advance(n.sys.cost.RequestHandlerCPU)
 			n.dispatch(p, env)
-			// The operation ends before the buffer goes back: without a
-			// delay window nothing a handler queued outlives the envelope
-			// it answers.
-			n.endOp(p)
+			// The operation ends before the buffer goes back: nothing a
+			// handler queued outlives the envelope it answers.
+			n.flush(p)
 			// A borrowed envelope's payloads alias the transport's pooled
 			// receive buffer; everything a handler retains past this point
 			// was re-owned in dispatch, so the buffer goes back now.

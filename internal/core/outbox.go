@@ -21,8 +21,8 @@ package core
 //  2. Flush where an operation ends or stops. The outbox empties at
 //     operation end — Thread.endSystem, deferred by every user-thread
 //     runtime entry and the fault handler; the dispatcher loop after
-//     each dispatched envelope — and before the proc parks: n.await,
-//     n.acquire when it would block, the dispatcher before Recv, proc
+//     each dispatched envelope, so it reaches Recv empty — and before
+//     the proc parks: n.await, n.acquire when it would block, proc
 //     exit. A proc therefore never parks, and never exits, with a
 //     non-empty outbox: a message a remote node needs in order to make
 //     progress cannot sit buffered across a wait. The check-then-flush
@@ -45,15 +45,6 @@ package core
 //     turns AwaitUpdateAcks on there exactly as it does for mux
 //     (needsUpdateAcks, applied in NewSystem) — a selection from
 //     (transport, batching), not a knob.
-//
-// Delay window (Config.DelayWindow, implies Batching): the operation-end
-// flush becomes soft — it holds the queue while its oldest message is
-// younger than the window, so consecutive operations coalesce their
-// traffic (a release's update and lock grant with the next acquire's
-// request, a dispatcher's replies across a burst it drains with TryRecv)
-// the way Nagle's algorithm coalesces small writes. Every other flush
-// stays unconditional, so rule 2 holds unchanged and the added latency
-// is bounded by the time the sender was going to spend running anyway.
 
 import (
 	"munin/internal/obs"
@@ -66,9 +57,6 @@ import (
 type outbox struct {
 	dsts []int // first-enqueue order; also emission order
 	q    map[int][]wire.Message
-	// oldest is when the first message entered the empty outbox (the
-	// delay window's age reference).
-	oldest rt.Time
 }
 
 // needsUpdateAcks reports whether releases must block for update
@@ -90,9 +78,6 @@ func (n *Node) send(p rt.Proc, dst int, msg wire.Message) {
 	if o == nil {
 		o = &outbox{q: make(map[int][]wire.Message, 4)}
 		n.outboxes[p] = o
-	}
-	if len(o.dsts) == 0 {
-		o.oldest = p.Now()
 	}
 	if _, ok := o.q[dst]; !ok {
 		o.dsts = append(o.dsts, dst)
@@ -132,18 +117,6 @@ func (n *Node) flush(p rt.Proc) {
 		n.sys.tr.Send(p, n.id, dst, wire.Batch{Msgs: msgs})
 	}
 	o.dsts = o.dsts[:0]
-}
-
-// endOp is the operation-end flush: unconditional without a delay
-// window, held under one while the outbox's oldest message is younger
-// than the window.
-func (n *Node) endOp(p rt.Proc) {
-	if w := n.sys.cfg.DelayWindow; w > 0 {
-		if o := n.outboxes[p]; o != nil && len(o.dsts) > 0 && p.Now()-o.oldest < w {
-			return
-		}
-	}
-	n.flush(p)
 }
 
 // wake completes futures that other procs of this node are parked on.

@@ -155,9 +155,8 @@ func TestOutboxOrderAndCoalescing(t *testing.T) {
 	}
 }
 
-// TestOutboxOperationEnd pins the two forms of the operation-end flush:
-// without a delay window nothing stays queued past it; under a window
-// it holds the queue until the oldest message has aged past the window.
+// TestOutboxOperationEnd pins the operation-end flush: nothing stays
+// queued past it.
 func TestOutboxOperationEnd(t *testing.T) {
 	queued := func(n *Node, p rt.Proc) int {
 		if o := n.outboxes[p]; o != nil {
@@ -170,33 +169,9 @@ func TestOutboxOperationEnd(t *testing.T) {
 		err := sys.Run(func(root *Thread) {
 			n, p := root.node, root.proc
 			n.send(p, 1, mark(1))
-			n.endOp(p)
+			root.endSystem(root.system())
 			if queued(n, p) != 0 || len(w.sends) != 1 {
 				t.Errorf("after the operation: %d destinations queued, %d sends", queued(n, p), len(w.sends))
-			}
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	})
-	t.Run("window", func(t *testing.T) {
-		const window = 50_000
-		sys, w := watchedSystem(t, Config{Processors: 2, DelayWindow: window}, nil, nil, nil)
-		err := sys.Run(func(root *Thread) {
-			n, p := root.node, root.proc
-			n.send(p, 1, mark(1))
-			n.endOp(p)
-			if queued(n, p) != 1 || len(w.sends) != 0 {
-				t.Errorf("young message: %d destinations queued, %d sends", queued(n, p), len(w.sends))
-			}
-			p.Advance(window)
-			n.send(p, 1, mark(2))
-			n.endOp(p)
-			if queued(n, p) != 0 || len(w.sends) != 1 {
-				t.Fatalf("aged message: %d destinations queued, %d sends", queued(n, p), len(w.sends))
-			}
-			if got := tagsOf(t, w.sends[0].msg); fmt.Sprint(got) != "[1 2]" {
-				t.Errorf("the two operations' messages left as %v, want one envelope [1 2]", got)
 			}
 		})
 		if err != nil {
@@ -249,8 +224,6 @@ func TestOutboxNeverParksLoaded(t *testing.T) {
 		{"batched acked", Config{Batching: true, AwaitUpdateAcks: true}},
 		{"batched tree", Config{Batching: true, BarrierTree: true, BarrierFanout: 2}},
 		{"batched lazy", Config{Batching: true, Lazy: true}},
-		{"windowed", Config{DelayWindow: 5_000_000}},
-		{"windowed lazy", Config{DelayWindow: 5_000_000, Lazy: true}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := tc.cfg
@@ -305,10 +278,8 @@ func TestUpdateAcksFollowTransportAndBatching(t *testing.T) {
 	}{
 		{"sim", func() rt.Transport { return rt.NewSim(model.Default(), procs) }, Config{}, false},
 		{"sim batched", func() rt.Transport { return rt.NewSim(model.Default(), procs) }, Config{Batching: true}, false},
-		{"sim windowed", func() rt.Transport { return rt.NewSim(model.Default(), procs) }, Config{DelayWindow: 1000}, false},
 		{"chan", func() rt.Transport { return rt.NewChan(model.Default(), procs) }, Config{}, false},
 		{"chan batched", func() rt.Transport { return rt.NewChan(model.Default(), procs) }, Config{Batching: true}, true},
-		{"chan windowed", func() rt.Transport { return rt.NewChan(model.Default(), procs) }, Config{DelayWindow: 1000}, true},
 	} {
 		cfg := tc.cfg
 		cfg.Processors = procs

@@ -100,16 +100,6 @@ type Config struct {
 	// traffic shape is untouched; the wire bench table (munin-bench
 	// -table wire) measures the difference. See outbox.go.
 	Batching bool
-	// DelayWindow, when positive, extends batching across consecutive
-	// protocol operations: the flush at the end of an operation is soft
-	// — queued messages are held until the oldest has aged past the
-	// window or the proc is about to park — so a release's update batch
-	// and the next acquire's lock request bound for the same node leave
-	// as one envelope (a bounded Nagle delay for the DSM protocol).
-	// Implies Batching. Liveness is preserved by flushing before every
-	// park (see outbox.go); the cost is up to one window of added
-	// latency on messages with no follow-up traffic.
-	DelayWindow rt.Time
 	// AwaitUpdateAcks makes a release block until every update it sent is
 	// acknowledged (decoded and merged remotely). The prototype does not
 	// block: it propagates updates at the release and relies on the
@@ -259,11 +249,6 @@ func NewSystem(cfg Config, decls []Decl, locks []LockDecl, barriers []BarrierDec
 	if cfg.Transport.Nodes() != cfg.Processors {
 		panic(fmt.Sprintf("core: transport has %d nodes for %d processors",
 			cfg.Transport.Nodes(), cfg.Processors))
-	}
-	if cfg.DelayWindow > 0 {
-		// The delay window is cross-operation batching: the same outbox,
-		// with a soft operation-end flush.
-		cfg.Batching = true
 	}
 	if needsUpdateAcks(cfg.Transport.Name(), cfg.Batching) {
 		// Mux guarantees only per-pair FIFO, not the cross-sender causal

@@ -170,6 +170,6 @@ func (t *Thread) system() rt.TimeKind { return t.proc.SetKind(rt.KindSystem) }
 // endSystem ends the runtime operation: whatever it queued for other
 // nodes leaves now (see outbox.go), and the accounting kind goes back.
 func (t *Thread) endSystem(prev rt.TimeKind) {
-	t.node.endOp(t.proc)
+	t.node.flush(t.proc)
 	t.proc.SetKind(prev)
 }

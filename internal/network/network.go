@@ -244,25 +244,5 @@ func (nw *Network) Recv(p *sim.Proc, node int) Envelope {
 	return env
 }
 
-// TryRecv returns a pending message for node without blocking or charging
-// CPU; used by dispatchers to drain before idling.
-func (nw *Network) TryRecv(node int) (Envelope, bool) {
-	v, ok := nw.inboxes[node].TryGet()
-	if !ok {
-		return Envelope{}, false
-	}
-	return v.(Envelope), true
-}
-
-// TryRecvCharged is TryRecv with the receive-path CPU charged to p on
-// success — the rt.Transport TryRecv contract.
-func (nw *Network) TryRecvCharged(p *sim.Proc, node int) (Envelope, bool) {
-	env, ok := nw.TryRecv(node)
-	if ok {
-		p.Advance(nw.cost.MsgRecvCPU)
-	}
-	return env, ok
-}
-
 // Pending reports the number of undelivered messages queued for node.
 func (nw *Network) Pending(node int) int { return nw.inboxes[node].Len() }

@@ -172,22 +172,19 @@ func TestTraceObservesDeliveries(t *testing.T) {
 	}
 }
 
-func TestTryRecvAndPending(t *testing.T) {
+func TestPending(t *testing.T) {
 	s := sim.New()
 	nw := New(s, testModel(), 2)
 	s.Spawn("sender", func(p *sim.Proc) {
 		nw.Send(p, 0, 1, wire.UpdateAck{Count: 1})
 	})
 	s.Spawn("receiver", func(p *sim.Proc) {
-		if _, ok := nw.TryRecv(1); ok {
-			t.Error("TryRecv before delivery succeeded")
+		if nw.Pending(1) != 0 {
+			t.Errorf("Pending before delivery = %d, want 0", nw.Pending(1))
 		}
 		p.Advance(10 * sim.Millisecond)
 		if nw.Pending(1) != 1 {
 			t.Errorf("Pending = %d, want 1", nw.Pending(1))
-		}
-		if _, ok := nw.TryRecv(1); !ok {
-			t.Error("TryRecv after delivery failed")
 		}
 	})
 	if err := s.Run(); err != nil {

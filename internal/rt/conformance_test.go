@@ -17,8 +17,8 @@ import (
 // the runtime (internal/core) leans on, asserted identically against all
 // three Transport implementations via eachTransport. The fault-injection
 // and deadlock-watchdog contracts live in rt_test.go; this file covers
-// the zero-copy envelope lifecycle, TryRecv drain semantics, broadcast
-// fan-out and context cancellation.
+// the zero-copy envelope lifecycle, broadcast fan-out and context
+// cancellation.
 
 // payload builds a page-carrying message so borrowed buffers span the
 // pool's size classes, not just the smallest one.
@@ -125,50 +125,6 @@ func TestConformanceConcurrentSenders(t *testing.T) {
 				}
 			})
 		}
-		if err := tr.Run(); err != nil {
-			t.Fatalf("%s: Run: %v", tr.Name(), err)
-		}
-		if got := wire.Outstanding() - baseline; got != 0 {
-			t.Fatalf("%s: %d pooled buffers still borrowed after Run", tr.Name(), got)
-		}
-	})
-}
-
-// TestConformanceTryRecvDrain checks the non-blocking receive the delay
-// window's dispatcher loop depends on: TryRecv drains queued messages in
-// per-pair FIFO order, reports false on an empty queue instead of
-// blocking, and returns envelopes with the same lifecycle as Recv.
-func TestConformanceTryRecvDrain(t *testing.T) {
-	const total = 30
-	baseline := wire.Outstanding()
-	eachTransport(t, 2, func(t *testing.T, tr rt.Transport) {
-		tr.Spawn(1, "sender", func(p rt.Proc) {
-			for seq := 0; seq < total; seq++ {
-				tr.Send(p, 1, 0, msg(1, seq))
-			}
-		})
-		tr.Spawn(0, "receiver", func(p rt.Proc) {
-			polled := 0
-			for seq := 0; seq < total; seq++ {
-				env, ok := tr.TryRecv(p, 0)
-				if ok {
-					polled++
-				} else {
-					env = tr.Recv(p, 0)
-				}
-				if got := int(env.Msg.(wire.ReduceReply).Old); got != seq {
-					t.Errorf("%s: delivered seq %d, want %d (TryRecv broke FIFO)", tr.Name(), got, seq)
-				}
-				env.Release()
-			}
-			// Exactly total messages were ever sent and all have been
-			// received, so a further poll must find nothing.
-			if _, ok := tr.TryRecv(p, 0); ok {
-				t.Errorf("%s: TryRecv returned a message after all %d were consumed", tr.Name(), total)
-			}
-			t.Logf("%s: %d/%d messages arrived via TryRecv", tr.Name(), polled, total)
-			tr.Stop()
-		})
 		if err := tr.Run(); err != nil {
 			t.Fatalf("%s: Run: %v", tr.Name(), err)
 		}

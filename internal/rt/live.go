@@ -491,7 +491,8 @@ func (l *Live) enqueue(env Envelope) {
 	n.cond.Broadcast()
 }
 
-// Recv blocks p until a message arrives for node.
+// Recv blocks p until a message arrives for node, takes the oldest
+// envelope out of the node's inbox and charges the receive path.
 func (l *Live) Recv(p Proc, node int) Envelope {
 	lp := l.liveProcOf(p, node)
 	n := lp.node
@@ -499,13 +500,6 @@ func (l *Live) Recv(p Proc, node int) Envelope {
 		lp.checkStop()
 		lp.block(onInbox, lp.name)
 	}
-	return lp.receive()
-}
-
-// receive takes the oldest envelope out of the proc's node's inbox,
-// which must not be empty, and charges the receive path.
-func (p *liveProc) receive() Envelope {
-	n, l := p.node, p.node.rt
 	env := n.inbox[n.head]
 	n.inbox[n.head] = Envelope{}
 	n.head++
@@ -514,7 +508,7 @@ func (p *liveProc) receive() Envelope {
 	}
 	l.queued.Add(-1)
 	l.activity.Add(1)
-	p.charge(l.cost.MsgRecvCPU)
+	lp.charge(l.cost.MsgRecvCPU)
 	return env
 }
 
@@ -530,18 +524,6 @@ func (l *Live) releaseInboxes() {
 		n.inbox, n.head = nil, 0
 		n.mu.Unlock()
 	}
-}
-
-// TryRecv pops a queued message for node without blocking, charging the
-// receive path only on success.
-func (l *Live) TryRecv(p Proc, node int) (Envelope, bool) {
-	lp := l.liveProcOf(p, node)
-	lp.checkStop()
-	n := lp.node
-	if len(n.inbox) == 0 {
-		return Envelope{}, false
-	}
-	return lp.receive(), true
 }
 
 // ---- liveProc -------------------------------------------------------

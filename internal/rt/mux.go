@@ -142,6 +142,7 @@ func newMux(cost model.CostModel, n int) *Mux {
 //
 // Deprecated: the connection-per-pair "tcp" transport is gone; the name
 // is kept for callers of the old constructor. Use NewMux.
+// perf/replay.go is the one caller left; delete this with its rt.tcp.* rows.
 func NewTCP(cost model.CostModel, n int) (*Mux, error) { return NewMux(cost, n) }
 
 // addLane makes c the next lane and starts its writer.

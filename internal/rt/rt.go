@@ -137,10 +137,6 @@ type Transport interface {
 	// receive path. When the transport is stopped, Recv unwinds the
 	// calling proc instead of returning.
 	Recv(p Proc, node int) Envelope
-	// TryRecv returns a queued message for node without blocking,
-	// charging the receive path only on success. Dispatchers use it to
-	// drain bursts before flushing their outboxes and parking in Recv.
-	TryRecv(p Proc, node int) (Envelope, bool)
 	// Stats returns accumulated traffic statistics. Stable only while no
 	// procs run (before Run, or after it returns).
 	Stats() *Stats

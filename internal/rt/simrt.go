@@ -86,12 +86,6 @@ func (t *Sim) Recv(p Proc, node int) Envelope {
 	return t.net.Recv(simProc(p), node)
 }
 
-// TryRecv returns a pending message for node without blocking, charging
-// the receive path only on success.
-func (t *Sim) TryRecv(p Proc, node int) (Envelope, bool) {
-	return t.net.TryRecvCharged(simProc(p), node)
-}
-
 // Stats returns the accumulated traffic statistics.
 func (t *Sim) Stats() *Stats { return t.net.Stats() }
 

@@ -36,16 +36,6 @@ func (m *Mailbox) Get(p *Proc) any {
 	return v
 }
 
-// TryGet removes and returns the oldest message without blocking.
-func (m *Mailbox) TryGet() (any, bool) {
-	if len(m.q) == 0 {
-		return nil, false
-	}
-	v := m.q[0]
-	m.q = m.q[1:]
-	return v, true
-}
-
 // Len reports the number of queued messages.
 func (m *Mailbox) Len() int { return len(m.q) }
 

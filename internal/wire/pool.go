@@ -38,6 +38,7 @@ var outstanding atomic.Int64
 // code in this module calls it any more (encoders size their request
 // with GetBufN); it is kept for the perf module's pooled-encode
 // measurement.
+// perf/replay.go is the one caller left; delete this when perf/ moves to GetBufN.
 func GetBuf() *[]byte { return GetBufN(0) }
 
 // GetBufN returns a zero-length pooled buffer with at least n bytes of

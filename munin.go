@@ -93,11 +93,6 @@ const (
 	TransportSim  = "sim"
 	TransportChan = "chan"
 	TransportMux  = "mux"
-
-	// TransportTCP is a deprecated alias for TransportMux: the
-	// connection-per-node-pair transport it used to name is gone, and a
-	// run that asks for it runs on (and reports) "mux".
-	TransportTCP = "tcp"
 )
 
 // Transports lists the transports a run can execute on.

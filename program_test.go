@@ -83,23 +83,6 @@ func TestProgramReuseAcrossTransportsAndOverrides(t *testing.T) {
 	}
 }
 
-// TestTCPAliasRunsOnMux: "tcp" is accepted for callers that still name
-// the removed transport, runs on mux and says so; it is not a fourth
-// transport.
-func TestTCPAliasRunsOnMux(t *testing.T) {
-	prog, root, _ := buildMatmulProgram(2, 8)
-	res, err := prog.Run(context.Background(), root, WithTransport("tcp"))
-	if err != nil {
-		t.Fatalf("tcp run: %v", err)
-	}
-	if res.Transport() != TransportMux {
-		t.Errorf("result reports transport %q, want %q", res.Transport(), TransportMux)
-	}
-	if got := Transports(); len(got) != 3 {
-		t.Errorf("Transports() = %v, want sim, chan and mux", got)
-	}
-}
-
 // spinProgram builds a program whose threads barrier-cycle effectively
 // forever: always active (so the deadlock watchdog stays quiet), never
 // finishing — the shape only cancellation can stop.

@@ -23,11 +23,10 @@ type RunOption func(*runConfig)
 // Transport.
 type runConfig struct {
 	core.Config
-	procs          int
-	transport      string
-	consistency    Consistency
-	delayWindowSet bool
-	traceSink      *TraceBuffer
+	procs       int
+	transport   string
+	consistency Consistency
+	traceSink   *TraceBuffer
 }
 
 // WithTransport selects the substrate the machine runs on:
@@ -47,10 +46,9 @@ type runConfig struct {
 //	                 per-pair FIFO, so update acknowledgements are
 //	                 enabled automatically.
 //
-// "tcp" is a deprecated alias for "mux". The protocol code is identical
-// on all three; on the live transports Stats times are wall-clock, not
-// modeled, and a received message's payload bytes are decoded in place
-// from a pooled buffer.
+// The protocol code is identical on all three; on the live transports
+// Stats times are wall-clock, not modeled, and a received message's
+// payload bytes are decoded in place from a pooled buffer.
 func WithTransport(name string) RunOption {
 	return func(c *runConfig) { c.transport = name }
 }
@@ -156,21 +154,6 @@ func WithBatching() RunOption {
 	return func(c *runConfig) { c.Batching = true }
 }
 
-// WithDelayWindow extends batching across consecutive protocol
-// operations: each proc keeps one persistent message buffer whose flush
-// is soft — held until the oldest buffered message has aged past d (in
-// the run's time unit: virtual nanoseconds on "sim", wall nanoseconds on
-// the live transports) or the proc is about to block — so a release's
-// update batch and the next acquire's lock request bound for the same
-// node leave as one envelope. A bounded Nagle-style delay for the DSM
-// protocol: strictly fewer transport sends on lock-heavy sharing, at the
-// cost of up to d of added latency on messages with no follow-up
-// traffic. Final memory contents are unchanged. Implies WithBatching;
-// d <= 0 is a configuration error reported by Run.
-func WithDelayWindow(d xrt.Time) RunOption {
-	return func(c *runConfig) { c.DelayWindow = d; c.delayWindowSet = true }
-}
-
 // WithTrace observes every delivered protocol message. On the live
 // transports the message's byte payloads alias a pooled receive buffer:
 // an observer that keeps a message past its own return must copy it
@@ -199,13 +182,8 @@ func (p *Program) resolve(opts []RunOption) (runConfig, error) {
 	}
 	switch cfg.transport {
 	case "", TransportSim, TransportChan, TransportMux:
-	case TransportTCP:
-		cfg.transport = TransportMux
 	default:
 		return cfg, errUnknownTransport(cfg.transport)
-	}
-	if cfg.delayWindowSet && cfg.DelayWindow <= 0 {
-		return cfg, fmt.Errorf("munin: delay window %d is not positive", cfg.DelayWindow)
 	}
 	switch cfg.consistency {
 	case EagerRC, LazyRC:
