@@ -395,10 +395,11 @@ func (n *Node) delayedWrite(t *Thread, e *directory.Entry) {
 		// Snapshot before charging the copy cost: the charge yields, and
 		// the twin must match the content the diff will later be taken
 		// against.
-		data := n.readObject(e)
+		data := n.snapshotTwin(e)
 		t.proc.Advance(n.sys.cost.CopyCost(e.Size))
 		if !e.Valid {
-			continue // snatched during the charge (twin died with the copy)
+			n.recycleTwin(data) // snatched during the charge: the twin died with the copy
+			continue
 		}
 		duq.MakeTwin(e, data)
 		n.Twins++
@@ -564,11 +565,12 @@ func (n *Node) serveInvalidate(p rt.Proc, src int, m wire.Invalidate) {
 		}
 		if e.Modified {
 			if e.Params.MultipleWriters && e.Twin != nil {
-				entry, _ := n.encodeEntry(p, e)
-				if entry != nil {
+				entry, changed, cost := n.encodeEntry(e)
+				p.Advance(cost)
+				if changed {
 					n.UpdatesSent++
 					n.send(p, src, wire.UpdateBatch{
-						From: uint8(n.id), Entries: []wire.UpdateEntry{*entry},
+						From: uint8(n.id), Entries: []wire.UpdateEntry{entry},
 					})
 				}
 			} else {

@@ -6,7 +6,6 @@ import (
 
 	"munin/internal/diffenc"
 	"munin/internal/directory"
-	"munin/internal/duq"
 	"munin/internal/rt"
 	"munin/internal/vm"
 	"munin/internal/wire"
@@ -37,25 +36,30 @@ func (n *Node) flushEntries(t *Thread, entries []*directory.Entry) {
 	// Result objects skip this (changes go only to the owner/home);
 	// stable objects reuse the copyset determined the first time.
 	var query []*directory.Entry
-	queried := make(map[*directory.Entry]bool)
-	for _, e := range entries {
-		if e.Params.FlushToOwner {
-			continue
+	if n.sys.Nodes() > 1 {
+		for _, e := range entries {
+			if e.Params.FlushToOwner {
+				continue
+			}
+			if e.Params.StableSharing && e.CopysetKnown {
+				continue
+			}
+			query = append(query, e)
 		}
-		if e.Params.StableSharing && e.CopysetKnown {
-			continue
+		if len(query) > 0 {
+			n.determineCopysets(t, query)
 		}
-		query = append(query, e)
-		queried[e] = true
-	}
-	if len(query) > 0 && n.sys.Nodes() > 1 {
-		n.determineCopysets(t, query)
 	}
 
 	// Phase 2: encode each entry and assemble one batch per destination.
 	batches := make(map[int][]wire.UpdateEntry)
 	var invalidateDelayed []*directory.Entry
+	asked := 0 // query is a subsequence of entries: walk it in step
 	for _, e := range entries {
+		queried := asked < len(query) && query[asked] == e
+		if queried {
+			asked++
+		}
 		// Merge any queued incoming updates first, so the diff encoded
 		// below carries only this node's own writes.
 		n.drainPendingObject(p, e.Start)
@@ -78,7 +82,7 @@ func (n *Node) flushEntries(t *Thread, entries []*directory.Entry) {
 		if len(dests) == 0 {
 			// No remote copies. A stable object becomes private: keep
 			// it writable with no twin and no further faults (§4.2).
-			duq.DropTwin(e)
+			n.retireTwin(e)
 			e.Modified = false
 			if e.Params.StableSharing {
 				n.protectObject(p, e, vm.ProtReadWrite)
@@ -94,29 +98,40 @@ func (n *Node) flushEntries(t *Thread, entries []*directory.Entry) {
 			invalidateDelayed = append(invalidateDelayed, e)
 			continue
 		}
-		entry, changed := n.encodeEntry(p, e)
-		if !changed && queried[e] && !n.sys.cfg.ExactCopyset {
+		// Protect, diff, retire — in one monitor hold, before the first
+		// charge yields. Another thread of this node may store into the
+		// object during any yield below: it must take a write fault and
+		// start a twin and a queue entry of its own, or the store lands
+		// on a page whose diff is already taken and nobody propagates it.
+		// Past this point the flush touches neither the twin, Modified
+		// nor the protection.
+		pages := n.setProtection(e, vm.ProtRead)
+		entry, changed, cost := n.encodeEntry(e)
+		n.retireTwin(e)
+		e.Modified = false
+		p.Advance(cost)
+		if !changed && queried && !n.sys.cfg.ExactCopyset {
 			// Every node that answered this flush's broadcast query
 			// "held" is expecting an update (it defers read serves until
 			// it arrives — Entry.AwaitFrom). Deliver the promise even
 			// when the diff came out empty.
-			entry = &wire.UpdateEntry{Addr: e.Start, Size: uint32(e.Size)}
+			entry = wire.UpdateEntry{Addr: e.Start, Size: uint32(e.Size)}
 			changed = true
 		}
 		if changed {
 			for _, d := range dests {
-				batches[d] = append(batches[d], *entry)
+				batches[d] = append(batches[d], entry)
 				n.UpdatesSent++
 			}
 		}
-		if e.Params.FlushToOwner {
-			// Fl: the local copy dies once changes are flushed.
+		if !e.Params.FlushToOwner {
+			n.chargePageOps(p, pages)
+		} else if !e.Enqueued {
+			// Fl: the local copy dies once changes are flushed — unless a
+			// store during the charge queued it again; its next flush
+			// drops it then.
 			n.dropObject(p, e)
 			e.ProbOwner = e.Home
-		} else {
-			duq.DropTwin(e)
-			e.Modified = false
-			n.protectObject(p, e, vm.ProtRead)
 		}
 	}
 
@@ -151,10 +166,11 @@ func (n *Node) flushEntries(t *Thread, entries []*directory.Entry) {
 	// Delayed invalidations (A1 ablation): invalidate remote copies at
 	// the release instead of updating them.
 	for _, e := range invalidateDelayed {
-		n.invalidateCopies(t, e)
-		duq.DropTwin(e)
+		pages := n.setProtection(e, vm.ProtRead)
+		n.retireTwin(e)
 		e.Modified = false
-		n.protectObject(p, e, vm.ProtRead)
+		n.invalidateCopies(t, e)
+		n.chargePageOps(p, pages)
 	}
 
 	// Annotation switches that arrived while these entries had buffered
@@ -310,22 +326,22 @@ func (n *Node) serveCopysetQuery(p rt.Proc, m wire.CopysetQuery) {
 
 // encodeEntry turns a modified entry into an UpdateEntry: a word diff
 // against the twin when one exists, or the full object otherwise. Returns
-// changed=false if the diff is empty.
-func (n *Node) encodeEntry(p rt.Proc, e *directory.Entry) (*wire.UpdateEntry, bool) {
-	if e.Twin != nil {
-		// Encode copies the words it keeps, and the view is not used past
-		// it: the Advance below yields.
-		diff, st := diffenc.Encode(e.Twin, n.viewObject(e))
-		p.Advance(n.sys.cost.DiffScanPerWord*rt.Time(st.Words) +
-			n.sys.cost.DiffEncodePerWord*rt.Time(st.Changed) +
-			n.sys.cost.DiffRunOverhead*rt.Time(st.Runs))
-		if diffenc.Empty(diff) {
-			return nil, false
-		}
-		return &wire.UpdateEntry{Addr: e.Start, Size: uint32(e.Size), Diff: diff}, true
+// changed=false if the diff is empty, and the virtual time the encoding
+// costs. It does not yield: charging is the caller's, once the entry's
+// state matches the diff taken (see flushEntries).
+func (n *Node) encodeEntry(e *directory.Entry) (u wire.UpdateEntry, changed bool, cost rt.Time) {
+	u = wire.UpdateEntry{Addr: e.Start, Size: uint32(e.Size)}
+	if e.Twin == nil {
+		u.Full = n.readObject(e)
+		return u, true, n.sys.cost.CopyCost(e.Size)
 	}
-	p.Advance(n.sys.cost.CopyCost(e.Size))
-	return &wire.UpdateEntry{Addr: e.Start, Size: uint32(e.Size), Full: n.readObject(e)}, true
+	// Encode copies the words it keeps, so the view dies here.
+	cur, _ := n.viewObject(e)
+	diff, st := diffenc.Encode(e.Twin, cur)
+	u.Diff = diff
+	return u, !diffenc.Empty(diff), n.sys.cost.DiffScanPerWord*rt.Time(st.Words) +
+		n.sys.cost.DiffEncodePerWord*rt.Time(st.Changed) +
+		n.sys.cost.DiffRunOverhead*rt.Time(st.Runs)
 }
 
 // serveUpdateBatch merges incoming updates into the local copies (§3.3: a
@@ -423,15 +439,12 @@ func (n *Node) applyUpdate(p rt.Proc, e *directory.Entry, u wire.UpdateEntry, sr
 			fail(n.id, e.Start, "update apply", "diff received for an invalid local copy")
 		}
 	}
-	// Decode provisionally to validate the diff and learn its cost, then
-	// charge — a yield point — and only then apply to the live page,
-	// re-reading it first. A local thread may store into the (writable,
-	// multiple-writer) page during the yield; snapshotting before the
-	// yield and writing the whole page back after it would silently
-	// discard that store. Diff words carry absolute values, so decoding
-	// a second time against the fresh page is idempotent.
-	probe := n.readObject(e)
-	st, err := diffenc.Decode(probe, u.Diff)
+	// Validate the diff and learn its cost without writing — a corrupt
+	// diff fails before any byte changes — then charge, a yield point, and
+	// only then merge into the live page. A local thread may store into
+	// the (writable, multiple-writer) page during the yield: the merge
+	// overwrites only the words the diff carries, so that store survives.
+	st, err := diffenc.Check(e.Size, u.Diff)
 	if err != nil {
 		fail(n.id, e.Start, "update apply", err.Error())
 	}
@@ -443,11 +456,13 @@ func (n *Node) applyUpdate(p rt.Proc, e *directory.Entry, u wire.UpdateEntry, sr
 		// update dies with it, like a queued update at an unmap.
 		return
 	}
-	cur := n.readObject(e)
+	cur, inPlace := n.viewObject(e)
 	if _, err := diffenc.Decode(cur, u.Diff); err != nil {
 		fail(n.id, e.Start, "update apply", err.Error())
 	}
-	n.writeObjectData(e, cur)
+	if !inPlace {
+		n.writeObjectData(e, cur)
+	}
 	if e.Twin != nil {
 		if _, err := diffenc.Decode(e.Twin, u.Diff); err != nil {
 			fail(n.id, e.Start, "update apply", "twin merge: "+err.Error())
@@ -462,7 +477,7 @@ func (n *Node) applyUpdate(p rt.Proc, e *directory.Entry, u wire.UpdateEntry, sr
 // touching protections.
 func (n *Node) writeObjectData(e *directory.Entry, data []byte) {
 	off := 0
-	for _, base := range n.pagesOf(e) {
+	for base, end := n.pagesOf(e); base < end; base += vm.Addr(n.sys.cfg.PageSize) {
 		pg, ok := n.space.Lookup(base)
 		if !ok {
 			panic(fmt.Sprintf("core: node %d writing unmapped page %#x", n.id, base))

@@ -165,6 +165,13 @@ type Node struct {
 	// re-dispatch when the home's ownership knowledge refreshes.
 	deferredChase map[vm.Addr][]wire.Message
 
+	// twinFree holds retired twin buffers by size, for delayedWrite to
+	// snapshot into again. A twin is read only by the diff encoder, which
+	// copies the words it keeps, and written only by applyUpdate's merge
+	// while it is the entry's twin, so a retired buffer has no other
+	// reference.
+	twinFree map[int][][]byte
+
 	// outboxes holds each local proc's outbox; nil unless Config.Batching
 	// (which is what makes n.send a plain transport send). Only touched
 	// under the node monitor — see outbox.go.
@@ -263,6 +270,7 @@ func newNode(s *System, id int) *Node {
 		fetchStash:    make(map[vm.Addr][]wire.UpdateEntry),
 		deferredReads: make(map[vm.Addr][]wire.ReadReq),
 		deferredChase: make(map[vm.Addr][]wire.Message),
+		twinFree:      make(map[int][][]byte),
 	}
 	if s.cfg.Batching {
 		n.outboxes = make(map[rt.Proc]*outbox)
@@ -642,17 +650,24 @@ func (n *Node) completeDirFetch(m wire.DirReply) {
 	}
 }
 
-// pagesOf returns the page bases covering an entry.
-func (n *Node) pagesOf(e *directory.Entry) []vm.Addr {
-	return n.space.PageSpan(e.Start, e.Size)
+// pagesOf returns the base of the first page covering an entry and the
+// address its last page ends at; callers step by the page size.
+func (n *Node) pagesOf(e *directory.Entry) (first, end vm.Addr) {
+	return n.space.PageBase(e.Start), e.End()
 }
 
 // readObject copies the entry's bytes out of the local pages. The local
 // copy must be valid.
 func (n *Node) readObject(e *directory.Entry) []byte {
 	out := make([]byte, e.Size)
+	n.copyObject(out, e)
+	return out
+}
+
+// copyObject is readObject into a buffer of the entry's size.
+func (n *Node) copyObject(out []byte, e *directory.Entry) {
 	off := 0
-	for _, base := range n.pagesOf(e) {
+	for base, end := n.pagesOf(e); base < end; base += vm.Addr(n.sys.cfg.PageSize) {
 		pg, ok := n.space.Lookup(base)
 		if !ok {
 			panic(fmt.Sprintf("core: node %d reading unmapped page %#x of %v", n.id, base, e))
@@ -667,22 +682,51 @@ func (n *Node) readObject(e *directory.Entry) []byte {
 		}
 		off += copy(out[off:], pg.Data[start:end])
 	}
-	return out
 }
 
-// viewObject returns the entry's bytes without copying when the object
-// lies within one page (a copy otherwise). The view aliases page storage:
-// read it before the next yield and never retain it.
-func (n *Node) viewObject(e *directory.Entry) []byte {
+// viewObject returns the entry's bytes, and whether they are the page's
+// own storage — the object lies within one page — or a copy. A view in
+// place aliases page storage: use it before the next yield and never
+// retain it; writing through it writes the object.
+func (n *Node) viewObject(e *directory.Entry) (data []byte, inPlace bool) {
 	base := n.space.PageBase(e.Start)
 	if e.End()-base > vm.Addr(n.sys.cfg.PageSize) {
-		return n.readObject(e)
+		return n.readObject(e), false
 	}
 	pg, ok := n.space.Lookup(base)
 	if !ok {
 		panic(fmt.Sprintf("core: node %d reading unmapped page %#x of %v", n.id, base, e))
 	}
-	return pg.Data[e.Start-base : e.End()-base]
+	return pg.Data[e.Start-base : e.End()-base], true
+}
+
+// snapshotTwin returns a copy of the entry's current bytes in a buffer off
+// the twin free list, or a fresh one when the list has none of that size.
+func (n *Node) snapshotTwin(e *directory.Entry) []byte {
+	var buf []byte
+	if free := n.twinFree[e.Size]; len(free) > 0 {
+		buf = free[len(free)-1]
+		n.twinFree[e.Size] = free[:len(free)-1]
+	} else {
+		buf = make([]byte, e.Size)
+	}
+	n.copyObject(buf, e)
+	return buf
+}
+
+// recycleTwin puts a twin-sized buffer nothing references any more on the
+// free list.
+func (n *Node) recycleTwin(buf []byte) {
+	n.twinFree[len(buf)] = append(n.twinFree[len(buf)], buf)
+}
+
+// retireTwin discards the entry's twin, if it has one, and recycles the
+// buffer: the one way the eager engine drops a twin.
+func (n *Node) retireTwin(e *directory.Entry) {
+	if e.Twin != nil {
+		n.recycleTwin(e.Twin)
+		duq.DropTwin(e)
+	}
 }
 
 // installObject maps data as the entry's local copy with the given
@@ -692,7 +736,7 @@ func (n *Node) installObject(p rt.Proc, e *directory.Entry, data []byte, prot vm
 		panic(fmt.Sprintf("core: installing %d bytes into %v", len(data), e))
 	}
 	off := 0
-	for _, base := range n.pagesOf(e) {
+	for base, end := n.pagesOf(e); base < end; base += vm.Addr(n.sys.cfg.PageSize) {
 		pg, ok := n.space.Lookup(base)
 		if !ok {
 			pg = n.space.Map(base, make([]byte, n.sys.cfg.PageSize), prot)
@@ -714,15 +758,33 @@ func (n *Node) installObject(p rt.Proc, e *directory.Entry, data []byte, prot vm
 	e.Writable = prot == vm.ProtReadWrite
 }
 
-// protectObject changes the protection of every page backing the entry.
+// protectObject changes the protection of every page backing the entry,
+// and charges for it afterwards: the charge yields, and a thread that runs
+// meanwhile must find the page tables and e.Writable agreeing.
 func (n *Node) protectObject(p rt.Proc, e *directory.Entry, prot vm.Prot) {
-	for _, base := range n.pagesOf(e) {
+	n.chargePageOps(p, n.setProtection(e, prot))
+}
+
+// setProtection is protectObject without the charge — it does not yield —
+// and returns the number of pages chargePageOps is owed.
+func (n *Node) setProtection(e *directory.Entry, prot vm.Prot) int {
+	pages := 0
+	for base, end := n.pagesOf(e); base < end; base += vm.Addr(n.sys.cfg.PageSize) {
 		if _, ok := n.space.Lookup(base); ok {
 			n.space.Protect(base, prot)
-			p.Advance(n.sys.cost.PageMapOp)
+			pages++
 		}
 	}
 	e.Writable = prot == vm.ProtReadWrite
+	return pages
+}
+
+// chargePageOps charges pages page-table manipulations already made, one
+// yield each; p may be nil outside a run.
+func (n *Node) chargePageOps(p rt.Proc, pages int) {
+	for ; pages > 0; pages-- {
+		advance(p, n.sys.cost.PageMapOp)
+	}
 }
 
 // dropObject unmaps the entry's pages and invalidates the local copy.
@@ -733,16 +795,20 @@ func (n *Node) dropObject(p rt.Proc, e *directory.Entry) {
 		// back into the backing so future base fetches stay current.
 		n.lrcDrop(p, e)
 	}
-	for _, base := range n.pagesOf(e) {
+	// The copy dies in one monitor hold, and the page-table work is charged
+	// after: a thread that runs during the charge must not find a valid
+	// entry over unmapped pages.
+	pages := 0
+	for base, end := n.pagesOf(e); base < end; base += vm.Addr(n.sys.cfg.PageSize) {
 		if _, ok := n.space.Lookup(base); ok {
 			n.space.Unmap(base)
-			p.Advance(n.sys.cost.PageMapOp)
+			pages++
 		}
 	}
 	e.Valid = false
 	e.Writable = false
 	e.Modified = false
-	duq.DropTwin(e)
+	n.retireTwin(e)
 	n.duq.Remove(e)
 	if n.puq != nil {
 		// An unmap supersedes any queued updates: the next use refetches
@@ -750,6 +816,7 @@ func (n *Node) dropObject(p rt.Proc, e *directory.Entry) {
 		n.puq.drop(e.Start)
 	}
 	delete(n.fetchStash, e.Start)
+	n.chargePageOps(p, pages)
 	// Reads deferred behind in-flight updates cannot be served from a
 	// dropped copy: route them onward instead.
 	e.AwaitFrom = directory.Copyset{}

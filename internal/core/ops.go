@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"munin/internal/directory"
-	"munin/internal/duq"
 	"munin/internal/obs"
 	"munin/internal/protocol"
 	"munin/internal/rt"
@@ -248,16 +247,8 @@ func (n *Node) purgeSharing(p rt.Proc, e *directory.Entry) {
 	e.CopysetKnown = false
 	if e.Valid && e.Writable && !e.Enqueued {
 		// Privatized page: make it fault (and twin) again.
-		for _, base := range n.pagesOf(e) {
-			if _, ok := n.space.Lookup(base); ok {
-				n.space.Protect(base, vm.ProtRead)
-				if p != nil {
-					p.Advance(n.sys.cost.PageMapOp)
-				}
-			}
-		}
-		e.Writable = false
 		e.Modified = false
+		n.chargePageOps(p, n.setProtection(e, vm.ProtRead))
 	}
 }
 
@@ -298,15 +289,10 @@ func (n *Node) applyAnnotation(e *directory.Entry, annot protocol.Annotation) {
 	e.Params = annot.Params()
 	e.Copyset = directory.Copyset{}
 	e.CopysetKnown = false
-	duq.DropTwin(e)
+	n.retireTwin(e)
 	if e.Valid && e.Writable {
 		// Force the new protocol's write path on the next store.
-		for _, base := range n.pagesOf(e) {
-			if _, ok := n.space.Lookup(base); ok {
-				n.space.Protect(base, vm.ProtRead)
-			}
-		}
-		e.Writable = false
+		n.setProtection(e, vm.ProtRead)
 		e.Modified = false
 	}
 }

@@ -11,6 +11,7 @@
 package diffenc
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -33,9 +34,17 @@ type Stats struct {
 // ErrCorrupt is returned when a diff does not parse or exceeds the object.
 var ErrCorrupt = errors.New("diffenc: corrupt diff")
 
+// blockWords is the stride Encode skips identical stretches by: most of a
+// page is unchanged at most flushes, and one bytes.Equal over a block costs
+// about what comparing one word by hand does.
+const blockWords = 64 / WordSize
+
 // Encode compares cur against twin and returns the run-length-encoded
 // changes, along with encoding statistics. twin and cur must have equal
 // word-multiple lengths. A nil return means the object is unchanged.
+// Identical stretches are skipped a block at a time before the boundary is
+// settled word by word; the output and the statistics are those of a pure
+// word-by-word comparison.
 //
 // Wire layout per run: skip uint32 (identical words), n uint32 (differing
 // words), then n little-endian 32-bit words of data.
@@ -52,6 +61,10 @@ func Encode(twin, cur []byte) ([]byte, Stats) {
 	i := 0
 	for i < words {
 		runStart := i
+		for i+blockWords <= words &&
+			bytes.Equal(twin[i*WordSize:(i+blockWords)*WordSize], cur[i*WordSize:(i+blockWords)*WordSize]) {
+			i += blockWords
+		}
 		for i < words && wordEq(twin, cur, i) {
 			i++
 		}
@@ -79,10 +92,24 @@ func Encode(twin, cur []byte) ([]byte, Stats) {
 // dst plays the role of the remote copy: only words the diff carries are
 // overwritten, so updates from concurrent writers of disjoint words compose.
 func Decode(dst []byte, diff []byte) (Stats, error) {
-	if len(dst)%WordSize != 0 {
-		panic(fmt.Sprintf("diffenc: object size %d not word multiple", len(dst)))
+	return walk(dst, len(dst), diff)
+}
+
+// Check validates diff against an object of size bytes and returns the
+// statistics Decode would, without an object to write to: what a receiver
+// needs to reject a corrupt diff, and to charge for a good one, before it
+// touches its copy.
+func Check(size int, diff []byte) (Stats, error) {
+	return walk(nil, size, diff)
+}
+
+// walk parses diff run by run against an object of size bytes, copying each
+// run's words into dst unless dst is nil.
+func walk(dst []byte, size int, diff []byte) (Stats, error) {
+	if size%WordSize != 0 {
+		panic(fmt.Sprintf("diffenc: object size %d not word multiple", size))
 	}
-	words := len(dst) / WordSize
+	words := size / WordSize
 	st := Stats{Words: words}
 	pos := 0
 	for off := 0; off < len(diff); {
@@ -102,7 +129,9 @@ func Decode(dst []byte, diff []byte) (Stats, error) {
 		if len(diff)-off < n*WordSize {
 			return st, fmt.Errorf("%w: truncated run data", ErrCorrupt)
 		}
-		copy(dst[pos*WordSize:], diff[off:off+n*WordSize])
+		if dst != nil {
+			copy(dst[pos*WordSize:], diff[off:off+n*WordSize])
+		}
 		off += n * WordSize
 		pos += n
 		st.Changed += n
@@ -116,5 +145,5 @@ func Empty(diff []byte) bool { return len(diff) == 0 }
 
 func wordEq(a, b []byte, w int) bool {
 	o := w * WordSize
-	return a[o] == b[o] && a[o+1] == b[o+1] && a[o+2] == b[o+2] && a[o+3] == b[o+3]
+	return binary.LittleEndian.Uint32(a[o:]) == binary.LittleEndian.Uint32(b[o:])
 }

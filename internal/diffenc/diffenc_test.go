@@ -3,6 +3,7 @@ package diffenc
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -249,5 +250,145 @@ func TestDecodeIntoDirtyCopyPreservesLocalChanges(t *testing.T) {
 	}
 	if !bytes.Equal(local, words(7, 0, 0, 9)) {
 		t.Errorf("merge result = % x", local)
+	}
+}
+
+// encodeWordByWord is the encoder as it was before Encode learned to skip
+// identical blocks: every word compared on its own. Kept as the reference
+// Encode must match byte for byte and count for count, since the cost
+// model charges by the counts.
+func encodeWordByWord(twin, cur []byte) ([]byte, Stats) {
+	words := len(cur) / WordSize
+	st := Stats{Words: words}
+	differs := func(w int) bool {
+		return !bytes.Equal(twin[w*WordSize:(w+1)*WordSize], cur[w*WordSize:(w+1)*WordSize])
+	}
+	var out []byte
+	for i := 0; i < words; {
+		runStart := i
+		for i < words && !differs(i) {
+			i++
+		}
+		if i == words {
+			break
+		}
+		skip, diffStart := i-runStart, i
+		for i < words && differs(i) {
+			i++
+		}
+		out = binary.LittleEndian.AppendUint32(out, uint32(skip))
+		out = binary.LittleEndian.AppendUint32(out, uint32(i-diffStart))
+		out = append(out, cur[diffStart*WordSize:i*WordSize]...)
+		st.Changed += i - diffStart
+		st.Runs++
+	}
+	return out, st
+}
+
+func TestEncodeMatchesWordByWordReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	// Sizes on, just under, just over and far from a multiple of the
+	// block, and smaller than one block.
+	sizes := []int{1, 3, blockWords - 1, blockWords, blockWords + 1, 5*blockWords - 2, 5 * blockWords, 2048, 2049, 2047}
+	shapes := []struct {
+		name   string
+		mutate func(cur []byte, words int)
+	}{
+		{"unchanged", func([]byte, int) {}},
+		{"sparse", func(cur []byte, words int) {
+			for k := 0; k < 1+words/128; k++ {
+				cur[rng.Intn(words)*WordSize+rng.Intn(WordSize)] ^= 0x5a
+			}
+		}},
+		{"dense", func(cur []byte, words int) {
+			for w := 0; w < words; w++ {
+				if rng.Intn(8) != 0 {
+					cur[w*WordSize+rng.Intn(WordSize)] ^= 0xff
+				}
+			}
+		}},
+		{"straddling block edges", func(cur []byte, words int) {
+			// A run that ends on, starts on and crosses each block edge.
+			for edge := blockWords; edge < words; edge += blockWords {
+				for w := edge - rng.Intn(3); w < edge+rng.Intn(3) && w < words; w++ {
+					cur[w*WordSize] ^= 1
+				}
+			}
+		}},
+		{"last word only", func(cur []byte, words int) { cur[words*WordSize-1] ^= 0x80 }},
+		{"first word only", func(cur []byte, _ int) { cur[0] ^= 1 }},
+	}
+	for _, words := range sizes {
+		for _, shape := range shapes {
+			for rep := 0; rep < 20; rep++ {
+				twin := make([]byte, words*WordSize)
+				rng.Read(twin)
+				cur := append([]byte(nil), twin...)
+				shape.mutate(cur, words)
+				got, gotSt := Encode(twin, cur)
+				want, wantSt := encodeWordByWord(twin, cur)
+				if !bytes.Equal(got, want) || gotSt != wantSt {
+					t.Fatalf("%d words, %s: Encode = %d bytes %+v, reference = %d bytes %+v",
+						words, shape.name, len(got), gotSt, len(want), wantSt)
+				}
+			}
+		}
+	}
+}
+
+func TestCheckMatchesDecode(t *testing.T) {
+	run := func(skip, n uint32, data ...uint32) []byte {
+		out := binary.LittleEndian.AppendUint32(nil, skip)
+		out = binary.LittleEndian.AppendUint32(out, n)
+		return append(out, words(data...)...)
+	}
+	twin := words(1, 2, 3, 4, 5, 6, 7, 8)
+	good, _ := Encode(twin, words(1, 9, 9, 4, 5, 6, 7, 0))
+	cases := []struct {
+		name    string
+		diff    []byte
+		corrupt bool
+	}{
+		{"good", good, false},
+		{"empty", nil, false},
+		{"truncated header", good[:len(good)-13], true},
+		{"empty run", append(append([]byte(nil), good...), run(0, 0)...), true},
+		{"run beyond object", run(7, 2, 1, 2), true},
+		{"truncated data", run(0, 3, 1, 2), true},
+	}
+	for _, c := range cases {
+		dst := append([]byte(nil), twin...)
+		wantSt, wantErr := Decode(dst, c.diff)
+		st, err := Check(len(twin), c.diff)
+		if (wantErr != nil) != c.corrupt {
+			t.Errorf("%s: Decode error = %v, corrupt = %v", c.name, wantErr, c.corrupt)
+		}
+		if st != wantSt {
+			t.Errorf("%s: Check stats %+v, Decode stats %+v", c.name, st, wantSt)
+		}
+		if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+			t.Errorf("%s: Check error %v, Decode error %v", c.name, err, wantErr)
+		}
+		if c.corrupt && !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: Check error %v is not ErrCorrupt", c.name, err)
+		}
+	}
+}
+
+// BenchmarkEncodeSparse measures Encode on the page a lock-heavy critical
+// section leaves behind: 16 changed words in 8 KB.
+func BenchmarkEncodeSparse(b *testing.B) {
+	twin := make([]byte, 8192)
+	rand.New(rand.NewSource(1)).Read(twin)
+	cur := append([]byte(nil), twin...)
+	for w := 0; w < 16; w++ {
+		cur[(100+w)*WordSize] ^= 1
+	}
+	b.SetBytes(int64(len(cur)))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if diff, _ := Encode(twin, cur); len(diff) != 8+16*WordSize {
+			b.Fatalf("diff is %d bytes", len(diff))
+		}
 	}
 }

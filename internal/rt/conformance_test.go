@@ -290,3 +290,84 @@ func TestConformanceNoSenderAliasing(t *testing.T) {
 		}
 	})
 }
+
+// TestConformanceWakeups parks one proc of a node on each thing a proc
+// can wait for — the inbox, two different futures, a semaphore — and fires
+// them one at a time, in an order that is not the order they parked in.
+// Each waiter must come back when its own event fires: the live
+// transports wake only the procs parked on what fired, so a wake-up
+// routed to the wrong waiter is a proc that sleeps forever. The four then
+// park again on things nobody fires, and Stop must unwind them all (Run on
+// a live transport returns only once every proc has exited).
+func TestConformanceWakeups(t *testing.T) {
+	eachTransport(t, 2, func(t *testing.T, tr rt.Transport) {
+		futA, futB := tr.NewFuture(0, "a"), tr.NewFuture(0, "b")
+		never := tr.NewFuture(0, "never")
+		sem := tr.NewSemaphore(0, "s", 1)
+		var parking atomic.Int32
+		var gotInbox, gotA, gotB, gotSem, send atomic.Bool
+		deadline := time.Now().Add(10 * time.Second)
+		// until lets virtual and real time pass until cond holds.
+		until := func(p rt.Proc, what string, cond func() bool) bool {
+			for !cond() {
+				if time.Now().After(deadline) {
+					t.Errorf("%s: %s never happened", tr.Name(), what)
+					tr.Stop()
+					return false
+				}
+				p.Advance(1000)
+			}
+			return true
+		}
+		// A waiter announces itself and parks without yielding in between,
+		// so once the driver — a proc of the same node — counts an
+		// announcement, that waiter is parked.
+		waiter := func(name string, got *atomic.Bool, first, again func(p rt.Proc)) {
+			tr.Spawn(0, name, func(p rt.Proc) {
+				parking.Add(1)
+				first(p)
+				got.Store(true)
+				parking.Add(1)
+				again(p)
+				t.Errorf("%s: %s came back from a wait nobody ended", tr.Name(), name)
+			})
+		}
+		tr.Spawn(0, "driver", func(p rt.Proc) {
+			sem.Acquire(p)
+			waiter("on-inbox", &gotInbox,
+				func(p rt.Proc) { env := tr.Recv(p, 0); env.Release() },
+				func(p rt.Proc) { tr.Recv(p, 0) })
+			waiter("on-a", &gotA,
+				func(p rt.Proc) { futA.Wait(p) },
+				func(p rt.Proc) { never.Wait(p) })
+			waiter("on-b", &gotB,
+				func(p rt.Proc) { futB.Wait(p) },
+				func(p rt.Proc) { never.Wait(p) })
+			waiter("on-sem", &gotSem,
+				func(p rt.Proc) { sem.Acquire(p) },
+				func(p rt.Proc) { sem.Acquire(p) }) // its own permit: never comes back
+			if !until(p, "four waiters parking", func() bool { return parking.Load() == 4 }) {
+				return
+			}
+			futB.Complete(2)
+			ok := until(p, "wake-up of the waiter on future b", gotB.Load)
+			sem.Release()
+			ok = ok && until(p, "wake-up of the waiter on the semaphore", gotSem.Load)
+			send.Store(true)
+			ok = ok && until(p, "wake-up of the waiter on the inbox", gotInbox.Load)
+			futA.Complete(1)
+			ok = ok && until(p, "wake-up of the waiter on future a", gotA.Load)
+			if ok && until(p, "four waiters parking again", func() bool { return parking.Load() == 8 }) {
+				tr.Stop()
+			}
+		})
+		tr.Spawn(1, "sender", func(p rt.Proc) {
+			if until(p, "the driver's go-ahead", send.Load) {
+				tr.Send(p, 1, 0, msg(1, 0))
+			}
+		})
+		if err := tr.Run(); err != nil {
+			t.Fatalf("%s: Run: %v", tr.Name(), err)
+		}
+	})
+}

@@ -65,10 +65,9 @@ type Live struct {
 }
 
 type liveNode struct {
-	rt   *Live
-	id   int
-	mu   sync.Mutex
-	cond *sync.Cond
+	rt *Live
+	id int
+	mu sync.Mutex
 	// inbox[head:] are the delivered envelopes nobody has received yet,
 	// oldest first. receive rewinds the slice whenever it drains, so a node
 	// whose dispatcher keeps up queues into one backing array for the
@@ -89,12 +88,15 @@ type liveProc struct {
 	kind   TimeKind
 	user   Time
 	system Time
-	// parkedOn and parkedName say what the proc is blocked on, if it is;
-	// the text of a deadlock report is built from them only when one is
-	// written, not at every park.
-	parkedOn   parkKind
-	parkedName string
-	locked     bool
+	// cond, on the node mutex, is where this proc alone parks: whoever
+	// fires what it waits for signals it and nobody else.
+	cond *sync.Cond
+	// parkedOn and parkedAt say what the proc is blocked on, if it is: the
+	// kind, and the *liveFuture or *liveSemaphore (nil for the inbox).
+	// liveNode.wake matches on them, and a deadlock report words them.
+	parkedOn parkKind
+	parkedAt any
+	locked   bool
 }
 
 // parkKind is the kind of primitive a parked proc waits on.
@@ -112,11 +114,11 @@ const (
 func (p *liveProc) blockReason() string {
 	switch p.parkedOn {
 	case onInbox:
-		return "inbox[" + p.parkedName + "]"
+		return "inbox[" + p.name + "]"
 	case onFuture:
-		return "future " + p.parkedName
+		return "future " + p.parkedAt.(*liveFuture).name
 	case onSemaphore:
-		return "semaphore " + p.parkedName
+		return "semaphore " + p.parkedAt.(*liveSemaphore).name
 	}
 	return ""
 }
@@ -171,9 +173,7 @@ func newLive(name string, cost model.CostModel, n int) *Live {
 		done:  make(chan struct{}),
 	}
 	for i := 0; i < n; i++ {
-		nd := &liveNode{rt: l, id: i, stats: newStats()}
-		nd.cond = sync.NewCond(&nd.mu)
-		l.nodes = append(l.nodes, nd)
+		l.nodes = append(l.nodes, &liveNode{rt: l, id: i, stats: newStats()})
 	}
 	return l
 }
@@ -229,7 +229,7 @@ func (l *Live) SetFaults(f *Faults) { l.faults = f }
 // Spawn starts a proc under node's monitor.
 func (l *Live) Spawn(node int, name string, fn func(p Proc)) {
 	n := l.nodes[node]
-	p := &liveProc{node: n, name: name}
+	p := &liveProc{node: n, name: name, cond: sync.NewCond(&n.mu)}
 	l.wg.Add(1)
 	l.running.Add(1)
 	l.activity.Add(1)
@@ -332,12 +332,27 @@ func waitTimeout(wg *sync.WaitGroup, d time.Duration) bool {
 	}
 }
 
-// wakeAll broadcasts every node's monitor condition.
+// wakeAll signals every proc of every node, whatever it is parked on: the
+// transport has stopped, and each one unwinds when it looks.
 func (l *Live) wakeAll() {
 	for _, n := range l.nodes {
 		n.mu.Lock()
-		n.cond.Broadcast()
+		for _, p := range n.procs {
+			p.cond.Signal()
+		}
 		n.mu.Unlock()
+	}
+}
+
+// wake signals the procs of the node parked on exactly this: the inbox
+// (at nil), one future or one semaphore. Must hold the monitor. A proc
+// parked on something else would only find its own condition unchanged
+// and park again, at the price of two goroutine switches.
+func (n *liveNode) wake(on parkKind, at any) {
+	for _, p := range n.procs {
+		if p.parkedOn == on && p.parkedAt == at {
+			p.cond.Signal()
+		}
 	}
 }
 
@@ -488,7 +503,7 @@ func (l *Live) enqueue(env Envelope) {
 	n.inbox[pos] = env
 	l.queued.Add(1)
 	l.activity.Add(1)
-	n.cond.Broadcast()
+	n.wake(onInbox, nil)
 }
 
 // Recv blocks p until a message arrives for node, takes the oldest
@@ -498,7 +513,7 @@ func (l *Live) Recv(p Proc, node int) Envelope {
 	n := lp.node
 	for len(n.inbox) == 0 {
 		lp.checkStop()
-		lp.block(onInbox, lp.name)
+		lp.block(onInbox, nil)
 	}
 	env := n.inbox[n.head]
 	n.inbox[n.head] = Envelope{}
@@ -602,17 +617,18 @@ func (p *liveProc) checkStop() {
 	}
 }
 
-// block parks the proc on the node condition until the next broadcast.
-// Must hold the monitor; the caller re-checks its condition in a loop.
-func (p *liveProc) block(on parkKind, name string) {
+// block parks the proc, recording what on, until liveNode.wake is called
+// for that or the transport stops. Must hold the monitor; the caller
+// re-checks its condition in a loop.
+func (p *liveProc) block(on parkKind, at any) {
 	rt := p.node.rt
-	p.parkedOn, p.parkedName = on, name
+	p.parkedOn, p.parkedAt = on, at
 	rt.running.Add(-1)
 	rt.activity.Add(1)
-	p.node.cond.Wait()
+	p.cond.Wait()
 	rt.running.Add(1)
 	rt.activity.Add(1)
-	p.parkedOn = notParked
+	p.parkedOn, p.parkedAt = notParked, nil
 }
 
 // ---- blocking primitives -------------------------------------------
@@ -633,7 +649,7 @@ func (f *liveFuture) Complete(v any) {
 	f.done = true
 	f.v = v
 	f.n.rt.activity.Add(1)
-	f.n.cond.Broadcast()
+	f.n.wake(onFuture, f)
 }
 
 // Done reports whether the future has been completed.
@@ -644,7 +660,7 @@ func (f *liveFuture) Wait(p Proc) any {
 	lp := f.n.rt.liveProcOf(p, f.n.id)
 	for !f.done {
 		lp.checkStop()
-		lp.block(onFuture, f.name)
+		lp.block(onFuture, f)
 	}
 	return f.v
 }
@@ -660,7 +676,7 @@ func (s *liveSemaphore) Acquire(p Proc) {
 	lp := s.n.rt.liveProcOf(p, s.n.id)
 	for s.permits == 0 {
 		lp.checkStop()
-		lp.block(onSemaphore, s.name)
+		lp.block(onSemaphore, s)
 	}
 	s.permits--
 }
@@ -681,5 +697,5 @@ func (s *liveSemaphore) Busy() bool { return s.permits == 0 }
 func (s *liveSemaphore) Release() {
 	s.permits++
 	s.n.rt.activity.Add(1)
-	s.n.cond.Broadcast()
+	s.n.wake(onSemaphore, s)
 }

@@ -4,6 +4,8 @@ import (
 	"context"
 	"testing"
 
+	"munin/internal/model"
+	"munin/internal/sim"
 	"munin/internal/wire"
 )
 
@@ -282,5 +284,84 @@ func TestOverrideOption(t *testing.T) {
 	// Conventional writes invalidate eagerly: no update batches.
 	if res.Stats().PerKind[wire.KindUpdateBatch] != 0 {
 		t.Error("override to conventional still produced update batches")
+	}
+}
+
+// TestFlushVersusLocalStore sweeps one thread's store across another
+// thread's release flush of the same node. Thread A writes x[0], computes
+// for d and writes x[1]; thread B, on A's node, releases a lock partway
+// through, which flushes the node's queue with A's page on it. Every store
+// A makes before the closing barrier must reach the reader on the other
+// node, wherever in B's flush it lands: a store onto a page the flush has
+// already diffed but not yet write-protected would be propagated by nobody.
+func TestFlushVersusLocalStore(t *testing.T) {
+	cheapFaults := model.Default()
+	cheapFaults.FaultTrap, cheapFaults.PageMapOp = sim.Microsecond, sim.Microsecond
+	cheapFaults.DirLookup, cheapFaults.CopyPerByte = sim.Microsecond, sim.Nanosecond
+	cases := []struct {
+		name    string
+		annot   Annotation
+		writers int // A and B's node; the reader is on the other one
+		release Time
+		from    Time
+		to      Time
+		cost    model.CostModel
+	}{
+		// The writers share the home with the root: the flush updates the
+		// reader's copy.
+		{"write_shared", WriteShared, 0, 2500 * sim.Microsecond, 0, 8 * sim.Millisecond, model.Default()},
+		// The flush sends the diff home and drops the local copy.
+		{"result", ResultObject, 1, 20 * sim.Millisecond, 4 * sim.Millisecond, 8 * sim.Millisecond, model.Default()},
+		// With a fault cheaper than a diff scan, A's second store faults,
+		// twins and queues the page again before B's flush resumes to drop
+		// the copy.
+		{"result, cheap faults", ResultObject, 1, 20 * sim.Millisecond, 7 * sim.Millisecond, 11 * sim.Millisecond, cheapFaults},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			lost, runs := 0, 0
+			for d := c.from; d <= c.to; d += 3 * sim.Microsecond {
+				p := NewProgram(2)
+				x := Declare[uint32](p, "x", 2048, c.annot)
+				lock := p.CreateLock()
+				start, done := p.CreateBarrier(3), p.CreateBarrier(3)
+				var got uint32
+				_, err := p.Run(context.Background(), func(root *Thread) {
+					root.Spawn(1-c.writers, "reader", func(r *Thread) {
+						_ = x.Get(r, 0) // hold a copy, so the flush has somewhere to send
+						start.Wait(r)
+						done.Wait(r)
+						got = x.Get(r, 1)
+					})
+					root.Spawn(c.writers, "a", func(a *Thread) {
+						start.Wait(a)
+						x.Set(a, 0, 1)
+						a.Compute(d)
+						x.Set(a, 1, 2)
+						done.Wait(a)
+					})
+					root.Spawn(c.writers, "b", func(b *Thread) {
+						lock.Acquire(b)
+						start.Wait(b)
+						b.Compute(c.release)
+						lock.Release(b)
+						done.Wait(b)
+					})
+				}, WithModel(c.cost))
+				if err != nil {
+					t.Fatalf("d=%v: %v", d, err)
+				}
+				runs++
+				if got != 2 {
+					if lost == 0 {
+						t.Errorf("d=%v: reader saw x[1] = %d after the barrier, want 2", d, got)
+					}
+					lost++
+				}
+			}
+			if lost > 0 {
+				t.Errorf("%d of %d interleavings lost the store", lost, runs)
+			}
+		})
 	}
 }
