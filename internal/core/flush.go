@@ -456,20 +456,30 @@ func (n *Node) applyUpdate(p rt.Proc, e *directory.Entry, u wire.UpdateEntry, sr
 		// update dies with it, like a queued update at an unmap.
 		return
 	}
+	n.mergeDiff(e, u.Diff, "update apply")
+	if e.Home == n.id {
+		e.BackingStale = true
+	}
+}
+
+// mergeDiff decodes a diff diffenc.Check has passed into the entry's valid
+// local copy — straight into the page when the object lies within one,
+// read, decode and write back otherwise — and into its twin, so the
+// node's own later diff stays clean of it. Both engines merge through
+// here (applyUpdate, lrcApply); neither yields inside it, and the charge
+// is the caller's. op names the caller in a failure.
+func (n *Node) mergeDiff(e *directory.Entry, diff []byte, op string) {
 	cur, inPlace := n.viewObject(e)
-	if _, err := diffenc.Decode(cur, u.Diff); err != nil {
-		fail(n.id, e.Start, "update apply", err.Error())
+	if _, err := diffenc.Decode(cur, diff); err != nil {
+		fail(n.id, e.Start, op, err.Error())
 	}
 	if !inPlace {
 		n.writeObjectData(e, cur)
 	}
 	if e.Twin != nil {
-		if _, err := diffenc.Decode(e.Twin, u.Diff); err != nil {
-			fail(n.id, e.Start, "update apply", "twin merge: "+err.Error())
+		if _, err := diffenc.Decode(e.Twin, diff); err != nil {
+			fail(n.id, e.Start, op, "twin merge: "+err.Error())
 		}
-	}
-	if e.Home == n.id {
-		e.BackingStale = true
 	}
 }
 

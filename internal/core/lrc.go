@@ -32,7 +32,6 @@ import (
 
 	"munin/internal/diffenc"
 	"munin/internal/directory"
-	"munin/internal/duq"
 	"munin/internal/lrc"
 	"munin/internal/obs"
 	"munin/internal/rt"
@@ -124,7 +123,7 @@ func (n *Node) lrcCloseEntries(p rt.Proc, entries []*directory.Entry) {
 }
 
 // lrcMaterialize turns the entry's pending closed intervals into a diff
-// record in the node's writer store, dropping the twin. Runs at the
+// record in the node's writer store, retiring the twin. Runs at the
 // first remote request for the diffs or at the next local write fault —
 // whichever first makes the pending writes distinguishable from newer
 // ones. All state mutations precede the virtual-time charge (a yield
@@ -137,11 +136,13 @@ func (n *Node) lrcMaterialize(p rt.Proc, e *directory.Entry) {
 	if e.Twin == nil || !e.Valid {
 		panic(fmt.Sprintf("core: node %d materializing %v without twin+copy", n.id, e))
 	}
-	cur := n.readObject(e)
+	// Encode copies the words it keeps, so the view dies here and the
+	// twin can go back on the free list.
+	cur, _ := n.viewObject(e)
 	diff, dst := diffenc.Encode(e.Twin, cur)
 	first, last, vt := st.PendFirst, st.PendLast, st.PendVT
 	st.PendFirst, st.PendLast, st.PendVT = 0, 0, nil
-	duq.DropTwin(e)
+	n.retireTwin(e)
 	if !diffenc.Empty(diff) {
 		if vt == nil {
 			vt = n.lrc.VT()
@@ -178,7 +179,7 @@ func (n *Node) lrcRPC(t *Thread, dst int, build func(token uint32) wire.Message)
 	token := n.lrcToken
 	key := pendKey{pendLrc, uint64(token)}
 	msg := build(token)
-	f := n.sys.tr.NewFuture(n.id, fmt.Sprintf("lrc-rpc[n%d %v]", n.id, msg.Kind()))
+	f := n.sys.tr.NewFuture(n.id, n.lrcRPCNames.name(n.id, msg.Kind()))
 	n.pending[key] = f
 	n.send(t.proc, dst, msg)
 	return n.await(t.proc, f)
@@ -301,8 +302,7 @@ func (n *Node) serveLrcDiff(p rt.Proc, m wire.LrcDiffReq) {
 // before the record's charge.
 func (n *Node) lrcApply(p rt.Proc, e *directory.Entry, sets []lrc.WriterRecords) {
 	st := n.lrcState(e)
-	for _, or := range lrc.Order(sets) {
-		r := or.Rec
+	lrc.Order(sets, func(_ int, r *wire.LrcRecord) {
 		switch {
 		case r.Full != nil:
 			if len(r.Full) != e.Size {
@@ -316,22 +316,18 @@ func (n *Node) lrcApply(p rt.Proc, e *directory.Entry, sets []lrc.WriterRecords)
 			n.UpdatesApply++
 			advance(p, n.sys.cost.CopyCost(e.Size))
 		case !diffenc.Empty(r.Diff):
-			cur := n.readObject(e)
-			dst, err := diffenc.Decode(cur, r.Diff)
+			// Validate without writing, so a corrupt record fails before
+			// a byte of page or twin changes; then merge in place.
+			dst, err := diffenc.Check(e.Size, r.Diff)
 			if err != nil {
 				fail(n.id, e.Start, "lrc apply", err.Error())
 			}
-			n.writeObjectData(e, cur)
-			if e.Twin != nil {
-				if _, err := diffenc.Decode(e.Twin, r.Diff); err != nil {
-					fail(n.id, e.Start, "lrc apply", "twin merge: "+err.Error())
-				}
-			}
+			n.mergeDiff(e, r.Diff, "lrc apply")
 			n.UpdatesApply++
 			advance(p, n.sys.cost.DiffDecodePerWord*rt.Time(dst.Changed)+
 				n.sys.cost.DiffDecodePerRun*rt.Time(dst.Runs))
 		}
-	}
+	})
 	for _, s := range sets {
 		// Advance only to what the request covered (plus records the
 		// writer volunteered beyond it) — never to notices that arrived
@@ -729,7 +725,7 @@ func (s *System) finishLazy() {
 				if st.PendFirst != 0 {
 					n.lrcMaterialize(nil, e)
 				} else {
-					duq.DropTwin(e)
+					n.retireTwin(e)
 				}
 			}
 		}
@@ -785,8 +781,7 @@ func (n *Node) lazyFinishBase(e *directory.Entry, sets []lrc.WriterRecords, back
 	} else {
 		data = n.readObject(e)
 	}
-	for _, or := range lrc.Order(pend) {
-		r := or.Rec
+	lrc.Order(pend, func(writer int, r *wire.LrcRecord) {
 		switch {
 		case r.Full != nil:
 			copy(data, r.Full)
@@ -795,10 +790,10 @@ func (n *Node) lazyFinishBase(e *directory.Entry, sets []lrc.WriterRecords, back
 				panic(fmt.Sprintf("core: node %d post-run reconcile of %#x: %v", n.id, e.Start, err))
 			}
 		}
-		if r.Last > st.Applied[or.Writer] {
-			st.Applied[or.Writer] = r.Last
+		if r.Last > st.Applied[writer] {
+			st.Applied[writer] = r.Last
 		}
-	}
+	})
 	if backing {
 		e.Backing = data
 	} else {

@@ -166,11 +166,14 @@ type Node struct {
 	deferredChase map[vm.Addr][]wire.Message
 
 	// twinFree holds retired twin buffers by size, for delayedWrite to
-	// snapshot into again. A twin is read only by the diff encoder, which
-	// copies the words it keeps, and written only by applyUpdate's merge
-	// while it is the entry's twin, so a retired buffer has no other
-	// reference.
+	// snapshot into again. A twin is read only by the diff encoder and by
+	// serveLrcFetch's base copy, both of which copy what they keep, and
+	// written only by a merge (mergeDiff, lrcApply's full record) while it
+	// is the entry's twin, so a retired buffer has no other reference.
 	twinFree map[int][][]byte
+
+	// rpcNames and lrcRPCNames name the futures of rpc and lrcRPC.
+	rpcNames, lrcRPCNames futureNames
 
 	// outboxes holds each local proc's outbox; nil unless Config.Batching
 	// (which is what makes n.send a plain transport send). Only touched
@@ -271,6 +274,8 @@ func newNode(s *System, id int) *Node {
 		deferredReads: make(map[vm.Addr][]wire.ReadReq),
 		deferredChase: make(map[vm.Addr][]wire.Message),
 		twinFree:      make(map[int][][]byte),
+		rpcNames:      futureNames{format: "rpc[n%d %v]"},
+		lrcRPCNames:   futureNames{format: "lrc-rpc[n%d %v]"},
 	}
 	if s.cfg.Batching {
 		n.outboxes = make(map[rt.Proc]*outbox)
@@ -477,10 +482,28 @@ func (n *Node) rpc(t *Thread, dst int, key pendKey, msg wire.Message) any {
 	if _, ok := n.pending[key]; ok {
 		panic(fmt.Sprintf("core: node %d duplicate outstanding request %v", n.id, key))
 	}
-	f := n.sys.tr.NewFuture(n.id, fmt.Sprintf("rpc[n%d %v]", n.id, msg.Kind()))
+	f := n.sys.tr.NewFuture(n.id, n.rpcNames.name(n.id, msg.Kind()))
 	n.pending[key] = f
 	n.send(t.proc, dst, msg)
 	return n.await(t.proc, f)
+}
+
+// futureNames caches one node's RPC future names by message kind. Only a
+// deadlock report reads a future's name, so it is formatted once per kind
+// rather than once per call.
+type futureNames struct {
+	format string // of the node id and the kind
+	byKind []string
+}
+
+func (c *futureNames) name(node int, k wire.Kind) string {
+	for int(k) >= len(c.byKind) {
+		c.byKind = append(c.byKind, "")
+	}
+	if c.byKind[k] == "" {
+		c.byKind[k] = fmt.Sprintf(c.format, node, k)
+	}
+	return c.byKind[k]
 }
 
 // complete resolves the pending request under key with v.
@@ -721,7 +744,7 @@ func (n *Node) recycleTwin(buf []byte) {
 }
 
 // retireTwin discards the entry's twin, if it has one, and recycles the
-// buffer: the one way the eager engine drops a twin.
+// buffer: the one way either engine drops a twin.
 func (n *Node) retireTwin(e *directory.Entry) {
 	if e.Twin != nil {
 		n.recycleTwin(e.Twin)

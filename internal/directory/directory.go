@@ -15,6 +15,7 @@ package directory
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"munin/internal/nodeset"
@@ -264,7 +265,9 @@ func (t *Table) Insert(e *Entry) {
 		}
 		t.byPage[b] = e
 	}
-	t.entries = append(t.entries, e)
+	// Keep entries address-sorted, so Entries is a copy and nothing more.
+	i := sort.Search(len(t.entries), func(i int) bool { return t.entries[i].Start > e.Start })
+	t.entries = slices.Insert(t.entries, i, e)
 }
 
 // Remove forgets an entry (used when ChangeAnnotation re-registers an
@@ -294,9 +297,7 @@ func (t *Table) Lookup(addr vm.Addr) (*Entry, bool) {
 
 // Entries returns all entries ordered by start address.
 func (t *Table) Entries() []*Entry {
-	out := append([]*Entry(nil), t.entries...)
-	sort.Slice(out, func(i, j int) bool { return out[i].Start < out[j].Start })
-	return out
+	return append([]*Entry(nil), t.entries...)
 }
 
 // Len returns the number of entries.

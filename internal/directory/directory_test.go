@@ -1,6 +1,7 @@
 package directory
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -152,6 +153,40 @@ func TestEntriesSorted(t *testing.T) {
 	es := tab.Entries()
 	if len(es) != 2 || es[0].Start > es[1].Start {
 		t.Errorf("entries not sorted: %v", es)
+	}
+
+	// The table keeps the order itself, through inserts in any order and
+	// removals; Entries hands out a copy of it.
+	pageAt := func(i int) vm.Addr { return vm.SharedBase + vm.Addr(i*vm.DefaultPageSize) }
+	var mid *Entry
+	for _, i := range []int{7, 1, 5, 3, 9, 4} {
+		e := entryAt(pageAt(i), vm.DefaultPageSize)
+		e.Group = pageAt(1)
+		if i == 5 {
+			mid = e
+		}
+		tab.Insert(e)
+	}
+	tab.Remove(mid)
+	tab.Insert(entryAt(pageAt(6), vm.DefaultPageSize))
+	es = tab.Entries()
+	var got []int
+	for _, e := range es {
+		got = append(got, int(e.Start-vm.SharedBase)/vm.DefaultPageSize)
+	}
+	if want := []int{0, 1, 2, 3, 4, 6, 7, 9}; !reflect.DeepEqual(got, want) {
+		t.Errorf("entries at pages %v, want %v", got, want)
+	}
+	es[0], es[1] = es[1], es[0]
+	if again := tab.Entries(); again[0].Start != pageAt(0) {
+		t.Error("reordering the slice Entries returned reordered the table")
+	}
+	got = got[:0]
+	for _, e := range tab.GroupEntries(pageAt(1)) {
+		got = append(got, int(e.Start-vm.SharedBase)/vm.DefaultPageSize)
+	}
+	if want := []int{1, 3, 4, 7, 9}; !reflect.DeepEqual(got, want) {
+		t.Errorf("group entries at pages %v, want %v", got, want)
 	}
 }
 

@@ -38,6 +38,7 @@ package lrc
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"munin/internal/vm"
@@ -144,7 +145,7 @@ func (e *Engine) CloseInterval(addrs []vm.Addr) uint32 {
 	e.vt[e.self]++
 	ivl := e.vt[e.self]
 	sorted := append([]vm.Addr(nil), addrs...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	slices.Sort(sorted)
 	e.known[e.self] = append(e.known[e.self], interval{ivl: ivl, addrs: sorted})
 	for _, a := range sorted {
 		e.noteOne(a, e.self, ivl)
@@ -167,25 +168,48 @@ func (e *Engine) noteOne(addr vm.Addr, j int, ivl uint32) {
 
 // NoticesSince lists every known interval above the given vector
 // timestamp, ordered by (node, interval) — the write notices a
-// synchronization message to a node with that timestamp must carry.
+// synchronization message to a node with that timestamp must carry. Each
+// node's intervals ascend, so the ones to send are a suffix found by
+// binary search: the cost is what is returned, not what is known.
 func (e *Engine) NoticesSince(vt []uint32) []wire.LrcInterval {
-	var out []wire.LrcInterval
+	// Size the list and one backing array for every address list first.
+	ivls, addrs := 0, 0
 	for j := 0; j < e.nodes; j++ {
-		var after uint32
-		if j < len(vt) {
-			after = vt[j]
-		}
-		for _, iv := range e.known[j] {
-			if iv.ivl > after {
-				out = append(out, wire.LrcInterval{
-					Node: uint8(j), Ivl: iv.ivl,
-					Addrs: append([]vm.Addr(nil), iv.addrs...),
-				})
-				e.Stats.NoticesSent += len(iv.addrs)
-			}
+		for _, iv := range e.knownAbove(j, vt) {
+			ivls++
+			addrs += len(iv.addrs)
 		}
 	}
+	if ivls == 0 {
+		return nil
+	}
+	out := make([]wire.LrcInterval, 0, ivls)
+	backing := make([]vm.Addr, 0, addrs)
+	for j := 0; j < e.nodes; j++ {
+		for _, iv := range e.knownAbove(j, vt) {
+			at := len(backing)
+			backing = append(backing, iv.addrs...)
+			out = append(out, wire.LrcInterval{Node: uint8(j), Ivl: iv.ivl, Addrs: backing[at:len(backing):len(backing)]})
+		}
+	}
+	e.Stats.NoticesSent += addrs
 	return out
+}
+
+// knownAbove returns node j's known intervals above vt[j] (all of them
+// when vt is shorter than that).
+func (e *Engine) knownAbove(j int, vt []uint32) []interval {
+	var after uint32
+	if j < len(vt) {
+		after = vt[j]
+	}
+	return e.known[j][firstAbove(e.known[j], after):]
+}
+
+// firstAbove returns the index of the first interval above after in an
+// ascending list (len(ks) when there is none).
+func firstAbove(ks []interval, after uint32) int {
+	return sort.Search(len(ks), func(i int) bool { return ks[i].ivl > after })
 }
 
 // Absorb merges a synchronization message's vector timestamp and write
@@ -198,7 +222,7 @@ func (e *Engine) Absorb(vt []uint32, notices []wire.LrcInterval) []vm.Addr {
 			e.vt[j] = vt[j]
 		}
 	}
-	touched := map[vm.Addr]bool{}
+	var touched []vm.Addr
 	for _, iv := range notices {
 		j := int(iv.Node)
 		if j < 0 || j >= e.nodes || j == e.self {
@@ -215,17 +239,14 @@ func (e *Engine) Absorb(vt []uint32, notices []wire.LrcInterval) []vm.Addr {
 			n := e.noticed[a]
 			if n == nil || iv.Ivl > n[j] {
 				e.noteOne(a, j, iv.Ivl)
-				touched[a] = true
+				touched = append(touched, a)
 				e.Stats.NoticesAbsorbed++
 			}
 		}
 	}
-	out := make([]vm.Addr, 0, len(touched))
-	for a := range touched {
-		out = append(out, a)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	// An object two intervals named was appended twice.
+	slices.Sort(touched)
+	return slices.Compact(touched)
 }
 
 // Noticed returns, for each writer, the highest interval a write notice
@@ -264,16 +285,24 @@ func (e *Engine) AddRecord(addr vm.Addr, rec wire.LrcRecord) {
 }
 
 // RecordsAfter returns this node's records for addr with Last > after,
-// ascending.
+// ascending: a suffix of the store, found by binary search and returned
+// without a copy. The slice is the caller's to read for as long as it
+// likes — AddRecord appends past it and GC re-slices, so nothing it holds
+// is ever rewritten — and not to append to or modify.
 func (e *Engine) RecordsAfter(addr vm.Addr, after uint32) []wire.LrcRecord {
-	var out []wire.LrcRecord
-	for _, r := range e.records[addr] {
-		if r.Last > after {
-			out = append(out, r)
-		}
+	rs := e.records[addr]
+	i := firstPast(rs, after)
+	if i == len(rs) {
+		return nil
 	}
-	e.Stats.RecordsServed += len(out)
-	return out
+	e.Stats.RecordsServed += len(rs) - i
+	return rs[i:len(rs):len(rs)]
+}
+
+// firstPast returns the index of the first record reaching past interval
+// after in an ascending list (len(rs) when there is none).
+func firstPast(rs []wire.LrcRecord, after uint32) int {
+	return sort.Search(len(rs), func(i int) bool { return rs[i].Last > after })
 }
 
 // LastRecord returns the highest interval covered by a stored record for
@@ -293,7 +322,7 @@ func (e *Engine) RecordAddrs() []vm.Addr {
 	for a := range e.records {
 		out = append(out, a)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -309,7 +338,10 @@ func (e *Engine) RecordCount() int {
 
 // GC drops the diff records and interval notices licensed by the given
 // per-writer floors: this node's own records with Last <= floors[self],
-// and every known interval (j, ivl <= floors[j]). Returns the number of
+// and every known interval (j, ivl <= floors[j]). Both lists ascend, so
+// what goes is a prefix, and it goes by re-slicing: a slice RecordsAfter
+// handed out earlier keeps reading what it read. (The dropped prefix is
+// freed when the list next outgrows its array.) Returns the number of
 // records dropped.
 func (e *Engine) GC(floors []uint32) int {
 	if len(floors) < e.nodes {
@@ -317,31 +349,21 @@ func (e *Engine) GC(floors []uint32) int {
 	}
 	dropped := 0
 	for a, rs := range e.records {
-		kept := rs[:0]
-		for _, r := range rs {
-			if r.Last <= floors[e.self] {
-				dropped++
-				continue
-			}
-			kept = append(kept, r)
-		}
-		if len(kept) == 0 {
+		k := firstPast(rs, floors[e.self])
+		dropped += k
+		if k == len(rs) {
 			delete(e.records, a)
 		} else {
-			e.records[a] = kept
+			e.records[a] = rs[k:]
 		}
 	}
 	for j := 0; j < e.nodes; j++ {
 		ks := e.known[j]
-		kept := ks[:0]
-		for _, iv := range ks {
-			if iv.ivl <= floors[j] {
-				e.Stats.NoticesGCed += len(iv.addrs)
-				continue
-			}
-			kept = append(kept, iv)
+		k := firstAbove(ks, floors[j])
+		for _, iv := range ks[:k] {
+			e.Stats.NoticesGCed += len(iv.addrs)
 		}
-		e.known[j] = kept
+		e.known[j] = ks[k:]
 	}
 	e.Stats.RecordsGCed += dropped
 	return dropped
@@ -373,37 +395,40 @@ type WriterRecords struct {
 	Records []wire.LrcRecord
 }
 
-// OrderedRecord is one record in happens-before application order.
-type OrderedRecord struct {
-	Writer int
-	Rec    wire.LrcRecord
-}
-
-// Order flattens per-writer record lists into a single sequence that
+// Order visits the records of per-writer lists in a single sequence that
 // respects the happens-before partial order their close-time vector
 // timestamps encode: if record A's interval happened before record B's,
-// A precedes B. Concurrent records commute for data-race-free programs;
-// ties break on (writer, interval) so the order is deterministic.
-func Order(sets []WriterRecords) []OrderedRecord {
-	var pend []OrderedRecord
-	for _, s := range sets {
-		for _, r := range s.Records {
-			pend = append(pend, OrderedRecord{Writer: s.Writer, Rec: r})
-		}
+// A is visited before B. Concurrent records commute for data-race-free
+// programs; ties break on (writer, interval) so the order is
+// deterministic. visit gets each record in place, to read only.
+//
+// Each set's records must ascend in happens-before, as one writer's
+// records in interval order do (a writer listed in two sets is fine as
+// long as each set ascends). Then only the head of a set can be minimal
+// among what is left, and a head is minimal among everything left exactly
+// when it is minimal among the heads — so Order is a merge over the
+// heads, O(n·k²) timestamp comparisons for n records in k sets, and picks
+// what a selection sort over all n would pick.
+func Order(sets []WriterRecords, visit func(writer int, rec *wire.LrcRecord)) {
+	// pos[l] indexes set l's head; on the stack for any usual k.
+	var few [16]int
+	pos := few[:]
+	if len(sets) > len(few) {
+		pos = make([]int, len(sets))
 	}
-	// Records from one writer are already ascending; selection sort by
-	// minimality under happens-before keeps cross-writer edges. The sets
-	// are small (one record per writer per sync episode, typically).
-	var out []OrderedRecord
-	for len(pend) > 0 {
-		best := -1
-		for i, c := range pend {
+	for {
+		first, best := -1, -1
+		for l := range sets {
+			if pos[l] == len(sets[l].Records) {
+				continue
+			}
+			if first < 0 {
+				first = l
+			}
+			c := &sets[l].Records[pos[l]]
 			minimal := true
-			for k, o := range pend {
-				if k == i {
-					continue
-				}
-				if vtLess(o.Rec.VT, c.Rec.VT) {
+			for k := range sets {
+				if k != l && pos[k] < len(sets[k].Records) && vtLess(sets[k].Records[pos[k]].VT, c.VT) {
 					minimal = false
 					break
 				}
@@ -411,20 +436,22 @@ func Order(sets []WriterRecords) []OrderedRecord {
 			if !minimal {
 				continue
 			}
-			if best < 0 || pend[i].Writer < pend[best].Writer ||
-				(pend[i].Writer == pend[best].Writer && pend[i].Rec.First < pend[best].Rec.First) {
-				best = i
+			if best < 0 || sets[l].Writer < sets[best].Writer ||
+				(sets[l].Writer == sets[best].Writer && c.First < sets[best].Records[pos[best]].First) {
+				best = l
 			}
+		}
+		if first < 0 {
+			return
 		}
 		if best < 0 {
 			// A cycle can only arise from corrupt timestamps; fall back
-			// to the deterministic tie-break rather than spinning.
-			best = 0
+			// to the first record left rather than spinning.
+			best = first
 		}
-		out = append(out, pend[best])
-		pend = append(pend[:best], pend[best+1:]...)
+		visit(sets[best].Writer, &sets[best].Records[pos[best]])
+		pos[best]++
 	}
-	return out
 }
 
 // vtLess reports a < b: a <= b componentwise and a != b (a's interval

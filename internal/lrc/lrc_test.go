@@ -100,7 +100,7 @@ func TestOrderRespectsHappensBefore(t *testing.T) {
 	// even though writer 1 sorts later numerically only by tie-break.
 	r0 := wire.LrcRecord{First: 1, Last: 1, VT: []uint32{1, 0}}
 	r1 := wire.LrcRecord{First: 3, Last: 3, VT: []uint32{1, 3}}
-	out := Order([]WriterRecords{
+	out := ordered([]WriterRecords{
 		{Writer: 1, Records: []wire.LrcRecord{r1}},
 		{Writer: 0, Records: []wire.LrcRecord{r0}},
 	})
@@ -110,7 +110,7 @@ func TestOrderRespectsHappensBefore(t *testing.T) {
 	// Concurrent records (incomparable VTs) order by writer id.
 	c0 := wire.LrcRecord{First: 2, Last: 2, VT: []uint32{2, 0}}
 	c1 := wire.LrcRecord{First: 1, Last: 1, VT: []uint32{0, 1}}
-	out = Order([]WriterRecords{
+	out = ordered([]WriterRecords{
 		{Writer: 1, Records: []wire.LrcRecord{c1}},
 		{Writer: 0, Records: []wire.LrcRecord{c0}},
 	})
