@@ -178,6 +178,7 @@ func TestAccessPathAllocatesNothing(t *testing.T) {
 		var sink64 float64
 		for name, f := range map[string]func(){
 			"ReadRow":    func() { m32.ReadRow(root, 1, row32) },
+			"ScanRow":    func() { m64.ScanRow(root, 1, func(_ int, seg []float64) { sink64 += seg[0] }) },
 			"WriteRow":   func() { m32.WriteRow(root, 2, row32) },
 			"Read":       func() { m64.arr.Read(root, 1234, row64) },
 			"Write":      func() { m64.arr.Write(root, 4321, row64) },

@@ -369,6 +369,20 @@ func BenchmarkReadRow(b *testing.B) {
 	nsPerWord(b)
 }
 
+// BenchmarkScanRow measures Matrix.ScanRow of one 8 KB row with a
+// callback that touches one word per segment: what lending a row in
+// place costs, with no copy for the kernel to amortize.
+func BenchmarkScanRow(b *testing.B) {
+	var acc float32
+	accessBench(b, func(t *munin.Thread, m *munin.Matrix[float32], _ []float32) {
+		for i := 0; i < b.N; i++ {
+			m.ScanRow(t, i%m.Rows(), func(_ int, seg []float32) { acc += seg[len(seg)-1] })
+		}
+	})
+	_ = acc
+	nsPerWord(b)
+}
+
 // BenchmarkWriteRow measures Matrix.WriteRow of one 8 KB row.
 func BenchmarkWriteRow(b *testing.B) {
 	accessBench(b, func(t *munin.Thread, m *munin.Matrix[float32], row []float32) {

@@ -69,20 +69,17 @@ func main() {
 	}
 
 	var (
-		a     *apps.App
-		ref   uint32
-		err   error
-		exopt bool // whether the app honours -exact
+		a   *apps.App
+		ref uint32
+		err error
 	)
 	switch *app {
 	case "matmul":
 		a, err = apps.NewMatMul(apps.MatMulConfig{Procs: *procs, N: *n, Single: *single, Override: override})
 		ref = apps.MatMulReference(*n)
-		exopt = true
 	case "sor":
 		a, err = apps.NewSOR(apps.SORConfig{Procs: *procs, Rows: *rows, Cols: *cols, Iters: *iters, Override: override, PhaseBarrier: apps.LiveTransport(*transport)})
 		ref = apps.SORReference(*rows, *cols, *iters)
-		exopt = true
 	case "tsp":
 		a, err = apps.NewTSP(apps.TSPConfig{Procs: *procs, Cities: *cities, Override: override, Adaptive: *adaptive})
 		ref = uint32(apps.TSPReference(*cities))
@@ -96,7 +93,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	opts := apps.RunOpts(*transport, override, *adaptive, *exact && exopt, lazy)
+	opts := apps.RunOpts(*transport, override, *adaptive, *exact, lazy)
 	if *batch {
 		opts = append(opts, munin.WithBatching())
 	}

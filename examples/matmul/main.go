@@ -63,7 +63,6 @@ func main() {
 			lo, hi := w*dim/workers, (w+1)*dim/workers
 			root.Spawn(w, fmt.Sprintf("worker%d", w), func(t *munin.Thread) {
 				arow := make([]int32, dim)
-				brow := make([]int32, dim)
 				crow := make([]int32, dim)
 				for i := lo; i < hi; i++ {
 					input1.ReadRow(t, i, arow)
@@ -71,10 +70,14 @@ func main() {
 						crow[j] = 0
 					}
 					for k := 0; k < dim; k++ {
-						input2.ReadRow(t, k, brow)
-						for j := range crow {
-							crow[j] += arow[k] * brow[j]
-						}
+						// ScanRow lends the row's page bytes in place, a
+						// segment per page: no copy into a row buffer.
+						aik := arow[k]
+						input2.ScanRow(t, k, func(j int, seg []int32) {
+							for x, b := range seg {
+								crow[j+x] += aik * b
+							}
+						})
 					}
 					output.WriteRow(t, i, crow)
 				}

@@ -282,6 +282,7 @@ func (r RunResult) ObjectName(addr uint64) string {
 
 // MACRow is the matrix-multiply inner loop: dst[j] += aik * brow[j].
 func MACRow(dst []int32, aik int32, brow []int32) {
+	dst = dst[:len(brow)] // one bounds check here, none per element
 	for j, b := range brow {
 		dst[j] += aik * b
 	}

@@ -50,7 +50,6 @@ func NewMatMul(c MatMulConfig) (*App, error) {
 			lo, hi := w*n/procs, (w+1)*n/procs
 			root.Spawn(w, fmt.Sprintf("mm-worker%d", w), func(t *munin.Thread) {
 				arow := make([]int32, n)
-				brow := make([]int32, n)
 				crow := make([]int32, n)
 				for i := lo; i < hi; i++ {
 					input1.ReadRow(t, i, arow)
@@ -58,8 +57,10 @@ func NewMatMul(c MatMulConfig) (*App, error) {
 						crow[j] = 0
 					}
 					for k := 0; k < n; k++ {
-						input2.ReadRow(t, k, brow)
-						MACRow(crow, arow[k], brow)
+						// Row k of input2 is read where it lies, one page
+						// segment at a time: no per-row copy.
+						aik := arow[k]
+						input2.ScanRow(t, k, func(j int, seg []int32) { MACRow(crow[j:], aik, seg) })
 					}
 					t.Compute(MatMulRowCost(cost, n))
 					output.WriteRow(t, i, crow)

@@ -152,7 +152,7 @@ func (n *Node) fetchReadCopy(t *Thread, e *directory.Entry, prefetch bool) {
 	// The home can materialize from its own fresh backing without any
 	// message: the initial contents are right here.
 	if e.Home == n.id && !e.BackingStale && e.Backing != nil {
-		n.installObject(t.proc, e, append([]byte(nil), e.Backing...), vm.ProtRead)
+		n.adoptObject(t.proc, e, append([]byte(nil), e.Backing...), vm.ProtRead)
 		return
 	}
 	n.ReadMisses++
@@ -167,7 +167,10 @@ func (n *Node) fetchReadCopy(t *Thread, e *directory.Entry, prefetch bool) {
 	reply := n.rpc(t, dst, pendKey{pendRead, uint64(e.Start)},
 		wire.ReadReq{Addr: e.Start, Requester: uint8(n.id), Prefetch: prefetch}).(wire.ReadReply)
 	e.ProbOwner = int(reply.Owner)
-	n.installObject(t.proc, e, reply.Data, vm.ProtRead)
+	// The reply's bytes are this node's alone: decoded for it (sim),
+	// re-owned out of the receive buffer (live), or a serve's fresh copy
+	// (a chase that came back here).
+	n.adoptObject(t.proc, e, reply.Data, vm.ProtRead)
 	if n.obs != nil {
 		n.obs.Event(obs.EvFetch, int64(t0), int64(t.proc.Now()-t0), uint64(e.Start), dst, int64(e.Size))
 		n.obs.Fetched(uint64(e.Start))

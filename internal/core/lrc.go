@@ -197,7 +197,7 @@ func (n *Node) lrcFetchBase(t *Thread, e *directory.Entry) {
 		// The home's base is its backing; st.Applied already describes
 		// it (zeros initially, refreshed when a lazy drop folded the
 		// live copy back in).
-		n.installObject(t.proc, e, append([]byte(nil), e.Backing...), vm.ProtRead)
+		n.adoptObject(t.proc, e, append([]byte(nil), e.Backing...), vm.ProtRead)
 		return
 	}
 	n.ReadMisses++
@@ -205,7 +205,7 @@ func (n *Node) lrcFetchBase(t *Thread, e *directory.Entry) {
 	resp := n.lrcRPC(t, e.Home, func(token uint32) wire.Message {
 		return wire.LrcFetchReq{Addr: e.Start, Requester: uint8(n.id), Token: token}
 	}).(wire.LrcFetchResp)
-	n.installObject(t.proc, e, resp.Data, vm.ProtRead)
+	n.adoptObject(t.proc, e, resp.Data, vm.ProtRead) // decoded or re-owned for this node alone
 	if n.obs != nil {
 		n.obs.Event(obs.EvFetch, int64(t0), int64(t.proc.Now()-t0), uint64(e.Start), e.Home, int64(e.Size))
 		n.obs.Fetched(uint64(e.Start))

@@ -781,6 +781,28 @@ func (n *Node) installObject(p rt.Proc, e *directory.Entry, data []byte, prot vm
 	e.Writable = prot == vm.ProtReadWrite
 }
 
+// adoptObject is installObject for a buffer the caller owns outright and
+// will not touch again: when the object is exactly one page and that page
+// is not mapped here yet, data becomes the page itself, with no copy and
+// no allocation. Any other shape falls back to installObject's copy.
+//
+// Only a read fetch's freshly allocated bytes qualify (the home's copy of
+// its backing, a reply decoded or re-owned for this node alone). An
+// update's Full image never does: on a live transport serveUpdateBatch
+// applies a borrowed entry in place, so Full aliases the pooled receive
+// buffer the transport reuses once dispatch returns.
+func (n *Node) adoptObject(p rt.Proc, e *directory.Entry, data []byte, prot vm.Prot) {
+	if len(data) != n.sys.cfg.PageSize || e.Size != len(data) ||
+		n.space.PageBase(e.Start) != e.Start || n.space.Mapped(e.Start) {
+		n.installObject(p, e, data, prot)
+		return
+	}
+	n.space.Map(e.Start, data, prot)
+	advance(p, n.sys.cost.PageMapOp)
+	e.Valid = true
+	e.Writable = prot == vm.ProtReadWrite
+}
+
 // protectObject changes the protection of every page backing the entry,
 // and charges for it afterwards: the charge yields, and a thread that runs
 // meanwhile must find the page tables and e.Writable agreeing.

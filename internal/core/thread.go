@@ -19,6 +19,9 @@ type Thread struct {
 	proc rt.Proc
 	id   int
 	name string
+	// viewing is set while a View callback runs: every runtime entry
+	// point checks it (guard), since the callback holds a page in place.
+	viewing bool
 }
 
 // ID returns the thread's unique identifier.
@@ -56,20 +59,66 @@ func (t *Thread) Spawn(node int, name string, fn func(*Thread)) {
 // Compute charges d of application compute time (the kernels' arithmetic
 // runs natively; its cost is modeled explicitly so Munin and
 // message-passing versions are charged identically).
-func (t *Thread) Compute(d rt.Time) { t.proc.Advance(d) }
+func (t *Thread) Compute(d rt.Time) {
+	t.guard("Compute")
+	t.proc.Advance(d)
+}
 
 // Read copies shared memory at addr into buf, faulting as needed: one copy
 // per page, the bulk path kernels' row accesses take.
-func (t *Thread) Read(addr vm.Addr, buf []byte) { t.node.space.Read(t, addr, buf) }
+func (t *Thread) Read(addr vm.Addr, buf []byte) {
+	t.guard("Read")
+	t.node.space.Read(t, addr, buf)
+}
+
+// View calls fn on the n bytes of shared memory at addr where they lie,
+// one segment per page, faulting each page for read exactly as Read does
+// (see vm.Space.View) but copying nothing. seg is read-only and valid
+// only during fn, and fn must not call into the runtime: an access,
+// Compute or a synchronization operation inside it panics, because any of
+// them can yield, and a yield can revoke or rewrite the page fn holds.
+func (t *Thread) View(addr vm.Addr, n int, fn func(seg []byte)) {
+	t.guard("View")
+	t.node.space.View(t, addr, n, func(seg []byte) {
+		t.viewing = true
+		fn(seg)
+		t.viewing = false
+	})
+}
 
 // Write stores buf to shared memory at addr, faulting as needed.
-func (t *Thread) Write(addr vm.Addr, buf []byte) { t.node.space.Write(t, addr, buf) }
+func (t *Thread) Write(addr vm.Addr, buf []byte) {
+	t.guard("Write")
+	t.node.space.Write(t, addr, buf)
+}
 
 // ReadWord loads one 32-bit shared word.
-func (t *Thread) ReadWord(addr vm.Addr) uint32 { return t.node.space.ReadWord(t, addr) }
+func (t *Thread) ReadWord(addr vm.Addr) uint32 {
+	t.guard("ReadWord")
+	return t.node.space.ReadWord(t, addr)
+}
 
 // WriteWord stores one 32-bit shared word.
-func (t *Thread) WriteWord(addr vm.Addr, v uint32) { t.node.space.WriteWord(t, addr, v) }
+func (t *Thread) WriteWord(addr vm.Addr, v uint32) {
+	t.guard("WriteWord")
+	t.node.space.WriteWord(t, addr, v)
+}
+
+// guard panics if op is called from inside a View callback.
+func (t *Thread) guard(op string) {
+	if t.viewing {
+		panic(viewMisuse(op))
+	}
+}
+
+// viewMisuse is guard's panic value, the runtime operation op called from
+// inside a View callback. A type rather than a formatted string keeps
+// guard, and the accessors it guards, small enough to inline.
+type viewMisuse string
+
+func (op viewMisuse) Error() string {
+	return "munin: " + string(op) + " called inside a ScanRow (Thread.View) callback; the callback must not call into the runtime"
+}
 
 // AcquireLock blocks until the thread holds the lock (§2.1). Runtime work
 // is charged as system time.
@@ -165,7 +214,13 @@ func (t *Thread) ChangeAnnotation(addr vm.Addr, annot protocol.Annotation) {
 // system switches the thread into system-time accounting for one runtime
 // operation and returns the kind to restore; every entry point pairs it
 // with endSystem as `defer t.endSystem(t.system())`.
-func (t *Thread) system() rt.TimeKind { return t.proc.SetKind(rt.KindSystem) }
+//
+// It is also where every synchronization operation checks that it is not
+// called from inside a View callback.
+func (t *Thread) system() rt.TimeKind {
+	t.guard("a synchronization operation")
+	return t.proc.SetKind(rt.KindSystem)
+}
 
 // endSystem ends the runtime operation: whatever it queued for other
 // nodes leaves now (see outbox.go), and the accounting kind goes back.

@@ -216,6 +216,24 @@ func (s *Space) Read(ctx any, addr Addr, buf []byte) {
 	}
 }
 
+// View calls fn on the n bytes at addr where they lie, one segment per
+// page in address order, faulting each page for read exactly as Read
+// does: it finishes with one page (fn returns) before asking for the
+// next. seg aliases the page copy and is valid only during fn; fn must
+// not write it, and must not touch this Space (a fault there could revoke
+// the very page fn is reading).
+func (s *Space) View(ctx any, addr Addr, n int, fn func(seg []byte)) {
+	for n > 0 {
+		base := s.PageBase(addr)
+		seg := s.page(ctx, base, false).Data[addr-base:]
+		if len(seg) > n {
+			seg = seg[:n]
+		}
+		fn(seg[:len(seg):len(seg)])
+		n, addr = n-len(seg), addr+Addr(len(seg))
+	}
+}
+
 // Write copies src to addr, one copy per page, faulting as needed.
 func (s *Space) Write(ctx any, addr Addr, src []byte) {
 	for len(src) > 0 {

@@ -324,3 +324,53 @@ func TestReadWriteSpanProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestViewFaultsEachPageOnceInOrder: a view over three pages faults each
+// page once for read, in address order, and hands fn each page's segment
+// before it faults the next — the order Read moves bytes in. Each segment
+// aliases its page and ends where the view or the page does.
+func TestViewFaultsEachPageOnceInOrder(t *testing.T) {
+	s := newTestSpace()
+	h := &recordingHandler{s: s}
+	s.SetHandler(h)
+	start := SharedBase + 100
+	n := 2*DefaultPageSize + 50 // ends 150 bytes into page 2
+	var segs [][]byte
+	s.View("ctx", start, n, func(seg []byte) {
+		segs = append(segs, seg)
+		if len(h.faults) != len(segs) {
+			t.Errorf("segment %d handed over with %d faults taken, want %d", len(segs)-1, len(h.faults), len(segs))
+		}
+	})
+	if len(h.faults) != 3 {
+		t.Fatalf("faults = %+v, want three", h.faults)
+	}
+	for i, f := range h.faults {
+		if want := SharedBase + Addr(i*DefaultPageSize); f.base != want || f.write {
+			t.Errorf("fault %d = %#x write=%v, want a read fault at %#x", i, f.base, f.write, want)
+		}
+	}
+	if s.ReadFaults != 3 || s.WriteFaults != 0 {
+		t.Errorf("counters = %d/%d, want 3/0", s.ReadFaults, s.WriteFaults)
+	}
+	wantLen := []int{DefaultPageSize - 100, DefaultPageSize, 150}
+	if len(segs) != 3 {
+		t.Fatalf("fn called %d times, want 3", len(segs))
+	}
+	for i, seg := range segs {
+		pg, _ := s.Lookup(SharedBase + Addr(i*DefaultPageSize))
+		off := 0
+		if i == 0 {
+			off = 100
+		}
+		if len(seg) != wantLen[i] || cap(seg) != len(seg) || &seg[0] != &pg.Data[off] {
+			t.Errorf("segment %d: len %d cap %d aliases page at %v; want len %d, cap = len, aliasing page byte %d",
+				i, len(seg), cap(seg), &seg[0] == &pg.Data[off], wantLen[i], off)
+		}
+	}
+	// A second view over mapped pages faults nothing.
+	s.View("ctx", start, n, func([]byte) {})
+	if s.ReadFaults != 3 {
+		t.Errorf("second view faulted: ReadFaults = %d", s.ReadFaults)
+	}
+}

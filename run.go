@@ -154,10 +154,11 @@ func WithBatching() RunOption {
 	return func(c *runConfig) { c.Batching = true }
 }
 
-// WithTrace observes every delivered protocol message. On the live
-// transports the message's byte payloads alias a pooled receive buffer:
-// an observer that keeps a message past its own return must copy it
-// first (wire.Own).
+// WithTrace observes every delivered protocol message. An observer that
+// keeps a message past its own return must copy it first (wire.Own): on
+// the live transports the message's byte payloads alias a pooled receive
+// buffer, and on every transport a read reply's data becomes the
+// receiver's page.
 func WithTrace(fn func(network.Envelope)) RunOption {
 	return func(c *runConfig) { c.Trace = fn }
 }

@@ -10,6 +10,8 @@ package munin
 // payloads, FinalImage and snapshots are made of page bytes), so on the
 // little-endian build that view is the page image itself; a big-endian
 // build (endian_big.go) swaps each element's bytes on the way through.
+// Matrix.ScanRow skips even that copy: it lends a kernel the page bytes
+// themselves, viewed as []T, for the length of a callback.
 
 import (
 	"fmt"
@@ -332,6 +334,50 @@ func (m *Matrix[T]) Init(f func(i, j int) T) {
 func (m *Matrix[T]) ReadRow(t *Thread, i int, buf []T) {
 	m.checkRow(i, len(buf))
 	m.arr.Read(t, i*m.cols, buf[:m.cols])
+}
+
+// ScanRow calls fn on row i where it lies in the node's page copies, one
+// segment per page the row spans, in column order; j is the segment's
+// first column. It faults pages exactly as ReadRow does and copies
+// nothing (a big-endian host swaps each segment through a stack chunk,
+// so fn sees more, shorter segments there). seg is read-only and valid
+// only during fn, and fn must not call into Munin: an access, Compute or
+// a synchronization operation inside it panics. A kernel that needs two
+// rows at once (a stencil) reads them with ReadRow instead.
+func (m *Matrix[T]) ScanRow(t *Thread, i int, fn func(j int, seg []T)) {
+	size := elemSize[T]()
+	j := 0
+	t.View(m.RowAddr(i), m.cols*size, func(b []byte) {
+		if bigEndian {
+			j = scanSwapped(b, j, fn)
+			return
+		}
+		seg := asElems[T](b)
+		fn(j, seg)
+		j += len(seg)
+	})
+}
+
+// asElems views page bytes as elements, the inverse of asBytes. b starts
+// at an element boundary of an 8-byte-aligned page copy.
+func asElems[T Elem](b []byte) []T {
+	return unsafe.Slice((*T)(unsafe.Pointer(unsafe.SliceData(b))), len(b)/elemSize[T]())
+}
+
+// scanSwapped is ScanRow's segment step on a big-endian host: it hands fn
+// the segment b, starting at column j, in host order one stack chunk at a
+// time, and returns the column after it.
+func scanSwapped[T Elem](b []byte, j int, fn func(j int, seg []T)) int {
+	var chunk [64]float64 // 512 bytes, aligned for every Elem
+	cb := asBytes(chunk[:])
+	for len(b) > 0 {
+		n := copy(cb, b)
+		swapElems(cb[:n], elemSize[T]())
+		seg := asElems[T](cb[:n])
+		fn(j, seg)
+		j, b = j+len(seg), b[n:]
+	}
+	return j
 }
 
 // WriteRow stores vals (len ≥ cols) into row i, faulting pages for write.
