@@ -71,6 +71,9 @@ func TestConfigValidationErrors(t *testing.T) {
 	t.Run("UnknownTransport", func(t *testing.T) {
 		expectRunError(t, "transport", NewProgram(2), WithTransport("carrier-pigeon"))
 	})
+	t.Run("ExactCopysetWithAdaptive", func(t *testing.T) {
+		expectRunError(t, "adaptive", NewProgram(2), WithExactCopyset(), WithAdaptive())
+	})
 	t.Run("SixteenProcessorsOK", func(t *testing.T) {
 		if _, err := NewProgram(16).Run(context.Background(), func(root *Thread) {}); err != nil {
 			t.Errorf("16 processors rejected: %v", err)
@@ -257,6 +260,50 @@ func TestMachineOptionMatrix(t *testing.T) {
 				t.Errorf("%s: element %d = %d, want %d", run.name, i, got[i], want[i])
 				break
 			}
+		}
+	}
+}
+
+// TestExactCopysetIsTheLiveDefault: an eager release asks the object's
+// home for its copyset on the live transports without being told to; on
+// the simulator it broadcasts, as the prototype did, unless the run opts
+// in with WithExactCopyset.
+func TestExactCopysetIsTheLiveDefault(t *testing.T) {
+	const procs = 3
+	p := NewProgram(procs)
+	x := Declare[uint32](p, "x", 2048, WriteShared)
+	bar := p.CreateBarrier(procs + 1)
+	root := func(root *Thread) {
+		for w := 0; w < procs; w++ {
+			w := w
+			root.Spawn(w, "writer", func(th *Thread) {
+				x.Set(th, w, uint32(w+1))
+				bar.Wait(th)
+			})
+		}
+		bar.Wait(root)
+	}
+	for _, c := range []struct {
+		name  string
+		opts  []RunOption
+		exact bool
+	}{
+		{"sim", nil, false},
+		{"sim+exact", []RunOption{WithExactCopyset()}, true},
+		{"chan", []RunOption{WithTransport(TransportChan)}, true},
+		{"mux", []RunOption{WithTransport(TransportMux)}, true},
+	} {
+		res, err := p.Run(context.Background(), root, c.opts...)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		kinds := res.Stats().PerKind
+		queries, lookups := kinds[wire.KindCopysetQuery], kinds[wire.KindCopysetLookup]
+		if c.exact && (queries != 0 || lookups == 0) {
+			t.Errorf("%s: %d queries, %d lookups; want home-directed lookups only", c.name, queries, lookups)
+		}
+		if !c.exact && (queries == 0 || lookups != 0) {
+			t.Errorf("%s: %d queries, %d lookups; want the broadcast only", c.name, queries, lookups)
 		}
 	}
 }

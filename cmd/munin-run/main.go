@@ -8,7 +8,7 @@
 //	munin-run -app matmul -procs 8
 //	munin-run -app sor -procs 16 -rows 256 -iters 20
 //	munin-run -app matmul -procs 8 -annotation conventional
-//	munin-run -app sor -procs 4 -exact            # improved copyset algorithm
+//	munin-run -app sor -procs 4 -exact            # improved copyset algorithm (the live default)
 //	munin-run -app tsp -procs 8 -annotation conventional -adaptive
 //	                                              # mis-annotated + adaptive recovery
 //	munin-run -app sor -procs 8 -profile          # hot-object table + latency percentiles
@@ -38,7 +38,7 @@ func main() {
 		iters       = flag.Int("iters", 100, "iterations (sor)")
 		single      = flag.Bool("single", false, "apply the SingleObject optimization (matmul)")
 		annot       = flag.String("annotation", "", "force one annotation on all shared data (conventional, write_shared, ...)")
-		exact       = flag.Bool("exact", false, "use the improved home-directed copyset determination")
+		exact       = flag.Bool("exact", false, "use the improved home-directed copyset determination on sim (ablation A4; already the default for eager, non-adaptive runs on chan and mux; not with -adaptive)")
 		cities      = flag.Int("cities", 10, "tour length (tsp)")
 		adaptive    = flag.Bool("adaptive", false, "enable the adaptive protocol engine (profiles access patterns and switches protocols online)")
 		consistency = flag.String("consistency", "eager", "release-consistency engine: eager (release-time flush) or lazy (acquire-directed, internal/lrc)")

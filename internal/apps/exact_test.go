@@ -1,0 +1,99 @@
+package apps
+
+import (
+	"testing"
+
+	"munin/internal/protocol"
+	"munin/internal/wire"
+)
+
+// Home-directed copyset determination (§3.3's improved algorithm,
+// munin.WithExactCopyset) on the static write_shared pipeline: every node
+// writes a slice of every page between barriers, so each release's
+// lookup races reads the home and other holders are serving. These runs
+// are deterministic on the simulator; DESIGN.md "Home-directed copysets"
+// draws the two races the minimal cases pin.
+
+// staleUpdates sums the updates the run's nodes ignored because the
+// home's tracked copyset named a node holding no copy.
+func staleUpdates(r RunResult) int {
+	sys := r.res.System()
+	n := 0
+	for i := 0; i < sys.Nodes(); i++ {
+		n += sys.Node(i).StaleUpdates
+	}
+	return n
+}
+
+// runExactPipeline runs the static write_shared pipeline with exact
+// copysets and checks it against the sequential reference.
+func runExactPipeline(t *testing.T, cfg PipelineConfig) {
+	t.Helper()
+	ws := protocol.WriteShared
+	cfg = cfg.withDefaults()
+	cfg.Override, cfg.Exact = &ws, true
+	r, err := MuninPipeline(cfg)
+	if err != nil {
+		t.Fatalf("%+v: %v", cfg, err)
+	}
+	if want := PipelineReference(cfg); r.Check != want {
+		t.Errorf("procs=%d pages=%d rounds=%d+%d (%s): checksum %08x, want %08x",
+			cfg.Procs, cfg.Pages, cfg.Rounds1, cfg.Rounds2, cfg.Transport, r.Check, want)
+	}
+	if n := staleUpdates(r); n != 0 {
+		t.Errorf("procs=%d (%s): %d stale updates, want 0", cfg.Procs, cfg.Transport, n)
+	}
+}
+
+func TestExactPipeline(t *testing.T) {
+	for _, procs := range []int{4, 8, 16} {
+		runExactPipeline(t, PipelineConfig{Procs: procs})
+	}
+}
+
+// TestExactPipelineHomeFaultInFlight is race (a): the home's own read
+// fault is in flight when two writers look up the copyset. The home must
+// count itself, or the holder serving it hands over data that predates
+// both writers' updates and the home never receives them.
+func TestExactPipelineHomeFaultInFlight(t *testing.T) {
+	runExactPipeline(t, PipelineConfig{Procs: 4, Pages: 1, Rounds1: 1, Rounds2: 1})
+}
+
+// TestExactPipelineHolderServesBeforeUpdate is race (b): with two pages a
+// non-home holder serves a read between a writer's lookup and that
+// writer's update. Only the home sees the lookup, so only a read the home
+// serves can wait for the update.
+func TestExactPipelineHolderServesBeforeUpdate(t *testing.T) {
+	runExactPipeline(t, PipelineConfig{Procs: 4, Pages: 2, Rounds1: 1, Rounds2: 1})
+}
+
+// TestExactPipelineLive runs the exact pipeline on the live transports,
+// where exact copysets are the default for eager runs.
+func TestExactPipelineLive(t *testing.T) {
+	for _, tr := range transportsUnderTest {
+		for _, procs := range []int{4, 8} {
+			runExactPipeline(t, PipelineConfig{Procs: procs, Transport: tr})
+		}
+	}
+}
+
+// TestExactLockHeavy: the lock ring under exact copysets computes the
+// reference image with no ignored update, on every transport.
+func TestExactLockHeavy(t *testing.T) {
+	for _, tr := range append([]string{"sim"}, transportsUnderTest...) {
+		cfg := LockHeavyConfig{Procs: 8, Rounds: 20, Exact: true, Transport: tr}
+		r, err := MuninLockHeavy(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", tr, err)
+		}
+		if want := LockHeavyReference(cfg); r.Check != want {
+			t.Errorf("%s: checksum %08x, want %08x", tr, r.Check, want)
+		}
+		if n := staleUpdates(r); n != 0 {
+			t.Errorf("%s: %d stale updates, want 0", tr, n)
+		}
+		if q := r.PerKind[wire.KindCopysetQuery]; q != 0 {
+			t.Errorf("%s: %d broadcast copyset queries, want 0", tr, q)
+		}
+	}
+}

@@ -45,6 +45,8 @@ type LockHeavyConfig struct {
 	Override *protocol.Annotation
 	// Adaptive enables the adaptive protocol engine.
 	Adaptive bool
+	// Exact selects the home-directed copyset determination (ablation A4).
+	Exact bool
 	// Lazy selects the lazy release consistency engine (LazyRC).
 	Lazy bool
 	// Batch coalesces same-destination protocol messages into wire.Batch
@@ -194,5 +196,5 @@ func MuninLockHeavy(c LockHeavyConfig) (RunResult, error) {
 		return RunResult{}, err
 	}
 	return app.Run(context.Background(),
-		appendMetrics(appendBatch(RunOpts(c.Transport, c.Override, c.Adaptive, false, c.Lazy), c.Batch), c.Metrics)...)
+		appendMetrics(appendBatch(RunOpts(c.Transport, c.Override, c.Adaptive, c.Exact, c.Lazy), c.Batch), c.Metrics)...)
 }

@@ -36,6 +36,8 @@ type PipelineConfig struct {
 	Override *protocol.Annotation
 	// Adaptive enables the adaptive protocol engine.
 	Adaptive bool
+	// Exact selects the home-directed copyset determination (ablation A4).
+	Exact bool
 	// Lazy selects the lazy release consistency engine (LazyRC).
 	Lazy bool
 	// Batch coalesces same-destination protocol messages into wire.Batch
@@ -224,5 +226,5 @@ func MuninPipeline(c PipelineConfig) (RunResult, error) {
 		return RunResult{}, err
 	}
 	return app.Run(context.Background(),
-		appendMetrics(appendBatch(RunOpts(c.Transport, nil, c.Adaptive, false, c.Lazy), c.Batch), c.Metrics)...)
+		appendMetrics(appendBatch(RunOpts(c.Transport, nil, c.Adaptive, c.Exact, c.Lazy), c.Batch), c.Metrics)...)
 }

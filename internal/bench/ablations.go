@@ -430,33 +430,62 @@ func RunAblationA6(o AblationOpts) (Ablation, error) {
 
 // RunAblationA4 compares the prototype's broadcast copyset determination
 // against the improved home-directed algorithm §3.3 describes but never
-// implemented, on write-shared SOR (which re-determines at every release).
+// implemented, on three write-shared workloads that re-determine at every
+// release: SOR, the pipeline's all-to-all phase and the lock ring. Rows
+// come in (broadcast, home-directed) pairs, SOR first, and every row's
+// result is checked against the sequential reference.
 func RunAblationA4(o AblationOpts) (Ablation, error) {
 	o = o.withDefaults()
 	a := Ablation{
-		Title: "Ablation A4: broadcast vs. home-directed (exact) copyset determination, write-shared SOR",
-		Note: fmt.Sprintf("%d procs, %dx%d grid, %d iterations",
-			o.Procs, o.Rows, o.Cols, o.Iters),
+		Title: "Ablation A4: broadcast vs. home-directed (exact) copyset determination, write-shared data",
+		Note: fmt.Sprintf("%d procs; SOR %dx%d grid, %d iterations; pipeline; lock ring, %d rounds",
+			o.Procs, o.Rows, o.Cols, o.Iters, o.Rounds),
 	}
 	ws := protocol.WriteShared
-	for _, cfg := range []struct {
-		name  string
-		exact bool
+	pipe := apps.PipelineConfig{Procs: o.Procs, Model: o.Model, Override: &ws}
+	lock := apps.LockHeavyConfig{Procs: o.Procs, Rounds: o.Rounds, Model: o.Model}
+	for _, w := range []struct {
+		name string
+		want uint32
+		run  func(exact bool) (apps.RunResult, error)
 	}{
-		{"broadcast (prototype)", false},
-		{"home-directed (improved)", true},
+		{"SOR", apps.SORReference(o.Rows, o.Cols, o.Iters), func(exact bool) (apps.RunResult, error) {
+			return apps.MuninSOR(apps.SORConfig{
+				Procs: o.Procs, Rows: o.Rows, Cols: o.Cols, Iters: o.Iters,
+				Model: o.Model, Override: &ws, Exact: exact,
+			})
+		}},
+		{"pipeline", apps.PipelineReference(pipe), func(exact bool) (apps.RunResult, error) {
+			c := pipe
+			c.Exact = exact
+			return apps.MuninPipeline(c)
+		}},
+		{"lock ring", apps.LockHeavyReference(lock), func(exact bool) (apps.RunResult, error) {
+			c := lock
+			c.Exact = exact
+			return apps.MuninLockHeavy(c)
+		}},
 	} {
-		r, err := apps.MuninSOR(apps.SORConfig{
-			Procs: o.Procs, Rows: o.Rows, Cols: o.Cols, Iters: o.Iters,
-			Model: o.Model, Override: &ws, Exact: cfg.exact,
-		})
-		if err != nil {
-			return Ablation{}, fmt.Errorf("bench: A4 %s: %w", cfg.name, err)
+		for _, cfg := range []struct {
+			name  string
+			exact bool
+		}{
+			{"broadcast (prototype)", false},
+			{"home-directed (improved)", true},
+		} {
+			name := w.name + " " + cfg.name
+			r, err := w.run(cfg.exact)
+			if err != nil {
+				return Ablation{}, fmt.Errorf("bench: A4 %s: %w", name, err)
+			}
+			if r.Check != w.want {
+				return Ablation{}, fmt.Errorf("bench: A4 %s: checksum %08x, want %08x", name, r.Check, w.want)
+			}
+			a.Rows = append(a.Rows, AblationRow{
+				Name: name, Elapsed: r.Elapsed, Messages: r.Messages, Bytes: r.Bytes,
+				Detail: fmt.Sprintf("copyset msgs=%d", copysetTraffic(r)),
+			})
 		}
-		a.Rows = append(a.Rows, AblationRow{
-			Name: cfg.name, Elapsed: r.Elapsed, Messages: r.Messages, Bytes: r.Bytes,
-			Detail: fmt.Sprintf("copyset msgs=%d", copysetTraffic(r)),
-		})
 	}
 	return a, nil
 }

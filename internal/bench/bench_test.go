@@ -335,16 +335,21 @@ func TestAblationA3AssociationAvoidsMisses(t *testing.T) {
 }
 
 func TestAblationA4ExactCopysetFewerMessages(t *testing.T) {
-	a, err := RunAblationA4(AblationOpts{Procs: 8, Rows: 64, Iters: 10})
+	a, err := RunAblationA4(AblationOpts{Procs: 8, Rows: 64, Iters: 10, Rounds: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	bcast, exact := a.Rows[0], a.Rows[1]
-	if exact.Messages >= bcast.Messages {
-		t.Errorf("exact messages %d not below broadcast's %d", exact.Messages, bcast.Messages)
+	if len(a.Rows) != 6 {
+		t.Fatalf("%d rows, want (broadcast, exact) pairs for SOR, pipeline and lock ring", len(a.Rows))
 	}
-	if exact.Elapsed > bcast.Elapsed {
-		t.Errorf("exact %v slower than broadcast %v", exact.Elapsed, bcast.Elapsed)
+	for i := 0; i < len(a.Rows); i += 2 {
+		bcast, exact := a.Rows[i], a.Rows[i+1]
+		if exact.Messages >= bcast.Messages {
+			t.Errorf("%s: exact messages %d not below broadcast's %d", exact.Name, exact.Messages, bcast.Messages)
+		}
+		if exact.Elapsed > bcast.Elapsed {
+			t.Errorf("%s: exact %v slower than broadcast %v", exact.Name, exact.Elapsed, bcast.Elapsed)
+		}
 	}
 }
 

@@ -147,43 +147,82 @@ func (n *Node) writeMiss(t *Thread, e *directory.Entry) {
 }
 
 // fetchReadCopy replicates the object locally with read access by asking
-// the probable owner (forwarded as needed).
+// the probable owner (forwarded as needed), or the home for an object the
+// home serves (homeServes).
 func (n *Node) fetchReadCopy(t *Thread, e *directory.Entry, prefetch bool) {
-	// The home can materialize from its own fresh backing without any
-	// message: the initial contents are right here.
+	p := t.proc
 	if e.Home == n.id && !e.BackingStale && e.Backing != nil {
-		n.adoptObject(t.proc, e, append([]byte(nil), e.Backing...), vm.ProtRead)
-		return
+		// The home can materialize from its own fresh backing without any
+		// message: the initial contents are right here.
+		n.adoptObject(p, e, append([]byte(nil), e.Backing...), vm.ProtRead)
+	} else {
+		n.fetchRemoteCopy(t, e, prefetch)
 	}
+	// Apply any updates that raced the fetch (writers whose flush saw the
+	// fault in progress and addressed this copy), oldest first, each
+	// leaving the stash only once merged. Word diffs carry absolute
+	// values, so re-applying one the served data already contained is
+	// harmless.
+	for len(n.fetchStash[e.Start]) > 0 {
+		n.applyUpdate(p, e, n.fetchStash[e.Start][0], -1)
+		if !e.Valid {
+			break // dropped during the charge, stash and all
+		}
+		n.fetchStash[e.Start] = n.fetchStash[e.Start][1:]
+	}
+	delete(n.fetchStash, e.Start)
+	if n.homeDirected(e) && e.AwaitFrom.Empty() {
+		// Reads held while the copy was in flight or installing are
+		// served from it now (serveRead).
+		n.redispatchReads(p, e.Start)
+	}
+}
+
+// installing reports whether a home-directed object's fetched copy is
+// valid but still merging the updates that raced its fetch
+// (fetchReadCopy). Until it has, later updates queue behind those
+// (serveUpdateBatch) and reads wait (serveRead): a reader served in
+// between would miss an update whose writer did not address it.
+func (n *Node) installing(e *directory.Entry) bool {
+	return e.Valid && len(n.fetchStash[e.Start]) > 0 && n.homeDirected(e)
+}
+
+// fetchRemoteCopy installs a read copy served by another node.
+func (n *Node) fetchRemoteCopy(t *Thread, e *directory.Entry, prefetch bool) {
+	p := t.proc
 	n.ReadMisses++
+	homeServes := n.homeServes(e)
 	dst := e.ProbOwner
-	if dst == n.id {
+	if dst == n.id || homeServes {
 		dst = e.Home
 	}
-	if dst == n.id {
+	req := wire.ReadReq{Addr: e.Start, Requester: uint8(n.id), Prefetch: prefetch}
+	key := pendKey{pendRead, uint64(e.Start)}
+	t0 := p.Now()
+	var reply wire.ReadReply
+	switch {
+	case dst != n.id:
+		reply = n.rpc(t, dst, key, req).(wire.ReadReply)
+	case homeServes:
+		// The home's own miss waits and forwards like any other read.
+		f := n.expect(key, req.Kind())
+		n.serveRead(p, req)
+		reply = n.await(p, f).(wire.ReadReply)
+	default:
 		fail(n.id, e.Start, "read miss", "no holder known for object")
 	}
-	t0 := t.proc.Now()
-	reply := n.rpc(t, dst, pendKey{pendRead, uint64(e.Start)},
-		wire.ReadReq{Addr: e.Start, Requester: uint8(n.id), Prefetch: prefetch}).(wire.ReadReply)
-	e.ProbOwner = int(reply.Owner)
+	if !homeServes {
+		// (A home-served object's reads ignore the hint, and at the home
+		// it names the writer that forwards go to.)
+		e.ProbOwner = int(reply.Owner)
+	}
 	// The reply's bytes are this node's alone: decoded for it (sim),
 	// re-owned out of the receive buffer (live), or a serve's fresh copy
 	// (a chase that came back here).
-	n.adoptObject(t.proc, e, reply.Data, vm.ProtRead)
+	n.adoptObject(p, e, reply.Data, vm.ProtRead)
 	if n.obs != nil {
-		n.obs.Event(obs.EvFetch, int64(t0), int64(t.proc.Now()-t0), uint64(e.Start), dst, int64(e.Size))
+		n.obs.Event(obs.EvFetch, int64(t0), int64(p.Now()-t0), uint64(e.Start), dst, int64(e.Size))
 		n.obs.Fetched(uint64(e.Start))
-	}
-	// Apply any updates that raced the fetch (writers whose flush saw the
-	// fault in progress and addressed this copy). Word diffs carry
-	// absolute values, so re-applying one the served data already
-	// contained is harmless.
-	if stash := n.fetchStash[e.Start]; len(stash) > 0 {
-		delete(n.fetchStash, e.Start)
-		for _, u := range stash {
-			n.applyUpdate(t.proc, e, u, -1)
-		}
 	}
 }
 
@@ -205,14 +244,31 @@ func (n *Node) serveRead(p rt.Proc, m wire.ReadReq) {
 		// very fault that is itself waiting on the chase.
 		data = n.stashedImage(e.Start)
 	}
+	req := int(m.Requester)
+	if e.Home == n.id && n.homeServes(e) {
+		// Every read of the object comes here. It waits while a writer's
+		// lookup is answered but its update or promise has not arrived,
+		// and while this home's own copy is in flight (fetchReadCopy
+		// serves it then). A home without a copy forwards to the last
+		// writer — after every promise, so that holder has every update —
+		// and registers the reader first, so every later lookup names it.
+		if !e.AwaitFrom.Empty() || (data == nil && e.Sem.Busy() && req != n.id) {
+			n.deferredReads[e.Start] = append(n.deferredReads[e.Start], m)
+			return
+		}
+		if data == nil && req != n.id {
+			e.Copyset = e.Copyset.Add(req)
+		}
+	}
 	if data == nil {
-		n.forward(p, e, m, int(m.Requester))
+		n.forward(p, e, m, req)
 		return
 	}
-	if !e.AwaitFrom.Empty() {
+	if !e.AwaitFrom.Empty() || n.installing(e) {
 		// A flushing writer's copyset query counted this copy and its
-		// update is still in flight: serving now would hand out data
-		// that predates that release. Defer until the update arrives.
+		// update is still in flight (or still merging into a fresh
+		// copy): serving now would hand out data that predates that
+		// release. Defer until the update is in.
 		n.deferredReads[e.Start] = append(n.deferredReads[e.Start], m)
 		return
 	}
@@ -221,7 +277,6 @@ func (n *Node) serveRead(p rt.Proc, m wire.ReadReq) {
 	// changes unexpectedly a runtime error is generated"). The adaptive
 	// runtime reads the violation as pattern drift instead: purge the
 	// locked copyset so the next flush re-determines it, and serve.
-	req := int(m.Requester)
 	if e.Params.StableSharing && e.CopysetKnown && !e.Copyset.Has(req) {
 		if n.adaptEng == nil {
 			fail(n.id, e.Start, "read serve",
@@ -263,9 +318,10 @@ func (n *Node) serveRead(p rt.Proc, m wire.ReadReq) {
 		return
 	}
 	n.send(p, req, wire.ReadReply{Addr: e.Start, Owner: uint8(owner), Data: data})
-	if n.sys.cfg.ExactCopyset && e.Home != n.id {
+	if n.homeDirected(e) && !n.homeServes(e) && e.Home != n.id {
 		// Keep the home's tracked copyset complete: it is the node the
-		// improved determination algorithm will ask (§3.3).
+		// improved determination algorithm will ask (§3.3). (A read the
+		// home forwarded here is registered there already.)
 		n.send(p, e.Home, wire.CopysetNotify{Addr: e.Start, Reader: uint8(req)})
 	}
 }

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"munin/internal/diffenc"
@@ -53,7 +55,10 @@ func (n *Node) flushEntries(t *Thread, entries []*directory.Entry) {
 
 	// Phase 2: encode each entry and assemble one batch per destination.
 	batches := make(map[int][]wire.UpdateEntry)
-	var invalidateDelayed []*directory.Entry
+	// promised lists the entries whose home holds its reads for this
+	// flush (homeServes) but is not among their destinations: each owes
+	// that home a promise, sent last (phase 3).
+	var promised, invalidateDelayed []*directory.Entry
 	asked := 0 // query is a subsequence of entries: walk it in step
 	for _, e := range entries {
 		queried := asked < len(query) && query[asked] == e
@@ -71,6 +76,9 @@ func (n *Node) flushEntries(t *Thread, entries []*directory.Entry) {
 			}
 		default:
 			dests = e.Copyset.Remove(n.id).Nodes(n.sys.Nodes())
+		}
+		if queried && n.homeServes(e) && e.Home != n.id && !e.Copyset.Has(e.Home) {
+			promised = append(promised, e)
 		}
 		if n.adaptEng != nil {
 			var cs directory.Copyset
@@ -110,11 +118,12 @@ func (n *Node) flushEntries(t *Thread, entries []*directory.Entry) {
 		n.retireTwin(e)
 		e.Modified = false
 		p.Advance(cost)
-		if !changed && queried && !n.sys.cfg.ExactCopyset {
+		if !changed && queried {
 			// Every node that answered this flush's broadcast query
-			// "held" is expecting an update (it defers read serves until
-			// it arrives — Entry.AwaitFrom). Deliver the promise even
-			// when the diff came out empty.
+			// "held", and a home that answered its lookup, may be
+			// expecting an update (it defers read serves until it
+			// arrives — Entry.AwaitFrom). Deliver the promise even when
+			// the diff came out empty.
 			entry = wire.UpdateEntry{Addr: e.Start, Size: uint32(e.Size)}
 			changed = true
 		}
@@ -162,6 +171,17 @@ func (n *Node) flushEntries(t *Thread, entries []*directory.Entry) {
 			n.await(p, c.fut)
 		}
 	}
+	// Promises go after every update has been sent (acknowledged, when
+	// flushes await acks): the home forwards the reads it held to a holder
+	// the moment a promise lands, so the holder must have this flush's
+	// update by then (see serveRead).
+	byHome(promised, func(home int, run []*directory.Entry) {
+		promises := make([]wire.UpdateEntry, len(run))
+		for i, e := range run {
+			promises[i] = wire.UpdateEntry{Addr: e.Start, Size: uint32(e.Size)}
+		}
+		n.send(p, home, wire.UpdateBatch{From: uint8(n.id), Entries: promises})
+	})
 
 	// Delayed invalidations (A1 ablation): invalidate remote copies at
 	// the release instead of updating them.
@@ -184,16 +204,64 @@ func (n *Node) flushEntries(t *Thread, entries []*directory.Entry) {
 	}
 }
 
+// byHome sorts entries by home node, stably, and calls fn once per home
+// with that home's run of them, in ascending home order.
+func byHome(entries []*directory.Entry, fn func(home int, run []*directory.Entry)) {
+	slices.SortStableFunc(entries, func(a, b *directory.Entry) int { return cmp.Compare(a.Home, b.Home) })
+	for i := 0; i < len(entries); {
+		j := i + 1
+		for j < len(entries) && entries[j].Home == entries[i].Home {
+			j++
+		}
+		fn(entries[i].Home, entries[i:j])
+		i = j
+	}
+}
+
+// homeDirected reports whether a release determines the entry's copyset by
+// asking its home — the improved algorithm of §3.3 — instead of by
+// broadcast: under Config.ExactCopyset, for the eager update protocols
+// (write_shared and producer_consumer, the ones the lazy engine would
+// otherwise manage). An invalidating flush keeps the broadcast.
+func (n *Node) homeDirected(e *directory.Entry) bool {
+	return n.sys.cfg.ExactCopyset && n.lrc == nil && lazyManaged(e)
+}
+
+// homeServes reports whether the entry's home serves every read of it:
+// home-directed objects whose sharing is not stable. The home is then the
+// one ordering point between a writer's lookup and a reader's copy: a
+// reader it registered before the lookup is in the writer's copyset, and
+// a read arriving after it waits at the home until the writer's update
+// (or, when the home holds no copy, its promise) is in. DESIGN.md
+// "Home-directed copysets" draws the two races this closes. Stable
+// objects keep their first determination and need neither.
+func (n *Node) homeServes(e *directory.Entry) bool {
+	return n.homeDirected(e) && !e.Params.StableSharing
+}
+
 // determineCopysets finds the remote copies of the given modified entries,
 // with the eager broadcast algorithm of §3.3 by default, or with the
-// improved home-directed algorithm when the system is configured for it.
-// Stable objects cache the result either way.
+// improved home-directed algorithm for the entries it covers when the
+// system is configured for it. Stable objects cache the result either way.
 func (n *Node) determineCopysets(t *Thread, entries []*directory.Entry) {
-	if n.sys.cfg.ExactCopyset {
-		n.determineCopysetsExact(t, entries)
+	if !n.sys.cfg.ExactCopyset {
+		n.determineCopysetsBroadcast(t, entries)
 		return
 	}
-	n.determineCopysetsBroadcast(t, entries)
+	var exact, bcast []*directory.Entry
+	for _, e := range entries {
+		if n.homeDirected(e) {
+			exact = append(exact, e)
+		} else {
+			bcast = append(bcast, e)
+		}
+	}
+	if len(exact) > 0 {
+		n.determineCopysetsExact(t, exact)
+	}
+	if len(bcast) > 0 {
+		n.determineCopysetsBroadcast(t, bcast)
+	}
 }
 
 // determineCopysetsBroadcast runs the prototype's dynamic copyset
@@ -219,37 +287,41 @@ func (n *Node) determineCopysetsBroadcast(t *Thread, entries []*directory.Entry)
 // determineCopysetsExact implements the improved algorithm of §3.3
 // ("uses the owner node to collect Copyset information"): ask each
 // modified object's home node for the copyset it tracks, two messages per
-// home instead of 2(N−1) per flush. The home learns of remotely-served
-// reads through CopysetNotify messages, so its view is complete for
-// stable patterns; if it overshoots (a node silently dropped its copy),
-// the spurious update is ignored at the receiver (StaleUpdates).
+// home instead of 2(N−1) per flush. The home registers every reader of a
+// homeServes object itself, and learns of stable objects' remotely served
+// reads through CopysetNotify messages; if its view overshoots (a node
+// silently dropped its copy), the spurious update is ignored at the
+// receiver (StaleUpdates).
 func (n *Node) determineCopysetsExact(t *Thread, entries []*directory.Entry) {
-	byHome := make(map[int][]vm.Addr)
-	holders := make(map[vm.Addr]directory.Copyset)
+	// An entry homed here needs no message: its directory entry already
+	// tracks every reader.
+	var remote []*directory.Entry
+	homes := 0
 	for _, e := range entries {
-		if e.Home == n.id {
-			// The home is flushing its own object: its directory entry
-			// already tracks every reader it served.
-			holders[e.Start] = e.Copyset
-			continue
+		if e.Home != n.id {
+			remote = append(remote, e)
 		}
-		byHome[e.Home] = append(byHome[e.Home], e.Start)
 	}
-	if len(byHome) > 0 {
-		homes := make([]int, 0, len(byHome))
-		for h := range byHome {
-			homes = append(homes, h)
+	if len(remote) > 0 {
+		// Count the homes first: the collector must know how many replies
+		// to expect before the first lookup leaves.
+		byHome(remote, func(int, []*directory.Entry) { homes++ })
+		c := n.newCollector(pendKey{pendDir, 0}, homes, "copyset-lookup")
+		c.lookup, c.sets = remote, make([]directory.Copyset, len(remote))
+		byHome(remote, func(home int, run []*directory.Entry) {
+			addrs := make([]vm.Addr, len(run))
+			for i, e := range run {
+				addrs[i] = e.Start
+			}
+			n.send(t.proc, home, wire.CopysetLookup{From: uint8(n.id), Addrs: addrs})
+		})
+		n.await(t.proc, c.fut)
+		for i, e := range remote {
+			e.Copyset = c.sets[i]
 		}
-		sort.Ints(homes)
-		c := n.newCollector(pendKey{pendDir, 0}, len(homes), "copyset-lookup")
-		c.holders = holders
-		for _, h := range homes {
-			n.send(t.proc, h, wire.CopysetLookup{From: uint8(n.id), Addrs: byHome[h]})
-		}
-		holders = n.await(t.proc, c.fut).(map[vm.Addr]directory.Copyset)
 	}
 	for _, e := range entries {
-		e.Copyset = holders[e.Start].Remove(n.id)
+		e.Copyset = e.Copyset.Remove(n.id)
 		if e.Params.StableSharing {
 			e.CopysetKnown = true
 		}
@@ -258,7 +330,11 @@ func (n *Node) determineCopysetsExact(t *Thread, entries []*directory.Entry) {
 
 // serveCopysetLookup answers an exact-copyset request from the home's
 // tracked directory state. The home includes itself when it holds a live
-// copy, and marks its backing stale — the requester is writing.
+// copy or a fault on the object is in flight here — as the broadcast
+// query counts one: the copy being fetched may predate the requester's
+// update, which parks in the fetch stash until the install. It marks its
+// backing stale (the requester is writing) and, for an object it serves,
+// holds reads until the requester's update or promise arrives.
 func (n *Node) serveCopysetLookup(p rt.Proc, m wire.CopysetLookup) {
 	sets := make([]directory.Copyset, len(m.Addrs))
 	for i, a := range m.Addrs {
@@ -267,13 +343,16 @@ func (n *Node) serveCopysetLookup(p rt.Proc, m wire.CopysetLookup) {
 			continue
 		}
 		cs := e.Copyset
-		if e.Valid {
+		if e.Valid || e.Sem.Busy() {
 			cs = cs.Add(n.id)
 		}
 		sets[i] = cs
 		if e.Home == n.id {
 			e.BackingStale = true
 			e.ProbOwner = int(m.From)
+			if n.homeServes(e) {
+				e.AwaitFrom = e.AwaitFrom.Add(int(m.From))
+			}
 		}
 	}
 	n.send(p, int(m.From), wire.CopysetInfo{Addrs: m.Addrs, Sets: sets})
@@ -370,16 +449,15 @@ func (n *Node) serveUpdateBatch(p rt.Proc, src int, m wire.UpdateBatch, borrowed
 		}
 		if n.puq != nil {
 			// Pending update queue (§6): buffer now, apply at the next
-			// synchronization point or local touch.
+			// synchronization point or local touch (a read serve drains
+			// the queue first).
 			n.queuePendingUpdate(u, borrowed)
-			continue
-		}
-		e.AwaitFrom = e.AwaitFrom.Remove(src)
-		if !e.Valid && e.Sem.Busy() {
+		} else if (!e.Valid && e.Sem.Busy()) || n.installing(e) {
 			// A local fault on the object is mid-flight: the copy being
 			// fetched must observe this update (the sender's copyset
 			// query counted the fault as a holder). Buffer until the
-			// install completes (Node.fetchStash).
+			// install completes (Node.fetchStash), behind the updates
+			// already buffered.
 			if borrowed {
 				u = wire.OwnEntry(u)
 			}
@@ -390,6 +468,10 @@ func (n *Node) serveUpdateBatch(p rt.Proc, src int, m wire.UpdateBatch, borrowed
 		} else {
 			n.applyUpdate(p, e, u, src)
 		}
+		// The promise is kept once the update is in: applyUpdate yields
+		// before it merges, and a read served meanwhile (by a local
+		// thread redispatching) must not see the copy without it.
+		e.AwaitFrom = e.AwaitFrom.Remove(src)
 		if e.AwaitFrom.Empty() {
 			n.redispatchReads(p, e.Start)
 		}
@@ -428,7 +510,7 @@ func (n *Node) applyUpdate(p rt.Proc, e *directory.Entry, u wire.UpdateEntry, sr
 		// materialized a copy yet: build it from the backing first.
 		if e.Home == n.id && e.Backing != nil && !e.BackingStale {
 			n.installObject(p, e, append([]byte(nil), e.Backing...), vm.ProtRead)
-		} else if n.sys.cfg.ExactCopyset {
+		} else if n.homeDirected(e) {
 			// The home-tracked copyset overshot: this node dropped its
 			// copy without the home learning of it. It holds nothing to
 			// keep consistent, so the update is safely ignored; a later

@@ -45,8 +45,12 @@ type collector struct {
 	got  int
 	fut  rt.Future
 	// holders accumulates, per object address, the nodes that reported a
-	// copy (copyset determination).
+	// copy (broadcast copyset determination); nil until the first report.
 	holders map[vm.Addr]directory.Copyset
+	// lookup lists the entries a home-directed determination asked about;
+	// sets[i] receives lookup[i]'s copyset from its home's reply.
+	lookup []*directory.Entry
+	sets   []directory.Copyset
 }
 
 func (c *collector) add() {
@@ -479,13 +483,20 @@ func (n *Node) dispatch(p rt.Proc, env network.Envelope) {
 // rpc registers a future under key, sends msg, and blocks t until the
 // reply completes it.
 func (n *Node) rpc(t *Thread, dst int, key pendKey, msg wire.Message) any {
+	f := n.expect(key, msg.Kind())
+	n.send(t.proc, dst, msg)
+	return n.await(t.proc, f)
+}
+
+// expect registers the future a reply of the given request kind completes
+// under key.
+func (n *Node) expect(key pendKey, k wire.Kind) rt.Future {
 	if _, ok := n.pending[key]; ok {
 		panic(fmt.Sprintf("core: node %d duplicate outstanding request %v", n.id, key))
 	}
-	f := n.sys.tr.NewFuture(n.id, n.rpcNames.name(n.id, msg.Kind()))
+	f := n.sys.tr.NewFuture(n.id, n.rpcNames.name(n.id, k))
 	n.pending[key] = f
-	n.send(t.proc, dst, msg)
-	return n.await(t.proc, f)
+	return f
 }
 
 // futureNames caches one node's RPC future names by message kind. Only a
@@ -522,9 +533,8 @@ func (n *Node) newCollector(key pendKey, need int, name string) *collector {
 		panic(fmt.Sprintf("core: node %d duplicate collector %v", n.id, key))
 	}
 	c := &collector{
-		need:    need,
-		fut:     n.sys.tr.NewFuture(n.id, fmt.Sprintf("collect[n%d %s]", n.id, name)),
-		holders: make(map[vm.Addr]directory.Copyset),
+		need: need,
+		fut:  n.sys.tr.NewFuture(n.id, fmt.Sprintf("collect[n%d %s]", n.id, name)),
 	}
 	n.collectors[key] = c
 	return c
@@ -550,8 +560,14 @@ func (n *Node) collectCopysetInfo(m wire.CopysetInfo) {
 		panic(fmt.Sprintf("core: node %d unexpected copyset info", n.id))
 	}
 	for i, a := range m.Addrs {
-		if i < len(m.Sets) {
-			c.holders[a] = c.holders[a].Union(m.Sets[i])
+		if i >= len(m.Sets) {
+			break
+		}
+		for k, e := range c.lookup {
+			if e.Start == a {
+				c.sets[k] = m.Sets[i]
+				break
+			}
 		}
 	}
 	c.add()
@@ -566,6 +582,9 @@ func (n *Node) collectCopyset(src int, m wire.CopysetReply) {
 	c, ok := n.collectors[key]
 	if !ok {
 		panic(fmt.Sprintf("core: node %d unexpected copyset reply", n.id))
+	}
+	if c.holders == nil && len(m.Addrs) > 0 {
+		c.holders = make(map[vm.Addr]directory.Copyset)
 	}
 	for _, a := range m.Addrs {
 		c.holders[a] = c.holders[a].Add(src)

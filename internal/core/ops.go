@@ -243,7 +243,11 @@ func (n *Node) servePhaseChange(m wire.PhaseChange) {
 // purgeSharing resets copyset knowledge; p may be nil in dispatcher
 // context where protection cost is charged to the dispatcher elsewhere.
 func (n *Node) purgeSharing(p rt.Proc, e *directory.Entry) {
-	e.Copyset = directory.Copyset{}
+	if e.Home != n.id || !n.homeDirected(e) {
+		// (A home-directed object's home keeps its copyset: it records
+		// who holds a copy, not a determination to redo.)
+		e.Copyset = directory.Copyset{}
+	}
 	e.CopysetKnown = false
 	if e.Valid && e.Writable && !e.Enqueued {
 		// Privatized page: make it fault (and twin) again.

@@ -56,8 +56,13 @@ type Config struct {
 	// ExactCopyset selects the improved copyset-determination algorithm
 	// of §3.3 — "an improved algorithm that uses the owner node to
 	// collect Copyset information" which the prototype devised but never
-	// implemented: a release asks each modified object's home for its
-	// tracked copyset instead of broadcasting to every node (ablation A4).
+	// implemented: a release asks each modified update-protocol object's
+	// home for its tracked copyset instead of broadcasting to every node,
+	// and the home of a write_shared object serves all of its reads
+	// (homeServes). NewSystem turns it on for eager, non-adaptive runs on
+	// the live transports (exactByDefault); on the simulator it stays the
+	// ablation A4 opt-in, so the paper tables keep the prototype's
+	// broadcast. Mutually exclusive with Adaptive.
 	ExactCopyset bool
 	// PendingUpdates enables the pending update queue of §6's future
 	// work: incoming updates are buffered at the receiver and applied at
@@ -203,6 +208,15 @@ func stripeHome(addr vm.Addr, pageSize, procs int) int {
 	return int(uint32(addr) / uint32(pageSize) % uint32(procs))
 }
 
+// exactByDefault reports whether a run determines copysets at the homes
+// without being asked to: eager, non-adaptive runs on a live transport.
+// The simulator keeps the prototype's broadcast, so the paper tables stay
+// the prototype's; the lazy engine determines no copysets; the adaptive
+// engine does not compose with home-directed ones.
+func exactByDefault(transport string, lazy, adaptive bool) bool {
+	return transport != "sim" && !lazy && !adaptive
+}
+
 // NewSystem builds a machine from declarations. Each object's home node
 // holds its backing store (node 0 for everything under the default root
 // home policy); other nodes start with empty directories and fault
@@ -233,6 +247,9 @@ func NewSystem(cfg Config, decls []Decl, locks []LockDecl, barriers []BarrierDec
 	if cfg.Lazy && cfg.Adaptive {
 		panic("core: the lazy consistency engine does not compose with the adaptive protocol engine")
 	}
+	if cfg.ExactCopyset && cfg.Adaptive {
+		panic("core: home-directed copysets do not compose with the adaptive protocol engine")
+	}
 	if cfg.PageSize == 0 {
 		cfg.PageSize = vm.DefaultPageSize
 	}
@@ -258,6 +275,12 @@ func NewSystem(cfg Config, decls []Decl, locks []LockDecl, barriers []BarrierDec
 		// Release consistency then needs flushes to block until their
 		// updates are acknowledged (see the AwaitUpdateAcks comment above).
 		cfg.AwaitUpdateAcks = true
+	}
+	if exactByDefault(cfg.Transport.Name(), cfg.Lazy, cfg.Adaptive) {
+		// A live eager release asks each home for its copyset instead of
+		// broadcasting a query to every node (see the ExactCopyset
+		// comment above).
+		cfg.ExactCopyset = true
 	}
 	s := &System{
 		cfg:      cfg,

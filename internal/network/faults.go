@@ -40,6 +40,11 @@ type Faults struct {
 	// transport-level error-path tests; a full protocol run under
 	// reordering needs Config.AwaitUpdateAcks to stay consistent.
 	ReorderSeed int64
+	// ReorderSpan bounds the simulator's delivery jitter in multiples of
+	// the modeled wire latency; 0 means 8. Wider spans let a message
+	// overtake whole exchanges of other senders, not just their last
+	// message.
+	ReorderSpan int64
 
 	dropped   atomic.Int64
 	reordered atomic.Int64
@@ -92,6 +97,14 @@ func (f *Faults) Jitter(n int64) int64 {
 		f.rng = rand.New(rand.NewSource(f.ReorderSeed))
 	}
 	return f.rng.Int63n(n)
+}
+
+// span returns the jitter bound in wire latencies (ReorderSpan, default 8).
+func (f *Faults) span() int64 {
+	if f.ReorderSpan > 0 {
+		return f.ReorderSpan
+	}
+	return 8
 }
 
 // CountReorder records one perturbed delivery.

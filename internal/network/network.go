@@ -215,7 +215,7 @@ func (nw *Network) Send(p *sim.Proc, src, dst int, msg wire.Message) {
 		// Fault-injected reordering: jitter the delivery so messages
 		// from other senders can overtake, but never behind this pair's
 		// previous delivery (per-pair FIFO always holds).
-		if j := nw.Faults.Jitter(int64(nw.cost.WireLatency) * 8); j > 0 {
+		if j := nw.Faults.Jitter(int64(nw.cost.WireLatency) * nw.Faults.span()); j > 0 {
 			deliver += sim.Time(j)
 			nw.Faults.CountReorder()
 		}

@@ -111,8 +111,12 @@ func WithAdaptive() RunOption {
 }
 
 // WithExactCopyset selects the improved home-directed copyset
-// determination algorithm of §3.3 instead of the prototype's broadcast
-// (ablation A4 in DESIGN.md).
+// determination algorithm of §3.3 instead of the prototype's broadcast: a
+// release asks each written object's home for its copyset, and the home of
+// a write_shared object serves all of its reads. On the live transports
+// ("chan", "mux") it is already the default for eager runs without the
+// adaptive engine; on the simulator it is the opt-in of ablation A4 in
+// DESIGN.md. It cannot be combined with WithAdaptive.
 func WithExactCopyset() RunOption {
 	return func(c *runConfig) { c.ExactCopyset = true }
 }
@@ -193,6 +197,9 @@ func (p *Program) resolve(opts []RunOption) (runConfig, error) {
 	}
 	if cfg.consistency == LazyRC && cfg.Adaptive {
 		return cfg, fmt.Errorf("munin: the lazy consistency engine does not compose with the adaptive protocol engine (an online annotation switch would change an object's engine membership mid-interval)")
+	}
+	if cfg.ExactCopyset && cfg.Adaptive {
+		return cfg, fmt.Errorf("munin: home-directed copysets (WithExactCopyset) do not compose with the adaptive protocol engine (an online annotation switch drops copies the home still counts)")
 	}
 	if cfg.Model == (model.CostModel{}) {
 		cfg.Model = model.Default()
