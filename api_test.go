@@ -74,6 +74,16 @@ func TestConfigValidationErrors(t *testing.T) {
 	t.Run("ExactCopysetWithAdaptive", func(t *testing.T) {
 		expectRunError(t, "adaptive", NewProgram(2), WithExactCopyset(), WithAdaptive())
 	})
+	t.Run("SimulatorOnlyOnLiveTransport", func(t *testing.T) {
+		p := NewProgram(2)
+		p.SimulatorOnly("timing-dependent")
+		for _, tr := range []string{TransportChan, TransportMux} {
+			expectRunError(t, "timing-dependent", p, WithTransport(tr))
+		}
+		if _, err := p.Run(context.Background(), func(root *Thread) {}); err != nil {
+			t.Errorf("simulator run refused: %v", err)
+		}
+	})
 	t.Run("SixteenProcessorsOK", func(t *testing.T) {
 		if _, err := NewProgram(16).Run(context.Background(), func(root *Thread) {}); err != nil {
 			t.Errorf("16 processors rejected: %v", err)
@@ -304,6 +314,51 @@ func TestExactCopysetIsTheLiveDefault(t *testing.T) {
 		}
 		if !c.exact && (queries == 0 || lookups != 0) {
 			t.Errorf("%s: %d queries, %d lookups; want the broadcast only", c.name, queries, lookups)
+		}
+	}
+}
+
+// TestExactCopysetLockGrantCarriesNoCopy: a write_shared variable
+// associated with a lock does not ride the lock's grants under
+// home-directed copysets. A copy installed from a grant is one its home
+// never handed out, so no later writer's lookup would name it: here node
+// 1's write outside the lock would never reach node 2, which would read
+// its grant-time copy.
+func TestExactCopysetLockGrantCarriesNoCopy(t *testing.T) {
+	p := NewProgram(3)
+	l := p.CreateLock()
+	x := DeclareVar[uint32](p, "x", WriteShared, WithLock(l))
+	bar := p.CreateBarrier(3)
+	for _, c := range []struct {
+		name string
+		opt  RunOption
+	}{
+		{"sim+exact", WithExactCopyset()},
+		{"chan", WithTransport(TransportChan)},
+		{"mux", WithTransport(TransportMux)},
+	} {
+		var got uint32
+		_, err := p.Run(context.Background(), func(root *Thread) {
+			root.Spawn(1, "writer", func(th *Thread) {
+				bar.Wait(th)
+				x.Set(th, 42) // outside the lock
+				bar.Wait(th)
+			})
+			root.Spawn(2, "acquirer", func(th *Thread) {
+				l.Acquire(th) // the grant comes from node 0, x's home
+				l.Release(th)
+				bar.Wait(th)
+				bar.Wait(th)
+				got = x.Get(th)
+			})
+			bar.Wait(root)
+			bar.Wait(root)
+		}, c.opt)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if got != 42 {
+			t.Errorf("%s: node 2 reads %d after the barrier, want node 1's 42", c.name, got)
 		}
 	}
 }

@@ -187,11 +187,7 @@ func TestTransportTSP(t *testing.T) {
 
 // TestSORRefusesLiveTransportWithoutPhaseBarrier: a SOR App built
 // without the phase barrier is chaotic relaxation on a live transport;
-// the run must fail loudly instead of reporting a diverged grid. Either
-// the App refuses the result, or — when a neighbour's first read races
-// its writer's first release, which the live default's home-directed
-// copysets do not paper over — the runtime itself reports the broken
-// producer_consumer sharing pattern.
+// the run must fail loudly instead of reporting a diverged grid.
 func TestSORRefusesLiveTransportWithoutPhaseBarrier(t *testing.T) {
 	app, err := NewSOR(SORConfig{Procs: 4, Rows: 24, Cols: 64, Iters: 3})
 	if err != nil {
@@ -199,9 +195,8 @@ func TestSORRefusesLiveTransportWithoutPhaseBarrier(t *testing.T) {
 	}
 	if _, err := app.Run(context.Background(), munin.WithTransport("chan")); err == nil {
 		t.Fatal("barrier-less SOR ran on chan without an error")
-	} else if !strings.Contains(err.Error(), "phase barrier") &&
-		!strings.Contains(err.Error(), "violates the determined stable sharing pattern") {
-		t.Fatalf("err = %v, want the phase-barrier explanation or the sharing violation", err)
+	} else if !strings.Contains(err.Error(), "phase barrier") {
+		t.Fatalf("err = %v, want the phase-barrier explanation", err)
 	}
 	// The same App on the simulator stays valid.
 	if _, err := app.Run(context.Background()); err != nil {

@@ -81,8 +81,7 @@ func (o AblationOpts) withDefaults() AblationOpts {
 // copysetTraffic sums the copyset-determination messages of a run.
 func copysetTraffic(r apps.RunResult) int {
 	return r.PerKind[wire.KindCopysetQuery] + r.PerKind[wire.KindCopysetReply] +
-		r.PerKind[wire.KindCopysetLookup] + r.PerKind[wire.KindCopysetInfo] +
-		r.PerKind[wire.KindCopysetNotify]
+		r.PerKind[wire.KindCopysetLookup] + r.PerKind[wire.KindCopysetInfo]
 }
 
 // RunAblationA1 quantifies update-versus-invalidate propagation for

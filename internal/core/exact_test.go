@@ -11,19 +11,23 @@ import (
 	"munin/internal/wire"
 )
 
-// staggeredSharing runs procs nodes on pages write_shared pages for rounds
+// staggeredSharing runs procs nodes on pages shared pages for rounds
 // barrier-separated rounds. Node w joins at round join(w): from then on it
 // writes its own word of every page each round and, after a barrier,
-// reads every joined node's word. Late joiners fault their first copy in
-// while other nodes' releases are in flight — the reads that race a
-// copyset lookup. It returns the first stale value a node read.
-func staggeredSharing(t *testing.T, tr rt.Transport, procs, pages, rounds int, cfg Config) error {
+// reads every joined node's word. Under write_shared, late joiners fault
+// their first copy in while other nodes' releases are in flight — the
+// reads that race a copyset lookup. A stable annotation admits no reader
+// after a writer's first determination, so there every node reads every
+// page in before the first round, and only the writers join late. It
+// returns the first stale value a node read.
+func staggeredSharing(t *testing.T, tr rt.Transport, annot protocol.Annotation, procs, pages, rounds int, cfg Config) error {
 	t.Helper()
 	join := func(w int) int { return (4 - w%5) % 5 }
 	value := func(r, pg, w int) uint32 { return uint32(r*10000 + pg*100 + w + 1) }
+	stable := annot.Params().StableSharing
 	decls := make([]Decl, pages)
 	for pg := range decls {
-		decls[pg] = Decl{Name: fmt.Sprintf("p%d", pg), Start: page(pg), Size: vm.DefaultPageSize, Annot: protocol.WriteShared, Synchq: -1}
+		decls[pg] = Decl{Name: fmt.Sprintf("p%d", pg), Start: page(pg), Size: vm.DefaultPageSize, Annot: annot, Synchq: -1}
 	}
 	cfg.Processors, cfg.Transport = procs, tr
 	sys := NewSystem(cfg, decls, nil, []BarrierDecl{{ID: 1, Home: 0, Expected: procs + 1}})
@@ -32,6 +36,12 @@ func staggeredSharing(t *testing.T, tr rt.Transport, procs, pages, rounds int, c
 		for w := 0; w < procs; w++ {
 			w := w
 			root.Spawn(w, "sharer", func(th *Thread) {
+				if stable {
+					for pg := 0; pg < pages; pg++ {
+						_ = th.ReadWord(page(pg))
+					}
+					th.WaitAtBarrier(1)
+				}
 				for r := 0; r < rounds; r++ {
 					if r >= join(w) {
 						for pg := 0; pg < pages; pg++ {
@@ -39,7 +49,7 @@ func staggeredSharing(t *testing.T, tr rt.Transport, procs, pages, rounds int, c
 						}
 					}
 					th.WaitAtBarrier(1)
-					if r >= join(w) {
+					if r >= join(w) || stable {
 						for pg := 0; pg < pages; pg++ {
 							for q := 0; q < procs; q++ {
 								if r < join(q) {
@@ -56,7 +66,11 @@ func staggeredSharing(t *testing.T, tr rt.Transport, procs, pages, rounds int, c
 				}
 			})
 		}
-		for i := 0; i < 2*rounds; i++ {
+		barriers := 2 * rounds
+		if stable {
+			barriers++
+		}
+		for i := 0; i < barriers; i++ {
 			root.WaitAtBarrier(1)
 		}
 	})
@@ -72,7 +86,7 @@ func staggeredSharing(t *testing.T, tr rt.Transport, procs, pages, rounds int, c
 func TestExactCopysetStaggeredSharing(t *testing.T) {
 	for _, name := range []string{"sim", "chan", "mux"} {
 		for _, procs := range []int{4, 8} {
-			if err := staggeredSharing(t, transportFor(t, name, procs), procs, 2, 6, Config{ExactCopyset: true}); err != nil {
+			if err := staggeredSharing(t, transportFor(t, name, procs), protocol.WriteShared, procs, 2, 6, Config{ExactCopyset: true}); err != nil {
 				t.Errorf("%s procs=%d: %v", name, procs, err)
 			}
 		}
@@ -85,13 +99,16 @@ func TestExactCopysetStaggeredSharing(t *testing.T) {
 // forwarded to. Acknowledged flushes are what release consistency needs
 // under reordering; the home-directed algorithm additionally needs every
 // promise to leave after the flush's acknowledgements (flushEntries).
+// producer_consumer objects take the same home-served path.
 func TestExactCopysetUnderReordering(t *testing.T) {
-	for _, span := range []int64{8, 500, 3000} {
-		for seed := int64(1); seed <= 40; seed++ {
-			tr := transportFor(t, "sim", 8)
-			tr.SetFaults(&rt.Faults{ReorderSeed: seed, ReorderSpan: span})
-			if err := staggeredSharing(t, tr, 8, 2, 6, Config{ExactCopyset: true, AwaitUpdateAcks: true}); err != nil {
-				t.Errorf("span x%d seed %d: %v", span, seed, err)
+	for _, annot := range []protocol.Annotation{protocol.WriteShared, protocol.ProducerConsumer} {
+		for _, span := range []int64{8, 500, 3000} {
+			for seed := int64(1); seed <= 40; seed++ {
+				tr := transportFor(t, "sim", 8)
+				tr.SetFaults(&rt.Faults{ReorderSeed: seed, ReorderSpan: span})
+				if err := staggeredSharing(t, tr, annot, 8, 2, 6, Config{ExactCopyset: true, AwaitUpdateAcks: true}); err != nil {
+					t.Errorf("%v span x%d seed %d: %v", annot, span, seed, err)
+				}
 			}
 		}
 	}

@@ -147,8 +147,8 @@ func (n *Node) writeMiss(t *Thread, e *directory.Entry) {
 }
 
 // fetchReadCopy replicates the object locally with read access by asking
-// the probable owner (forwarded as needed), or the home for an object the
-// home serves (homeServes).
+// the probable owner (forwarded as needed), or the home for a home-directed
+// object.
 func (n *Node) fetchReadCopy(t *Thread, e *directory.Entry, prefetch bool) {
 	p := t.proc
 	if e.Home == n.id && !e.BackingStale && e.Backing != nil {
@@ -191,7 +191,7 @@ func (n *Node) installing(e *directory.Entry) bool {
 func (n *Node) fetchRemoteCopy(t *Thread, e *directory.Entry, prefetch bool) {
 	p := t.proc
 	n.ReadMisses++
-	homeServes := n.homeServes(e)
+	homeServes := n.homeDirected(e)
 	dst := e.ProbOwner
 	if dst == n.id || homeServes {
 		dst = e.Home
@@ -245,7 +245,7 @@ func (n *Node) serveRead(p rt.Proc, m wire.ReadReq) {
 		data = n.stashedImage(e.Start)
 	}
 	req := int(m.Requester)
-	if e.Home == n.id && n.homeServes(e) {
+	if e.Home == n.id && n.homeDirected(e) {
 		// Every read of the object comes here. It waits while a writer's
 		// lookup is answered but its update or promise has not arrived,
 		// and while this home's own copy is in flight (fetchReadCopy
@@ -318,12 +318,6 @@ func (n *Node) serveRead(p rt.Proc, m wire.ReadReq) {
 		return
 	}
 	n.send(p, req, wire.ReadReply{Addr: e.Start, Owner: uint8(owner), Data: data})
-	if n.homeDirected(e) && !n.homeServes(e) && e.Home != n.id {
-		// Keep the home's tracked copyset complete: it is the node the
-		// improved determination algorithm will ask (§3.3). (A read the
-		// home forwarded here is registered there already.)
-		n.send(p, e.Home, wire.CopysetNotify{Addr: e.Start, Reader: uint8(req)})
-	}
 }
 
 // migrate moves a migratory object here with read+write access,

@@ -55,9 +55,9 @@ func (n *Node) flushEntries(t *Thread, entries []*directory.Entry) {
 
 	// Phase 2: encode each entry and assemble one batch per destination.
 	batches := make(map[int][]wire.UpdateEntry)
-	// promised lists the entries whose home holds its reads for this
-	// flush (homeServes) but is not among their destinations: each owes
-	// that home a promise, sent last (phase 3).
+	// promised lists the home-directed entries whose home holds its reads
+	// for this flush but is not among their destinations: each owes that
+	// home a promise, sent last (phase 3).
 	var promised, invalidateDelayed []*directory.Entry
 	asked := 0 // query is a subsequence of entries: walk it in step
 	for _, e := range entries {
@@ -77,7 +77,7 @@ func (n *Node) flushEntries(t *Thread, entries []*directory.Entry) {
 		default:
 			dests = e.Copyset.Remove(n.id).Nodes(n.sys.Nodes())
 		}
-		if queried && n.homeServes(e) && e.Home != n.id && !e.Copyset.Has(e.Home) {
+		if queried && n.homeDirected(e) && e.Home != n.id && !e.Copyset.Has(e.Home) {
 			promised = append(promised, e)
 		}
 		if n.adaptEng != nil {
@@ -175,13 +175,13 @@ func (n *Node) flushEntries(t *Thread, entries []*directory.Entry) {
 	// flushes await acks): the home forwards the reads it held to a holder
 	// the moment a promise lands, so the holder must have this flush's
 	// update by then (see serveRead).
-	byHome(promised, func(home int, run []*directory.Entry) {
+	for _, run := range homeRuns(promised) {
 		promises := make([]wire.UpdateEntry, len(run))
 		for i, e := range run {
 			promises[i] = wire.UpdateEntry{Addr: e.Start, Size: uint32(e.Size)}
 		}
-		n.send(p, home, wire.UpdateBatch{From: uint8(n.id), Entries: promises})
-	})
+		n.send(p, run[0].Home, wire.UpdateBatch{From: uint8(n.id), Entries: promises})
+	}
 
 	// Delayed invalidations (A1 ablation): invalidate remote copies at
 	// the release instead of updating them.
@@ -204,18 +204,20 @@ func (n *Node) flushEntries(t *Thread, entries []*directory.Entry) {
 	}
 }
 
-// byHome sorts entries by home node, stably, and calls fn once per home
-// with that home's run of them, in ascending home order.
-func byHome(entries []*directory.Entry, fn func(home int, run []*directory.Entry)) {
+// homeRuns sorts entries by home node, stably, and splits them into one
+// run per home, in ascending home order.
+func homeRuns(entries []*directory.Entry) [][]*directory.Entry {
 	slices.SortStableFunc(entries, func(a, b *directory.Entry) int { return cmp.Compare(a.Home, b.Home) })
+	var runs [][]*directory.Entry
 	for i := 0; i < len(entries); {
 		j := i + 1
 		for j < len(entries) && entries[j].Home == entries[i].Home {
 			j++
 		}
-		fn(entries[i].Home, entries[i:j])
+		runs = append(runs, entries[i:j])
 		i = j
 	}
+	return runs
 }
 
 // homeDirected reports whether a release determines the entry's copyset by
@@ -223,20 +225,15 @@ func byHome(entries []*directory.Entry, fn func(home int, run []*directory.Entry
 // broadcast: under Config.ExactCopyset, for the eager update protocols
 // (write_shared and producer_consumer, the ones the lazy engine would
 // otherwise manage). An invalidating flush keeps the broadcast.
+//
+// The home of such an object serves every read of it, so it is the one
+// ordering point between a writer's lookup and a reader's copy: a reader
+// it registered before the lookup is in the writer's copyset, and a read
+// arriving after it waits at the home until the writer's update (or, when
+// the home holds no copy, its promise) is in. DESIGN.md "Home-directed
+// copysets" draws the two races this closes.
 func (n *Node) homeDirected(e *directory.Entry) bool {
 	return n.sys.cfg.ExactCopyset && n.lrc == nil && lazyManaged(e)
-}
-
-// homeServes reports whether the entry's home serves every read of it:
-// home-directed objects whose sharing is not stable. The home is then the
-// one ordering point between a writer's lookup and a reader's copy: a
-// reader it registered before the lookup is in the writer's copyset, and
-// a read arriving after it waits at the home until the writer's update
-// (or, when the home holds no copy, its promise) is in. DESIGN.md
-// "Home-directed copysets" draws the two races this closes. Stable
-// objects keep their first determination and need neither.
-func (n *Node) homeServes(e *directory.Entry) bool {
-	return n.homeDirected(e) && !e.Params.StableSharing
 }
 
 // determineCopysets finds the remote copies of the given modified entries,
@@ -287,34 +284,34 @@ func (n *Node) determineCopysetsBroadcast(t *Thread, entries []*directory.Entry)
 // determineCopysetsExact implements the improved algorithm of §3.3
 // ("uses the owner node to collect Copyset information"): ask each
 // modified object's home node for the copyset it tracks, two messages per
-// home instead of 2(N−1) per flush. The home registers every reader of a
-// homeServes object itself, and learns of stable objects' remotely served
-// reads through CopysetNotify messages; if its view overshoots (a node
-// silently dropped its copy), the spurious update is ignored at the
-// receiver (StaleUpdates).
+// home instead of 2(N−1) per flush. The home serves, and so registers,
+// every reader itself; if its view overshoots (a node silently dropped its
+// copy), the spurious update is ignored at the receiver (StaleUpdates).
 func (n *Node) determineCopysetsExact(t *Thread, entries []*directory.Entry) {
 	// An entry homed here needs no message: its directory entry already
 	// tracks every reader.
 	var remote []*directory.Entry
-	homes := 0
 	for _, e := range entries {
 		if e.Home != n.id {
 			remote = append(remote, e)
 		}
 	}
 	if len(remote) > 0 {
-		// Count the homes first: the collector must know how many replies
-		// to expect before the first lookup leaves.
-		byHome(remote, func(int, []*directory.Entry) { homes++ })
-		c := n.newCollector(pendKey{pendDir, 0}, homes, "copyset-lookup")
-		c.lookup, c.sets = remote, make([]directory.Copyset, len(remote))
-		byHome(remote, func(home int, run []*directory.Entry) {
+		runs := homeRuns(remote)
+		c := n.newCollector(pendKey{pendDir, 0}, len(runs), "copyset-lookup")
+		c.sets, c.at = make([]directory.Copyset, len(remote)), make([]int, n.sys.Nodes())
+		off := 0
+		for _, run := range runs {
+			// A home answers in the order it was asked: its reply lands at
+			// its run's offset in remote (collectCopysetInfo).
+			c.at[run[0].Home] = off
+			off += len(run)
 			addrs := make([]vm.Addr, len(run))
 			for i, e := range run {
 				addrs[i] = e.Start
 			}
-			n.send(t.proc, home, wire.CopysetLookup{From: uint8(n.id), Addrs: addrs})
-		})
+			n.send(t.proc, run[0].Home, wire.CopysetLookup{From: uint8(n.id), Addrs: addrs})
+		}
 		n.await(t.proc, c.fut)
 		for i, e := range remote {
 			e.Copyset = c.sets[i]
@@ -333,8 +330,8 @@ func (n *Node) determineCopysetsExact(t *Thread, entries []*directory.Entry) {
 // copy or a fault on the object is in flight here — as the broadcast
 // query counts one: the copy being fetched may predate the requester's
 // update, which parks in the fetch stash until the install. It marks its
-// backing stale (the requester is writing) and, for an object it serves,
-// holds reads until the requester's update or promise arrives.
+// backing stale (the requester is writing) and holds reads until the
+// requester's update or promise arrives.
 func (n *Node) serveCopysetLookup(p rt.Proc, m wire.CopysetLookup) {
 	sets := make([]directory.Copyset, len(m.Addrs))
 	for i, a := range m.Addrs {
@@ -350,20 +347,10 @@ func (n *Node) serveCopysetLookup(p rt.Proc, m wire.CopysetLookup) {
 		if e.Home == n.id {
 			e.BackingStale = true
 			e.ProbOwner = int(m.From)
-			if n.homeServes(e) {
-				e.AwaitFrom = e.AwaitFrom.Add(int(m.From))
-			}
+			e.AwaitFrom = e.AwaitFrom.Add(int(m.From))
 		}
 	}
 	n.send(p, int(m.From), wire.CopysetInfo{Addrs: m.Addrs, Sets: sets})
-}
-
-// serveCopysetNotify records at the home that Reader obtained a copy from
-// some other node, keeping the exact-copyset view complete.
-func (n *Node) serveCopysetNotify(m wire.CopysetNotify) {
-	if e, ok := n.dir.Lookup(m.Addr); ok {
-		e.Copyset = e.Copyset.Add(int(m.Reader))
-	}
 }
 
 // serveCopysetQuery reports which of the queried objects this node holds a

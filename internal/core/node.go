@@ -47,10 +47,10 @@ type collector struct {
 	// holders accumulates, per object address, the nodes that reported a
 	// copy (broadcast copyset determination); nil until the first report.
 	holders map[vm.Addr]directory.Copyset
-	// lookup lists the entries a home-directed determination asked about;
-	// sets[i] receives lookup[i]'s copyset from its home's reply.
-	lookup []*directory.Entry
-	sets   []directory.Copyset
+	// sets receives a home-directed determination's copysets, one per
+	// entry asked about; at[h] is where home h's answers start.
+	sets []directory.Copyset
+	at   []int
 }
 
 func (c *collector) add() {
@@ -415,8 +415,6 @@ func (n *Node) dispatch(p rt.Proc, env network.Envelope) {
 		n.serveChangeAnnot(m)
 	case wire.CopysetLookup:
 		n.serveCopysetLookup(p, m)
-	case wire.CopysetNotify:
-		n.serveCopysetNotify(m)
 	case wire.OwnNotify:
 		n.serveOwnNotify(p, m)
 	case wire.AdaptPropose:
@@ -470,7 +468,7 @@ func (n *Node) dispatch(p rt.Proc, env network.Envelope) {
 	case wire.CopysetReply:
 		n.collectCopyset(env.Src, m)
 	case wire.CopysetInfo:
-		n.collectCopysetInfo(m)
+		n.collectCopysetInfo(env.Src, m)
 	case wire.InvalidateAck:
 		n.collect(pendKey{pendOwn, uint64(m.Addr)})
 	case wire.UpdateAck:
@@ -552,24 +550,14 @@ func (n *Node) collect(key pendKey) {
 	}
 }
 
-// collectCopysetInfo merges a home's exact-copyset reply.
-func (n *Node) collectCopysetInfo(m wire.CopysetInfo) {
+// collectCopysetInfo files home src's exact-copyset reply.
+func (n *Node) collectCopysetInfo(src int, m wire.CopysetInfo) {
 	key := pendKey{pendDir, 0}
 	c, ok := n.collectors[key]
 	if !ok {
 		panic(fmt.Sprintf("core: node %d unexpected copyset info", n.id))
 	}
-	for i, a := range m.Addrs {
-		if i >= len(m.Sets) {
-			break
-		}
-		for k, e := range c.lookup {
-			if e.Start == a {
-				c.sets[k] = m.Sets[i]
-				break
-			}
-		}
-	}
+	copy(c.sets[c.at[src]:], m.Sets)
 	c.add()
 	if c.got == c.need {
 		delete(n.collectors, key)

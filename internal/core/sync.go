@@ -254,10 +254,12 @@ func (n *Node) lockPiggyback(p rt.Proc, se *directory.SynchEntry) []wire.UpdateE
 		if !ok {
 			continue
 		}
-		if n.lazy(e) {
+		if n.lazy(e) || n.homeDirected(e) {
 			// Lazily managed associates travel as write notices on the
 			// grant itself; piggybacking a full image would bypass the
-			// interval bookkeeping.
+			// interval bookkeeping. A home-directed object's copies are
+			// the ones its home handed out: a copy arriving on a grant
+			// would be one no later writer's lookup names.
 			continue
 		}
 		n.drainPendingObject(p, e.Start)

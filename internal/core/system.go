@@ -58,8 +58,8 @@ type Config struct {
 	// collect Copyset information" which the prototype devised but never
 	// implemented: a release asks each modified update-protocol object's
 	// home for its tracked copyset instead of broadcasting to every node,
-	// and the home of a write_shared object serves all of its reads
-	// (homeServes). NewSystem turns it on for eager, non-adaptive runs on
+	// and the home of such an object serves all of its reads
+	// (homeDirected). NewSystem turns it on for eager, non-adaptive runs on
 	// the live transports (exactByDefault); on the simulator it stays the
 	// ablation A4 opt-in, so the paper tables keep the prototype's
 	// broadcast. Mutually exclusive with Adaptive.

@@ -403,9 +403,11 @@ type CopysetInfo struct {
 	Sets  []nodeset.Set
 }
 
-// CopysetNotify tells an object's home that Reader obtained a copy from a
-// node other than the home, keeping the home's tracked copyset complete
-// under the exact-copyset algorithm.
+// CopysetNotify told an object's home that Reader obtained a copy from a
+// node other than the home, under the exact-copyset algorithm. No node
+// sends it now — the home serves every home-directed read itself — but
+// the kind keeps its number and codec, so kind-indexed tables are
+// unchanged.
 type CopysetNotify struct {
 	Addr   vm.Addr
 	Reader uint8

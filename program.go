@@ -31,6 +31,9 @@ type Program struct {
 	// initialization never rescan the whole declaration table.
 	byBase  map[vm.Addr][]vm.Addr
 	declIdx map[vm.Addr]int
+	// simOnly, when set, is why the program's result is defined only on
+	// the simulator (SimulatorOnly).
+	simOnly string
 	sealed  atomic.Bool
 }
 
@@ -50,6 +53,17 @@ func NewProgram(processors int) *Program {
 
 // Processors returns the program's default processor count.
 func (p *Program) Processors() int { return p.procs }
+
+// SimulatorOnly marks a program whose result is defined only under the
+// simulator's deterministic cost model — one that relies on modeled timing
+// instead of synchronization. Run then refuses the live transports with a
+// configuration error that gives why, before any node starts.
+func (p *Program) SimulatorOnly(why string) {
+	if p.sealed.Load() {
+		panic("munin: SimulatorOnly after Run")
+	}
+	p.simOnly = why
+}
 
 // DeclOption adjusts a shared variable declaration.
 type DeclOption func(*declSpec)

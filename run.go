@@ -113,7 +113,8 @@ func WithAdaptive() RunOption {
 // WithExactCopyset selects the improved home-directed copyset
 // determination algorithm of §3.3 instead of the prototype's broadcast: a
 // release asks each written object's home for its copyset, and the home of
-// a write_shared object serves all of its reads. On the live transports
+// a write_shared or producer_consumer object serves all of its reads (lock
+// grants do not carry such objects). On the live transports
 // ("chan", "mux") it is already the default for eager runs without the
 // adaptive engine; on the simulator it is the opt-in of ablation A4 in
 // DESIGN.md. It cannot be combined with WithAdaptive.
@@ -189,6 +190,9 @@ func (p *Program) resolve(opts []RunOption) (runConfig, error) {
 	case "", TransportSim, TransportChan, TransportMux:
 	default:
 		return cfg, errUnknownTransport(cfg.transport)
+	}
+	if p.simOnly != "" && cfg.transport != "" && cfg.transport != TransportSim {
+		return cfg, fmt.Errorf("munin: the program runs only on the simulator, not %q: %s", cfg.transport, p.simOnly)
 	}
 	switch cfg.consistency {
 	case EagerRC, LazyRC:
