@@ -1,8 +1,11 @@
 package apps
 
 import (
+	"context"
 	"testing"
 
+	"munin"
+	"munin/internal/network"
 	"munin/internal/protocol"
 	"munin/internal/wire"
 )
@@ -95,5 +98,52 @@ func TestExactLockHeavy(t *testing.T) {
 		if q := r.PerKind[wire.KindCopysetQuery]; q != 0 {
 			t.Errorf("%s: %d broadcast copyset queries, want 0", tr, q)
 		}
+	}
+}
+
+// TestExactLockHeavySteadyState: a writer keeps the copyset its home gave
+// it, and the home tells it about each new reader. On the lock ring every
+// node writes the same two regions every round, so a writer asks about
+// each region once, and the homes' announcements of new readers and the
+// writers' promises answering them all come before the ring's steady
+// state: running four times as many rounds adds none of them.
+func TestExactLockHeavySteadyState(t *testing.T) {
+	type traffic struct{ lookups, notifies, promises int }
+	run := func(rounds int) traffic {
+		t.Helper()
+		cfg := LockHeavyConfig{Procs: 8, Rounds: rounds, Exact: true}
+		app, err := NewLockHeavy(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var tr traffic
+		countPromises := func(env network.Envelope) {
+			if m, ok := env.Msg.(wire.UpdateBatch); ok {
+				for _, u := range m.Entries {
+					if u.Full == nil && len(u.Diff) == 0 {
+						tr.promises++
+					}
+				}
+			}
+		}
+		r, err := app.Run(context.Background(),
+			append(RunOpts("sim", nil, false, true, false), munin.WithTrace(countPromises))...)
+		if err != nil {
+			t.Fatalf("rounds=%d: %v", rounds, err)
+		}
+		if want := LockHeavyReference(cfg); r.Check != want {
+			t.Errorf("rounds=%d: checksum %08x, want %08x", rounds, r.Check, want)
+		}
+		tr.lookups, tr.notifies = r.PerKind[wire.KindCopysetLookup], r.PerKind[wire.KindCopysetNotify]
+		return tr
+	}
+	short, long := run(5), run(20)
+	t.Logf("per run: %+v", short)
+	// Each node writes two regions, all homed on node 0.
+	if pairs := 2 * 8; short.lookups > pairs {
+		t.Errorf("%d copyset lookups, want at most one per (writer, region): %d", short.lookups, pairs)
+	}
+	if long != short {
+		t.Errorf("5 rounds: %+v; 20 rounds: %+v; want the same lookups, notifies and promises", short, long)
 	}
 }
