@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"munin/internal/diffenc"
+	"munin/internal/network"
 	"munin/internal/protocol"
 	"munin/internal/rt"
 	"munin/internal/vm"
@@ -223,18 +224,24 @@ func TestInstallingCopyHoldsReadsAndQueuesUpdates(t *testing.T) {
 // TestPhaseChangeKeepsHomeTrackedCopyset: PhaseChange purges what a
 // release determined, but a home-directed object's home keeps its copyset
 // — the nodes that hold copies still hold them, and the next phase's
-// updates must reach them as well as the new sharers.
+// updates must reach them as well as the new sharers. A remote writer's
+// cached copyset is purged: it looks the copyset up again, and the new
+// sharer gets its next update.
 func TestPhaseChangeKeepsHomeTrackedCopyset(t *testing.T) {
 	decl := Decl{Name: "pc", Start: page(0), Size: vm.DefaultPageSize, Annot: protocol.ProducerConsumer, Synchq: -1}
 	sys := NewSystem(Config{Processors: 3, ExactCopyset: true}, []Decl{decl}, nil,
 		[]BarrierDecl{{ID: 1, Home: 0, Expected: 3}})
-	var old, late uint32
+	var old, late, lateRemote uint32
 	err := sys.Run(func(root *Thread) {
 		root.Spawn(1, "sharer", func(w *Thread) {
 			_ = w.ReadWord(page(0))
-			for i := 0; i < 5; i++ {
-				w.WaitAtBarrier(1)
-			}
+			w.WaitAtBarrier(1)
+			w.WriteWord(page(0)+4, 10)
+			w.WaitAtBarrier(1) // looks the copyset up: {0}
+			w.WaitAtBarrier(1)
+			w.WaitAtBarrier(1)
+			w.WriteWord(page(0)+4, 20)
+			w.WaitAtBarrier(1) // the PhaseChange purged it: looks it up again
 			old = w.ReadWord(page(0))
 		})
 		root.Spawn(2, "latecomer", func(w *Thread) {
@@ -244,7 +251,7 @@ func TestPhaseChangeKeepsHomeTrackedCopyset(t *testing.T) {
 			_ = w.ReadWord(page(0)) // joins the new phase before its first release
 			w.WaitAtBarrier(1)
 			w.WaitAtBarrier(1)
-			late = w.ReadWord(page(0))
+			late, lateRemote = w.ReadWord(page(0)), w.ReadWord(page(0)+4)
 		})
 		root.WaitAtBarrier(1)
 		root.WriteWord(page(0), 1)
@@ -260,5 +267,180 @@ func TestPhaseChangeKeepsHomeTrackedCopyset(t *testing.T) {
 	}
 	if old != 2 || late != 2 {
 		t.Errorf("earlier sharer read %d, latecomer %d; want 2 and 2", old, late)
+	}
+	if lateRemote != 20 {
+		t.Errorf("latecomer read the remote writer's word as %d, want 20", lateRemote)
+	}
+	if got := sys.Transport().Stats().Messages[wire.KindCopysetLookup]; got != 2 {
+		t.Errorf("copyset lookups = %d, want 2: one per phase from the remote writer", got)
+	}
+}
+
+// TestPromisesCountPerNotify: two new readers join while one cacher owes
+// a promise for each — say it answered the first at once and owes the
+// second at the end of a flush. The home counts promises per notify, so
+// the cacher's first promise does not release the second read.
+func TestPromisesCountPerNotify(t *testing.T) {
+	decl := Decl{Name: "x", Start: page(0), Size: vm.DefaultPageSize, Annot: protocol.WriteShared, Synchq: -1}
+	sys := NewSystem(Config{Processors: 4, ExactCopyset: true}, []Decl{decl}, nil,
+		[]BarrierDecl{{ID: 1, Home: 0, Expected: 2}})
+	home, cacher := sys.Node(0), sys.Node(1)
+	err := sys.Run(func(root *Thread) {
+		root.Spawn(1, "cacher", func(w *Thread) {
+			_ = w.ReadWord(page(0))
+			w.WaitAtBarrier(1)
+		})
+		root.WaitAtBarrier(1)
+		e, _ := home.dir.Lookup(page(0))
+		// Node 1 wrote, looked the copyset up and holds the only copy. It
+		// is flushing, so the notifies it really gets wait in its owed
+		// list; the test delivers its promises by hand.
+		e.BackingStale, e.ProbOwner = true, 1
+		e.Cachers = e.Cachers.Add(1)
+		cacher.flushing = true
+		sent := sys.Transport().Stats().Messages[wire.KindCopysetNotify]
+		home.serveRead(root.proc, wire.ReadReq{Addr: page(0), Requester: 2})
+		home.serveRead(root.proc, wire.ReadReq{Addr: page(0), Requester: 3})
+		if got := sys.Transport().Stats().Messages[wire.KindCopysetNotify] - sent; got != 2 {
+			t.Errorf("notifies sent = %d, want one per new reader: 2", got)
+		}
+		promise := wire.UpdateBatch{From: 1, Entries: []wire.UpdateEntry{{Addr: e.Start, Size: uint32(e.Size)}}}
+		home.serveUpdateBatch(root.proc, 1, promise, false)
+		if got := len(home.deferredReads[page(0)]); got != 2 {
+			t.Errorf("reads held after the first of two promises = %d, want 2", got)
+		}
+		delete(home.deferredReads, page(0))
+		home.serveUpdateBatch(root.proc, 1, promise, false)
+		if e.Promises != 0 {
+			t.Errorf("promises owed after both = %d, want 0", e.Promises)
+		}
+		cacher.flushing, cacher.owed = false, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRegisteredReaderIsAnnouncedAgain: a node asks the home for a copy
+// only when it holds none, so the home announces even a reader it
+// registered before and holds its read for the promise: that node dropped
+// its copy and may have discarded an update the holder serving it must
+// have first — or it is the home itself, counted at a lookup while its
+// own fault was in flight, which a writer that looked up earlier never
+// heard of.
+func TestRegisteredReaderIsAnnouncedAgain(t *testing.T) {
+	for _, reader := range []int{2, 0} {
+		decl := Decl{Name: "x", Start: page(0), Size: vm.DefaultPageSize, Annot: protocol.WriteShared, Synchq: -1}
+		sys := NewSystem(Config{Processors: 3, ExactCopyset: true}, []Decl{decl}, nil,
+			[]BarrierDecl{{ID: 1, Home: 0, Expected: 2}})
+		home, cacher := sys.Node(0), sys.Node(1)
+		err := sys.Run(func(root *Thread) {
+			root.Spawn(1, "cacher", func(w *Thread) {
+				_ = w.ReadWord(page(0))
+				w.WaitAtBarrier(1)
+			})
+			root.WaitAtBarrier(1)
+			e, _ := home.dir.Lookup(page(0))
+			e.BackingStale, e.ProbOwner = true, 1
+			e.Copyset = e.Copyset.Add(reader)
+			e.Cachers = e.Cachers.Add(1)
+			cacher.flushing = true // parks its real answer
+			sent := sys.Transport().Stats().Messages[wire.KindCopysetNotify]
+			home.serveRead(root.proc, wire.ReadReq{Addr: page(0), Requester: uint8(reader)})
+			if got := sys.Transport().Stats().Messages[wire.KindCopysetNotify] - sent; got != 1 {
+				t.Errorf("reader %d: notifies sent = %d, want 1", reader, got)
+			}
+			if got := len(home.deferredReads[page(0)]); got != 1 {
+				t.Errorf("reader %d: reads held = %d, want 1", reader, got)
+			}
+			delete(home.deferredReads, page(0))
+			e.Promises = 0
+			cacher.flushing, cacher.owed = false, nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestPromiseFollowsTheFlushInProgress: a notify a cacher handles after
+// one of its flushes has chosen its destinations is answered at that
+// flush's end. The promise reaches the home behind the flush's update to
+// it, and after every acknowledgement the flush awaited: the home may
+// forward the reads it held to any holder the moment the promise lands.
+func TestPromiseFollowsTheFlushInProgress(t *testing.T) {
+	decl := Decl{Name: "x", Start: page(0), Size: vm.DefaultPageSize, Annot: protocol.WriteShared, Synchq: -1}
+	var log []network.Envelope
+	cfg := Config{Processors: 3, ExactCopyset: true, AwaitUpdateAcks: true,
+		Trace: func(env network.Envelope) { log = append(log, env) }}
+	sys := NewSystem(cfg, []Decl{decl}, nil, []BarrierDecl{{ID: 1, Home: 0, Expected: 3}})
+	cacher := sys.Node(1)
+	firstFlush := -1 // node 1's UpdatesSent after its first flush
+	handed := false
+	err := sys.Run(func(root *Thread) {
+		root.Spawn(1, "writer", func(w *Thread) {
+			_ = w.ReadWord(page(0))
+			w.WaitAtBarrier(1)
+			w.WriteWord(page(0)+4, 7)
+			w.WaitAtBarrier(1) // looks the copyset up: node 1 caches {0, 2}
+			firstFlush = cacher.UpdatesSent
+			w.WriteWord(page(0)+4, 8)
+			w.WaitAtBarrier(1) // sends its updates, then awaits their acks
+		})
+		root.Spawn(1, "dispatcher stand-in", func(d *Thread) {
+			// Once the writer's second flush has chosen its destinations,
+			// hand node 1 a notify, as its dispatcher would on receipt.
+			for i := 0; !(firstFlush >= 0 && cacher.UpdatesSent > firstFlush && cacher.flushing); i++ {
+				if i == 100000 {
+					t.Error("never saw the second flush in progress")
+					return
+				}
+				d.Compute(1000)
+			}
+			cacher.serveCopysetNotify(d.proc, 0, wire.CopysetNotify{Addr: page(0), Reader: 2})
+			handed = true
+		})
+		root.Spawn(2, "reader", func(w *Thread) {
+			_ = w.ReadWord(page(0))
+			for i := 0; i < 3; i++ {
+				w.WaitAtBarrier(1)
+			}
+		})
+		_ = root.ReadWord(page(0))
+		for i := 0; i < 3; i++ {
+			root.WaitAtBarrier(1)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !handed {
+		t.Fatal("the notify was never handed over")
+	}
+	// Walk node 1's deliveries in order: two flushes, each an update to
+	// node 0 and to node 2 and an ack from each, then the promise.
+	updates, acks, promises := 0, 0, 0
+	for _, env := range log {
+		switch m := env.Msg.(type) {
+		case wire.UpdateAck:
+			if env.Dst == 1 {
+				acks++
+			}
+		case wire.UpdateBatch:
+			if env.Src != 1 || env.Dst != 0 {
+				continue
+			}
+			if len(m.Entries) == 1 && m.Entries[0].Full == nil && len(m.Entries[0].Diff) == 0 {
+				promises++
+				if updates != 2 || acks != 4 {
+					t.Errorf("promise reached the home after %d of 2 updates to it and %d of 4 acks", updates, acks)
+				}
+			} else {
+				updates++
+			}
+		}
+	}
+	if promises != 1 {
+		t.Errorf("promises from node 1 = %d, want 1", promises)
 	}
 }

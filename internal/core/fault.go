@@ -171,10 +171,10 @@ func (n *Node) fetchReadCopy(t *Thread, e *directory.Entry, prefetch bool) {
 		n.fetchStash[e.Start] = n.fetchStash[e.Start][1:]
 	}
 	delete(n.fetchStash, e.Start)
-	if n.homeDirected(e) && e.AwaitFrom.Empty() {
+	if n.homeDirected(e) && e.Promises == 0 {
 		// Reads held while the copy was in flight or installing are
 		// served from it now (serveRead).
-		n.redispatchReads(p, e.Start)
+		n.redispatchReads(p, e)
 	}
 }
 
@@ -226,14 +226,45 @@ func (n *Node) fetchRemoteCopy(t *Thread, e *directory.Entry, prefetch bool) {
 	}
 }
 
-// serveRead answers a ReadReq if this node can supply current data,
-// otherwise forwards it along the probable-owner chain.
+// serveRead takes a read request this node receives, or its own miss at a
+// home-directed object's home: that home admits the reader first
+// (admitReader). Then answerRead serves or forwards it.
 func (n *Node) serveRead(p rt.Proc, m wire.ReadReq) {
 	e, ok := n.dir.Lookup(m.Addr)
 	if !ok {
 		n.forwardOrFail(p, m.Addr, int(m.Requester), m, "read request")
 		return
 	}
+	if e.Home == n.id && n.homeDirected(e) {
+		n.admitReader(p, e, int(m.Requester))
+	}
+	n.answerRead(p, e, m)
+}
+
+// admitReader registers a reader at a home-directed object's home before
+// any answer, so every lookup from now on names it, and announces it to
+// every writer keeping an earlier answer (Entry.Cachers). The read then
+// waits until each has promised that what it flushed before is out
+// (serveCopysetNotify): promises are counted per notify, because one
+// cacher can owe two and its first must not release the second reader.
+//
+// A node asks only when it holds no copy, so a reader the home already
+// registered is announced too: it dropped its copy and may have discarded
+// an update the node serving it must have by then — or it is the home,
+// counted at a lookup while its own fault was in flight, which writers
+// that looked up earlier do not know of.
+func (n *Node) admitReader(p rt.Proc, e *directory.Entry, req int) {
+	n.checkStableSharing(p, e, req, "read serve")
+	e.Copyset = e.Copyset.Add(req)
+	e.Cachers.Remove(req).ForEach(func(c int) {
+		e.Promises++
+		n.send(p, c, wire.CopysetNotify{Addr: e.Start, Reader: uint8(req)})
+	})
+}
+
+// answerRead serves a read request if this node can supply current data,
+// otherwise forwards it along the probable-owner chain.
+func (n *Node) answerRead(p rt.Proc, e *directory.Entry, m wire.ReadReq) {
 	n.drainPendingObject(p, e.Start) // serve current data, not queued-stale
 	data := n.currentData(e)
 	if data == nil {
@@ -245,20 +276,14 @@ func (n *Node) serveRead(p rt.Proc, m wire.ReadReq) {
 		data = n.stashedImage(e.Start)
 	}
 	req := int(m.Requester)
-	if e.Home == n.id && n.homeDirected(e) {
-		// Every read of the object comes here. It waits while a writer's
-		// lookup is answered but its update or promise has not arrived,
-		// and while this home's own copy is in flight (fetchReadCopy
-		// serves it then). A home without a copy forwards to the last
-		// writer — after every promise, so that holder has every update —
-		// and registers the reader first, so every later lookup names it.
-		if !e.AwaitFrom.Empty() || (data == nil && e.Sem.Busy() && req != n.id) {
-			n.deferredReads[e.Start] = append(n.deferredReads[e.Start], m)
-			return
-		}
-		if data == nil && req != n.id {
-			e.Copyset = e.Copyset.Add(req)
-		}
+	if e.Home == n.id && n.homeDirected(e) && (e.Promises > 0 || (data == nil && e.Sem.Busy() && req != n.id)) {
+		// Every read of the object comes here. It waits while a cacher
+		// owes a promise, and while this home's own copy is in flight
+		// (fetchReadCopy serves it then). A home without a copy forwards
+		// to the last writer to look up — after every promise, so that
+		// holder has every update.
+		n.deferredReads[e.Start] = append(n.deferredReads[e.Start], m)
+		return
 	}
 	if data == nil {
 		n.forward(p, e, m, req)
@@ -272,21 +297,7 @@ func (n *Node) serveRead(p rt.Proc, m wire.ReadReq) {
 		n.deferredReads[e.Start] = append(n.deferredReads[e.Start], m)
 		return
 	}
-	// A stable-sharing object may not acquire new sharers after the
-	// relationship has been determined (§2.3.2: "If the sharing pattern
-	// changes unexpectedly a runtime error is generated"). The adaptive
-	// runtime reads the violation as pattern drift instead: purge the
-	// locked copyset so the next flush re-determines it, and serve.
-	if e.Params.StableSharing && e.CopysetKnown && !e.Copyset.Has(req) {
-		if n.adaptEng == nil {
-			fail(n.id, e.Start, "read serve",
-				fmt.Sprintf("node %d violates the determined stable sharing pattern", req))
-		}
-		e.CopysetKnown = false
-		if n.adaptEng.NoteStableDrift(e) {
-			n.adaptEvaluate(p, e)
-		}
-	}
+	n.checkStableSharing(p, e, req, "read serve")
 	if n.adaptEng != nil && n.adaptEng.NoteServedRead(e, req) {
 		n.adaptEvaluate(p, e)
 	}
@@ -318,6 +329,27 @@ func (n *Node) serveRead(p rt.Proc, m wire.ReadReq) {
 		return
 	}
 	n.send(p, req, wire.ReadReply{Addr: e.Start, Owner: uint8(owner), Data: data})
+}
+
+// checkStableSharing enforces a stable-sharing object's determined
+// copyset against a new sharer: it may not acquire one after the
+// relationship has been determined (§2.3.2: "If the sharing pattern
+// changes unexpectedly a runtime error is generated"). The adaptive
+// runtime reads the violation as pattern drift instead: it purges the
+// locked copyset so the next flush re-determines it. op names the caller
+// in a failure.
+func (n *Node) checkStableSharing(p rt.Proc, e *directory.Entry, req int, op string) {
+	if !e.Params.StableSharing || !e.CopysetKnown || e.Copyset.Has(req) {
+		return
+	}
+	if n.adaptEng == nil {
+		fail(n.id, e.Start, op,
+			fmt.Sprintf("node %d violates the determined stable sharing pattern", req))
+	}
+	e.CopysetKnown = false
+	if n.adaptEng.NoteStableDrift(e) {
+		n.adaptEvaluate(p, e)
+	}
 }
 
 // migrate moves a migratory object here with read+write access,
@@ -592,7 +624,7 @@ func (n *Node) serveInvalidate(p rt.Proc, src int, m wire.Invalidate) {
 		// early return below, or reads deferred behind it wait forever.
 		e.AwaitFrom = e.AwaitFrom.Remove(src)
 		if e.AwaitFrom.Empty() {
-			n.redispatchReads(p, e.Start)
+			n.redispatchReads(p, e)
 		}
 		if e.Owned && !e.Params.MultipleWriters {
 			// A stale single-writer invalidation: it targets the replica

@@ -33,20 +33,20 @@ func (n *Node) releaseFlush(t *Thread) {
 // into single messages, send, and wait for acknowledgements.
 func (n *Node) flushEntries(t *Thread, entries []*directory.Entry) {
 	p := t.proc
+	// A home's notify that arrives from here on is answered once this
+	// flush's updates are out (keepPromises).
+	n.flushing = true
 
 	// Phase 1: find the set of remote copies for entries that need it.
-	// Result objects skip this (changes go only to the owner/home);
-	// stable objects reuse the copyset determined the first time.
+	// Result objects skip this (changes go only to the owner/home); stable
+	// objects reuse the copyset determined the first time, and
+	// home-directed ones the copyset their home keeps current.
 	var query []*directory.Entry
 	if n.sys.Nodes() > 1 {
 		for _, e := range entries {
-			if e.Params.FlushToOwner {
-				continue
+			if !e.Params.FlushToOwner && !e.CopysetKnown {
+				query = append(query, e)
 			}
-			if e.Params.StableSharing && e.CopysetKnown {
-				continue
-			}
-			query = append(query, e)
 		}
 		if len(query) > 0 {
 			n.determineCopysets(t, query)
@@ -55,10 +55,7 @@ func (n *Node) flushEntries(t *Thread, entries []*directory.Entry) {
 
 	// Phase 2: encode each entry and assemble one batch per destination.
 	batches := make(map[int][]wire.UpdateEntry)
-	// promised lists the home-directed entries whose home holds its reads
-	// for this flush but is not among their destinations: each owes that
-	// home a promise, sent last (phase 3).
-	var promised, invalidateDelayed []*directory.Entry
+	var invalidateDelayed []*directory.Entry
 	asked := 0 // query is a subsequence of entries: walk it in step
 	for _, e := range entries {
 		queried := asked < len(query) && query[asked] == e
@@ -76,9 +73,6 @@ func (n *Node) flushEntries(t *Thread, entries []*directory.Entry) {
 			}
 		default:
 			dests = e.Copyset.Remove(n.id).Nodes(n.sys.Nodes())
-		}
-		if queried && n.homeDirected(e) && e.Home != n.id && !e.Copyset.Has(e.Home) {
-			promised = append(promised, e)
 		}
 		if n.adaptEng != nil {
 			var cs directory.Copyset
@@ -118,12 +112,11 @@ func (n *Node) flushEntries(t *Thread, entries []*directory.Entry) {
 		n.retireTwin(e)
 		e.Modified = false
 		p.Advance(cost)
-		if !changed && queried {
+		if !changed && queried && !n.homeDirected(e) {
 			// Every node that answered this flush's broadcast query
-			// "held", and a home that answered its lookup, may be
-			// expecting an update (it defers read serves until it
-			// arrives — Entry.AwaitFrom). Deliver the promise even when
-			// the diff came out empty.
+			// "held" may be expecting an update (it defers read serves
+			// until it arrives — Entry.AwaitFrom). Deliver the promise
+			// even when the diff came out empty.
 			entry = wire.UpdateEntry{Addr: e.Start, Size: uint32(e.Size)}
 			changed = true
 		}
@@ -171,17 +164,7 @@ func (n *Node) flushEntries(t *Thread, entries []*directory.Entry) {
 			n.await(p, c.fut)
 		}
 	}
-	// Promises go after every update has been sent (acknowledged, when
-	// flushes await acks): the home forwards the reads it held to a holder
-	// the moment a promise lands, so the holder must have this flush's
-	// update by then (see serveRead).
-	for _, run := range homeRuns(promised) {
-		promises := make([]wire.UpdateEntry, len(run))
-		for i, e := range run {
-			promises[i] = wire.UpdateEntry{Addr: e.Start, Size: uint32(e.Size)}
-		}
-		n.send(p, run[0].Home, wire.UpdateBatch{From: uint8(n.id), Entries: promises})
-	}
+	n.keepPromises(p)
 
 	// Delayed invalidations (A1 ablation): invalidate remote copies at
 	// the release instead of updating them.
@@ -202,6 +185,35 @@ func (n *Node) flushEntries(t *Thread, entries []*directory.Entry) {
 			n.applyAnnotationSwitch(p, e, *e.PendingAnnot)
 		}
 	}
+}
+
+// keepPromises ends the part of a flush that a home's notify waits for:
+// this flush's updates are out (acknowledged, when flushes await acks), so
+// the promises owed meanwhile leave now, behind them, and a notify from
+// here on is answered at once. The home forwards the reads it held to a
+// holder the moment the last promise lands, so the holder must have this
+// flush's update by then (see answerRead).
+func (n *Node) keepPromises(p rt.Proc) {
+	if n.sys.cfg.ExactCopyset {
+		// A notify answered at once leaves from the dispatcher: without
+		// acks an outbox could still hold this flush's updates.
+		n.flush(p)
+	}
+	n.flushing = false
+	for _, run := range homeRuns(n.owed) {
+		promises := make([]wire.UpdateEntry, len(run))
+		for i, e := range run {
+			promises[i] = promise(e)
+		}
+		n.send(p, run[0].Home, wire.UpdateBatch{From: uint8(n.id), Entries: promises})
+	}
+	n.owed = n.owed[:0]
+}
+
+// promise is an empty update of e: what a writer sends the home to say
+// that everything it flushed before is out.
+func promise(e *directory.Entry) wire.UpdateEntry {
+	return wire.UpdateEntry{Addr: e.Start, Size: uint32(e.Size)}
 }
 
 // homeRuns sorts entries by home node, stably, and splits them into one
@@ -228,10 +240,11 @@ func homeRuns(entries []*directory.Entry) [][]*directory.Entry {
 //
 // The home of such an object serves every read of it, so it is the one
 // ordering point between a writer's lookup and a reader's copy: a reader
-// it registered before the lookup is in the writer's copyset, and a read
-// arriving after it waits at the home until the writer's update (or, when
-// the home holds no copy, its promise) is in. DESIGN.md "Home-directed
-// copysets" draws the two races this closes.
+// it registered before the lookup is in the answer the writer keeps, and
+// a read arriving after it is announced to the writer and waits at the
+// home until the writer has promised that its updates are out
+// (admitReader). DESIGN.md "Home-directed copysets" draws the races this
+// closes.
 func (n *Node) homeDirected(e *directory.Entry) bool {
 	return n.sys.cfg.ExactCopyset && n.lrc == nil && lazyManaged(e)
 }
@@ -284,54 +297,53 @@ func (n *Node) determineCopysetsBroadcast(t *Thread, entries []*directory.Entry)
 // determineCopysetsExact implements the improved algorithm of §3.3
 // ("uses the owner node to collect Copyset information"): ask each
 // modified object's home node for the copyset it tracks, two messages per
-// home instead of 2(N−1) per flush. The home serves, and so registers,
-// every reader itself; if its view overshoots (a node silently dropped its
-// copy), the spurious update is ignored at the receiver (StaleUpdates).
+// home instead of 2(N−1) per flush. The writer keeps the answer
+// (CopysetKnown) and the home keeps it current, telling the writer of
+// every reader it admits later (serveCopysetNotify), so a writer asks
+// once, and again only after PhaseChange or an annotation change clears
+// what it kept. The home serves, and so registers, every reader itself;
+// if its view overshoots (a node silently dropped its copy), the spurious
+// update is ignored at the receiver (StaleUpdates).
 func (n *Node) determineCopysetsExact(t *Thread, entries []*directory.Entry) {
 	// An entry homed here needs no message: its directory entry already
 	// tracks every reader.
 	var remote []*directory.Entry
 	for _, e := range entries {
-		if e.Home != n.id {
+		if e.Home == n.id {
+			e.CopysetKnown = true
+		} else {
 			remote = append(remote, e)
 		}
 	}
-	if len(remote) > 0 {
-		runs := homeRuns(remote)
-		c := n.newCollector(pendKey{pendDir, 0}, len(runs), "copyset-lookup")
-		c.sets, c.at = make([]directory.Copyset, len(remote)), make([]int, n.sys.Nodes())
-		off := 0
-		for _, run := range runs {
-			// A home answers in the order it was asked: its reply lands at
-			// its run's offset in remote (collectCopysetInfo).
-			c.at[run[0].Home] = off
-			off += len(run)
-			addrs := make([]vm.Addr, len(run))
-			for i, e := range run {
-				addrs[i] = e.Start
-			}
-			n.send(t.proc, run[0].Home, wire.CopysetLookup{From: uint8(n.id), Addrs: addrs})
-		}
-		n.await(t.proc, c.fut)
-		for i, e := range remote {
-			e.Copyset = c.sets[i]
-		}
+	if len(remote) == 0 {
+		return
 	}
-	for _, e := range entries {
-		e.Copyset = e.Copyset.Remove(n.id)
-		if e.Params.StableSharing {
-			e.CopysetKnown = true
+	runs := homeRuns(remote)
+	c := n.newCollector(pendKey{pendDir, 0}, len(runs), "copyset-lookup")
+	c.lookup, c.at = remote, make([]int, n.sys.Nodes())
+	off := 0
+	for _, run := range runs {
+		// A home answers in the order it was asked: its reply lands at its
+		// run's offset in remote (collectCopysetInfo).
+		c.at[run[0].Home] = off
+		off += len(run)
+		addrs := make([]vm.Addr, len(run))
+		for i, e := range run {
+			addrs[i] = e.Start
 		}
+		n.send(t.proc, run[0].Home, wire.CopysetLookup{From: uint8(n.id), Addrs: addrs})
 	}
+	n.await(t.proc, c.fut)
 }
 
 // serveCopysetLookup answers an exact-copyset request from the home's
-// tracked directory state. The home includes itself when it holds a live
-// copy or a fault on the object is in flight here — as the broadcast
-// query counts one: the copy being fetched may predate the requester's
-// update, which parks in the fetch stash until the install. It marks its
-// backing stale (the requester is writing) and holds reads until the
-// requester's update or promise arrives.
+// tracked directory state, and registers the requester as a cacher of the
+// answer (admitReader keeps it current). The home counts itself when it
+// holds a live copy or a fault on the object is in flight here — as the
+// broadcast query counts one: the copy being fetched may predate the
+// requester's update, which parks in the fetch stash until the install —
+// and joins its own copyset then, so the set it keeps is the set its
+// cachers update. It marks its backing stale: the requester is writing.
 func (n *Node) serveCopysetLookup(p rt.Proc, m wire.CopysetLookup) {
 	sets := make([]directory.Copyset, len(m.Addrs))
 	for i, a := range m.Addrs {
@@ -339,18 +351,35 @@ func (n *Node) serveCopysetLookup(p rt.Proc, m wire.CopysetLookup) {
 		if !ok {
 			continue
 		}
-		cs := e.Copyset
 		if e.Valid || e.Sem.Busy() {
-			cs = cs.Add(n.id)
+			e.Copyset = e.Copyset.Add(n.id)
 		}
-		sets[i] = cs
-		if e.Home == n.id {
-			e.BackingStale = true
-			e.ProbOwner = int(m.From)
-			e.AwaitFrom = e.AwaitFrom.Add(int(m.From))
-		}
+		sets[i] = e.Copyset
+		e.BackingStale = true
+		e.ProbOwner = int(m.From)
+		e.Cachers = e.Cachers.Add(int(m.From))
 	}
 	n.send(p, int(m.From), wire.CopysetInfo{Addrs: m.Addrs, Sets: sets})
+}
+
+// serveCopysetNotify is a cacher's side of a reader its home admitted
+// (admitReader): the reader joins the copyset this node keeps, and the
+// home gets a promise that everything this node flushed before is out —
+// at once when no flush of this node is in progress, else at that
+// flush's end (keepPromises), after its updates and their acks.
+func (n *Node) serveCopysetNotify(p rt.Proc, home int, m wire.CopysetNotify) {
+	e, ok := n.dir.Lookup(m.Addr)
+	if !ok {
+		fail(n.id, m.Addr, "copyset notify", "notify for an object this node never looked up")
+	}
+	reader := int(m.Reader)
+	n.checkStableSharing(p, e, reader, "copyset notify")
+	e.Copyset = e.Copyset.Add(reader)
+	if n.flushing {
+		n.owed = append(n.owed, e)
+		return
+	}
+	n.send(p, home, wire.UpdateBatch{From: uint8(n.id), Entries: []wire.UpdateEntry{promise(e)}})
 }
 
 // serveCopysetQuery reports which of the queried objects this node holds a
@@ -450,8 +479,9 @@ func (n *Node) serveUpdateBatch(p rt.Proc, src int, m wire.UpdateBatch, borrowed
 			}
 			n.fetchStash[e.Start] = append(n.fetchStash[e.Start], u)
 		} else if u.Full == nil && diffenc.Empty(u.Diff) {
-			// An empty promise-keeping update (the queried flush turned
-			// out to carry no changes for us): nothing to merge.
+			// A promise: a queried flush that turned out to carry no
+			// changes for us, or a cacher's answer to a notify. Nothing to
+			// merge.
 		} else {
 			n.applyUpdate(p, e, u, src)
 		}
@@ -459,8 +489,11 @@ func (n *Node) serveUpdateBatch(p rt.Proc, src int, m wire.UpdateBatch, borrowed
 		// before it merges, and a read served meanwhile (by a local
 		// thread redispatching) must not see the copy without it.
 		e.AwaitFrom = e.AwaitFrom.Remove(src)
-		if e.AwaitFrom.Empty() {
-			n.redispatchReads(p, e.Start)
+		if e.Promises > 0 && u.Full == nil && diffenc.Empty(u.Diff) {
+			e.Promises--
+		}
+		if e.AwaitFrom.Empty() && e.Promises == 0 {
+			n.redispatchReads(p, e)
 		}
 		if e.Home == n.id && e.Valid {
 			// A repatriation or flush made the home's copy current: any

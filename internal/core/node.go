@@ -47,10 +47,10 @@ type collector struct {
 	// holders accumulates, per object address, the nodes that reported a
 	// copy (broadcast copyset determination); nil until the first report.
 	holders map[vm.Addr]directory.Copyset
-	// sets receives a home-directed determination's copysets, one per
-	// entry asked about; at[h] is where home h's answers start.
-	sets []directory.Copyset
-	at   []int
+	// lookup lists the entries a home-directed determination asks about,
+	// grouped by home; at[h] is where home h's entries start.
+	lookup []*directory.Entry
+	at     []int
 }
 
 func (c *collector) add() {
@@ -78,6 +78,11 @@ type Node struct {
 
 	// flushSem serializes DUQ flushes (one release in progress per node).
 	flushSem rt.Semaphore
+	// flushing is set while a flushEntries has updates to send; owed
+	// holds the entries whose homes' notifies arrived meanwhile, promised
+	// once those updates are out (serveCopysetNotify).
+	flushing bool
+	owed     []*directory.Entry
 
 	// barrierWait holds local threads blocked at each barrier;
 	// barrierFrom tracks, at the barrier's owner, which nodes the
@@ -211,15 +216,16 @@ func (n *Node) stashedImage(addr vm.Addr) []byte {
 }
 
 // redispatchReads re-serves read requests that were deferred behind
-// in-flight updates for addr, once nothing is awaited anymore.
-func (n *Node) redispatchReads(p rt.Proc, addr vm.Addr) {
-	rs := n.deferredReads[addr]
+// in-flight updates or owed promises for e, once nothing is awaited
+// anymore.
+func (n *Node) redispatchReads(p rt.Proc, e *directory.Entry) {
+	rs := n.deferredReads[e.Start]
 	if len(rs) == 0 {
 		return
 	}
-	delete(n.deferredReads, addr)
+	delete(n.deferredReads, e.Start)
 	for _, m := range rs {
-		n.serveRead(p, m)
+		n.answerRead(p, e, m)
 	}
 }
 
@@ -234,7 +240,7 @@ func (n *Node) redispatchChase(p rt.Proc, e *directory.Entry) {
 	for _, m := range ms {
 		switch mm := m.(type) {
 		case wire.ReadReq:
-			n.serveRead(p, mm)
+			n.answerRead(p, e, mm)
 		case wire.OwnReq:
 			n.serveOwn(p, mm)
 		case wire.MigrateReq:
@@ -412,9 +418,11 @@ func (n *Node) dispatch(p rt.Proc, env network.Envelope) {
 	case wire.PhaseChange:
 		n.servePhaseChange(m)
 	case wire.ChangeAnnot:
-		n.serveChangeAnnot(m)
+		n.serveChangeAnnot(p, m)
 	case wire.CopysetLookup:
 		n.serveCopysetLookup(p, m)
+	case wire.CopysetNotify:
+		n.serveCopysetNotify(p, env.Src, m)
 	case wire.OwnNotify:
 		n.serveOwnNotify(p, m)
 	case wire.AdaptPropose:
@@ -550,14 +558,20 @@ func (n *Node) collect(key pendKey) {
 	}
 }
 
-// collectCopysetInfo files home src's exact-copyset reply.
+// collectCopysetInfo caches home src's exact-copyset reply in the entries
+// asked about. It does so here, not in the waiting flush: a notify the
+// home sent after this reply must add to the answer, not be overwritten
+// by it.
 func (n *Node) collectCopysetInfo(src int, m wire.CopysetInfo) {
 	key := pendKey{pendDir, 0}
 	c, ok := n.collectors[key]
 	if !ok {
 		panic(fmt.Sprintf("core: node %d unexpected copyset info", n.id))
 	}
-	copy(c.sets[c.at[src]:], m.Sets)
+	for i, cs := range m.Sets {
+		e := c.lookup[c.at[src]+i]
+		e.Copyset, e.CopysetKnown = cs.Remove(n.id), true
+	}
 	c.add()
 	if c.got == c.need {
 		delete(n.collectors, key)
@@ -872,7 +886,7 @@ func (n *Node) dropObject(p rt.Proc, e *directory.Entry) {
 	// Reads deferred behind in-flight updates cannot be served from a
 	// dropped copy: route them onward instead.
 	e.AwaitFrom = directory.Copyset{}
-	n.redispatchReads(p, e.Start)
+	n.redispatchReads(p, e)
 	if e.PendingAnnot != nil {
 		// A deferred annotation switch was waiting for this entry's next
 		// flush, which will never come now that the copy is gone: apply

@@ -272,31 +272,38 @@ func (n *Node) changeAnnotation(t *Thread, addr vm.Addr, annot protocol.Annotati
 		n.flushEntries(t, []*directory.Entry{e})
 		n.flushSem.Release()
 	}
-	n.applyAnnotation(e, annot)
+	n.applyAnnotation(t.proc, e, annot)
 	n.broadcast(t.proc, wire.ChangeAnnot{Addr: e.Start, Annot: uint8(annot)})
 }
 
-func (n *Node) serveChangeAnnot(m wire.ChangeAnnot) {
+func (n *Node) serveChangeAnnot(p rt.Proc, m wire.ChangeAnnot) {
 	if e, ok := n.dir.Lookup(m.Addr); ok {
 		if e.Enqueued {
 			fail(n.id, e.Start, "change annotation",
 				"modifications pending on a remote node; synchronize before changing the protocol")
 		}
-		n.applyAnnotation(e, protocol.Annotation(m.Annot))
+		n.applyAnnotation(p, e, protocol.Annotation(m.Annot))
 	}
 }
 
 // applyAnnotation rewrites the entry's protocol selection. Twins and
-// copyset knowledge from the old protocol are discarded.
-func (n *Node) applyAnnotation(e *directory.Entry, annot protocol.Annotation) {
+// copyset knowledge from the old protocol are discarded — at a home, the
+// cachers it would notify and the promises it awaits too, releasing the
+// reads those held.
+func (n *Node) applyAnnotation(p rt.Proc, e *directory.Entry, annot protocol.Annotation) {
 	e.Annot = annot
 	e.Params = annot.Params()
 	e.Copyset = directory.Copyset{}
 	e.CopysetKnown = false
+	e.Cachers = directory.Copyset{}
 	n.retireTwin(e)
 	if e.Valid && e.Writable {
 		// Force the new protocol's write path on the next store.
 		n.setProtection(e, vm.ProtRead)
 		e.Modified = false
+	}
+	if e.Promises > 0 {
+		e.Promises = 0
+		n.redispatchReads(p, e)
 	}
 }

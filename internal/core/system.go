@@ -56,9 +56,10 @@ type Config struct {
 	// ExactCopyset selects the improved copyset-determination algorithm
 	// of §3.3 — "an improved algorithm that uses the owner node to
 	// collect Copyset information" which the prototype devised but never
-	// implemented: a release asks each modified update-protocol object's
+	// implemented: a writer asks each modified update-protocol object's
 	// home for its tracked copyset instead of broadcasting to every node,
-	// and the home of such an object serves all of its reads
+	// and keeps it; the home of such an object serves all of its reads and
+	// tells the writers that keep its copyset about every new reader
 	// (homeDirected). NewSystem turns it on for eager, non-adaptive runs on
 	// the live transports (exactByDefault); on the simulator it stays the
 	// ablation A4 opt-in, so the paper tables keep the prototype's

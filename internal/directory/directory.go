@@ -151,8 +151,19 @@ type Entry struct {
 	AwaitFrom Copyset
 
 	// CopysetKnown records that the sharing relationship has been
-	// determined (only consulted for stable-sharing objects).
+	// determined: a stable-sharing object's, or, at a writer, the copyset
+	// of a home-directed object its home answered (and keeps current).
 	CopysetKnown bool
+
+	// Cachers names, at a home-directed object's home, the writers whose
+	// copyset lookups it answered: each keeps that answer, so the home
+	// tells each of them about every reader it admits later.
+	Cachers Copyset
+
+	// Promises counts, at a home-directed object's home, the cachers'
+	// answers still owed for the readers it announced: one per notify.
+	// While nonzero, read requests for the object are deferred.
+	Promises int
 
 	// Backing, on the home node, holds the object's initial contents from
 	// the shared data description table. The home serves demand reads

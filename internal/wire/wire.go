@@ -403,11 +403,11 @@ type CopysetInfo struct {
 	Sets  []nodeset.Set
 }
 
-// CopysetNotify told an object's home that Reader obtained a copy from a
-// node other than the home, under the exact-copyset algorithm. No node
-// sends it now — the home serves every home-directed read itself — but
-// the kind keeps its number and codec, so kind-indexed tables are
-// unchanged.
+// CopysetNotify tells a writer that keeps a home-directed object's
+// copyset (a cacher: it looked the copyset up, see CopysetLookup) that the
+// home admitted Reader. Sent home → cacher; the cacher adds Reader to the
+// copyset it keeps and answers with a promise, an empty UpdateEntry, once
+// everything it flushed before is out.
 type CopysetNotify struct {
 	Addr   vm.Addr
 	Reader uint8

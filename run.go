@@ -112,8 +112,9 @@ func WithAdaptive() RunOption {
 
 // WithExactCopyset selects the improved home-directed copyset
 // determination algorithm of §3.3 instead of the prototype's broadcast: a
-// release asks each written object's home for its copyset, and the home of
-// a write_shared or producer_consumer object serves all of its reads (lock
+// writer asks each written object's home for its copyset once and keeps
+// it, and the home of a write_shared or producer_consumer object serves
+// all of its reads and tells each such writer about every new reader (lock
 // grants do not carry such objects). On the live transports
 // ("chan", "mux") it is already the default for eager runs without the
 // adaptive engine; on the simulator it is the opt-in of ablation A4 in
