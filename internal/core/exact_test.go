@@ -276,62 +276,67 @@ func TestPhaseChangeKeepsHomeTrackedCopyset(t *testing.T) {
 	}
 }
 
-// TestPromisesCountPerNotify: two new readers join while one cacher owes
-// a promise for each — say it answered the first at once and owes the
-// second at the end of a flush. The home counts promises per notify, so
-// the cacher's first promise does not release the second read.
-func TestPromisesCountPerNotify(t *testing.T) {
-	decl := Decl{Name: "x", Start: page(0), Size: vm.DefaultPageSize, Annot: protocol.WriteShared, Synchq: -1}
-	sys := NewSystem(Config{Processors: 4, ExactCopyset: true}, []Decl{decl}, nil,
-		[]BarrierDecl{{ID: 1, Home: 0, Expected: 2}})
-	home, cacher := sys.Node(0), sys.Node(1)
-	err := sys.Run(func(root *Thread) {
-		root.Spawn(1, "cacher", func(w *Thread) {
-			_ = w.ReadWord(page(0))
-			w.WaitAtBarrier(1)
+// TestRepatriatedCopyJoinsTheHomesCopyset: a writer that holds the only
+// copy and invalidates it hands the data home. That copy is one the home
+// did not read, so the home admits itself as its reader: the writer learns
+// of it, and its next release updates it. Otherwise the writer's kept
+// copyset stays empty, and a later reader is served the repatriated data
+// without the writer's second write.
+func TestRepatriatedCopyJoinsTheHomesCopyset(t *testing.T) {
+	for _, name := range []string{"sim", "chan", "mux"} {
+		decl := Decl{Name: "x", Start: page(0), Size: vm.DefaultPageSize, Annot: protocol.WriteShared, Synchq: -1}
+		cfg := Config{Processors: 3, ExactCopyset: true, Transport: transportFor(t, name, 3)}
+		sys := NewSystem(cfg, []Decl{decl}, nil, []BarrierDecl{{ID: 1, Home: 0, Expected: 3}})
+		var got uint32
+		err := sys.Run(func(root *Thread) {
+			root.Spawn(1, "writer", func(w *Thread) {
+				w.WriteWord(page(0)+4, 1)
+				w.WaitAtBarrier(1)    // looks the copyset up: nobody else holds one
+				w.Invalidate(page(0)) // the sole copy: its data goes home
+				w.WriteWord(page(0)+4, 2)
+				w.WaitAtBarrier(1)
+			})
+			root.Spawn(2, "reader", func(r *Thread) {
+				r.WaitAtBarrier(1)
+				r.WaitAtBarrier(1)
+				got = r.ReadWord(page(0) + 4)
+			})
+			root.WaitAtBarrier(1)
+			root.WaitAtBarrier(1)
 		})
-		root.WaitAtBarrier(1)
-		e, _ := home.dir.Lookup(page(0))
-		// Node 1 wrote, looked the copyset up and holds the only copy. It
-		// is flushing, so the notifies it really gets wait in its owed
-		// list; the test delivers its promises by hand.
-		e.BackingStale, e.ProbOwner = true, 1
-		e.Cachers = e.Cachers.Add(1)
-		cacher.flushing = true
-		sent := sys.Transport().Stats().Messages[wire.KindCopysetNotify]
-		home.serveRead(root.proc, wire.ReadReq{Addr: page(0), Requester: 2})
-		home.serveRead(root.proc, wire.ReadReq{Addr: page(0), Requester: 3})
-		if got := sys.Transport().Stats().Messages[wire.KindCopysetNotify] - sent; got != 2 {
-			t.Errorf("notifies sent = %d, want one per new reader: 2", got)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
-		promise := wire.UpdateBatch{From: 1, Entries: []wire.UpdateEntry{{Addr: e.Start, Size: uint32(e.Size)}}}
-		home.serveUpdateBatch(root.proc, 1, promise, false)
-		if got := len(home.deferredReads[page(0)]); got != 2 {
-			t.Errorf("reads held after the first of two promises = %d, want 2", got)
+		if got != 2 {
+			t.Errorf("%s: reader read %d, want the writer's second write, 2", name, got)
 		}
-		delete(home.deferredReads, page(0))
-		home.serveUpdateBatch(root.proc, 1, promise, false)
-		if e.Promises != 0 {
-			t.Errorf("promises owed after both = %d, want 0", e.Promises)
-		}
-		cacher.flushing, cacher.owed = false, nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 }
 
-// TestRegisteredReaderIsAnnouncedAgain: a node asks the home for a copy
-// only when it holds none, so the home announces even a reader it
-// registered before and holds its read for the promise: that node dropped
-// its copy and may have discarded an update the holder serving it must
-// have first — or it is the home itself, counted at a lookup while its
-// own fault was in flight, which a writer that looked up earlier never
-// heard of.
-func TestRegisteredReaderIsAnnouncedAgain(t *testing.T) {
-	for _, reader := range []int{2, 0} {
+// TestHomeAnnouncesReadsAndCountsPromises: node 1 wrote, looked the
+// copyset up and holds the only copy; then reads reach the home. Each read
+// is announced to node 1 and held for its promise, counted per notify: say
+// node 1 answered one notify at once and owes the next at the end of a
+// flush — its first promise must not release the second read. A reader the
+// home registered before is announced again, because a node asks only when
+// it holds no copy: it dropped its copy and may have discarded an update
+// the holder serving it must have first — or it is the home itself,
+// counted at a lookup while its own fault was in flight, which a writer
+// that looked up earlier never heard of.
+func TestHomeAnnouncesReadsAndCountsPromises(t *testing.T) {
+	for _, c := range []struct {
+		name       string
+		readers    []int // read requests reaching the home, in order
+		registered []int // readers already in the home's copyset
+		promises   int   // promises node 1 then delivers
+		held       int   // reads still held after them
+	}{
+		{"two new readers, one promise", []int{2, 3}, nil, 1, 2},
+		{"registered reader", []int{2}, []int{2}, 0, 1},
+		{"registered home", []int{0}, []int{0}, 0, 1},
+	} {
 		decl := Decl{Name: "x", Start: page(0), Size: vm.DefaultPageSize, Annot: protocol.WriteShared, Synchq: -1}
-		sys := NewSystem(Config{Processors: 3, ExactCopyset: true}, []Decl{decl}, nil,
+		sys := NewSystem(Config{Processors: 4, ExactCopyset: true}, []Decl{decl}, nil,
 			[]BarrierDecl{{ID: 1, Home: 0, Expected: 2}})
 		home, cacher := sys.Node(0), sys.Node(1)
 		err := sys.Run(func(root *Thread) {
@@ -342,23 +347,36 @@ func TestRegisteredReaderIsAnnouncedAgain(t *testing.T) {
 			root.WaitAtBarrier(1)
 			e, _ := home.dir.Lookup(page(0))
 			e.BackingStale, e.ProbOwner = true, 1
-			e.Copyset = e.Copyset.Add(reader)
-			e.Cachers = e.Cachers.Add(1)
-			cacher.flushing = true // parks its real answer
-			sent := sys.Transport().Stats().Messages[wire.KindCopysetNotify]
-			home.serveRead(root.proc, wire.ReadReq{Addr: page(0), Requester: uint8(reader)})
-			if got := sys.Transport().Stats().Messages[wire.KindCopysetNotify] - sent; got != 1 {
-				t.Errorf("reader %d: notifies sent = %d, want 1", reader, got)
+			for _, r := range c.registered {
+				e.Copyset = e.Copyset.Add(r)
 			}
-			if got := len(home.deferredReads[page(0)]); got != 1 {
-				t.Errorf("reader %d: reads held = %d, want 1", reader, got)
+			e.Cachers = e.Cachers.Add(1)
+			// Node 1 is flushing, so the notifies it really gets wait in
+			// its owed list; the test delivers its promises by hand.
+			cacher.flushing = true
+			sent := sys.Transport().Stats().Messages[wire.KindCopysetNotify]
+			for _, r := range c.readers {
+				home.serveRead(root.proc, wire.ReadReq{Addr: page(0), Requester: uint8(r)})
+			}
+			if got := sys.Transport().Stats().Messages[wire.KindCopysetNotify] - sent; got != len(c.readers) {
+				t.Errorf("%s: notifies sent = %d, want one per read: %d", c.name, got, len(c.readers))
+			}
+			promise := wire.UpdateBatch{From: 1, Entries: []wire.UpdateEntry{{Addr: e.Start, Size: uint32(e.Size)}}}
+			for i := 0; i < c.promises; i++ {
+				home.serveUpdateBatch(root.proc, 1, promise, false)
+			}
+			if got := len(home.deferredReads[page(0)]); got != c.held {
+				t.Errorf("%s: reads held after %d promises = %d, want %d", c.name, c.promises, got, c.held)
+			}
+			if want := len(c.readers) - c.promises; e.Promises != want {
+				t.Errorf("%s: promises owed = %d, want %d", c.name, e.Promises, want)
 			}
 			delete(home.deferredReads, page(0))
 			e.Promises = 0
 			cacher.flushing, cacher.owed = false, nil
 		})
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: %v", c.name, err)
 		}
 	}
 }

@@ -247,6 +247,7 @@ func (n *Node) serveRead(p rt.Proc, m wire.ReadReq) {
 // waits until each has promised that what it flushed before is out
 // (serveCopysetNotify): promises are counted per notify, because one
 // cacher can owe two and its first must not release the second reader.
+// The home also admits itself for a copy it did not read (applyUpdate).
 //
 // A node asks only when it holds no copy, so a reader the home already
 // registered is announced too: it dropped its copy and may have discarded

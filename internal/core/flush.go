@@ -522,6 +522,12 @@ func (n *Node) applyUpdate(p rt.Proc, e *directory.Entry, u wire.UpdateEntry, sr
 		n.installObject(p, e, u.Full, prot)
 		if e.Home == n.id {
 			e.BackingStale = true
+			if n.homeDirected(e) {
+				// A copy the home did not read (a sole holder handed it
+				// home at Invalidate): every writer keeping a copyset
+				// must update it from now on.
+				n.admitReader(p, e, n.id)
+			}
 		}
 		return
 	}
