@@ -3,7 +3,7 @@
 // timestamp, source → destination, message kind and size. It makes the
 // consistency protocols' wire behaviour directly observable — which node
 // pages data in from where, when the delayed update queue flushes, how a
-// lock grant chases the distributed queue.
+// lock request travels to the distributed queue's tail.
 //
 // The workloads come from the shared registry in internal/apps (see
 // -list), so the tracer, the benches and the tests all run the same

@@ -2,6 +2,7 @@ package apps
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"munin"
@@ -145,5 +146,71 @@ func TestExactLockHeavySteadyState(t *testing.T) {
 	}
 	if long != short {
 		t.Errorf("5 rounds: %+v; 20 rounds: %+v; want the same lookups, notifies and promises", short, long)
+	}
+}
+
+// TestLockRingTraffic pins the lock messages of the lock ring on the
+// simulator. A request travels to the last requester its sender knows of,
+// so no lock transfer is reported to anyone and no successor is set by
+// message. Node 0 is every lock's first owner. It hears about a pair it
+// is not in once per member, from the member's first request, sent while
+// the member's hint still names node 0; after that the pair's lock moves
+// between its two members alone.
+func TestLockRingTraffic(t *testing.T) {
+	const procs = 8
+	cfg := LockHeavyConfig{Procs: procs, Rounds: 20, Exact: true}
+	app, err := NewLockHeavy(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Pair g = {g, g+1 mod procs} is guarded by lock g+1, so node 0 is in
+	// the pairs of locks 1 and procs.
+	foreign := func(lock uint32) bool { return lock != 1 && lock != procs }
+	type request struct {
+		lock uint32
+		from int
+	}
+	heard := map[request]int{}
+	var stray []string
+	r, err := app.Run(context.Background(), append(RunOpts("sim", nil, false, true, false),
+		munin.WithTrace(func(env network.Envelope) {
+			switch m := env.Msg.(type) {
+			case wire.LockAcq:
+				if env.Dst == 0 && foreign(m.Lock) {
+					if env.Src != int(m.Requester) {
+						stray = append(stray, fmt.Sprintf("node %d forwarded node %d's request for lock %d to node 0", env.Src, m.Requester, m.Lock))
+					}
+					heard[request{m.Lock, env.Src}]++
+				}
+			case wire.LockGrant:
+				if env.Dst == 0 && foreign(m.Lock) {
+					stray = append(stray, fmt.Sprintf("node %d granted lock %d to node 0", env.Src, m.Lock))
+				}
+			case wire.LockSetSucc, wire.LockOwnNotify:
+				stray = append(stray, fmt.Sprintf("%v from node %d to node %d", env.Msg.Kind(), env.Src, env.Dst))
+			}
+		}))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := LockHeavyReference(cfg); r.Check != want {
+		t.Errorf("checksum %08x, want %08x", r.Check, want)
+	}
+	for _, s := range stray {
+		t.Error(s)
+	}
+	for req, n := range heard {
+		if n > 1 {
+			t.Errorf("node 0 received %d requests from node %d for lock %d, want only its first", n, req.from, req.lock)
+		}
+	}
+	if want := 2 * (procs - 2); len(heard) != want {
+		t.Errorf("node 0 heard %d first requests for pairs it is not in, want %d", len(heard), want)
+	}
+	want := map[wire.Kind]int{wire.KindLockAcq: 303, wire.KindLockGrant: 297, wire.KindLockSetSucc: 0, wire.KindLockOwnNotify: 0}
+	for k, n := range want {
+		if got := r.PerKind[k]; got != n {
+			t.Errorf("%d %v messages, want %d", got, k, n)
+		}
 	}
 }

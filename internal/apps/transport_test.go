@@ -167,9 +167,9 @@ func TestEquivalenceRepeat(t *testing.T) {
 // TestTransportTSP runs the branch-and-bound workload (reduction +
 // migratory + lock-coupled data) on the live transports: the tour
 // exploration order varies with real scheduling but the optimal bound
-// must not. Eight nodes matter: that is the contention level at which
-// stale lock probable-owner hints formed cycles before lock transfers
-// anchored the home's hint (LockOwnNotify).
+// must not. Eight nodes matter: at that contention many requests for one
+// lock are in flight at once, so a request often passes nodes whose hints
+// other requests have just turned.
 func TestTransportTSP(t *testing.T) {
 	want := uint32(TSPReference(8))
 	for rep := 0; rep < 3; rep++ {

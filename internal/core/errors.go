@@ -11,6 +11,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 
 	"munin/internal/vm"
@@ -28,7 +29,14 @@ type RuntimeError struct {
 	Op string
 	// Reason explains the violation.
 	Reason string
+	// Err is the named cause, if the failure has one (errors.Is finds it).
+	Err error
 }
+
+// ErrOwnLockRequest is the cause of a lock request that reached the node
+// that sent it. Path reversal keeps the probable-owner hints a tree
+// rooted at the queue's tail, so this means the hints formed a cycle.
+var ErrOwnLockRequest = errors.New("lock request came back to its requester")
 
 func (e *RuntimeError) Error() string {
 	if e.Addr != 0 {
@@ -36,6 +44,8 @@ func (e *RuntimeError) Error() string {
 	}
 	return fmt.Sprintf("munin runtime error: node %d, %s: %s", e.Node, e.Op, e.Reason)
 }
+
+func (e *RuntimeError) Unwrap() error { return e.Err }
 
 // fail aborts the simulation with a RuntimeError. The sim kernel converts
 // the panic into the error returned by System.Run, matching the

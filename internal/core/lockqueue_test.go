@@ -1,12 +1,14 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
 	"munin/internal/protocol"
 	"munin/internal/rt"
 	"munin/internal/vm"
+	"munin/internal/wire"
 )
 
 // lockQueueRounds is how often each node enters each lock's critical
@@ -18,8 +20,9 @@ const lockQueueRounds = 6
 // holder increments. The test keeps its own count of the threads inside
 // each lock and reports any moment it exceeds one, then reads both
 // counters under their locks and reports any that is not procs ×
-// lockQueueRounds. On the simulator with wide delivery reordering this
-// drives request chases, enqueues and grants past each other.
+// lockQueueRounds, and last checks the hint tree (lockTreeErr). On the
+// simulator with wide delivery reordering this drives requests, enqueues
+// and grants past each other.
 func lockQueueRun(t *testing.T, procs int, seed, span int64, cfg Config) (*System, error) {
 	t.Helper()
 	decls := []Decl{
@@ -62,15 +65,60 @@ func lockQueueRun(t *testing.T, procs int, seed, span int64, cfg Config) (*Syste
 	if err != nil {
 		return sys, err
 	}
-	return sys, bad
+	if bad != nil {
+		return sys, bad
+	}
+	return sys, lockTreeErr(sys, 1, 2)
+}
+
+// lockTreeErr checks path reversal's invariant on a machine at rest: per
+// lock, exactly one node's hint names itself, that node is the queue's
+// tail and the lock's one owner, and following the hints from any node
+// reaches it within N−1 hops, so they hold no cycle.
+func lockTreeErr(sys *System, locks ...int) error {
+	nodes := sys.Nodes()
+	for _, id := range locks {
+		hint := make([]int, nodes)
+		tail, owners := -1, 0
+		for i := range hint {
+			se, _ := sys.Node(i).synch.Lookup(id)
+			hint[i] = se.ProbOwner
+			if se.Owned {
+				owners++
+			}
+			if se.ProbOwner != i {
+				continue
+			}
+			if tail >= 0 {
+				return fmt.Errorf("lock %d: nodes %d and %d are both the tail", id, tail, i)
+			}
+			if tail = i; !se.Owned {
+				return fmt.Errorf("lock %d: the tail, node %d, does not own it", id, i)
+			}
+		}
+		if tail < 0 || owners != 1 {
+			return fmt.Errorf("lock %d: tail %d, %d owners", id, tail, owners)
+		}
+		for i := range hint {
+			at := i
+			for hops := 0; at != tail; hops++ {
+				if hops == nodes-1 {
+					return fmt.Errorf("lock %d: hints from node %d do not reach the tail, node %d, in %d hops", id, i, tail, hops)
+				}
+				at = hint[at]
+			}
+		}
+	}
+	return nil
 }
 
 // TestLockQueueUnderReordering runs the two-lock counter on the simulator
 // under both engines with cross-sender delivery reordering up to 3000×
 // the wire latency: the distributed lock queue must keep mutual
-// exclusion, lose no increment and never deadlock. The eager engine
-// awaits update acknowledgements, which is what release consistency
-// needs under reordering.
+// exclusion, lose no increment, never deadlock, and leave its hints a
+// tree rooted at the tail. The eager engine awaits update
+// acknowledgements, which is what release consistency needs under
+// reordering.
 func TestLockQueueUnderReordering(t *testing.T) {
 	engines := []struct {
 		name string
@@ -89,5 +137,27 @@ func TestLockQueueUnderReordering(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestOwnLockRequestFails: a node that receives its own lock request
+// fails with ErrOwnLockRequest, and does not queue itself as its own
+// successor. Node 1 is the tail with its request in flight, the state in
+// which a returning request would otherwise be recorded.
+func TestOwnLockRequestFails(t *testing.T) {
+	sys := NewSystem(Config{Processors: 2}, nil, []LockDecl{{ID: 1, Home: 0}}, nil)
+	n := sys.Node(1)
+	se, _ := n.synch.Lookup(1)
+	err := sys.Run(func(root *Thread) {
+		root.Spawn(1, "requester", func(th *Thread) {
+			n.lockPend[1], se.ProbOwner = true, 1
+			n.serveLockRequest(th.proc, wire.LockAcq{Lock: 1, Requester: 1}, 1, 1, nil)
+		})
+	})
+	if !errors.Is(err, ErrOwnLockRequest) {
+		t.Fatalf("Run = %v, want %v", err, ErrOwnLockRequest)
+	}
+	if se.Succ != -1 {
+		t.Errorf("node 1 queued node %d as its successor", se.Succ)
 	}
 }

@@ -513,49 +513,42 @@ func (n *Node) lrcDrop(p rt.Proc, e *directory.Entry) {
 // --- lazy synchronization message handling ---
 
 // lrcLockAcquire runs the remote-acquire path under the lazy engine: the
-// request carries the acquirer's vector timestamp, the grant returns the
-// releaser's plus the missing write notices (the acquire-with-notices
-// grant), and departing the acquire refreshes the stale copies this node
-// holds.
-func (n *Node) lrcLockAcquire(t *Thread, id int, se *directory.SynchEntry) {
+// request to dst carries the acquirer's vector timestamp, the grant
+// returns the releaser's plus the missing write notices (the
+// acquire-with-notices grant), and departing the acquire refreshes the
+// stale copies this node holds.
+func (n *Node) lrcLockAcquire(t *Thread, id int, se *directory.SynchEntry, dst int) {
 	p := t.proc
-	grant := n.rpc(t, se.ProbOwner, pendKey{pendLock, uint64(id)},
+	grant := n.rpc(t, dst, pendKey{pendLock, uint64(id)},
 		wire.LrcLockAcq{Lock: uint32(id), Requester: uint8(n.id), VT: n.lrc.VT()}).(wire.LrcLockGrant)
-	n.lockPend[id] = false
-	se.Owned = true
-	se.Held = true
-	n.locksHeld++
-	se.ProbOwner = n.id
-	se.Tail = int(grant.Tail)
-	n.redispatchLockChase(p, id)
+	n.lockGranted(id, se)
 	n.drainPendingAll(p)
 	n.lrcAbsorb(p, grant.VT, grant.Notices)
 	n.lrcAcquireRefresh(t)
-	n.applyGrantUpdates(t, grant.Updates, se)
+	n.applyGrantUpdates(t, grant.Updates)
 }
 
 // sendLockGrant transfers lock ownership to dst: the eager grant, or the
 // lazy acquire-with-notices grant tailored to the acquirer's vector
 // timestamp. Both piggyback the associated objects' data (lazily managed
 // associates are excluded — their consistency travels as notices).
-func (n *Node) sendLockGrant(p rt.Proc, id int, se *directory.SynchEntry, dst, tail int, reqVT []uint32) {
+func (n *Node) sendLockGrant(p rt.Proc, id int, se *directory.SynchEntry, dst int, reqVT []uint32) {
 	if n.lrc != nil {
 		n.send(p, dst, wire.LrcLockGrant{
-			Lock: uint32(id), Tail: uint8(tail),
+			Lock:    uint32(id),
 			VT:      n.lrc.VT(),
 			Notices: n.lrc.NoticesSince(reqVT),
 			Updates: n.lockPiggyback(p, se),
 		})
 		return
 	}
-	n.send(p, dst, wire.LockGrant{
-		Lock: uint32(id), Tail: uint8(tail), Updates: n.lockPiggyback(p, se),
-	})
+	n.send(p, dst, wire.LockGrant{Lock: uint32(id), Updates: n.lockPiggyback(p, se)})
 }
 
-// lrcSuccVT returns (and forgets) the enqueued successor's vector
-// timestamp for the lock; a missing record degrades to "send everything
-// above the floor" (zeros), which is correct, just fatter.
+// lrcSuccVT returns (and forgets) the queued successor's vector timestamp
+// for the lock, recorded from its request; a missing record degrades to
+// "send everything above the floor" (zeros), which is correct, just
+// fatter.
 func (n *Node) lrcSuccVT(id int) []uint32 {
 	vt := n.lockSuccVT[id]
 	delete(n.lockSuccVT, id)
@@ -563,16 +556,6 @@ func (n *Node) lrcSuccVT(id int) []uint32 {
 		vt = make([]uint32, n.sys.Nodes())
 	}
 	return vt
-}
-
-// serveLrcLockSetSucc records the successor and its vector timestamp.
-func (n *Node) serveLrcLockSetSucc(m wire.LrcLockSetSucc) {
-	se := n.mustSynch(int(m.Lock), directory.SynchLock)
-	if se.Succ >= 0 {
-		fail(n.id, 0, "lock enqueue", fmt.Sprintf("lock %d successor already set (succ=%d, SetSucc %d)", m.Lock, se.Succ, m.Succ))
-	}
-	se.Succ = int(m.Succ)
-	n.lockSuccVT[int(m.Lock)] = append([]uint32(nil), m.VT...)
 }
 
 // --- lazy barrier handling ---

@@ -90,13 +90,9 @@ type Node struct {
 	barrierWait map[int][]rt.Future
 	barrierFrom map[int][]int
 	// lockWait holds local threads queued behind a local holder, and
-	// lockPend marks an in-flight remote acquire. lockChase parks lock
-	// request chases (eager or lazy form) that dead-ended here on a
-	// stale probable-owner hint (see serveLockRequest); they re-dispatch
-	// when ownership knowledge refreshes.
-	lockWait  map[int][]rt.Future
-	lockPend  map[int]bool
-	lockChase map[int][]wire.Message
+	// lockPend marks an in-flight remote acquire.
+	lockWait map[int][]rt.Future
+	lockPend map[int]bool
 
 	// Stats
 	ReadMisses    int
@@ -132,9 +128,9 @@ type Node struct {
 	// lrc is the lazy release consistency engine; nil unless
 	// Config.Lazy. lrcToken numbers lazy RPCs so concurrent requests
 	// from different local threads route their responses independently.
-	// lockSuccVT remembers, per lock, the enqueued successor's vector
-	// timestamp so the eventual grant carries exactly the notices it
-	// lacks. barrierVTs/barrierFloors/barrierNodes accumulate, at a
+	// lockSuccVT remembers, per lock, the queued successor's vector
+	// timestamp, from its request, so the eventual grant carries exactly
+	// the notices it lacks. barrierVTs/barrierFloors/barrierNodes accumulate, at a
 	// barrier master, the current episode's arrival timestamps, merged
 	// applied floors and contributor set; lrcLastGC is the floor of the
 	// last garbage-collection broadcast.
@@ -279,7 +275,6 @@ func newNode(s *System, id int) *Node {
 		barrierFrom:   make(map[int][]int),
 		lockWait:      make(map[int][]rt.Future),
 		lockPend:      make(map[int]bool),
-		lockChase:     make(map[int][]wire.Message),
 		fetchStash:    make(map[vm.Addr][]wire.UpdateEntry),
 		deferredReads: make(map[vm.Addr][]wire.ReadReq),
 		deferredChase: make(map[vm.Addr][]wire.Message),
@@ -430,13 +425,9 @@ func (n *Node) dispatch(p rt.Proc, env network.Envelope) {
 	case wire.AdaptCommit:
 		n.serveAdaptCommit(p, m)
 	case wire.LockAcq:
-		n.serveLockAcq(p, m)
-	case wire.LockSetSucc:
-		n.serveLockSetSucc(m)
-	case wire.LockOwnNotify:
-		n.serveLockOwnNotify(p, m)
+		n.serveLockRequest(p, m, int(m.Lock), int(m.Requester), nil)
 	case wire.LockGrant:
-		n.serveLockGrant(p, m)
+		n.complete(pendKey{pendLock, uint64(m.Lock)}, m)
 	case wire.BarrierArrive:
 		n.serveBarrierArrive(p, m)
 	case wire.BarrierRelease:
@@ -444,8 +435,6 @@ func (n *Node) dispatch(p rt.Proc, env network.Envelope) {
 
 	case wire.LrcLockAcq:
 		n.serveLockRequest(p, m, int(m.Lock), int(m.Requester), m.VT)
-	case wire.LrcLockSetSucc:
-		n.serveLrcLockSetSucc(m)
 	case wire.LrcLockGrant:
 		n.complete(pendKey{pendLock, uint64(m.Lock)}, m)
 	case wire.LrcBarrierArrive:

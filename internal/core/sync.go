@@ -10,9 +10,11 @@ import (
 	"munin/internal/wire"
 )
 
-// acquireLock implements AcquireLock (§3.4): take the lock immediately if
-// it is local and free, otherwise request ownership from the probable
-// owner and block, enqueueing on the distributed queue if the lock is held.
+// acquireLock implements AcquireLock (§3.4) over a path-reversal queue
+// (DESIGN.md "Locks"): take the lock at once if this node owns it and it
+// is free, wait behind a local holder or an acquire already in flight,
+// and otherwise ask the last requester this node knows of and become the
+// queue's tail itself.
 func (n *Node) acquireLock(t *Thread, id int) {
 	p := t.proc
 	p.Advance(n.sys.cost.LockHandlerCPU)
@@ -34,40 +36,44 @@ func (n *Node) acquireLock(t *Thread, id int) {
 		n.drainPendingAll(p)
 		return
 	}
+	// The hint turns to this node before the request leaves: the send
+	// yields, and a request arriving meanwhile must queue behind ours.
 	n.lockPend[id] = true
+	dst := se.ProbOwner
+	se.ProbOwner = n.id
 	if n.lrc != nil {
 		// Lazy engine: the request carries our vector timestamp, the
 		// grant brings back the write notices we lack (see lrc.go).
-		n.lrcLockAcquire(t, id, se)
+		n.lrcLockAcquire(t, id, se, dst)
 		return
 	}
-	grant := n.rpc(t, se.ProbOwner, pendKey{pendLock, uint64(id)},
+	grant := n.rpc(t, dst, pendKey{pendLock, uint64(id)},
 		wire.LockAcq{Lock: uint32(id), Requester: uint8(n.id)}).(wire.LockGrant)
+	n.lockGranted(id, se)
+	// Acquire semantics: queued incoming updates become visible now.
+	n.drainPendingAll(p)
+	n.applyGrantUpdates(t, grant.Updates)
+}
+
+// lockGranted takes ownership of a lock whose grant has arrived. The hint
+// and Succ stay as they are: a request that reached this node while the
+// grant was in flight already queued behind it.
+func (n *Node) lockGranted(id int, se *directory.SynchEntry) {
 	n.lockPend[id] = false
 	se.Owned = true
 	se.Held = true
 	n.locksHeld++
-	se.ProbOwner = n.id
-	// se.Succ is NOT reset: a LockSetSucc enqueueing our successor may
-	// already have arrived while the grant was in flight.
-	se.Tail = int(grant.Tail)
-	// Ownership knowledge refreshed: chases parked here (the home) on a
-	// stale hint can make progress now.
-	n.redispatchLockChase(p, id)
-	// Acquire semantics: queued incoming updates become visible now.
-	n.drainPendingAll(p)
-	n.applyGrantUpdates(t, grant.Updates, se)
 }
 
 // applyGrantUpdates applies the data piggybacked on a lock grant for
 // objects associated with the lock (AssociateDataAndSynch): the
 // consistency information travels in the message that passes lock
 // ownership (§2.5).
-func (n *Node) applyGrantUpdates(t *Thread, updates []wire.UpdateEntry, se *directory.SynchEntry) {
+func (n *Node) applyGrantUpdates(t *Thread, updates []wire.UpdateEntry) {
 	p := t.proc
 	for _, u := range updates {
 		e := n.entry(t, u.Addr)
-		n.applyUpdate(p, e, u, se.ProbOwner)
+		n.applyUpdate(p, e, u, -1)
 		if e.Annot == protocol.Migratory {
 			e.Owned = true
 			e.ProbOwner = n.id
@@ -77,7 +83,7 @@ func (n *Node) applyGrantUpdates(t *Thread, updates []wire.UpdateEntry, se *dire
 }
 
 // releaseLock implements ReleaseLock: flush the DUQ (release consistency),
-// then hand the lock to a local waiter or the distributed queue's head.
+// then hand the lock to a local waiter or to the successor queued here.
 func (n *Node) releaseLock(t *Thread, id int) {
 	p := t.proc
 	if n.lrc != nil {
@@ -100,147 +106,50 @@ func (n *Node) releaseLock(t *Thread, id int) {
 		n.wake(p, ws[0])
 		return
 	}
+	se.Held = false
 	if se.Succ >= 0 {
 		succ := se.Succ
 		se.Succ = -1
-		se.Held = false
 		se.Owned = false
-		se.ProbOwner = succ
-		tail := se.Tail
-		if tail == n.id {
-			tail = succ
-		}
 		var succVT []uint32
 		if n.lrc != nil {
 			succVT = n.lrcSuccVT(id)
 		}
-		n.sendLockGrant(p, id, se, succ, tail, succVT)
-		n.notifyLockHome(p, se, id, succ)
-		n.redispatchLockChase(p, id)
-		return
+		n.sendLockGrant(p, id, se, succ, succVT)
 	}
-	se.Held = false
-}
-
-// notifyLockHome anchors the lock home's hint to the transfer history
-// (the lock analogue of OwnNotify): after a remote-to-remote transfer
-// the home is the one node guaranteed to eventually learn the current
-// owner, so dead-ended request chases re-route through it.
-func (n *Node) notifyLockHome(p rt.Proc, se *directory.SynchEntry, id, owner int) {
-	if se.Home == n.id || se.Home == owner {
-		return
-	}
-	n.send(p, se.Home, wire.LockOwnNotify{Lock: uint32(id), Owner: uint8(owner)})
-}
-
-// serveLockOwnNotify records a lock transfer at the lock's home.
-func (n *Node) serveLockOwnNotify(p rt.Proc, m wire.LockOwnNotify) {
-	se := n.mustSynch(int(m.Lock), directory.SynchLock)
-	if !se.Owned {
-		se.ProbOwner = int(m.Owner)
-	}
-	n.redispatchLockChase(p, int(m.Lock))
-}
-
-// redispatchLockChase re-serves lock requests that parked at this node
-// awaiting fresher ownership knowledge.
-func (n *Node) redispatchLockChase(p rt.Proc, id int) {
-	ms := n.lockChase[id]
-	if len(ms) == 0 {
-		return
-	}
-	delete(n.lockChase, id)
-	for _, m := range ms {
-		switch mm := m.(type) {
-		case wire.LockAcq:
-			n.serveLockAcq(p, mm)
-		case wire.LrcLockAcq:
-			n.serveLockRequest(p, mm, int(mm.Lock), int(mm.Requester), mm.VT)
-		default:
-			panic(fmt.Sprintf("core: node %d cannot re-dispatch parked lock chase %T", n.id, m))
-		}
-	}
-}
-
-// serveLockAcq handles an eager remote acquire.
-func (n *Node) serveLockAcq(p rt.Proc, m wire.LockAcq) {
-	n.serveLockRequest(p, m, int(m.Lock), int(m.Requester), nil)
 }
 
 // serveLockRequest handles a remote acquire (eager LockAcq or lazy
-// LrcLockAcq, whose vector timestamp is reqVT) at this node: grant if we
-// own a free lock, enqueue at the distributed queue's tail if it is
-// busy, or forward along the probable-owner chain.
+// LrcLockAcq, whose vector timestamp is reqVT) by path reversal: a node
+// that is not the queue's tail passes the request on along its hint; the
+// tail grants a free lock it owns or records the requester as its
+// successor. Either way the hint then names the requester, the new tail.
 func (n *Node) serveLockRequest(p rt.Proc, m wire.Message, id, req int, reqVT []uint32) {
 	p.Advance(n.sys.cost.LockHandlerCPU)
 	se := n.mustSynch(id, directory.SynchLock)
-	if !se.Owned {
-		// Forward along the probable-owner chain. A hint pointing back
-		// at the requester is stale — the transfer that displaced the
-		// requester is still in flight — so such chases re-route through
-		// the lock's home (whose hint tracks transfer notifications),
-		// and park there until the notification lands. The simulator's
-		// cost model never produced this interleaving; the concurrent
-		// transports produce it routinely.
-		dst := se.ProbOwner
-		if dst == n.id || dst == req {
-			dst = se.Home
-		}
-		if dst == n.id {
-			// This node is the home and its own hint is dead: park until
-			// the pending transfer's notification refreshes it.
-			n.lockChase[id] = append(n.lockChase[id], m)
-			return
-		}
+	if req == n.id {
+		panic(&RuntimeError{Node: n.id, Op: "lock request", Err: ErrOwnLockRequest,
+			Reason: fmt.Sprintf("lock %d: %v", id, ErrOwnLockRequest)})
+	}
+	// Every state change precedes the send, which yields.
+	if dst := se.ProbOwner; dst != n.id {
+		se.ProbOwner = req
 		n.send(p, dst, m)
 		return
 	}
-	if !se.Held && len(n.lockWait[id]) == 0 && se.Succ < 0 {
-		// Free: transfer ownership directly to the requester.
+	se.ProbOwner = req
+	if se.Owned && !se.Held && len(n.lockWait[id]) == 0 {
 		se.Owned = false
-		se.ProbOwner = req
-		n.sendLockGrant(p, id, se, req, req, reqVT)
-		n.notifyLockHome(p, se, id, req)
-		n.redispatchLockChase(p, id)
+		n.sendLockGrant(p, id, se, req, reqVT)
 		return
 	}
-	// Busy: append the requester to the distributed queue. The owner
-	// forwards the request to the queue's tail, which records its
-	// successor; each enqueued node knows only who follows it (§3.4).
-	// The queue state must be fully updated before any message is sent:
-	// net.Send advances virtual time and yields, and the holder's
-	// release (a different simulated process) may run during the yield —
-	// a grant sent then must carry the new tail, not the stale one.
-	prevTail := se.Tail
-	se.Tail = req
-	if prevTail == n.id {
-		if se.Succ >= 0 {
-			fail(n.id, 0, "lock enqueue", fmt.Sprintf("lock %d successor already set (succ=%d, enqueuing %d)", id, se.Succ, req))
-		}
-		se.Succ = req
-		if n.lrc != nil {
-			n.lockSuccVT[id] = append([]uint32(nil), reqVT...)
-		}
-	} else if n.lrc != nil {
-		n.send(p, prevTail, wire.LrcLockSetSucc{Lock: uint32(id), Succ: uint8(req), VT: reqVT})
-	} else {
-		n.send(p, prevTail, wire.LockSetSucc{Lock: uint32(id), Succ: uint8(req)})
-	}
-}
-
-// serveLockSetSucc records the successor of this node in a lock's
-// distributed queue.
-func (n *Node) serveLockSetSucc(m wire.LockSetSucc) {
-	se := n.mustSynch(int(m.Lock), directory.SynchLock)
 	if se.Succ >= 0 {
-		fail(n.id, 0, "lock enqueue", fmt.Sprintf("lock %d successor already set (succ=%d, SetSucc %d)", m.Lock, se.Succ, m.Succ))
+		fail(n.id, 0, "lock enqueue", fmt.Sprintf("lock %d successor already set (succ=%d, enqueuing %d)", id, se.Succ, req))
 	}
-	se.Succ = int(m.Succ)
-}
-
-// serveLockGrant routes an arriving grant to the waiting acquirer.
-func (n *Node) serveLockGrant(p rt.Proc, m wire.LockGrant) {
-	n.complete(pendKey{pendLock, uint64(m.Lock)}, m)
+	se.Succ = req
+	if n.lrc != nil {
+		n.lockSuccVT[id] = append([]uint32(nil), reqVT...)
+	}
 }
 
 // lockPiggyback gathers current data for the objects associated with the

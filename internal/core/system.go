@@ -367,7 +367,7 @@ func NewSystem(cfg Config, decls []Decl, locks []LockDecl, barriers []BarrierDec
 		for _, l := range locks {
 			n.synch.Insert(&directory.SynchEntry{
 				ID: l.ID, Kind: directory.SynchLock, Home: l.Home,
-				ProbOwner: l.Home, Owned: n.id == l.Home, Succ: -1, Tail: l.Home,
+				ProbOwner: l.Home, Owned: n.id == l.Home, Succ: -1,
 			})
 		}
 		for _, b := range barriers {

@@ -353,17 +353,19 @@ func (k SynchKind) String() string {
 }
 
 // SynchEntry is one synchronization object directory entry. Each node holds
-// its own view; the distributed-queue lock state (Owned, Held, Succ) is
-// meaningful per node.
+// its own view; the distributed-queue lock state (ProbOwner, Owned, Held,
+// Succ) is meaningful per node.
 type SynchEntry struct {
 	ID   int
 	Kind SynchKind
 
-	// Home is the creating node: barrier arrivals collect there, and it
-	// is the fallback for lock location.
+	// Home is the creating node: barrier arrivals collect there, and a
+	// lock starts out owned there.
 	Home int
 
-	// ProbOwner is this node's best guess at the lock's owner node.
+	// ProbOwner is, for a lock, the last requester this node knows of:
+	// the node its next request goes to. It names this node exactly when
+	// this node is the queue's tail (path reversal, DESIGN.md "Locks").
 	ProbOwner int
 
 	// Owned reports whether this node holds lock ownership.
@@ -375,10 +377,6 @@ type SynchEntry struct {
 	// Succ is the next node in the distributed queue (-1 none): each
 	// enqueued node knows only the identity of its successor (§3.4).
 	Succ int
-
-	// Tail is the last node of the distributed queue, tracked by the
-	// owner so new requests can be forwarded to the end of the queue.
-	Tail int
 
 	// Expected is the barrier's release threshold.
 	Expected int

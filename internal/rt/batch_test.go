@@ -13,7 +13,7 @@ func batchMsg() wire.Batch {
 		wire.UpdateBatch{From: 1, Entries: []wire.UpdateEntry{
 			{Addr: 0x20000, Size: 8, Full: []byte{1, 2, 3, 4, 5, 6, 7, 8}},
 		}},
-		wire.LockGrant{Lock: 3, Tail: 1},
+		wire.LockGrant{Lock: 3},
 		wire.BarrierRelease{Barrier: 9},
 	}}
 }

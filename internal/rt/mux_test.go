@@ -184,7 +184,7 @@ func FuzzMuxFramer(f *testing.F) {
 			{Addr: 0x80003000, Size: 64, Full: bytes.Repeat([]byte{5}, 64)},
 		}},
 		wire.Batch{Msgs: []wire.Message{
-			wire.LockGrant{Lock: 3, Tail: 1},
+			wire.LockGrant{Lock: 3},
 			wire.ReduceReply{Addr: 0x10000, Old: 7},
 		}},
 	}

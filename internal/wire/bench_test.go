@@ -22,14 +22,14 @@ func benchMessages() []Message {
 			{Addr: 0x80005000, Size: 8192, Diff: diff},
 			{Addr: 0x80007000, Size: 8192, Diff: diff},
 		}},
-		LrcLockGrant{Lock: 1, Tail: 3, VT: []uint32{3, 4, 0, 9, 1, 0, 2, 5},
+		LrcLockGrant{Lock: 1, VT: []uint32{3, 4, 0, 9, 1, 0, 2, 5},
 			Notices: []LrcInterval{
 				{Node: 1, Ivl: 4, Addrs: []vm.Addr{0x80001000, 0x80003000}},
 				{Node: 3, Ivl: 9, Addrs: []vm.Addr{0x80001000}},
 			}},
 		Batch{Msgs: []Message{
 			UpdateBatch{From: 2, Entries: []UpdateEntry{{Addr: 0x80005000, Size: 8192, Diff: diff}}},
-			LockGrant{Lock: 1, Tail: 3},
+			LockGrant{Lock: 1},
 			LockOwnNotify{Lock: 1, Owner: 6},
 			BarrierRelease{Barrier: 2},
 		}},

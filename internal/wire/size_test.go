@@ -164,7 +164,7 @@ func randomMessage(rng *rand.Rand, k Kind) Message {
 	case KindLockOwnNotify:
 		return LockOwnNotify{Lock: rng.Uint32(), Owner: uint8(rng.Intn(16))}
 	case KindLockGrant:
-		return LockGrant{Lock: rng.Uint32(), Tail: uint8(rng.Intn(16)), Updates: randUpdates(rng)}
+		return LockGrant{Lock: rng.Uint32(), Updates: randUpdates(rng)}
 	case KindBarrierArrive:
 		return BarrierArrive{Barrier: rng.Uint32(), From: uint8(rng.Intn(16))}
 	case KindBarrierRelease:
@@ -199,7 +199,7 @@ func randomMessage(rng *rand.Rand, k Kind) Message {
 	case KindLrcLockSetSucc:
 		return LrcLockSetSucc{Lock: rng.Uint32(), Succ: uint8(rng.Intn(16)), VT: randU32s(rng, 8)}
 	case KindLrcLockGrant:
-		return LrcLockGrant{Lock: rng.Uint32(), Tail: uint8(rng.Intn(16)), VT: randU32s(rng, 8),
+		return LrcLockGrant{Lock: rng.Uint32(), VT: randU32s(rng, 8),
 			Notices: randIntervals(rng), Updates: randUpdates(rng)}
 	case KindLrcBarrierArrive:
 		return LrcBarrierArrive{Barrier: rng.Uint32(), From: uint8(rng.Intn(16)), VT: randU32s(rng, 8),

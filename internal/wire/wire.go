@@ -295,35 +295,30 @@ type ReduceReply struct {
 
 // --- Synchronization messages ---
 
-// LockAcq requests lock ownership; forwarded along probable-owner chains.
+// LockAcq requests lock ownership. Each node it passes forwards it along
+// its probable-owner hint and points the hint at Requester; the queue's
+// tail grants or records Requester as its successor (path reversal).
 type LockAcq struct {
 	Lock      uint32
 	Requester uint8
 }
 
-// LockSetSucc tells the distributed queue's current tail to record its
-// successor (each enqueued thread knows only who follows it, §3.4).
+// LockSetSucc told the distributed queue's tail its successor. Not sent:
+// a request now travels to the tail itself. Kept for perf/, which names it.
 type LockSetSucc struct {
 	Lock uint32
 	Succ uint8
 }
 
 // LockGrant transfers lock ownership, optionally piggybacking the updates
-// for data associated with the lock (AssociateDataAndSynch, §2.5). Tail is
-// the distributed queue's current last node, which the new owner must know
-// to keep enqueueing requesters.
+// for data associated with the lock (AssociateDataAndSynch, §2.5).
 type LockGrant struct {
 	Lock    uint32
-	Tail    uint8
 	Updates []UpdateEntry
 }
 
-// LockOwnNotify records a lock ownership transfer at the lock's home
-// node. Like OwnNotify for data objects, it anchors the home's probable-
-// owner hint to the true transfer history: request chases that dead-end
-// on a stale hint re-route through the home, and one whose hint points
-// back at the requester parks there until the in-flight transfer's
-// notification arrives.
+// LockOwnNotify told a lock's home where the lock went. Not sent: path
+// reversal needs no home. Kept for perf/, which names it.
 type LockOwnNotify struct {
 	Lock  uint32
 	Owner uint8
@@ -495,16 +490,17 @@ type LrcDiffSet struct {
 }
 
 // LrcLockAcq is LockAcq under the lazy engine: the requester's vector
-// timestamp rides along so the eventual granter can send exactly the
-// write notices the requester has not seen.
+// timestamp rides along to the queue's tail, the eventual granter, so it
+// can send exactly the write notices the requester has not seen.
 type LrcLockAcq struct {
 	Lock      uint32
 	Requester uint8
 	VT        []uint32
 }
 
-// LrcLockSetSucc is LockSetSucc under the lazy engine: the successor's
-// vector timestamp must reach the node that will eventually grant to it.
+// LrcLockSetSucc was LockSetSucc under the lazy engine. Not sent: the
+// successor's vector timestamp arrives on its request. Kept for perf/,
+// which names it.
 type LrcLockSetSucc struct {
 	Lock uint32
 	Succ uint8
@@ -518,7 +514,6 @@ type LrcLockSetSucc struct {
 // managed (migratory critical-section data still moves with the lock).
 type LrcLockGrant struct {
 	Lock    uint32
-	Tail    uint8
 	VT      []uint32
 	Notices []LrcInterval
 	Updates []UpdateEntry
@@ -1091,7 +1086,6 @@ func AppendTo(buf []byte, msg Message) []byte {
 		e.u8(m.Owner)
 	case LockGrant:
 		e.u32(m.Lock)
-		e.u8(m.Tail)
 		e.updates(m.Updates)
 	case BarrierArrive:
 		e.u32(m.Barrier)
@@ -1153,7 +1147,6 @@ func AppendTo(buf []byte, msg Message) []byte {
 		e.u32s(m.VT)
 	case LrcLockGrant:
 		e.u32(m.Lock)
-		e.u8(m.Tail)
 		e.u32s(m.VT)
 		e.intervals(m.Notices)
 		e.updates(m.Updates)
@@ -1259,7 +1252,7 @@ func unmarshal(b []byte, borrow bool) (Message, error) {
 	case KindLockOwnNotify:
 		msg = LockOwnNotify{Lock: d.u32(), Owner: d.u8()}
 	case KindLockGrant:
-		msg = LockGrant{Lock: d.u32(), Tail: d.u8(), Updates: d.updates()}
+		msg = LockGrant{Lock: d.u32(), Updates: d.updates()}
 	case KindBarrierArrive:
 		msg = BarrierArrive{Barrier: d.u32(), From: d.u8()}
 	case KindBarrierRelease:
@@ -1293,7 +1286,7 @@ func unmarshal(b []byte, borrow bool) (Message, error) {
 	case KindLrcLockSetSucc:
 		msg = LrcLockSetSucc{Lock: d.u32(), Succ: d.u8(), VT: d.u32s()}
 	case KindLrcLockGrant:
-		msg = LrcLockGrant{Lock: d.u32(), Tail: d.u8(), VT: d.u32s(),
+		msg = LrcLockGrant{Lock: d.u32(), VT: d.u32s(),
 			Notices: d.intervals(), Updates: d.updates()}
 	case KindLrcBarrierArrive:
 		msg = LrcBarrierArrive{Barrier: d.u32(), From: d.u8(), VT: d.u32s(),
@@ -1468,7 +1461,7 @@ func Size(msg Message) int {
 	case LockOwnNotify:
 		return kind + 4 + 1
 	case LockGrant:
-		return kind + 4 + 1 + sizeUpdates(m.Updates)
+		return kind + 4 + sizeUpdates(m.Updates)
 	case BarrierArrive:
 		return kind + 4 + 1
 	case BarrierRelease:
@@ -1500,7 +1493,7 @@ func Size(msg Message) int {
 	case LrcLockSetSucc:
 		return kind + 4 + 1 + sizeU32s(m.VT)
 	case LrcLockGrant:
-		return kind + 4 + 1 + sizeU32s(m.VT) + sizeIntervals(m.Notices) + sizeUpdates(m.Updates)
+		return kind + 4 + sizeU32s(m.VT) + sizeIntervals(m.Notices) + sizeUpdates(m.Updates)
 	case LrcBarrierArrive:
 		return kind + 4 + 1 + sizeU32s(m.VT) + sizeU32s(m.Floors) + sizeIntervals(m.Notices)
 	case LrcBarrierRelease:

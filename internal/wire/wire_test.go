@@ -35,7 +35,7 @@ func sampleMessages() []Message {
 		LockAcq{Lock: 1, Requester: 9},
 		LockSetSucc{Lock: 1, Succ: 10},
 		LockOwnNotify{Lock: 1, Owner: 6},
-		LockGrant{Lock: 1, Tail: 3, Updates: []UpdateEntry{{Addr: 0x80009000, Size: 4, Full: []byte{1, 2, 3, 4}}}},
+		LockGrant{Lock: 1, Updates: []UpdateEntry{{Addr: 0x80009000, Size: 4, Full: []byte{1, 2, 3, 4}}}},
 		BarrierArrive{Barrier: 2, From: 11},
 		BarrierRelease{Barrier: 2},
 		BarrierRelease{Barrier: 2, Tree: true, Subtree: []uint8{3, 4, 5}},
@@ -53,7 +53,7 @@ func sampleMessages() []Message {
 		MPData{Tag: 77, Payload: []byte("hello")},
 		LrcLockAcq{Lock: 2, Requester: 3, VT: []uint32{0, 4, 1, 9}},
 		LrcLockSetSucc{Lock: 2, Succ: 5, VT: []uint32{1, 0, 0, 2}},
-		LrcLockGrant{Lock: 2, Tail: 1, VT: []uint32{3, 4, 0, 9},
+		LrcLockGrant{Lock: 2, VT: []uint32{3, 4, 0, 9},
 			Notices: []LrcInterval{
 				{Node: 1, Ivl: 4, Addrs: []vm.Addr{0x80001000, 0x80003000}},
 				{Node: 3, Ivl: 9, Addrs: []vm.Addr{0x80001000}},
@@ -81,7 +81,7 @@ func sampleMessages() []Message {
 			UpdateBatch{From: 2, Entries: []UpdateEntry{
 				{Addr: 0x80005000, Size: 8192, Diff: []byte{1, 0, 0, 0, 1, 0, 0, 0, 42, 0, 0, 0}},
 			}},
-			LockGrant{Lock: 1, Tail: 3, Updates: []UpdateEntry{{Addr: 0x80009000, Size: 4, Full: []byte{1, 2, 3, 4}}}},
+			LockGrant{Lock: 1, Updates: []UpdateEntry{{Addr: 0x80009000, Size: 4, Full: []byte{1, 2, 3, 4}}}},
 			BarrierRelease{Barrier: 2, Tree: true, Subtree: []uint8{3, 4}},
 			LrcGC{Floors: []uint32{1, 2}},
 		}},
