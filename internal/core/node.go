@@ -130,10 +130,10 @@ type Node struct {
 	// from different local threads route their responses independently.
 	// lockSuccVT remembers, per lock, the queued successor's vector
 	// timestamp, from its request, so the eventual grant carries exactly
-	// the notices it lacks. barrierVTs/barrierFloors/barrierNodes accumulate, at a
-	// barrier master, the current episode's arrival timestamps, merged
-	// applied floors and contributor set; lrcLastGC is the floor of the
-	// last garbage-collection broadcast.
+	// the notices it lacks. barrierVTs/barrierFloors/barrierNodes
+	// accumulate, at a barrier master, the current episode's arrival
+	// timestamps, merged applied floors and contributor set; lrcLastGC is
+	// the floor of the last garbage-collection broadcast.
 	lrc           *lrc.Engine
 	lrcToken      uint32
 	lockSuccVT    map[int][]uint32

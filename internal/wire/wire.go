@@ -303,8 +303,9 @@ type LockAcq struct {
 	Requester uint8
 }
 
-// LockSetSucc told the distributed queue's tail its successor. Not sent:
-// a request now travels to the tail itself. Kept for perf/, which names it.
+// LockSetSucc is not sent: a lock request travels to the queue's tail,
+// which records its successor itself. The type stays because perf/ names
+// it.
 type LockSetSucc struct {
 	Lock uint32
 	Succ uint8
@@ -317,8 +318,9 @@ type LockGrant struct {
 	Updates []UpdateEntry
 }
 
-// LockOwnNotify told a lock's home where the lock went. Not sent: path
-// reversal needs no home. Kept for perf/, which names it.
+// LockOwnNotify is not sent: no node tracks where a lock is, so no
+// transfer is reported to its home. The type stays because perf/ names
+// it.
 type LockOwnNotify struct {
 	Lock  uint32
 	Owner uint8
@@ -498,9 +500,9 @@ type LrcLockAcq struct {
 	VT        []uint32
 }
 
-// LrcLockSetSucc was LockSetSucc under the lazy engine. Not sent: the
-// successor's vector timestamp arrives on its request. Kept for perf/,
-// which names it.
+// LrcLockSetSucc is LockSetSucc's lazy form, and is not sent either: a
+// successor's vector timestamp reaches the tail on its request. The type
+// stays because perf/ names it.
 type LrcLockSetSucc struct {
 	Lock uint32
 	Succ uint8
