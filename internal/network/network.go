@@ -123,7 +123,7 @@ func (s *Stats) TotalBytes() int {
 type Network struct {
 	sim     *sim.Sim
 	cost    model.CostModel
-	inboxes []*sim.Mailbox
+	inboxes []*sim.Mailbox[Envelope]
 
 	busFreeAt sim.Time
 	stats     Stats
@@ -160,7 +160,7 @@ func New(s *sim.Sim, cost model.CostModel, n int) *Network {
 		},
 	}
 	for i := 0; i < n; i++ {
-		nw.inboxes = append(nw.inboxes, s.NewMailbox(fmt.Sprintf("inbox[%d]", i)))
+		nw.inboxes = append(nw.inboxes, sim.NewMailbox[Envelope](s, fmt.Sprintf("inbox[%d]", i)))
 	}
 	return nw
 }
@@ -239,7 +239,7 @@ func (nw *Network) Send(p *sim.Proc, src, dst int, msg wire.Message) {
 // Recv blocks p until a message arrives for node and charges the
 // receive-path CPU.
 func (nw *Network) Recv(p *sim.Proc, node int) Envelope {
-	env := nw.inboxes[node].Get(p).(Envelope)
+	env := nw.inboxes[node].Get(p)
 	p.Advance(nw.cost.MsgRecvCPU)
 	return env
 }

@@ -1,43 +1,66 @@
 package sim
 
-// Mailbox is an unbounded FIFO queue of messages between simulated
-// processes. Put may be called from process or event (scheduler) context;
+// Mailbox is an unbounded FIFO queue of messages of type T between
+// simulated processes. Put may be called from process or event context;
 // Get blocks the calling process until a message is available.
-type Mailbox struct {
+type Mailbox[T any] struct {
 	sim     *Sim
 	name    string
-	q       []any
+	q       []T
+	head    int // q[head:] are the queued messages
 	waiters []*Proc
 }
 
-// NewMailbox returns an empty mailbox. name appears in deadlock reports.
-func (s *Sim) NewMailbox(name string) *Mailbox {
-	return &Mailbox{sim: s, name: name}
+// NewMailbox returns an empty mailbox of s. name appears in deadlock
+// reports.
+func NewMailbox[T any](s *Sim, name string) *Mailbox[T] {
+	return &Mailbox[T]{sim: s, name: name}
 }
 
 // Put appends v and wakes one waiting process, if any.
-func (m *Mailbox) Put(v any) {
+func (m *Mailbox[T]) Put(v T) {
+	if len(m.q) == cap(m.q) && m.head*2 >= len(m.q) {
+		// Full, and at least half of it already taken: slide the queue
+		// down instead of growing the array.
+		n := copy(m.q, m.q[m.head:])
+		clear(m.q[n:])
+		m.q, m.head = m.q[:n], 0
+	}
 	m.q = append(m.q, v)
 	if len(m.waiters) > 0 {
-		w := m.waiters[0]
-		m.waiters = m.waiters[1:]
+		var w *Proc
+		w, m.waiters = popWaiter(m.waiters)
 		w.wakeLater()
 	}
 }
 
 // Get removes and returns the oldest message, blocking p until one exists.
-func (m *Mailbox) Get(p *Proc) any {
-	for len(m.q) == 0 {
+func (m *Mailbox[T]) Get(p *Proc) T {
+	for m.head == len(m.q) {
 		m.waiters = append(m.waiters, p)
-		p.park("mailbox " + m.name)
+		p.park("mailbox ", m.name)
 	}
-	v := m.q[0]
-	m.q = m.q[1:]
+	v := m.q[m.head]
+	var zero T
+	m.q[m.head] = zero
+	if m.head++; m.head == len(m.q) {
+		// Empty: reuse the array from its start.
+		m.q, m.head = m.q[:0], 0
+	}
 	return v
 }
 
 // Len reports the number of queued messages.
-func (m *Mailbox) Len() int { return len(m.q) }
+func (m *Mailbox[T]) Len() int { return len(m.q) - m.head }
+
+// popWaiter removes the oldest waiter, shifting the rest down so the
+// slice keeps its array for the next append.
+func popWaiter(ws []*Proc) (*Proc, []*Proc) {
+	w := ws[0]
+	n := copy(ws, ws[1:])
+	ws[n] = nil
+	return w, ws[:n]
+}
 
 // Future is a one-shot value that processes can wait on. It models a
 // pending RPC reply: the requester parks on Wait and the dispatcher
@@ -76,7 +99,7 @@ func (f *Future) Done() bool { return f.done }
 func (f *Future) Wait(p *Proc) any {
 	for !f.done {
 		f.waiters = append(f.waiters, p)
-		p.park("future " + f.name)
+		p.park("future ", f.name)
 	}
 	return f.v
 }
@@ -97,7 +120,7 @@ func (s *Sim) NewCond(name string) *Cond {
 // Wait parks p until the next Broadcast.
 func (c *Cond) Wait(p *Proc) {
 	c.waiters = append(c.waiters, p)
-	p.park("cond " + c.name)
+	p.park("cond ", c.name)
 }
 
 // Broadcast wakes every process parked on the condition.
@@ -105,7 +128,8 @@ func (c *Cond) Broadcast() {
 	for _, w := range c.waiters {
 		w.wakeLater()
 	}
-	c.waiters = nil
+	clear(c.waiters)
+	c.waiters = c.waiters[:0]
 }
 
 // Semaphore is a counting semaphore. Munin guards each object-directory
@@ -129,7 +153,7 @@ func (s *Sim) NewSemaphore(name string, n int) *Semaphore {
 func (sem *Semaphore) Acquire(p *Proc) {
 	for sem.n == 0 {
 		sem.waiters = append(sem.waiters, p)
-		p.park("semaphore " + sem.name)
+		p.park("semaphore ", sem.name)
 	}
 	sem.n--
 }
@@ -151,8 +175,8 @@ func (sem *Semaphore) TryAcquire() bool {
 func (sem *Semaphore) Release() {
 	sem.n++
 	if len(sem.waiters) > 0 {
-		w := sem.waiters[0]
-		sem.waiters = sem.waiters[1:]
+		var w *Proc
+		w, sem.waiters = popWaiter(sem.waiters)
 		w.wakeLater()
 	}
 }

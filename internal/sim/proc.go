@@ -27,11 +27,14 @@ const (
 // the process's own goroutine (i.e. from within the fn passed to Spawn),
 // except the read-only accessors Name, UserTime and SystemTime.
 type Proc struct {
-	sim         *Sim
-	name        string
-	wake        chan struct{}
-	state       procState
-	blockReason string
+	sim   *Sim
+	name  string
+	wake  chan struct{}
+	state procState
+	// blockedOn and blockedName say what the process is parked on
+	// ("mailbox ", "inbox[3]"); they are joined only for a deadlock
+	// report, so parking builds no string.
+	blockedOn, blockedName string
 
 	kind   TimeKind
 	user   Time
@@ -83,29 +86,41 @@ func (p *Proc) Advance(d Time) {
 		return
 	}
 	s := p.sim
-	s.At(s.now+d, func() { s.resume(p) })
-	p.park("advancing")
+	s.schedule(s.now+d, p, nil)
+	p.park("advancing", "")
 }
 
 // Yield reschedules the process at the current time behind already-pending
 // events, letting same-instant work interleave deterministically.
 func (p *Proc) Yield() {
-	s := p.sim
-	s.After(0, func() { s.resume(p) })
-	p.park("yielding")
+	p.wakeLater()
+	p.park("yielding", "")
 }
 
-// park blocks the process until the scheduler resumes it. reason appears in
-// deadlock reports.
-func (p *Proc) park(reason string) {
+// park blocks the process until an event resumes it. While it is parked
+// the event loop runs on its goroutine: if the next resume is its own it
+// simply returns, otherwise it hands control to the process resumed (or,
+// once the run has ended, to Run) and waits to be woken. on+name says
+// what it waits for in deadlock reports.
+func (p *Proc) park(on, name string) {
 	s := p.sim
 	if s.current != p {
 		panic(fmt.Sprintf("sim: park called by %s which is not the running process", p.name))
 	}
+	if s.draining {
+		// Deferred code blocking while the process unwinds: nothing
+		// will ever resume it, so keep unwinding.
+		panic(drainSignal{})
+	}
 	p.state = procBlocked
-	p.blockReason = reason
-	s.yield <- struct{}{}
-	<-p.wake
+	p.blockedOn, p.blockedName = on, name
+	s.current = nil
+	if next := s.dispatch(); next == p {
+		s.current = p
+	} else {
+		s.handOver(next)
+		<-p.wake
+	}
 	if s.draining {
 		// Woken only to unwind: the run has ended (Stop, cancellation,
 		// failure or deadlock) and this process will never be resumed
@@ -113,13 +128,17 @@ func (p *Proc) park(reason string) {
 		panic(drainSignal{})
 	}
 	p.state = procRunning
-	p.blockReason = ""
+	p.blockedOn, p.blockedName = "", ""
 }
 
+// blockReason words what a parked process waits for, as deadlock reports
+// print it.
+func (p *Proc) blockReason() string { return p.blockedOn + p.blockedName }
+
 // wakeLater schedules the process to be resumed at the current virtual time
-// (behind pending same-time events). It must be called from scheduler or
+// (behind pending same-time events). It must be called from event or
 // process context while p is parked or about to park.
 func (p *Proc) wakeLater() {
 	s := p.sim
-	s.After(0, func() { s.resume(p) })
+	s.schedule(s.now, p, nil)
 }

@@ -194,7 +194,7 @@ func TestProcPanicNonError(t *testing.T) {
 
 func TestDeadlockDetection(t *testing.T) {
 	s := New()
-	m := s.NewMailbox("never")
+	m := NewMailbox[int](s, "never")
 	s.Spawn("stuck", func(p *Proc) { m.Get(p) })
 	err := s.Run()
 	var dl *DeadlockError
@@ -228,7 +228,7 @@ func TestStop(t *testing.T) {
 
 func TestMailboxFIFO(t *testing.T) {
 	s := New()
-	m := s.NewMailbox("box")
+	m := NewMailbox[int](s, "box")
 	var got []int
 	s.Spawn("producer", func(p *Proc) {
 		for i := 0; i < 5; i++ {
@@ -238,7 +238,7 @@ func TestMailboxFIFO(t *testing.T) {
 	})
 	s.Spawn("consumer", func(p *Proc) {
 		for i := 0; i < 5; i++ {
-			got = append(got, m.Get(p).(int))
+			got = append(got, m.Get(p))
 		}
 	})
 	if err := s.Run(); err != nil {
@@ -253,7 +253,7 @@ func TestMailboxFIFO(t *testing.T) {
 
 func TestMailboxLen(t *testing.T) {
 	s := New()
-	m := s.NewMailbox("box")
+	m := NewMailbox[string](s, "box")
 	m.Put("x")
 	m.Put("y")
 	if m.Len() != 2 {
@@ -263,12 +263,12 @@ func TestMailboxLen(t *testing.T) {
 
 func TestMailboxMultipleWaiters(t *testing.T) {
 	s := New()
-	m := s.NewMailbox("box")
+	m := NewMailbox[int](s, "box")
 	var got []string
 	for _, name := range []string{"c1", "c2"} {
 		name := name
 		s.Spawn(name, func(p *Proc) {
-			v := m.Get(p).(int)
+			v := m.Get(p)
 			got = append(got, fmt.Sprintf("%s=%d", name, v))
 		})
 	}
@@ -408,7 +408,7 @@ func TestDeterministicReplay(t *testing.T) {
 	run := func() []string {
 		s := New()
 		var log []string
-		m := s.NewMailbox("m")
+		m := NewMailbox[int](s, "m")
 		for i := 0; i < 3; i++ {
 			i := i
 			s.Spawn(fmt.Sprintf("p%d", i), func(p *Proc) {
@@ -420,7 +420,7 @@ func TestDeterministicReplay(t *testing.T) {
 		}
 		s.Spawn("sink", func(p *Proc) {
 			for i := 0; i < 3; i++ {
-				v := m.Get(p).(int)
+				v := m.Get(p)
 				log = append(log, fmt.Sprintf("got%d@%d", v, p.Now()))
 			}
 		})
