@@ -478,16 +478,15 @@ func (n *Node) delayedWrite(t *Thread, e *directory.Entry) {
 		if !e.Params.MultipleWriters {
 			break
 		}
-		// Snapshot before charging the copy cost: the charge yields, and
-		// the twin must match the content the diff will later be taken
-		// against.
-		data := n.snapshotTwin(e)
+		// Install the twin before charging the copy cost: the charge
+		// yields, and an update merged meanwhile must land in the twin as
+		// well as the page, or the next diff carries words this node
+		// never wrote.
+		duq.MakeTwin(e, n.snapshotTwin(e))
 		t.proc.Advance(n.sys.cost.CopyCost(e.Size))
 		if !e.Valid {
-			n.recycleTwin(data) // snatched during the charge: the twin died with the copy
-			continue
+			continue // snatched during the charge: dropObject retired the twin with the copy
 		}
-		duq.MakeTwin(e, data)
 		n.Twins++
 		break
 	}
