@@ -17,10 +17,11 @@ const lockQueueRounds = 6
 
 // lockQueueRun has every node take two locks in turn for lockQueueRounds
 // rounds; lock l guards a write_shared counter on page l (or, samePage,
-// word l of page 0), which each holder increments. The test keeps its own count of the threads inside
-// each lock and reports any moment it exceeds one, then reads both
-// counters under their locks and reports any that is not procs ×
-// lockQueueRounds, and last checks the hint tree (lockTreeErr). On the
+// word l of page 0), which each holder increments. The test keeps its
+// own count of the threads inside each lock and reports any moment it
+// exceeds one, then reads both counters under their locks and reports
+// any that is not procs × lockQueueRounds, and last checks the hint tree
+// (lockTreeErr). On the
 // simulator with wide delivery reordering this drives requests, enqueues
 // and grants past each other; seed 0 delivers in order.
 func lockQueueRun(t *testing.T, procs int, seed, span int64, cfg Config, samePage bool) (*System, error) {

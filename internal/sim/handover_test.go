@@ -229,3 +229,33 @@ func TestHandoverProcFinishesWhileOthersWait(t *testing.T) {
 		t.Errorf("waiters received %d in total, want 6", got)
 	}
 }
+
+// TestMailboxOrderWhileNeverEmpty keeps a mailbox growing while it is
+// drained, so its array is both grown and slid down, and checks that
+// messages still come out in the order they went in.
+func TestMailboxOrderWhileNeverEmpty(t *testing.T) {
+	m := NewMailbox[int](New(), "box")
+	rng := rand.New(rand.NewSource(1))
+	put, got := 0, 0
+	take := func() {
+		t.Helper()
+		if v := m.Get(nil); v != got { // non-empty: Get does not park
+			t.Fatalf("Get = %d, want %d", v, got)
+		}
+		got++
+	}
+	for i := 0; i < 20000; i++ {
+		if m.Len() == 0 || rng.Intn(5) < 3 {
+			m.Put(put)
+			put++
+		} else {
+			take()
+		}
+	}
+	for m.Len() > 0 {
+		take()
+	}
+	if got != put {
+		t.Fatalf("got %d messages, put %d", got, put)
+	}
+}
