@@ -206,20 +206,32 @@ const demoPhases = 8
 
 // demoExchange builds the shared producer-consumer skeleton of the
 // phased demos: node 0 writes the first words of a page each phase, the
-// other nodes read them back, with two barriers per phase. The declared
-// annotation is the only difference between the two demos using it.
-func demoExchange(c DemoConfig, annot protocol.Annotation, phases int) (*App, error) {
+// other nodes read them back, with two barriers per phase. With prime
+// set, every consumer reads the page once before the first phase,
+// behind one more barrier, so the producer's first flush determines a
+// stable copyset that already holds them.
+func demoExchange(c DemoConfig, annot protocol.Annotation, prime bool) (*App, error) {
 	if c.Procs < 2 || c.Procs > munin.MaxProcessors {
 		return nil, fmt.Errorf("apps: demo needs 2-%d processors, got %d", munin.MaxProcessors, c.Procs)
 	}
 	p := munin.NewProgram(c.Procs)
 	data := munin.Declare[uint32](p, "data", 512, annot)
 	bar := p.CreateBarrier(c.Procs + 1)
-	procs := c.Procs
+	procs, phases := c.Procs, demoPhases
+	barriers := 2 * phases
+	if prime {
+		barriers++
+	}
 	root := func(root *munin.Thread) {
 		for w := 0; w < procs; w++ {
 			w := w
 			root.Spawn(w, fmt.Sprintf("worker%d", w), func(t *munin.Thread) {
+				if prime {
+					if w != 0 {
+						_ = data.Get(t, 0)
+					}
+					bar.Wait(t)
+				}
 				for ph := 0; ph < phases; ph++ {
 					if w == 0 {
 						for i := 0; i < 8; i++ {
@@ -234,7 +246,7 @@ func demoExchange(c DemoConfig, annot protocol.Annotation, phases int) (*App, er
 				}
 			})
 		}
-		for ph := 0; ph < 2*phases; ph++ {
+		for i := 0; i < barriers; i++ {
 			bar.Wait(root)
 		}
 	}
@@ -257,10 +269,12 @@ func demoExchange(c DemoConfig, annot protocol.Annotation, phases int) (*App, er
 }
 
 // NewProducerConsumerDemo has node 0 produce a page that the other nodes
-// consume each phase: after the first phase the copyset is stable and
-// the producer's flush updates exactly the consumers.
+// consume each phase. The consumers read the page once before the first
+// phase: a producer_consumer copyset is fixed at the first flush, and a
+// consumer outside it would violate the stable sharing pattern (§2.3.2).
+// From then on the producer's flush updates exactly the consumers.
 func NewProducerConsumerDemo(c DemoConfig) (*App, error) {
-	return demoExchange(c.withDefaults(), protocol.ProducerConsumer, demoPhases)
+	return demoExchange(c.withDefaults(), protocol.ProducerConsumer, true)
 }
 
 // NewAdaptiveDemo is the same exchange declared with no hint at all
@@ -269,7 +283,7 @@ func NewProducerConsumerDemo(c DemoConfig) (*App, error) {
 // exchange switching it to producer_consumer appears in the trace. Run
 // it with munin.WithAdaptive (Demo.Adaptive marks this).
 func NewAdaptiveDemo(c DemoConfig) (*App, error) {
-	return demoExchange(c.withDefaults(), protocol.Adaptive, demoPhases)
+	return demoExchange(c.withDefaults(), protocol.Adaptive, false)
 }
 
 // NewReductionDemo runs fetch-and-min against a fixed-owner global
