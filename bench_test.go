@@ -58,10 +58,13 @@ func BenchmarkTable2DUQ(b *testing.B) {
 func benchmarkMatMul(b *testing.B, procs int, single bool) {
 	b.Helper()
 	cfg := apps.MatMulConfig{Procs: procs, N: 400, Single: single}
+	app, err := apps.NewMatMul(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
 	var mu, dm apps.RunResult
-	var err error
 	for i := 0; i < b.N; i++ {
-		if mu, err = apps.MuninMatMul(cfg); err != nil {
+		if mu, err = app.Run(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 		if dm, err = mp.MatMul(cfg); err != nil {
@@ -97,10 +100,13 @@ func BenchmarkTable5SOR(b *testing.B) {
 	for _, procs := range benchProcs {
 		b.Run(benchName(procs), func(b *testing.B) {
 			cfg := apps.SORConfig{Procs: procs, Rows: 512, Cols: 2048, Iters: 25}
+			app, err := apps.NewSOR(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
 			var mu, dm apps.RunResult
-			var err error
 			for i := 0; i < b.N; i++ {
-				if mu, err = apps.MuninSOR(cfg); err != nil {
+				if mu, err = app.Run(context.Background()); err != nil {
 					b.Fatal(err)
 				}
 				if dm, err = mp.SOR(cfg); err != nil {
@@ -121,34 +127,38 @@ func BenchmarkTable5SOR(b *testing.B) {
 // program at 16 processors under its own annotations versus the
 // single-protocol overrides.
 func BenchmarkTable6MultiProtocol(b *testing.B) {
-	ws := protocol.WriteShared
-	conv := protocol.Conventional
+	mm, err := apps.NewMatMul(apps.MatMulConfig{Procs: 16, N: 400})
+	if err != nil {
+		b.Fatal(err)
+	}
+	sor, err := apps.NewSOR(apps.SORConfig{Procs: 16, Rows: 512, Cols: 2048, Iters: 25})
+	if err != nil {
+		b.Fatal(err)
+	}
 	for _, cfg := range []struct {
-		name     string
-		override *protocol.Annotation
-	}{{"Multiple", nil}, {"WriteShared", &ws}, {"Conventional", &conv}} {
-		b.Run("MatMul/"+cfg.name, func(b *testing.B) {
-			var r apps.RunResult
-			var err error
-			for i := 0; i < b.N; i++ {
-				if r, err = apps.MuninMatMul(apps.MatMulConfig{Procs: 16, N: 400, Override: cfg.override}); err != nil {
-					b.Fatal(err)
+		name string
+		opts []munin.RunOption
+	}{
+		{"Multiple", nil},
+		{"WriteShared", []munin.RunOption{munin.WithOverride(protocol.WriteShared)}},
+		{"Conventional", []munin.RunOption{munin.WithOverride(protocol.Conventional)}},
+	} {
+		for _, w := range []struct {
+			name string
+			app  *apps.App
+		}{{"MatMul", mm}, {"SOR", sor}} {
+			b.Run(w.name+"/"+cfg.name, func(b *testing.B) {
+				var r apps.RunResult
+				var err error
+				for i := 0; i < b.N; i++ {
+					if r, err = w.app.Run(context.Background(), cfg.opts...); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-			b.ReportMetric(r.Elapsed.Seconds(), "vsec/op")
-			b.ReportMetric(float64(r.Messages), "msgs/op")
-		})
-		b.Run("SOR/"+cfg.name, func(b *testing.B) {
-			var r apps.RunResult
-			var err error
-			for i := 0; i < b.N; i++ {
-				if r, err = apps.MuninSOR(apps.SORConfig{Procs: 16, Rows: 512, Cols: 2048, Iters: 25, Override: cfg.override}); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(r.Elapsed.Seconds(), "vsec/op")
-			b.ReportMetric(float64(r.Messages), "msgs/op")
-		})
+				b.ReportMetric(r.Elapsed.Seconds(), "vsec/op")
+				b.ReportMetric(float64(r.Messages), "msgs/op")
+			})
+		}
 	}
 }
 
@@ -229,10 +239,13 @@ func BenchmarkExtraTSP(b *testing.B) {
 	for _, procs := range benchProcs {
 		b.Run(benchName(procs), func(b *testing.B) {
 			cfg := apps.TSPConfig{Procs: procs, Cities: 11}
+			app, err := apps.NewTSP(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
 			var mu apps.RunResult
-			var err error
 			for i := 0; i < b.N; i++ {
-				if mu, err = apps.MuninTSP(cfg); err != nil {
+				if mu, err = app.Run(context.Background()); err != nil {
 					b.Fatal(err)
 				}
 				if _, err = mp.TSP(cfg); err != nil {

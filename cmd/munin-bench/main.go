@@ -19,8 +19,9 @@
 //	munin-bench -table 5 -consistency lazy # run the apps under the lazy engine
 //
 // Times are virtual seconds from the calibrated cost model (a 1991-era
-// SUN-3/60 cluster on 10 Mbps Ethernet); see EXPERIMENTS.md for how each
-// table's shape compares with the published one.
+// SUN-3/60 cluster on 10 Mbps Ethernet). DESIGN.md's evaluation map names
+// the driver behind each paper table, and the internal/bench table tests
+// assert each one's published shape.
 package main
 
 import (
@@ -71,16 +72,12 @@ func main() {
 	if *jsonOut == "-" {
 		tableOut = os.Stderr
 	}
-	lazyRC := false
-	switch *consistency {
-	case "", "eager":
-	case "lazy":
-		lazyRC = true
-	default:
-		fatal(fmt.Errorf("unknown consistency %q (want eager or lazy)", *consistency))
+	cons, err := munin.ParseConsistency(*consistency)
+	if err != nil {
+		fatal(err)
 	}
 	scaleRounds = *rounds
-	opts := bench.AppOpts{N: *n, Rows: *rows, Cols: *cols, Iters: *iters, Adaptive: *adaptive, Lazy: lazyRC, Transport: *transport}
+	opts := bench.AppOpts{N: *n, Rows: *rows, Cols: *cols, Iters: *iters, Adaptive: *adaptive, Lazy: cons == munin.LazyRC, Transport: *transport}
 	if *procs != "" {
 		ps, err := parseProcs(*procs)
 		if err != nil {
@@ -158,141 +155,79 @@ func parseProcs(s string) ([]int, error) {
 	return out, nil
 }
 
+// runTable regenerates one table, prints it and records it for -json
+// (under "table"+t for the paper's numbered tables).
 func runTable(t string, opts bench.AppOpts) {
+	var (
+		r   interface{ Format(io.Writer) }
+		err error
+	)
 	switch t {
 	case "1":
-		r := bench.RunTable1()
-		r.Format(tableOut)
-		results["table1"] = r
+		r = bench.RunTable1()
 	case "2":
-		r, err := bench.RunTable2(model.Default())
-		if err != nil {
-			fatal(err)
-		}
-		r.Format(tableOut)
-		results["table2"] = r
+		r, err = bench.RunTable2(model.Default())
 	case "3":
-		r, err := bench.RunTable3(opts)
-		if err != nil {
-			fatal(err)
-		}
-		r.Format(tableOut)
-		results["table3"] = r
+		r, err = bench.RunTable3(opts)
 	case "4":
-		r, err := bench.RunTable4(opts)
-		if err != nil {
-			fatal(err)
-		}
-		r.Format(tableOut)
-		results["table4"] = r
+		r, err = bench.RunTable4(opts)
 	case "5":
-		r, err := bench.RunTable5(opts)
-		if err != nil {
-			fatal(err)
-		}
-		r.Format(tableOut)
-		results["table5"] = r
+		r, err = bench.RunTable5(opts)
 	case "6":
-		r, err := bench.RunTable6(bench.Table6Opts{AppOpts: opts})
-		if err != nil {
-			fatal(err)
-		}
-		r.Format(tableOut)
-		results["table6"] = r
+		r, err = bench.RunTable6(bench.Table6Opts{AppOpts: opts})
 	case "6b":
-		r, err := bench.RunTable6FalseSharing(bench.Table6Opts{})
-		if err != nil {
-			fatal(err)
-		}
-		r.Format(tableOut)
-		results["table6b"] = r
+		r, err = bench.RunTable6FalseSharing(bench.Table6Opts{})
 	case "tsp":
-		r, err := bench.RunTSP(opts)
-		if err != nil {
-			fatal(err)
-		}
-		r.Format(tableOut)
-		results["tsp"] = r
+		r, err = bench.RunTSP(opts)
 	case "wire":
-		wo := bench.WireOpts{Transport: opts.Transport}
-		if len(opts.Procs) > 0 {
-			wo.Procs = opts.Procs[len(opts.Procs)-1]
-			if len(opts.Procs) > 1 {
-				fmt.Fprintf(tableOut, "(wire table runs at one processor count; using %d)\n", wo.Procs)
-			}
-		}
-		r, err := bench.RunWire(wo)
-		if err != nil {
-			fatal(err)
-		}
-		r.Format(tableOut)
-		results["wire"] = r
+		r, err = bench.RunWire(bench.WireOpts{Procs: oneProcs(t, opts.Procs), Transport: opts.Transport})
 	case "lazy":
-		lo := bench.LazyOpts{N: opts.N, Rows: opts.Rows, Cols: opts.Cols, Iters: opts.Iters, Transport: opts.Transport}
-		if len(opts.Procs) > 0 {
-			lo.Procs = opts.Procs[len(opts.Procs)-1]
-			if len(opts.Procs) > 1 {
-				fmt.Fprintf(tableOut, "(lazy table runs at one processor count; using %d)\n", lo.Procs)
-			}
-		}
-		r, err := bench.RunLazy(lo)
-		if err != nil {
-			fatal(err)
-		}
-		r.Format(tableOut)
-		results["lazy"] = r
+		r, err = bench.RunLazy(bench.LazyOpts{Procs: oneProcs(t, opts.Procs),
+			N: opts.N, Rows: opts.Rows, Cols: opts.Cols, Iters: opts.Iters, Transport: opts.Transport})
 	case "scale":
-		so := bench.ScaleOpts{Procs: opts.Procs, Rounds: scaleRounds}
 		if opts.Transport != "" && opts.Transport != "sim" {
 			fmt.Fprintln(tableOut, "(scale table sweeps virtual time; always runs on sim)")
 		}
-		r, err := bench.RunScale(so)
-		if err != nil {
-			fatal(err)
-		}
-		r.Format(tableOut)
-		results["scale"] = r
+		r, err = bench.RunScale(bench.ScaleOpts{Procs: opts.Procs, Rounds: scaleRounds})
 	case "adaptive":
-		ao := bench.AdaptiveOpts{N: opts.N, Rows: opts.Rows, Cols: opts.Cols, Iters: opts.Iters, Transport: opts.Transport}
-		if len(opts.Procs) > 0 {
-			ao.Procs = opts.Procs[len(opts.Procs)-1]
-			if len(opts.Procs) > 1 {
-				fmt.Fprintf(tableOut, "(adaptive table runs at one processor count; using %d)\n", ao.Procs)
-			}
-		}
-		r, err := bench.RunAdaptive(ao)
-		if err != nil {
-			fatal(err)
-		}
-		r.Format(tableOut)
-		results["adaptive"] = r
+		r, err = bench.RunAdaptive(bench.AdaptiveOpts{Procs: oneProcs(t, opts.Procs),
+			N: opts.N, Rows: opts.Rows, Cols: opts.Cols, Iters: opts.Iters, Transport: opts.Transport})
 	}
+	if t[0] >= '0' && t[0] <= '9' {
+		t = "table" + t
+	}
+	emit(t, r, err)
+}
+
+// oneProcs picks the processor count of a table that runs at one size:
+// the last of -procs, or 0 for the table's default.
+func oneProcs(table string, procs []int) int {
+	if len(procs) == 0 {
+		return 0
+	}
+	p := procs[len(procs)-1]
+	if len(procs) > 1 {
+		fmt.Fprintf(tableOut, "(%s table runs at one processor count; using %d)\n", table, p)
+	}
+	return p
 }
 
 func runAblation(a string) {
-	var (
-		r   bench.Ablation
-		err error
-	)
-	switch a {
-	case "A1":
-		r, err = bench.RunAblationA1(bench.AblationOpts{})
-	case "A2":
-		r, err = bench.RunAblationA2(bench.AblationOpts{})
-	case "A3":
-		r, err = bench.RunAblationA3(bench.AblationOpts{})
-	case "A4":
-		r, err = bench.RunAblationA4(bench.AblationOpts{})
-	case "A5":
-		r, err = bench.RunAblationA5(bench.AblationOpts{})
-	case "A6":
-		r, err = bench.RunAblationA6(bench.AblationOpts{})
-	}
+	run := map[string]func(bench.AblationOpts) (bench.Ablation, error){
+		"A1": bench.RunAblationA1, "A2": bench.RunAblationA2, "A3": bench.RunAblationA3,
+		"A4": bench.RunAblationA4, "A5": bench.RunAblationA5, "A6": bench.RunAblationA6,
+	}[a]
+	r, err := run(bench.AblationOpts{})
+	emit(a, r, err)
+}
+
+// emit prints one result and records it under key for -json.
+func emit(key string, r interface{ Format(io.Writer) }, err error) {
 	if err != nil {
 		fatal(err)
 	}
 	r.Format(tableOut)
-	results[a] = r
+	results[key] = r
 }
 
 func fatal(err error) {

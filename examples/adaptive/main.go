@@ -22,11 +22,13 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
 	"os"
 
+	"munin"
 	"munin/internal/apps"
 	"munin/internal/protocol"
 )
@@ -39,16 +41,24 @@ func main() {
 	)
 	flag.Parse()
 
-	cfg := apps.PipelineConfig{Procs: *procs, Rounds1: *rounds, Rounds2: *rounds, Adaptive: *annot == ""}
-	if *annot != "" {
-		a, err := protocol.Parse(*annot)
-		if err != nil {
+	// The buffer is declared with no hint, and the run turns the engine
+	// on, unless a static annotation was asked for.
+	a := protocol.Adaptive
+	var opts []munin.RunOption
+	if *annot == "" {
+		opts = append(opts, munin.WithAdaptive())
+	} else {
+		var err error
+		if a, err = protocol.Parse(*annot); err != nil {
 			log.Fatal("adaptive: ", err)
 		}
-		cfg.Override = &a
 	}
-
-	r, err := apps.MuninPipeline(cfg)
+	cfg := apps.PipelineConfig{Procs: *procs, Rounds1: *rounds, Rounds2: *rounds, Override: &a}
+	app, err := apps.NewPipeline(cfg)
+	if err != nil {
+		log.Fatal("adaptive: ", err)
+	}
+	r, err := app.Run(context.Background(), opts...)
 	if err != nil {
 		log.Fatal("adaptive: ", err)
 	}
@@ -58,8 +68,8 @@ func main() {
 		status = fmt.Sprintf("MISMATCH (got %d, want %d)", r.Check, want)
 	}
 	mode := "adaptive (no hint: munin.Adaptive)"
-	if cfg.Override != nil {
-		mode = "static " + cfg.Override.String()
+	if *annot != "" {
+		mode = "static " + a.String()
 	}
 	fmt.Printf("mode:     %s\n", mode)
 	fmt.Printf("elapsed:  %.3f virtual s\n", r.Elapsed.Seconds())

@@ -1,7 +1,13 @@
-// Package apps holds the two evaluation applications of the paper —
-// Matrix Multiply and Successive Over-Relaxation (SOR) — in their Munin
-// form, plus the computational kernels and cost-charging helpers shared
-// with the hand-coded message-passing versions in internal/mp.
+// Package apps holds the programs the evaluation runs, each built once
+// as a reusable App: the paper's Matrix Multiply and Successive
+// Over-Relaxation (SOR), branch-and-bound TSP, the lock-heavy ring, the
+// phase-changing pipeline, and a registry of small demos. It also holds
+// the computational kernels and cost-charging helpers shared with the
+// hand-coded message-passing versions in internal/mp.
+//
+// A config holds only what builds the Program: sizes, the cost model and
+// declared annotations. Everything chosen per run (transport, engine,
+// override, batching, metrics) is a munin.RunOption given to App.Run.
 //
 // The paper took "special care to ensure that the actual computational
 // components of both versions of each program are identical" (§4); here
@@ -18,7 +24,6 @@ import (
 	"munin/internal/protocol"
 	"munin/internal/sim"
 	"munin/internal/vm"
-	"munin/internal/wire"
 )
 
 // App is one evaluation program in reusable form: the Program (built
@@ -54,76 +59,12 @@ func (a *App) Run(ctx context.Context, opts ...munin.RunOption) (RunResult, erro
 	if err != nil {
 		return RunResult{}, err
 	}
-	st := res.Stats()
-	return RunResult{
-		Elapsed:        st.Elapsed,
-		RootUser:       st.RootUser,
-		RootSystem:     st.RootSystem,
-		Messages:       st.Messages,
-		Sends:          st.Sends,
-		BatchedInto:    st.BatchEnvelopes,
-		Riders:         st.BatchedMessages,
-		Bytes:          st.Bytes,
-		PerKind:        st.PerKind,
-		PerKindBytes:   st.PerKindBytes,
-		Check:          chk,
-		AdaptSwitches:  st.AdaptSwitches,
-		LrcIntervals:   st.LrcIntervals,
-		LrcDiffFetches: st.LrcDiffFetches,
-		LrcRecordsGCed: st.LrcRecordsGCed,
-		Latencies:      st.Latencies,
-		res:            res,
-	}, nil
-}
-
-// RunOpts translates the configs' shared per-run knobs into options
-// (the cost model is not among them — it belongs to the App). The bench
-// sweeps use it too, so single-shot wrappers and sweeps cannot drift
-// apart in what they configure. lazy selects the lazy release
-// consistency engine (WithConsistency(LazyRC)).
-func RunOpts(transport string, override *protocol.Annotation, adaptive, exact, lazy bool) []munin.RunOption {
-	var opts []munin.RunOption
-	if transport != "" {
-		opts = append(opts, munin.WithTransport(transport))
-	}
-	if override != nil {
-		opts = append(opts, munin.WithOverride(*override))
-	}
-	if adaptive {
-		opts = append(opts, munin.WithAdaptive())
-	}
-	if exact {
-		opts = append(opts, munin.WithExactCopyset())
-	}
-	if lazy {
-		opts = append(opts, munin.WithConsistency(munin.LazyRC))
-	}
-	return opts
-}
-
-// appendBatch appends munin.WithBatching when batch is set — the shape
-// the single-shot app wrappers share.
-func appendBatch(opts []munin.RunOption, batch bool) []munin.RunOption {
-	if batch {
-		opts = append(opts, munin.WithBatching())
-	}
-	return opts
-}
-
-// appendMetrics appends munin.WithMetrics when metrics is set. Recording
-// charges nothing to the cost model, so a metrics run's virtual times
-// and traffic are bit-identical to a bare one — the knob only decides
-// whether RunResult.Latencies and Profile are populated.
-func appendMetrics(opts []munin.RunOption, metrics bool) []munin.RunOption {
-	if metrics {
-		opts = append(opts, munin.WithMetrics())
-	}
-	return opts
+	return RunResult{Stats: res.Stats(), Check: chk, res: res}, nil
 }
 
 // LiveTransport reports whether name selects a real concurrent
 // transport (anything but the deterministic simulator) — the condition
-// that forces SOR's phase barrier on (see SORConfig.PhaseBarrier).
+// under which a SOR App must be built with SORConfig.PhaseBarrier.
 func LiveTransport(name string) bool {
 	return name != "" && name != munin.TransportSim
 }
@@ -139,24 +80,6 @@ type MatMulConfig struct {
 	// Single applies the SingleObject optimization to the fully-read
 	// input matrix (Table 4).
 	Single bool
-	// Override forces one annotation on all shared data (Table 6).
-	Override *protocol.Annotation
-	// Exact selects the improved home-directed copyset determination
-	// (ablation A4).
-	Exact bool
-	// Adaptive enables the adaptive protocol engine, which profiles the
-	// (possibly mis-annotated) shared data and switches protocols online.
-	Adaptive bool
-	// Lazy selects the lazy release consistency engine (LazyRC).
-	Lazy bool
-	// Batch coalesces same-destination protocol messages into wire.Batch
-	// envelopes (munin.WithBatching).
-	Batch bool
-	// Metrics enables latency histograms and hot-object profiles
-	// (munin.WithMetrics; charges nothing to the cost model).
-	Metrics bool
-	// Transport selects the substrate: "sim" (default), "chan" or "mux".
-	Transport string
 }
 
 // SORConfig parameterizes an SOR run (Tables 5, 6).
@@ -171,72 +94,27 @@ type SORConfig struct {
 	Iters int
 	// Model is the cost model (zero = default).
 	Model model.CostModel
-	// Override forces one annotation on all shared data (Table 6).
-	Override *protocol.Annotation
-	// Exact selects the improved home-directed copyset determination
-	// (ablation A4).
-	Exact bool
-	// Adaptive enables the adaptive protocol engine, which profiles the
-	// (possibly mis-annotated) shared data and switches protocols online.
-	Adaptive bool
-	// Lazy selects the lazy release consistency engine (LazyRC).
-	Lazy bool
-	// Batch coalesces same-destination protocol messages into wire.Batch
-	// envelopes (munin.WithBatching).
-	Batch bool
-	// Metrics enables latency histograms and hot-object profiles
-	// (munin.WithMetrics; charges nothing to the cost model).
-	Metrics bool
-	// Transport selects the substrate: "sim" (default), "chan" or "mux".
-	Transport string
 	// PhaseBarrier inserts a second barrier between the compute and copy
 	// phases of every iteration, making the program data-race-free. The
 	// paper's single-barrier program relies on every worker's reads
 	// completing before any worker's release — deterministically true
 	// under the simulator's cost model, but mere chaotic relaxation under
-	// real concurrency, so MuninSOR forces this on for the "chan" and
-	// "mux" transports. The cross-transport equivalence tests also set it
+	// real concurrency, so a run on the "chan" or "mux" transport needs
+	// it (see LiveTransport). The cross-transport equivalence tests also set it
 	// on "sim" so the final grid is bit-identical on every transport.
 	PhaseBarrier bool
 }
 
-// RunResult reports one run's measurements in the paper's terms.
+// RunResult reports one run's measurements in the paper's terms: the
+// run's munin.Stats plus the output fingerprint. The message-passing
+// versions in internal/mp fill only Elapsed, Messages, Bytes and Check;
+// their RootUser and RootSystem stay zero (no DSM runtime) and so do the
+// Munin-only counters.
 type RunResult struct {
-	// Elapsed is total execution time.
-	Elapsed sim.Time
-	// RootUser and RootSystem are the root node's user/system split
-	// (zero for the message-passing versions' System, which has no DSM
-	// runtime).
-	RootUser   sim.Time
-	RootSystem sim.Time
-	// Messages and Bytes count all network traffic. Sends counts
-	// transport sends: equal to Messages without batching, lower with
-	// munin.WithBatching (BatchedInto counts the envelopes and Riders
-	// the messages that rode inside them).
-	Messages    int
-	Sends       int
-	BatchedInto int
-	Riders      int
-	Bytes       int
-	// PerKind and PerKindBytes break Munin traffic down by protocol
-	// message type (nil for the message-passing versions).
-	PerKind      map[wire.Kind]int
-	PerKindBytes map[wire.Kind]int
+	munin.Stats
 	// Check fingerprints the computed output so Munin, message-passing
 	// and sequential reference runs can be compared exactly.
 	Check uint32
-	// AdaptSwitches counts annotation switches the adaptive engine
-	// committed during the run (zero when not adaptive).
-	AdaptSwitches int
-	// LrcIntervals, LrcDiffFetches and LrcRecordsGCed count the lazy
-	// engine's activity (zero on eager runs).
-	LrcIntervals   int
-	LrcDiffFetches int
-	LrcRecordsGCed int
-	// Latencies holds the per-operation latency percentiles of a
-	// munin.WithMetrics run, keyed by operation name; nil when metrics
-	// were off (see munin.Stats.Latencies).
-	Latencies map[string]munin.LatencySummary `json:",omitempty"`
 
 	// res retains the finished run for post-run inspection (nil for the
 	// message-passing versions).

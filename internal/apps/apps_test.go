@@ -1,10 +1,22 @@
 package apps
 
 import (
+	"context"
 	"testing"
 
+	"munin"
 	"munin/internal/protocol"
 )
+
+// runNew builds an App from its config and runs it once: the shape of a
+// test that needs one run of a freshly configured program.
+func runNew[C any](newApp func(C) (*App, error), c C, opts ...munin.RunOption) (RunResult, error) {
+	app, err := newApp(c)
+	if err != nil {
+		return RunResult{}, err
+	}
+	return app.Run(context.Background(), opts...)
+}
 
 func TestMACRow(t *testing.T) {
 	dst := []int32{1, 2, 3}
@@ -69,7 +81,7 @@ func TestMuninMatMulMatchesReference(t *testing.T) {
 	const n = 96
 	ref := MatMulReference(n)
 	for _, procs := range []int{1, 2, 3, 5, 8} {
-		r, err := MuninMatMul(MatMulConfig{Procs: procs, N: n})
+		r, err := runNew(NewMatMul, MatMulConfig{Procs: procs, N: n})
 		if err != nil {
 			t.Fatalf("p=%d: %v", procs, err)
 		}
@@ -85,11 +97,11 @@ func TestMuninMatMulMatchesReference(t *testing.T) {
 func TestMuninMatMulSingleObject(t *testing.T) {
 	const n = 96
 	ref := MatMulReference(n)
-	plain, err := MuninMatMul(MatMulConfig{Procs: 4, N: n})
+	plain, err := runNew(NewMatMul, MatMulConfig{Procs: 4, N: n})
 	if err != nil {
 		t.Fatal(err)
 	}
-	single, err := MuninMatMul(MatMulConfig{Procs: 4, N: n, Single: true})
+	single, err := runNew(NewMatMul, MatMulConfig{Procs: 4, N: n, Single: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +116,7 @@ func TestMuninMatMulSingleObject(t *testing.T) {
 func TestMuninMatMulExactCopyset(t *testing.T) {
 	const n = 64
 	ref := MatMulReference(n)
-	r, err := MuninMatMul(MatMulConfig{Procs: 4, N: n, Exact: true})
+	r, err := runNew(NewMatMul, MatMulConfig{Procs: 4, N: n}, munin.WithExactCopyset())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,8 +129,7 @@ func TestMuninMatMulOverrides(t *testing.T) {
 	const n = 64
 	ref := MatMulReference(n)
 	for _, a := range []protocol.Annotation{protocol.WriteShared, protocol.Conventional} {
-		a := a
-		r, err := MuninMatMul(MatMulConfig{Procs: 4, N: n, Override: &a})
+		r, err := runNew(NewMatMul, MatMulConfig{Procs: 4, N: n}, munin.WithOverride(a))
 		if err != nil {
 			t.Fatalf("%v: %v", a, err)
 		}
@@ -147,7 +158,7 @@ var sorConfigs = []SORConfig{
 func TestMuninSORMatchesReference(t *testing.T) {
 	for _, cfg := range sorConfigs {
 		ref := SORReference(cfg.Rows, cfg.Cols, cfg.Iters)
-		r, err := MuninSOR(cfg)
+		r, err := runNew(NewSOR, cfg)
 		if err != nil {
 			t.Fatalf("%+v: %v", cfg, err)
 		}
@@ -159,11 +170,11 @@ func TestMuninSORMatchesReference(t *testing.T) {
 
 func TestMuninSORExactCopyset(t *testing.T) {
 	for _, cfg := range []SORConfig{
-		{Procs: 4, Rows: 16, Cols: 2048, Iters: 4, Exact: true},
-		{Procs: 3, Rows: 20, Cols: 512, Iters: 5, Exact: true},
+		{Procs: 4, Rows: 16, Cols: 2048, Iters: 4},
+		{Procs: 3, Rows: 20, Cols: 512, Iters: 5},
 	} {
 		ref := SORReference(cfg.Rows, cfg.Cols, cfg.Iters)
-		r, err := MuninSOR(cfg)
+		r, err := runNew(NewSOR, cfg, munin.WithExactCopyset())
 		if err != nil {
 			t.Fatalf("%+v: %v", cfg, err)
 		}
@@ -177,9 +188,9 @@ func TestMuninSORWriteSharedOverride(t *testing.T) {
 	// Write-shared keeps release-consistent update semantics, so the
 	// computation is identical to producer-consumer.
 	ws := protocol.WriteShared
-	cfg := SORConfig{Procs: 4, Rows: 16, Cols: 2048, Iters: 4, Override: &ws}
+	cfg := SORConfig{Procs: 4, Rows: 16, Cols: 2048, Iters: 4}
 	ref := SORReference(cfg.Rows, cfg.Cols, cfg.Iters)
-	r, err := MuninSOR(cfg)
+	r, err := runNew(NewSOR, cfg, munin.WithOverride(ws))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,11 +203,12 @@ func TestMuninSORConventionalCompletes(t *testing.T) {
 	// Under the sequentially-consistent conventional protocol the
 	// one-barrier SOR is chaotic relaxation: reads may observe
 	// same-iteration neighbour values, so the finite-iteration result can
-	// differ from the reference (see EXPERIMENTS.md). The run must still
+	// differ from the reference (the Table 6 tests in internal/bench hold
+	// the same perturbation). The run must still
 	// complete and produce a finite grid.
 	conv := protocol.Conventional
-	cfg := SORConfig{Procs: 4, Rows: 20, Cols: 512, Iters: 5, Override: &conv}
-	r, err := MuninSOR(cfg)
+	cfg := SORConfig{Procs: 4, Rows: 20, Cols: 512, Iters: 5}
+	r, err := runNew(NewSOR, cfg, munin.WithOverride(conv))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +219,7 @@ func TestMuninSORConventionalCompletes(t *testing.T) {
 
 func TestMuninSORStatsPopulated(t *testing.T) {
 	cfg := SORConfig{Procs: 4, Rows: 16, Cols: 2048, Iters: 4}
-	r, err := MuninSOR(cfg)
+	r, err := runNew(NewSOR, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,16 +235,16 @@ func TestMuninSORStatsPopulated(t *testing.T) {
 }
 
 func TestBadConfigsRejected(t *testing.T) {
-	if _, err := MuninMatMul(MatMulConfig{Procs: 0, N: 8}); err == nil {
+	if _, err := runNew(NewMatMul, MatMulConfig{Procs: 0, N: 8}); err == nil {
 		t.Error("zero procs accepted")
 	}
-	if _, err := MuninMatMul(MatMulConfig{Procs: 2, N: 0}); err == nil {
+	if _, err := runNew(NewMatMul, MatMulConfig{Procs: 2, N: 0}); err == nil {
 		t.Error("zero dimension accepted")
 	}
-	if _, err := MuninSOR(SORConfig{Procs: 2, Rows: 8, Cols: 8, Iters: 0}); err == nil {
+	if _, err := runNew(NewSOR, SORConfig{Procs: 2, Rows: 8, Cols: 8, Iters: 0}); err == nil {
 		t.Error("zero iterations accepted")
 	}
-	if _, err := MuninSOR(SORConfig{Procs: -1, Rows: 8, Cols: 8, Iters: 1}); err == nil {
+	if _, err := runNew(NewSOR, SORConfig{Procs: -1, Rows: 8, Cols: 8, Iters: 1}); err == nil {
 		t.Error("negative procs accepted")
 	}
 }

@@ -20,16 +20,16 @@ import (
 
 func TestBatchedEquivalencePipeline(t *testing.T) {
 	ws := protocol.WriteShared
-	cfg := PipelineConfig{Procs: 8, Override: &ws}
-	ref, err := MuninPipeline(cfg)
+	app, err := NewPipeline(PipelineConfig{Procs: 8, Override: &ws})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := app.Run(context.Background())
 	if err != nil {
 		t.Fatalf("sim unbatched: %v", err)
 	}
 	for _, tr := range []string{"sim", "chan", "mux"} {
-		c := cfg
-		c.Transport = tr
-		c.Batch = true
-		got, err := MuninPipeline(c)
+		got, err := app.Run(context.Background(), munin.WithTransport(tr), munin.WithBatching())
 		if err != nil {
 			t.Fatalf("%s batched: %v", tr, err)
 		}
@@ -54,19 +54,21 @@ func TestBatchedEquivalencePipeline(t *testing.T) {
 }
 
 func TestBatchedEquivalenceLockHeavy(t *testing.T) {
-	cfg := LockHeavyConfig{Procs: 8, Rounds: 10}
+	app, err := NewLockHeavy(LockHeavyConfig{Procs: 8, Rounds: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, lazy := range []bool{false, true} {
-		c := cfg
-		c.Lazy = lazy
-		ref, err := MuninLockHeavy(c)
+		engine := munin.WithConsistency(munin.EagerRC)
+		if lazy {
+			engine = munin.WithConsistency(munin.LazyRC)
+		}
+		ref, err := app.Run(context.Background(), engine)
 		if err != nil {
 			t.Fatalf("sim unbatched (lazy=%v): %v", lazy, err)
 		}
 		for _, tr := range []string{"sim", "chan", "mux"} {
-			bc := c
-			bc.Transport = tr
-			bc.Batch = true
-			got, err := MuninLockHeavy(bc)
+			got, err := app.Run(context.Background(), engine, munin.WithTransport(tr), munin.WithBatching())
 			if err != nil {
 				t.Fatalf("%s batched (lazy=%v): %v", tr, lazy, err)
 			}
@@ -80,14 +82,17 @@ func TestBatchedEquivalenceLockHeavy(t *testing.T) {
 	}
 }
 
-// TestBatchedConventionalInvalidate drives the invalidate-heavy
-// conventional protocol batched on every transport: the dying-copy
-// update and its invalidate acknowledgement share an envelope there
-// (serveInvalidate), a path the barrier workloads do not reach.
+// TestBatchedConventionalInvalidate runs a small phase-barrier SOR
+// batched on every transport. It was meant to drive the invalidate-heavy
+// conventional protocol, where the dying-copy update and its invalidate
+// acknowledgement share an envelope (serveInvalidate), but the override
+// it set was a config field NewSOR never read, so it has always run under
+// SOR's own producer_consumer annotation. Run conventional, the same
+// program fails on chan and mux with or without batching (an open
+// live-transport bug in ROADMAP.md), so the test keeps the configuration
+// it has always had.
 func TestBatchedConventionalInvalidate(t *testing.T) {
-	conv := protocol.Conventional
-	app, err := NewSOR(SORConfig{Procs: 4, Rows: 24, Cols: 64, Iters: 3,
-		Override: &conv, PhaseBarrier: true})
+	app, err := NewSOR(SORConfig{Procs: 4, Rows: 24, Cols: 64, Iters: 3, PhaseBarrier: true})
 	if err != nil {
 		t.Fatal(err)
 	}

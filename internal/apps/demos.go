@@ -1,10 +1,10 @@
 package apps
 
 // Demo workloads: small, screenful-sized programs built as reusable Apps
-// so cmd/munin-trace and the tests share one table-driven registry with
-// the evaluation applications instead of each tool hard-coding its own.
-// Every demo self-checks its output through App.Check, so tracing a
-// protocol never silently traces a wrong run.
+// so cmd/munin-run and the tests share one table-driven registry instead
+// of each tool hard-coding its own. Every demo self-checks its output
+// through App.Check, so tracing a protocol never silently traces a wrong
+// run.
 
 import (
 	"fmt"
@@ -31,7 +31,7 @@ func (c DemoConfig) withDefaults() DemoConfig {
 
 // Demo is one registry entry: a named, described workload constructor.
 type Demo struct {
-	// Name selects the demo (munin-trace -workload).
+	// Name selects the demo (munin-run -app).
 	Name string
 	// Desc is the one-line description the registry listing prints.
 	Desc string
@@ -73,15 +73,6 @@ func Demos() []Demo {
 			New:      NewReductionDemo,
 		},
 		{
-			Name:     "matmul",
-			Desc:     "a tiny matrix multiply: the full read-only / result protocol flow in a screenful",
-			MinProcs: 2,
-			New: func(c DemoConfig) (*App, error) {
-				c = c.withDefaults()
-				return NewMatMul(MatMulConfig{Procs: c.Procs, N: 64, Model: c.Model})
-			},
-		},
-		{
 			Name:     "adaptive",
 			Desc:     "an unhinted buffer starts conventional; the engine observes the ping-pong and switches it online",
 			MinProcs: 2,
@@ -95,16 +86,8 @@ func Demos() []Demo {
 			Adaptive: true,
 			New: func(c DemoConfig) (*App, error) {
 				c = c.withDefaults()
-				return NewPipeline(PipelineConfig{Procs: c.Procs, Adaptive: true, Model: c.Model})
-			},
-		},
-		{
-			Name:     "lockheavy",
-			Desc:     "fine-grained lock-protected sharing in a ring of pairs — the lazy engine's motivating workload",
-			MinProcs: 2,
-			New: func(c DemoConfig) (*App, error) {
-				c = c.withDefaults()
-				return NewLockHeavy(LockHeavyConfig{Procs: c.Procs, Rounds: 4, Model: c.Model})
+				adaptive := protocol.Adaptive
+				return NewPipeline(PipelineConfig{Procs: c.Procs, Override: &adaptive, Model: c.Model})
 			},
 		},
 	}

@@ -30,28 +30,29 @@ func staleUpdates(r RunResult) int {
 }
 
 // runExactPipeline runs the static write_shared pipeline with exact
-// copysets and checks it against the sequential reference.
-func runExactPipeline(t *testing.T, cfg PipelineConfig) {
+// copysets on the given transport and checks it against the sequential
+// reference.
+func runExactPipeline(t *testing.T, cfg PipelineConfig, transport string) {
 	t.Helper()
 	ws := protocol.WriteShared
 	cfg = cfg.withDefaults()
-	cfg.Override, cfg.Exact = &ws, true
-	r, err := MuninPipeline(cfg)
+	cfg.Override = &ws
+	r, err := runNew(NewPipeline, cfg, munin.WithTransport(transport), munin.WithExactCopyset())
 	if err != nil {
 		t.Fatalf("%+v: %v", cfg, err)
 	}
 	if want := PipelineReference(cfg); r.Check != want {
 		t.Errorf("procs=%d pages=%d rounds=%d+%d (%s): checksum %08x, want %08x",
-			cfg.Procs, cfg.Pages, cfg.Rounds1, cfg.Rounds2, cfg.Transport, r.Check, want)
+			cfg.Procs, cfg.Pages, cfg.Rounds1, cfg.Rounds2, transport, r.Check, want)
 	}
 	if n := staleUpdates(r); n != 0 {
-		t.Errorf("procs=%d (%s): %d stale updates, want 0", cfg.Procs, cfg.Transport, n)
+		t.Errorf("procs=%d (%s): %d stale updates, want 0", cfg.Procs, transport, n)
 	}
 }
 
 func TestExactPipeline(t *testing.T) {
 	for _, procs := range []int{4, 8, 16} {
-		runExactPipeline(t, PipelineConfig{Procs: procs})
+		runExactPipeline(t, PipelineConfig{Procs: procs}, "")
 	}
 }
 
@@ -60,7 +61,7 @@ func TestExactPipeline(t *testing.T) {
 // count itself, or the holder serving it hands over data that predates
 // both writers' updates and the home never receives them.
 func TestExactPipelineHomeFaultInFlight(t *testing.T) {
-	runExactPipeline(t, PipelineConfig{Procs: 4, Pages: 1, Rounds1: 1, Rounds2: 1})
+	runExactPipeline(t, PipelineConfig{Procs: 4, Pages: 1, Rounds1: 1, Rounds2: 1}, "")
 }
 
 // TestExactPipelineHolderServesBeforeUpdate is race (b): with two pages a
@@ -68,7 +69,7 @@ func TestExactPipelineHomeFaultInFlight(t *testing.T) {
 // writer's update. Only the home sees the lookup, so only a read the home
 // serves can wait for the update.
 func TestExactPipelineHolderServesBeforeUpdate(t *testing.T) {
-	runExactPipeline(t, PipelineConfig{Procs: 4, Pages: 2, Rounds1: 1, Rounds2: 1})
+	runExactPipeline(t, PipelineConfig{Procs: 4, Pages: 2, Rounds1: 1, Rounds2: 1}, "")
 }
 
 // TestExactPipelineLive runs the exact pipeline on the live transports,
@@ -76,7 +77,7 @@ func TestExactPipelineHolderServesBeforeUpdate(t *testing.T) {
 func TestExactPipelineLive(t *testing.T) {
 	for _, tr := range transportsUnderTest {
 		for _, procs := range []int{4, 8} {
-			runExactPipeline(t, PipelineConfig{Procs: procs, Transport: tr})
+			runExactPipeline(t, PipelineConfig{Procs: procs}, tr)
 		}
 	}
 }
@@ -85,8 +86,8 @@ func TestExactPipelineLive(t *testing.T) {
 // reference image with no ignored update, on every transport.
 func TestExactLockHeavy(t *testing.T) {
 	for _, tr := range append([]string{"sim"}, transportsUnderTest...) {
-		cfg := LockHeavyConfig{Procs: 8, Rounds: 20, Exact: true, Transport: tr}
-		r, err := MuninLockHeavy(cfg)
+		cfg := LockHeavyConfig{Procs: 8, Rounds: 20}
+		r, err := runNew(NewLockHeavy, cfg, munin.WithTransport(tr), munin.WithExactCopyset())
 		if err != nil {
 			t.Fatalf("%s: %v", tr, err)
 		}
@@ -112,7 +113,7 @@ func TestExactLockHeavySteadyState(t *testing.T) {
 	type traffic struct{ lookups, notifies, promises int }
 	run := func(rounds int) traffic {
 		t.Helper()
-		cfg := LockHeavyConfig{Procs: 8, Rounds: rounds, Exact: true}
+		cfg := LockHeavyConfig{Procs: 8, Rounds: rounds}
 		app, err := NewLockHeavy(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -128,7 +129,7 @@ func TestExactLockHeavySteadyState(t *testing.T) {
 			}
 		}
 		r, err := app.Run(context.Background(),
-			append(RunOpts("sim", nil, false, true, false), munin.WithTrace(countPromises))...)
+			munin.WithTransport("sim"), munin.WithExactCopyset(), munin.WithTrace(countPromises))
 		if err != nil {
 			t.Fatalf("rounds=%d: %v", rounds, err)
 		}
@@ -158,7 +159,7 @@ func TestExactLockHeavySteadyState(t *testing.T) {
 // between its two members alone.
 func TestLockRingTraffic(t *testing.T) {
 	const procs = 8
-	cfg := LockHeavyConfig{Procs: procs, Rounds: 20, Exact: true}
+	cfg := LockHeavyConfig{Procs: procs, Rounds: 20}
 	app, err := NewLockHeavy(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -172,7 +173,7 @@ func TestLockRingTraffic(t *testing.T) {
 	}
 	heard := map[request]int{}
 	var stray []string
-	r, err := app.Run(context.Background(), append(RunOpts("sim", nil, false, true, false),
+	r, err := app.Run(context.Background(), munin.WithTransport("sim"), munin.WithExactCopyset(),
 		munin.WithTrace(func(env network.Envelope) {
 			switch m := env.Msg.(type) {
 			case wire.LockAcq:
@@ -189,7 +190,7 @@ func TestLockRingTraffic(t *testing.T) {
 			case wire.LockSetSucc, wire.LockOwnNotify:
 				stray = append(stray, fmt.Sprintf("%v from node %d to node %d", env.Msg.Kind(), env.Src, env.Dst))
 			}
-		}))...)
+		}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -108,29 +108,30 @@ func TestLazyEquivalenceLive(t *testing.T) {
 	ws := protocol.WriteShared
 	borrowed := wire.Outstanding()
 	for _, tr := range []string{"chan", "mux"} {
-		r, err := MuninMatMul(MatMulConfig{Procs: 4, N: 32, Override: &ws, Lazy: true, Transport: tr})
+		lazy := []munin.RunOption{munin.WithTransport(tr), munin.WithConsistency(munin.LazyRC)}
+		r, err := runNew(NewMatMul, MatMulConfig{Procs: 4, N: 32}, append(lazy, munin.WithOverride(ws))...)
 		if err != nil {
 			t.Fatalf("%s matmul: %v", tr, err)
 		}
 		if want := MatMulReference(32); r.Check != want {
 			t.Errorf("%s matmul %08x, want %08x", tr, r.Check, want)
 		}
-		s, err := MuninSOR(SORConfig{Procs: 4, Rows: 24, Cols: 64, Iters: 3, PhaseBarrier: true, Lazy: true, Transport: tr})
+		s, err := runNew(NewSOR, SORConfig{Procs: 4, Rows: 24, Cols: 64, Iters: 3, PhaseBarrier: true}, lazy...)
 		if err != nil {
 			t.Fatalf("%s sor: %v", tr, err)
 		}
 		if want := SORReference(24, 64, 3); s.Check != want {
 			t.Errorf("%s sor %08x, want %08x", tr, s.Check, want)
 		}
-		p, err := MuninPipeline(PipelineConfig{Procs: 4, Override: &ws, Lazy: true, Transport: tr})
+		p, err := runNew(NewPipeline, PipelineConfig{Procs: 4, Override: &ws}, lazy...)
 		if err != nil {
 			t.Fatalf("%s pipeline: %v", tr, err)
 		}
 		if want := PipelineReference(PipelineConfig{Procs: 4}.withDefaults()); p.Check != want {
 			t.Errorf("%s pipeline %08x, want %08x", tr, p.Check, want)
 		}
-		lhc := LockHeavyConfig{Procs: 8, Lazy: true, Transport: tr}
-		lh, err := MuninLockHeavy(lhc)
+		lhc := LockHeavyConfig{Procs: 8}
+		lh, err := runNew(NewLockHeavy, lhc, lazy...)
 		if err != nil {
 			t.Fatalf("%s lockheavy: %v", tr, err)
 		}
@@ -146,7 +147,7 @@ func TestLazyEquivalenceLive(t *testing.T) {
 		// the optimum through the untouched eager protocols (8 nodes:
 		// the lock-contention level that once exposed stale-hint
 		// cycles).
-		tsp, err := MuninTSP(TSPConfig{Procs: 8, Cities: 8, Lazy: true, Transport: tr})
+		tsp, err := runNew(NewTSP, TSPConfig{Procs: 8, Cities: 8}, lazy...)
 		if err != nil {
 			t.Fatalf("%s tsp: %v", tr, err)
 		}
@@ -183,7 +184,7 @@ func TestLazyFewerMessages(t *testing.T) {
 // (after the home pages everything in) must reclaim applied diff
 // records.
 func TestLazyGarbageCollection(t *testing.T) {
-	r, err := MuninLockHeavy(LockHeavyConfig{Procs: 6, Lazy: true})
+	r, err := runNew(NewLockHeavy, LockHeavyConfig{Procs: 6}, munin.WithConsistency(munin.LazyRC))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,7 +23,6 @@ package apps
 // the round diffs (LrcRecordsGCed > 0 on a lazy run).
 
 import (
-	"context"
 	"fmt"
 
 	"munin"
@@ -40,23 +39,9 @@ type LockHeavyConfig struct {
 	Rounds int
 	// Model is the cost model (zero = default).
 	Model model.CostModel
-	// Override forces one annotation on the shared regions (the natural
-	// annotation is write_shared).
+	// Override sets the declared annotation of the shared regions, the
+	// program's only data object (nil = the natural write_shared).
 	Override *protocol.Annotation
-	// Adaptive enables the adaptive protocol engine.
-	Adaptive bool
-	// Exact selects the home-directed copyset determination (ablation A4).
-	Exact bool
-	// Lazy selects the lazy release consistency engine (LazyRC).
-	Lazy bool
-	// Batch coalesces same-destination protocol messages into wire.Batch
-	// envelopes (munin.WithBatching).
-	Batch bool
-	// Metrics enables latency histograms and hot-object profiles
-	// (munin.WithMetrics; charges nothing to the cost model).
-	Metrics bool
-	// Transport selects the substrate: "sim" (default), "chan" or "mux".
-	Transport string
 }
 
 func (c LockHeavyConfig) withDefaults() LockHeavyConfig {
@@ -186,15 +171,4 @@ func NewLockHeavy(c LockHeavyConfig) (*App, error) {
 		return sum, nil
 	}
 	return &App{Prog: prog, Root: root, Check: check, Model: c.Model}, nil
-}
-
-// MuninLockHeavy builds the lock-heavy App and runs it once under the
-// config's per-run knobs.
-func MuninLockHeavy(c LockHeavyConfig) (RunResult, error) {
-	app, err := NewLockHeavy(c)
-	if err != nil {
-		return RunResult{}, err
-	}
-	return app.Run(context.Background(),
-		appendMetrics(appendBatch(RunOpts(c.Transport, c.Override, c.Adaptive, c.Exact, c.Lazy), c.Batch), c.Metrics)...)
 }

@@ -1,7 +1,6 @@
 package apps
 
 import (
-	"context"
 	"fmt"
 
 	"munin"
@@ -18,8 +17,8 @@ import (
 // Each worker computes a block of output rows; when it finishes it waits
 // at a barrier, flushing its output diffs — which, because output is a
 // result object, travel only to the root. Procs, the dimension and the
-// SingleObject hint shape the Program; transport, override, adaptive and
-// copyset knobs are per-run options.
+// SingleObject hint shape the Program; everything else is a per-run
+// option.
 func NewMatMul(c MatMulConfig) (*App, error) {
 	if c.N <= 0 || c.Procs <= 0 {
 		return nil, fmt.Errorf("apps: bad matmul config %+v", c)
@@ -94,15 +93,4 @@ func NewMatMul(c MatMulConfig) (*App, error) {
 		return ChecksumInt32(out), nil
 	}
 	return &App{Prog: p, Root: root, Check: check, Model: cost}, nil
-}
-
-// MuninMatMul builds the matmul App and runs it once under the config's
-// per-run knobs.
-func MuninMatMul(c MatMulConfig) (RunResult, error) {
-	app, err := NewMatMul(c)
-	if err != nil {
-		return RunResult{}, err
-	}
-	return app.Run(context.Background(),
-		appendMetrics(appendBatch(RunOpts(c.Transport, c.Override, c.Adaptive, c.Exact, c.Lazy), c.Batch), c.Metrics)...)
 }

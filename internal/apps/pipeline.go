@@ -11,7 +11,6 @@ package apps
 // online as the phases shift.
 
 import (
-	"context"
 	"fmt"
 
 	"munin"
@@ -30,24 +29,10 @@ type PipelineConfig struct {
 	Rounds1, Rounds2 int
 	// Model is the cost model (zero = default).
 	Model model.CostModel
-	// Override forces the buffer's annotation. Nil means: the paper's
-	// phase-1 hint (producer_consumer) when not adaptive, or no hint at
-	// all (munin.Adaptive) when adaptive.
+	// Override sets the buffer's declared annotation (nil = the paper's
+	// phase-1 hint, producer_consumer). Declaring it munin.Adaptive (no
+	// hint at all) needs a run with munin.WithAdaptive.
 	Override *protocol.Annotation
-	// Adaptive enables the adaptive protocol engine.
-	Adaptive bool
-	// Exact selects the home-directed copyset determination (ablation A4).
-	Exact bool
-	// Lazy selects the lazy release consistency engine (LazyRC).
-	Lazy bool
-	// Batch coalesces same-destination protocol messages into wire.Batch
-	// envelopes (munin.WithBatching).
-	Batch bool
-	// Metrics enables latency histograms and hot-object profiles
-	// (munin.WithMetrics; charges nothing to the cost model).
-	Metrics bool
-	// Transport selects the substrate: "sim" (default), "chan" or "mux".
-	Transport string
 }
 
 // pipeline constants: the producer fills prodWords words per page in
@@ -111,18 +96,14 @@ func (c PipelineConfig) withDefaults() PipelineConfig {
 
 // NewPipeline builds the phase-changing workload as a reusable App. The
 // buffer's declared annotation is part of the Program: the paper's
-// phase-1 hint (producer_consumer) normally, no hint at all
-// (munin.Adaptive) when the config is adaptive, or the config's
-// Override. The engine itself is a per-run option.
+// phase-1 hint (producer_consumer), or the config's Override. The
+// adaptive engine is a per-run option.
 func NewPipeline(c PipelineConfig) (*App, error) {
 	c = c.withDefaults()
 	if c.Procs < 4 || c.Procs > munin.MaxProcessors {
 		return nil, fmt.Errorf("apps: pipeline needs 4-%d processors, got %d", munin.MaxProcessors, c.Procs)
 	}
 	annot := protocol.ProducerConsumer
-	if c.Adaptive {
-		annot = protocol.Adaptive
-	}
 	if c.Override != nil {
 		annot = *c.Override
 	}
@@ -216,15 +197,4 @@ func NewPipeline(c PipelineConfig) (*App, error) {
 		return got, nil
 	}
 	return &App{Prog: prog, Root: root, Check: check, Model: c.Model}, nil
-}
-
-// MuninPipeline builds the pipeline App and runs it once under the
-// config's per-run knobs.
-func MuninPipeline(c PipelineConfig) (RunResult, error) {
-	app, err := NewPipeline(c)
-	if err != nil {
-		return RunResult{}, err
-	}
-	return app.Run(context.Background(),
-		appendMetrics(appendBatch(RunOpts(c.Transport, nil, c.Adaptive, c.Exact, c.Lazy), c.Batch), c.Metrics)...)
 }

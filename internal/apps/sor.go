@@ -1,7 +1,6 @@
 package apps
 
 import (
-	"context"
 	"fmt"
 
 	"munin"
@@ -130,22 +129,4 @@ func NewSOR(c SORConfig) (*App, error) {
 		return ChecksumFloat32Sum(flat), nil
 	}
 	return &App{Prog: p, Root: root, Check: check, Model: cost}, nil
-}
-
-// MuninSOR builds the SOR App and runs it once under the config's
-// per-run knobs. On the live transports ("chan", "mux") the phase
-// barrier is forced on: real concurrency voids the cost-model timing
-// argument that makes the single-barrier program deterministic; without
-// it a live run is chaotic relaxation and its grid diverges from the
-// sequential reference.
-func MuninSOR(c SORConfig) (RunResult, error) {
-	if LiveTransport(c.Transport) {
-		c.PhaseBarrier = true
-	}
-	app, err := NewSOR(c)
-	if err != nil {
-		return RunResult{}, err
-	}
-	return app.Run(context.Background(),
-		appendMetrics(appendBatch(RunOpts(c.Transport, c.Override, c.Adaptive, c.Exact, c.Lazy), c.Batch), c.Metrics)...)
 }

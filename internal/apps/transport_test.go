@@ -50,7 +50,7 @@ func TestEquivalenceMatMul(t *testing.T) {
 	// pages (and objects) on every matrix.
 	for _, n := range []int{48, 100} {
 		run := func(tr string) RunResult {
-			r, err := MuninMatMul(MatMulConfig{Procs: 4, N: n, Transport: tr})
+			r, err := runNew(NewMatMul, MatMulConfig{Procs: 4, N: n}, munin.WithTransport(tr))
 			if err != nil {
 				t.Fatalf("%s matmul N=%d: %v", tr, n, err)
 			}
@@ -69,9 +69,7 @@ func TestEquivalenceMatMul(t *testing.T) {
 func TestEquivalenceSOR(t *testing.T) {
 	cfg := SORConfig{Procs: 4, Rows: 32, Cols: 64, Iters: 6, PhaseBarrier: true}
 	run := func(tr string) RunResult {
-		c := cfg
-		c.Transport = tr
-		r, err := MuninSOR(c)
+		r, err := runNew(NewSOR, cfg, munin.WithTransport(tr))
 		if err != nil {
 			t.Fatalf("%s sor: %v", tr, err)
 		}
@@ -92,9 +90,7 @@ func TestEquivalencePipeline(t *testing.T) {
 	ws := protocol.WriteShared
 	cfg := PipelineConfig{Procs: 4, Override: &ws}
 	run := func(tr string) RunResult {
-		c := cfg
-		c.Transport = tr
-		r, err := MuninPipeline(c)
+		r, err := runNew(NewPipeline, cfg, munin.WithTransport(tr))
 		if err != nil {
 			t.Fatalf("%s pipeline: %v", tr, err)
 		}
@@ -110,11 +106,10 @@ func TestEquivalencePipeline(t *testing.T) {
 }
 
 func TestEquivalencePipelineAdaptive(t *testing.T) {
-	cfg := PipelineConfig{Procs: 4, Adaptive: true}
+	adaptive := protocol.Adaptive
+	cfg := PipelineConfig{Procs: 4, Override: &adaptive}
 	run := func(tr string) RunResult {
-		c := cfg
-		c.Transport = tr
-		r, err := MuninPipeline(c)
+		r, err := runNew(NewPipeline, cfg, munin.WithTransport(tr), munin.WithAdaptive())
 		if err != nil {
 			t.Fatalf("%s pipeline: %v", tr, err)
 		}
@@ -145,15 +140,15 @@ func TestEquivalenceRepeat(t *testing.T) {
 	sorRef := SORReference(24, 64, 3)
 	for rep := 0; rep < 3; rep++ {
 		for _, tr := range transportsUnderTest {
-			mm, err := MuninMatMul(MatMulConfig{Procs: 4, N: 32, Transport: tr})
+			mm, err := runNew(NewMatMul, MatMulConfig{Procs: 4, N: 32}, munin.WithTransport(tr))
 			if err != nil {
 				t.Fatalf("rep %d %s matmul: %v", rep, tr, err)
 			}
 			if mm.Check != mmRef {
 				t.Errorf("rep %d %s matmul checksum %08x, want %08x", rep, tr, mm.Check, mmRef)
 			}
-			sor, err := MuninSOR(SORConfig{Procs: 4, Rows: 24, Cols: 64, Iters: 3,
-				PhaseBarrier: true, Transport: tr})
+			sor, err := runNew(NewSOR, SORConfig{Procs: 4, Rows: 24, Cols: 64, Iters: 3,
+				PhaseBarrier: true}, munin.WithTransport(tr))
 			if err != nil {
 				t.Fatalf("rep %d %s sor: %v", rep, tr, err)
 			}
@@ -174,7 +169,7 @@ func TestTransportTSP(t *testing.T) {
 	want := uint32(TSPReference(8))
 	for rep := 0; rep < 3; rep++ {
 		for _, tr := range transportsUnderTest {
-			r, err := MuninTSP(TSPConfig{Procs: 8, Cities: 8, Transport: tr})
+			r, err := runNew(NewTSP, TSPConfig{Procs: 8, Cities: 8}, munin.WithTransport(tr))
 			if err != nil {
 				t.Fatalf("%s tsp: %v", tr, err)
 			}
@@ -208,7 +203,7 @@ func TestSORRefusesLiveTransportWithoutPhaseBarrier(t *testing.T) {
 // transports: elapsed time advances and messages flow.
 func TestTransportStats(t *testing.T) {
 	for _, tr := range transportsUnderTest {
-		r, err := MuninMatMul(MatMulConfig{Procs: 2, N: 16, Transport: tr})
+		r, err := runNew(NewMatMul, MatMulConfig{Procs: 2, N: 16}, munin.WithTransport(tr))
 		if err != nil {
 			t.Fatalf("%s: %v", tr, err)
 		}
@@ -230,21 +225,22 @@ func TestTransportStats(t *testing.T) {
 // were race-hardened against (see applyUpdate in core/flush.go).
 func TestTransportScale(t *testing.T) {
 	for _, tr := range transportsUnderTest {
-		r, err := MuninMatMul(MatMulConfig{Procs: 8, N: 96, Transport: tr})
+		r, err := runNew(NewMatMul, MatMulConfig{Procs: 8, N: 96}, munin.WithTransport(tr))
 		if err != nil {
 			t.Fatalf("%s matmul: %v", tr, err)
 		}
 		if ref := MatMulReference(96); r.Check != ref {
 			t.Errorf("%s matmul %08x != %08x", tr, r.Check, ref)
 		}
-		s, err := MuninSOR(SORConfig{Procs: 16, Rows: 64, Cols: 128, Iters: 8, Transport: tr})
+		s, err := runNew(NewSOR, SORConfig{Procs: 16, Rows: 64, Cols: 128, Iters: 8, PhaseBarrier: true}, munin.WithTransport(tr))
 		if err != nil {
 			t.Fatalf("%s sor: %v", tr, err)
 		}
 		if ref := SORReference(64, 128, 8); s.Check != ref {
 			t.Errorf("%s sor %08x != %08x", tr, s.Check, ref)
 		}
-		p, err := MuninPipeline(PipelineConfig{Procs: 8, Adaptive: true, Transport: tr})
+		adaptive := protocol.Adaptive
+		p, err := runNew(NewPipeline, PipelineConfig{Procs: 8, Override: &adaptive}, munin.WithTransport(tr), munin.WithAdaptive())
 		if err != nil {
 			t.Fatalf("%s pipeline: %v", tr, err)
 		}

@@ -10,12 +10,10 @@ package apps
 // distance matrix.
 
 import (
-	"context"
 	"fmt"
 
 	"munin"
 	"munin/internal/model"
-	"munin/internal/protocol"
 	"munin/internal/sim"
 )
 
@@ -28,22 +26,6 @@ type TSPConfig struct {
 	Cities int
 	// Model is the cost model (zero = default).
 	Model model.CostModel
-	// Override forces one annotation on all shared data. Note the static
-	// runtime aborts a mis-annotated TSP (Fetch-and-Φ on a non-reduction
-	// bound object is a runtime error); pair Override with Adaptive.
-	Override *protocol.Annotation
-	// Adaptive enables the adaptive protocol engine.
-	Adaptive bool
-	// Lazy selects the lazy release consistency engine (LazyRC).
-	Lazy bool
-	// Batch coalesces same-destination protocol messages into wire.Batch
-	// envelopes (munin.WithBatching).
-	Batch bool
-	// Metrics enables latency histograms and hot-object profiles
-	// (munin.WithMetrics; charges nothing to the cost model).
-	Metrics bool
-	// Transport selects the substrate: "sim" (default), "chan" or "mux".
-	Transport string
 }
 
 // TSPDist gives the deterministic distance matrix all versions share.
@@ -182,15 +164,4 @@ func NewTSP(c TSPConfig) (*App, error) {
 		return uint32(best), nil
 	}
 	return &App{Prog: prog, Root: root, Check: check, Model: cost}, nil
-}
-
-// MuninTSP builds the TSP App and runs it once under the config's
-// per-run knobs.
-func MuninTSP(c TSPConfig) (RunResult, error) {
-	app, err := NewTSP(c)
-	if err != nil {
-		return RunResult{}, err
-	}
-	return app.Run(context.Background(),
-		appendMetrics(appendBatch(RunOpts(c.Transport, c.Override, c.Adaptive, false, c.Lazy), c.Batch), c.Metrics)...)
 }

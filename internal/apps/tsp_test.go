@@ -17,7 +17,7 @@ func TestMuninTSPMatchesReference(t *testing.T) {
 	for _, cities := range []int{8, 10} {
 		ref := TSPReference(cities)
 		for _, procs := range []int{1, 3, 8} {
-			r, err := MuninTSP(TSPConfig{Procs: procs, Cities: cities})
+			r, err := runNew(NewTSP, TSPConfig{Procs: procs, Cities: cities})
 			if err != nil {
 				t.Fatalf("c=%d p=%d: %v", cities, procs, err)
 			}
@@ -29,11 +29,11 @@ func TestMuninTSPMatchesReference(t *testing.T) {
 }
 
 func TestMuninTSPScales(t *testing.T) {
-	slow, err := MuninTSP(TSPConfig{Procs: 1, Cities: 10})
+	slow, err := runNew(NewTSP, TSPConfig{Procs: 1, Cities: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fast, err := MuninTSP(TSPConfig{Procs: 8, Cities: 10})
+	fast, err := runNew(NewTSP, TSPConfig{Procs: 8, Cities: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,10 +43,10 @@ func TestMuninTSPScales(t *testing.T) {
 }
 
 func TestMuninTSPBadConfigRejected(t *testing.T) {
-	if _, err := MuninTSP(TSPConfig{Procs: 0, Cities: 10}); err == nil {
+	if _, err := runNew(NewTSP, TSPConfig{Procs: 0, Cities: 10}); err == nil {
 		t.Error("zero procs accepted")
 	}
-	if _, err := MuninTSP(TSPConfig{Procs: 2, Cities: 20}); err == nil {
+	if _, err := runNew(NewTSP, TSPConfig{Procs: 2, Cities: 20}); err == nil {
 		t.Error("oversized instance accepted")
 	}
 }

@@ -106,10 +106,9 @@ func RunAblationA1(o AblationOpts) (Ablation, error) {
 		{"update (write_shared)", &ws},
 		{"delayed invalidate (+)", &inv},
 	} {
-		r, err := apps.MuninSOR(apps.SORConfig{
-			Procs: o.Procs, Rows: o.Rows, Cols: o.Cols, Iters: o.Iters,
-			Model: o.Model, Override: cfg.override,
-		})
+		r, err := runOnce(apps.NewSOR, apps.SORConfig{
+			Procs: o.Procs, Rows: o.Rows, Cols: o.Cols, Iters: o.Iters, Model: o.Model,
+		}, AppOpts{}.runOpts(cfg.override)...)
 		if err != nil {
 			return Ablation{}, fmt.Errorf("bench: A1 %s: %w", cfg.name, err)
 		}
@@ -142,10 +141,9 @@ func RunAblationA2(o AblationOpts) (Ablation, error) {
 		{"producer_consumer (S=Y)", nil},
 		{"write_shared (S=N)", &ws},
 	} {
-		r, err := apps.MuninSOR(apps.SORConfig{
-			Procs: o.Procs, Rows: o.Rows, Cols: o.Cols, Iters: o.Iters,
-			Model: o.Model, Override: cfg.override,
-		})
+		r, err := runOnce(apps.NewSOR, apps.SORConfig{
+			Procs: o.Procs, Rows: o.Rows, Cols: o.Cols, Iters: o.Iters, Model: o.Model,
+		}, AppOpts{}.runOpts(cfg.override)...)
 		if err != nil {
 			return Ablation{}, fmt.Errorf("bench: A2 %s: %w", cfg.name, err)
 		}
@@ -441,39 +439,33 @@ func RunAblationA4(o AblationOpts) (Ablation, error) {
 			o.Procs, o.Rows, o.Cols, o.Iters, o.Rounds),
 	}
 	ws := protocol.WriteShared
+	sor := apps.SORConfig{Procs: o.Procs, Rows: o.Rows, Cols: o.Cols, Iters: o.Iters, Model: o.Model}
 	pipe := apps.PipelineConfig{Procs: o.Procs, Model: o.Model, Override: &ws}
 	lock := apps.LockHeavyConfig{Procs: o.Procs, Rounds: o.Rounds, Model: o.Model}
 	for _, w := range []struct {
 		name string
 		want uint32
-		run  func(exact bool) (apps.RunResult, error)
+		run  func(opts ...munin.RunOption) (apps.RunResult, error)
 	}{
-		{"SOR", apps.SORReference(o.Rows, o.Cols, o.Iters), func(exact bool) (apps.RunResult, error) {
-			return apps.MuninSOR(apps.SORConfig{
-				Procs: o.Procs, Rows: o.Rows, Cols: o.Cols, Iters: o.Iters,
-				Model: o.Model, Override: &ws, Exact: exact,
-			})
+		{"SOR", apps.SORReference(o.Rows, o.Cols, o.Iters), func(opts ...munin.RunOption) (apps.RunResult, error) {
+			return runOnce(apps.NewSOR, sor, append([]munin.RunOption{munin.WithOverride(ws)}, opts...)...)
 		}},
-		{"pipeline", apps.PipelineReference(pipe), func(exact bool) (apps.RunResult, error) {
-			c := pipe
-			c.Exact = exact
-			return apps.MuninPipeline(c)
+		{"pipeline", apps.PipelineReference(pipe), func(opts ...munin.RunOption) (apps.RunResult, error) {
+			return runOnce(apps.NewPipeline, pipe, opts...)
 		}},
-		{"lock ring", apps.LockHeavyReference(lock), func(exact bool) (apps.RunResult, error) {
-			c := lock
-			c.Exact = exact
-			return apps.MuninLockHeavy(c)
+		{"lock ring", apps.LockHeavyReference(lock), func(opts ...munin.RunOption) (apps.RunResult, error) {
+			return runOnce(apps.NewLockHeavy, lock, opts...)
 		}},
 	} {
 		for _, cfg := range []struct {
-			name  string
-			exact bool
+			name string
+			opts []munin.RunOption
 		}{
-			{"broadcast (prototype)", false},
-			{"home-directed (improved)", true},
+			{"broadcast (prototype)", nil},
+			{"home-directed (improved)", []munin.RunOption{munin.WithExactCopyset()}},
 		} {
 			name := w.name + " " + cfg.name
-			r, err := w.run(cfg.exact)
+			r, err := w.run(cfg.opts...)
 			if err != nil {
 				return Ablation{}, fmt.Errorf("bench: A4 %s: %w", name, err)
 			}

@@ -15,6 +15,7 @@ import (
 	"io"
 	"text/tabwriter"
 
+	"munin"
 	"munin/internal/apps"
 	"munin/internal/model"
 	"munin/internal/protocol"
@@ -97,6 +98,12 @@ func (o AdaptiveOpts) withDefaults() AdaptiveOpts {
 	return o
 }
 
+// runOpts configures one run of the sweep: the transport, the engine
+// state and the override.
+func (o AdaptiveOpts) runOpts(override *protocol.Annotation, adaptive bool) []munin.RunOption {
+	return AppOpts{Transport: o.Transport, Adaptive: adaptive}.runOpts(override)
+}
+
 // adaptiveRun is one workload runner under a given override/engine state.
 type adaptiveRun func(override *protocol.Annotation, adaptive bool) (apps.RunResult, error)
 
@@ -162,7 +169,7 @@ func RunAdaptive(o AdaptiveOpts) (AdaptiveTable, error) {
 	t.Rows = append(t.Rows, runAdaptiveRow("matmul",
 		[]*protocol.Annotation{nil, &ws, &conv},
 		func(ov *protocol.Annotation, adaptive bool) (apps.RunResult, error) {
-			return mmApp.Run(context.Background(), apps.RunOpts(o.Transport, ov, adaptive, false, false)...)
+			return mmApp.Run(context.Background(), o.runOpts(ov, adaptive)...)
 		}))
 
 	sorApp, err := apps.NewSOR(apps.SORConfig{
@@ -175,13 +182,13 @@ func RunAdaptive(o AdaptiveOpts) (AdaptiveTable, error) {
 	t.Rows = append(t.Rows, runAdaptiveRow("sor-fs",
 		[]*protocol.Annotation{nil, &ws, &conv},
 		func(ov *protocol.Annotation, adaptive bool) (apps.RunResult, error) {
-			return sorApp.Run(context.Background(), apps.RunOpts(o.Transport, ov, adaptive, false, false)...)
+			return sorApp.Run(context.Background(), o.runOpts(ov, adaptive)...)
 		}))
 
 	// The phase-changing pipeline has no "correct" single annotation:
 	// the statics sweep every plausible hint (producer_consumer — the
 	// right phase-1 hint — aborts in phase 2 under the static runtime),
-	// and the adaptive run declares the buffer munin.Adaptive (no hint).
+	// and each adaptive run starts from the same declared hint.
 	pipeProcs := o.Procs
 	if pipeProcs > 8 {
 		pipeProcs = 8
@@ -189,11 +196,10 @@ func RunAdaptive(o AdaptiveOpts) (AdaptiveTable, error) {
 	t.Rows = append(t.Rows, runAdaptiveRow("pipeline",
 		[]*protocol.Annotation{&ws, &conv, &mig, &pc},
 		func(ov *protocol.Annotation, adaptive bool) (apps.RunResult, error) {
-			return apps.MuninPipeline(apps.PipelineConfig{
+			return runOnce(apps.NewPipeline, apps.PipelineConfig{
 				Procs: pipeProcs, Rounds1: o.Rounds, Rounds2: o.Rounds,
-				Model: model.Default(), Override: ov, Adaptive: adaptive,
-				Transport: o.Transport,
-			})
+				Model: model.Default(), Override: ov,
+			}, o.runOpts(nil, adaptive)...)
 		}))
 
 	// TSP: mis-annotated static runs abort outright (Fetch-and-Φ on a
@@ -211,7 +217,7 @@ func RunAdaptive(o AdaptiveOpts) (AdaptiveTable, error) {
 	t.Rows = append(t.Rows, runAdaptiveRow("tsp",
 		[]*protocol.Annotation{nil, &ws, &conv},
 		func(ov *protocol.Annotation, adaptive bool) (apps.RunResult, error) {
-			return tspApp.Run(context.Background(), apps.RunOpts(o.Transport, ov, adaptive, false, false)...)
+			return tspApp.Run(context.Background(), o.runOpts(ov, adaptive)...)
 		}))
 
 	return t, nil

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"munin"
 	"munin/internal/apps"
 	"munin/internal/model"
 	"munin/internal/protocol"
@@ -114,7 +115,7 @@ func TestAdaptiveMisannotatedResultsCorrect(t *testing.T) {
 
 	mmRef := apps.MatMulReference(96)
 	for _, ov := range []*protocol.Annotation{&conv, &ws, &mig} {
-		r, err := apps.MuninMatMul(apps.MatMulConfig{Procs: 8, N: 96, Override: ov, Adaptive: true})
+		r, err := runOnce(apps.NewMatMul, apps.MatMulConfig{Procs: 8, N: 96}, munin.WithOverride(*ov), munin.WithAdaptive())
 		if err != nil {
 			t.Fatalf("matmul %v adaptive: %v", *ov, err)
 		}
@@ -131,14 +132,15 @@ func TestAdaptiveMisannotatedResultsCorrect(t *testing.T) {
 	// Table 6 overrides show), so the sum may drift slightly before the
 	// engine converges; it must stay within relaxation tolerance.
 	sorRef := apps.SORReference(64, 512, 10)
-	rws, err := apps.MuninSOR(apps.SORConfig{Procs: 8, Rows: 64, Cols: 512, Iters: 10, Override: &ws, Adaptive: true})
+	sor := apps.SORConfig{Procs: 8, Rows: 64, Cols: 512, Iters: 10}
+	rws, err := runOnce(apps.NewSOR, sor, munin.WithOverride(ws), munin.WithAdaptive())
 	if err != nil {
 		t.Fatalf("sor write_shared adaptive: %v", err)
 	}
 	if rws.Check != sorRef {
 		t.Errorf("sor write_shared adaptive checksum %08x, want %08x", rws.Check, sorRef)
 	}
-	rconv, err := apps.MuninSOR(apps.SORConfig{Procs: 8, Rows: 64, Cols: 512, Iters: 10, Override: &conv, Adaptive: true})
+	rconv, err := runOnce(apps.NewSOR, sor, munin.WithOverride(conv), munin.WithAdaptive())
 	if err != nil {
 		t.Fatalf("sor conventional adaptive: %v", err)
 	}
@@ -148,7 +150,7 @@ func TestAdaptiveMisannotatedResultsCorrect(t *testing.T) {
 
 	tspRef := uint32(apps.TSPReference(9))
 	for _, ov := range []*protocol.Annotation{&conv, &ws} {
-		r, err := apps.MuninTSP(apps.TSPConfig{Procs: 6, Cities: 9, Override: ov, Adaptive: true})
+		r, err := runOnce(apps.NewTSP, apps.TSPConfig{Procs: 6, Cities: 9}, munin.WithOverride(*ov), munin.WithAdaptive())
 		if err != nil {
 			t.Fatalf("tsp %v adaptive: %v", *ov, err)
 		}
@@ -161,11 +163,12 @@ func TestAdaptiveMisannotatedResultsCorrect(t *testing.T) {
 	}
 
 	pipeRef := apps.PipelineReference(apps.PipelineConfig{Procs: 8})
+	none := protocol.Adaptive
 	for _, cfg := range []struct {
 		name string
 		ov   *protocol.Annotation
-	}{{"no hint", nil}, {"conventional", &conv}, {"migratory", &mig}} {
-		r, err := apps.MuninPipeline(apps.PipelineConfig{Procs: 8, Override: cfg.ov, Adaptive: true})
+	}{{"no hint", &none}, {"conventional", &conv}, {"migratory", &mig}} {
+		r, err := runOnce(apps.NewPipeline, apps.PipelineConfig{Procs: 8, Override: cfg.ov}, munin.WithAdaptive())
 		if err != nil {
 			t.Fatalf("pipeline %s adaptive: %v", cfg.name, err)
 		}
@@ -188,11 +191,12 @@ func relDiff(a, b uint32) float64 {
 // paper's own annotations, no switches fire and the timing is unchanged
 // — correct hints are already the fixed point.
 func TestAdaptiveLeavesCorrectAnnotationsAlone(t *testing.T) {
-	base, err := apps.MuninSOR(apps.SORConfig{Procs: 8, Rows: 64, Cols: 512, Iters: 10})
+	sor := apps.SORConfig{Procs: 8, Rows: 64, Cols: 512, Iters: 10}
+	base, err := runOnce(apps.NewSOR, sor)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ad, err := apps.MuninSOR(apps.SORConfig{Procs: 8, Rows: 64, Cols: 512, Iters: 10, Adaptive: true})
+	ad, err := runOnce(apps.NewSOR, sor, munin.WithAdaptive())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +209,7 @@ func TestAdaptiveLeavesCorrectAnnotationsAlone(t *testing.T) {
 		t.Errorf("adaptive SOR elapsed %v well above static %v", ad.Elapsed, base.Elapsed)
 	}
 
-	tsp, err := apps.MuninTSP(apps.TSPConfig{Procs: 6, Cities: 9, Adaptive: true})
+	tsp, err := runOnce(apps.NewTSP, apps.TSPConfig{Procs: 6, Cities: 9}, munin.WithAdaptive())
 	if err != nil {
 		t.Fatal(err)
 	}

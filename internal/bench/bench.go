@@ -11,6 +11,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"text/tabwriter"
@@ -18,6 +19,7 @@ import (
 	"munin"
 	"munin/internal/apps"
 	"munin/internal/model"
+	"munin/internal/protocol"
 	"munin/internal/sim"
 )
 
@@ -71,6 +73,32 @@ func (o AppOpts) withDefaults() AppOpts {
 		o.Model = model.Default()
 	}
 	return o
+}
+
+// runOpts translates the per-run knobs (Transport, Adaptive, Lazy) into
+// run options, plus a configuration's protocol override when it has one.
+// Every application table configures its Munin runs through it.
+func (o AppOpts) runOpts(override *protocol.Annotation) []munin.RunOption {
+	opts := []munin.RunOption{munin.WithTransport(o.Transport)}
+	if override != nil {
+		opts = append(opts, munin.WithOverride(*override))
+	}
+	if o.Adaptive {
+		opts = append(opts, munin.WithAdaptive())
+	}
+	if o.Lazy {
+		opts = append(opts, munin.WithConsistency(munin.LazyRC))
+	}
+	return opts
+}
+
+// runOnce builds an App from its config and runs it once under opts.
+func runOnce[C any](newApp func(C) (*apps.App, error), c C, opts ...munin.RunOption) (apps.RunResult, error) {
+	app, err := newApp(c)
+	if err != nil {
+		return apps.RunResult{}, err
+	}
+	return app.Run(context.Background(), opts...)
 }
 
 // AppRow is one processor-count row of Tables 3–5: the hand-coded

@@ -123,14 +123,11 @@ func scaleWorkload(name, engine string, procs int, o ScaleOpts) (scaleRun, error
 		// sections (its own pair and its left neighbor's).
 		return scaleRun{app, apps.LockHeavyReference(cfg), 2 * procs * o.Rounds}, nil
 	case "pipeline":
-		cfg := apps.PipelineConfig{Procs: procs, Rounds1: o.Rounds, Rounds2: o.Rounds, Model: o.Model}
+		annot := protocol.WriteShared
 		if engine == "adaptive" {
-			cfg.Adaptive = true
-		} else {
-			ws := protocol.WriteShared
-			cfg.Override = &ws
+			annot = protocol.Adaptive
 		}
-		app, err := apps.NewPipeline(cfg)
+		app, err := apps.NewPipeline(apps.PipelineConfig{Procs: procs, Rounds1: o.Rounds, Rounds2: o.Rounds, Model: o.Model, Override: &annot})
 		if err != nil {
 			return scaleRun{}, err
 		}

@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 
+	"munin"
 	"munin/internal/apps"
 	"munin/internal/mp"
 )
@@ -29,8 +30,8 @@ func matmulTable(o AppOpts, single bool, title string) (AppTable, error) {
 	ref := apps.MatMulReference(o.N)
 	t := AppTable{Title: title}
 	for _, procs := range o.Procs {
-		cfg := apps.MatMulConfig{Procs: procs, N: o.N, Model: o.Model, Single: single, Adaptive: o.Adaptive, Lazy: o.Lazy, Metrics: true, Transport: o.Transport}
-		mu, err := apps.MuninMatMul(cfg)
+		cfg := apps.MatMulConfig{Procs: procs, N: o.N, Model: o.Model, Single: single}
+		mu, err := runOnce(apps.NewMatMul, cfg, append(o.runOpts(nil), munin.WithMetrics())...)
 		if err != nil {
 			return AppTable{}, fmt.Errorf("bench: munin matmul p=%d: %w", procs, err)
 		}
@@ -51,8 +52,9 @@ func RunTable5(o AppOpts) (AppTable, error) {
 	t := AppTable{Title: fmt.Sprintf("Table 5: Performance of SOR (sec), %d x %d, %d iterations",
 		o.Rows, o.Cols, o.Iters)}
 	for _, procs := range o.Procs {
-		cfg := apps.SORConfig{Procs: procs, Rows: o.Rows, Cols: o.Cols, Iters: o.Iters, Model: o.Model, Adaptive: o.Adaptive, Lazy: o.Lazy, Metrics: true, Transport: o.Transport}
-		mu, err := apps.MuninSOR(cfg)
+		cfg := apps.SORConfig{Procs: procs, Rows: o.Rows, Cols: o.Cols, Iters: o.Iters, Model: o.Model,
+			PhaseBarrier: apps.LiveTransport(o.Transport)}
+		mu, err := runOnce(apps.NewSOR, cfg, append(o.runOpts(nil), munin.WithMetrics())...)
 		if err != nil {
 			return AppTable{}, fmt.Errorf("bench: munin sor p=%d: %w", procs, err)
 		}

@@ -74,7 +74,8 @@ func runTable6(o Table6Opts) (Table6, error) {
 	}
 	sorApp, err := apps.NewSOR(apps.SORConfig{
 		Procs: o.Procs, Rows: a.Rows, Cols: a.Cols, Iters: a.Iters, Model: a.Model,
-		// Live transports need the data-race-free variant (see MuninSOR).
+		// Live transports need the data-race-free variant (see
+		// apps.SORConfig.PhaseBarrier).
 		PhaseBarrier: apps.LiveTransport(a.Transport),
 	})
 	if err != nil {
@@ -82,7 +83,7 @@ func runTable6(o Table6Opts) (Table6, error) {
 	}
 	t := Table6{Procs: o.Procs}
 	for _, cfg := range configs {
-		opts := apps.RunOpts(a.Transport, cfg.Override, a.Adaptive, false, a.Lazy)
+		opts := a.runOpts(cfg.Override)
 		mm, err := mmApp.Run(context.Background(), opts...)
 		if err != nil {
 			return Table6{}, fmt.Errorf("bench: table 6 matmul %s: %w", cfg.Name, err)

@@ -19,8 +19,8 @@ func RunTSP(o AppOpts) (AppTable, error) {
 	ref := apps.TSPReference(cities)
 	t := AppTable{Title: fmt.Sprintf("Extra: branch-and-bound TSP (sec), %d cities", cities)}
 	for _, procs := range o.Procs {
-		cfg := apps.TSPConfig{Procs: procs, Cities: cities, Model: o.Model, Adaptive: o.Adaptive, Lazy: o.Lazy, Transport: o.Transport}
-		mu, err := apps.MuninTSP(cfg)
+		cfg := apps.TSPConfig{Procs: procs, Cities: cities, Model: o.Model}
+		mu, err := runOnce(apps.NewTSP, cfg, o.runOpts(nil)...)
 		if err != nil {
 			return AppTable{}, fmt.Errorf("bench: munin tsp p=%d: %w", procs, err)
 		}

@@ -175,8 +175,8 @@ func RunWire(o WireOpts) (WireTable, error) {
 				BatchedMessages: batched.Messages,
 				PlainBytes:      plain.Bytes,
 				BatchedBytes:    batched.Bytes,
-				Envelopes:       batched.BatchedInto,
-				Riders:          batched.Riders,
+				Envelopes:       batched.BatchEnvelopes,
+				Riders:          batched.BatchedMessages,
 				ChecksOK:        plain.Check == w.ref && batched.Check == w.ref,
 				ImageMatch:      true,
 			}

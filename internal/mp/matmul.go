@@ -85,11 +85,5 @@ func MatMul(c apps.MatMulConfig) (apps.RunResult, error) {
 	if err := cl.sim.Run(); err != nil {
 		return apps.RunResult{}, err
 	}
-	st := cl.net.Stats()
-	return apps.RunResult{
-		Elapsed:  cl.sim.Now(),
-		Messages: st.TotalMessages(),
-		Bytes:    st.TotalBytes(),
-		Check:    apps.ChecksumInt32(cOut),
-	}, nil
+	return cl.result(apps.ChecksumInt32(cOut)), nil
 }

@@ -13,6 +13,8 @@ import (
 	"fmt"
 	"math"
 
+	"munin"
+	"munin/internal/apps"
 	"munin/internal/model"
 	"munin/internal/network"
 	"munin/internal/sim"
@@ -28,6 +30,17 @@ type cluster struct {
 	// (out-of-order arrivals, e.g. a far worker's result landing during
 	// a neighbour exchange).
 	stash map[int][]wire.MPData
+}
+
+// result reports a finished run the way the Munin versions do: elapsed
+// time, traffic and the output fingerprint. The DSM-only statistics stay
+// zero.
+func (cl *cluster) result(check uint32) apps.RunResult {
+	st := cl.net.Stats()
+	return apps.RunResult{
+		Stats: munin.Stats{Elapsed: cl.sim.Now(), Messages: st.TotalMessages(), Bytes: st.TotalBytes()},
+		Check: check,
+	}
 }
 
 // newCluster builds a cluster of n nodes.

@@ -156,13 +156,7 @@ func SOR(c apps.SORConfig) (apps.RunResult, error) {
 	for i := range final {
 		flat = append(flat, final[i]...)
 	}
-	st := cl.net.Stats()
-	return apps.RunResult{
-		Elapsed:  cl.sim.Now(),
-		Messages: st.TotalMessages(),
-		Bytes:    st.TotalBytes(),
-		Check:    apps.ChecksumFloat32Sum(flat),
-	}, nil
+	return cl.result(apps.ChecksumFloat32Sum(flat)), nil
 }
 
 // flatten concatenates rows.

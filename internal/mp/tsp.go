@@ -117,13 +117,7 @@ func TSP(c apps.TSPConfig) (apps.RunResult, error) {
 	if err := cl.sim.Run(); err != nil {
 		return apps.RunResult{}, fmt.Errorf("mp: tsp: %w", err)
 	}
-	st := cl.net.Stats()
-	return apps.RunResult{
-		Elapsed:  cl.sim.Now(),
-		Messages: st.TotalMessages(),
-		Bytes:    st.TotalBytes(),
-		Check:    uint32(best),
-	}, nil
+	return cl.result(uint32(best)), nil
 }
 
 // tspExpandLocal mirrors apps.tspExpand against the shared distance
