@@ -267,17 +267,19 @@ func (n *Node) admitReader(p rt.Proc, e *directory.Entry, req int) {
 // otherwise forwards it along the probable-owner chain.
 func (n *Node) answerRead(p rt.Proc, e *directory.Entry, m wire.ReadReq) {
 	n.drainPendingObject(p, e.Start) // serve current data, not queued-stale
-	data := n.currentData(e)
-	if data == nil {
+	var stashed []byte
+	serves := n.servable(e)
+	if !serves {
 		// A full image parked in the fetch stash (a repatriation that
 		// arrived while a local fault holds the entry) is current data:
 		// serve from it. Without this, a chase can orbit forever while
 		// the only copy of the object sits in the stash, waiting for the
 		// very fault that is itself waiting on the chase.
-		data = n.stashedImage(e.Start)
+		stashed = n.stashedImage(e.Start)
+		serves = stashed != nil
 	}
 	req := int(m.Requester)
-	if e.Home == n.id && n.homeDirected(e) && (e.Promises > 0 || (data == nil && e.Sem.Busy() && req != n.id)) {
+	if e.Home == n.id && n.homeDirected(e) && (e.Promises > 0 || (!serves && e.Sem.Busy() && req != n.id)) {
 		// Every read of the object comes here. It waits while a cacher
 		// owes a promise, and while this home's own copy is in flight
 		// (fetchReadCopy serves it then). A home without a copy forwards
@@ -286,7 +288,7 @@ func (n *Node) answerRead(p rt.Proc, e *directory.Entry, m wire.ReadReq) {
 		n.deferredReads[e.Start] = append(n.deferredReads[e.Start], m)
 		return
 	}
-	if data == nil {
+	if !serves {
 		n.forward(p, e, m, req)
 		return
 	}
@@ -297,6 +299,21 @@ func (n *Node) answerRead(p rt.Proc, e *directory.Entry, m wire.ReadReq) {
 		// release. Defer until the update is in.
 		n.deferredReads[e.Start] = append(n.deferredReads[e.Start], m)
 		return
+	}
+	// The data is taken here, before the first yield below. A reply to
+	// another node is read only by its send, so it goes in a pooled
+	// buffer; our own chase's reply becomes this node's page, so it gets
+	// its own allocation.
+	data := stashed
+	if data == nil {
+		if req == n.id {
+			data = make([]byte, e.Size)
+		} else {
+			bp := wire.GetBufN(e.Size)
+			defer n.sent(p, bp) // after the send, or while unwinding a stopped machine
+			data = (*bp)[:e.Size]
+		}
+		n.copyCurrent(data, e)
 	}
 	n.checkStableSharing(p, e, req, "read serve")
 	if n.adaptEng != nil && n.adaptEng.NoteServedRead(e, req) {
@@ -650,7 +667,8 @@ func (n *Node) serveInvalidate(p rt.Proc, src int, m wire.Invalidate) {
 		}
 		if e.Modified {
 			if e.Params.MultipleWriters && e.Twin != nil {
-				entry, changed, cost := n.encodeEntry(e)
+				entry, bp, changed, cost := n.encodeEntry(e)
+				defer n.sent(p, bp) // after the send, or while unwinding a stopped machine
 				p.Advance(cost)
 				if changed {
 					n.UpdatesSent++

@@ -55,6 +55,7 @@ func (n *Node) flushEntries(t *Thread, entries []*directory.Entry) {
 
 	// Phase 2: encode each entry and assemble one batch per destination.
 	batches := make(map[int][]wire.UpdateEntry)
+	var bufs []*[]byte // the encodings the batches carry
 	var invalidateDelayed []*directory.Entry
 	asked := 0 // query is a subsequence of entries: walk it in step
 	for _, e := range entries {
@@ -108,7 +109,10 @@ func (n *Node) flushEntries(t *Thread, entries []*directory.Entry) {
 		// Past this point the flush touches neither the twin, Modified
 		// nor the protection.
 		pages := n.setProtection(e, vm.ProtRead)
-		entry, changed, cost := n.encodeEntry(e)
+		entry, bp, changed, cost := n.encodeEntry(e)
+		if bp != nil {
+			bufs = append(bufs, bp)
+		}
 		n.retireTwin(e)
 		e.Modified = false
 		p.Advance(cost)
@@ -159,6 +163,9 @@ func (n *Node) flushEntries(t *Thread, entries []*directory.Entry) {
 			n.send(p, d, wire.UpdateBatch{
 				From: uint8(n.id), NeedAck: await, Entries: batches[d],
 			})
+		}
+		for _, bp := range bufs {
+			n.sent(p, bp)
 		}
 		if await {
 			n.await(p, c.fut)
@@ -424,17 +431,29 @@ func (n *Node) serveCopysetQuery(p rt.Proc, m wire.CopysetQuery) {
 // changed=false if the diff is empty, and the virtual time the encoding
 // costs. It does not yield: charging is the caller's, once the entry's
 // state matches the diff taken (see flushEntries).
-func (n *Node) encodeEntry(e *directory.Entry) (u wire.UpdateEntry, changed bool, cost rt.Time) {
+//
+// The diff or image is built in bp, a pooled buffer only the send reads:
+// the caller gives it back with n.sent after the last message carrying
+// the entry. bp is nil when the entry carries nothing.
+func (n *Node) encodeEntry(e *directory.Entry) (u wire.UpdateEntry, bp *[]byte, changed bool, cost rt.Time) {
 	u = wire.UpdateEntry{Addr: e.Start, Size: uint32(e.Size)}
 	if e.Twin == nil {
-		u.Full = n.readObject(e)
-		return u, true, n.sys.cost.CopyCost(e.Size)
+		bp = wire.GetBufN(e.Size)
+		u.Full = (*bp)[:e.Size]
+		n.copyObject(u.Full, e)
+		return u, bp, true, n.sys.cost.CopyCost(e.Size)
 	}
-	// Encode copies the words it keeps, so the view dies here.
+	// Encode copies the words it keeps, so the view dies here. The
+	// buffer holds the longest encoding, so it never regrows.
 	cur, _ := n.viewObject(e)
-	diff, st := diffenc.Encode(e.Twin, cur)
+	bp = wire.GetBufN(diffenc.MaxSize(e.Size))
+	diff, st := diffenc.AppendEncode(*bp, e.Twin, cur)
+	if diff == nil {
+		wire.PutBuf(bp)
+		bp = nil
+	}
 	u.Diff = diff
-	return u, !diffenc.Empty(diff), n.sys.cost.DiffScanPerWord*rt.Time(st.Words) +
+	return u, bp, diff != nil, n.sys.cost.DiffScanPerWord*rt.Time(st.Words) +
 		n.sys.cost.DiffEncodePerWord*rt.Time(st.Changed) +
 		n.sys.cost.DiffRunOverhead*rt.Time(st.Runs)
 }

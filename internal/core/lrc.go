@@ -234,15 +234,18 @@ func (n *Node) serveLrcFetch(p rt.Proc, m wire.LrcFetchReq) {
 	}
 	st := n.lrcState(e)
 	applied := append([]uint32(nil), st.Applied...)
-	var data []byte
+	// Only the send reads the base: it goes in a pooled buffer.
+	bp := wire.GetBufN(e.Size)
+	defer n.sent(p, bp) // after the send, or while unwinding a stopped machine
+	data := (*bp)[:e.Size]
 	switch {
 	case e.Valid && e.Twin != nil:
-		data = append([]byte(nil), e.Twin...)
+		copy(data, e.Twin)
 		applied[n.id] = n.lrc.LastRecord(e.Start)
 	case e.Valid:
-		data = n.readObject(e)
+		n.copyObject(data, e)
 	case e.Backing != nil:
-		data = append([]byte(nil), e.Backing...)
+		copy(data, e.Backing)
 	default:
 		fail(n.id, e.Start, "lrc fetch serve", "home holds neither a copy nor a backing")
 	}

@@ -335,9 +335,10 @@ func (n *Node) startDispatcher() {
 		p.SetKind(rt.KindSystem)
 		// A dispatcher unwound in the middle of a dispatch (the machine
 		// stopped or failed while a handler was at a yield point) still
-		// holds that envelope's buffer; Release is a no-op otherwise.
+		// holds that envelope's buffer, and its outbox the payload
+		// buffers handed over by sent; both are no-ops otherwise.
 		var env network.Envelope
-		defer func() { env.Release() }()
+		defer func() { env.Release(); n.putPayloads(p) }()
 		for {
 			env = n.sys.tr.Recv(p, n.id)
 			p.Advance(n.sys.cost.RequestHandlerCPU)
@@ -888,11 +889,25 @@ func (n *Node) dropObject(p rt.Proc, e *directory.Entry) {
 // the live local copy if valid, else the home backing if still fresh.
 // Returns nil if this node cannot supply data.
 func (n *Node) currentData(e *directory.Entry) []byte {
+	if !n.servable(e) {
+		return nil
+	}
+	out := make([]byte, e.Size)
+	n.copyCurrent(out, e)
+	return out
+}
+
+// servable reports whether currentData can supply the entry's contents.
+func (n *Node) servable(e *directory.Entry) bool {
+	return e.Valid || (e.Home == n.id && e.Backing != nil && !e.BackingStale)
+}
+
+// copyCurrent is currentData into a buffer of the entry's size; the entry
+// must be servable.
+func (n *Node) copyCurrent(out []byte, e *directory.Entry) {
 	if e.Valid {
-		return n.readObject(e)
+		n.copyObject(out, e)
+	} else {
+		copy(out, e.Backing)
 	}
-	if e.Home == n.id && e.Backing != nil && !e.BackingStale {
-		return append([]byte(nil), e.Backing...)
-	}
-	return nil
 }

@@ -57,6 +57,9 @@ import (
 type outbox struct {
 	dsts []int // first-enqueue order; also emission order
 	q    map[int][]wire.Message
+	// bufs are payload buffers handed over by sent: queued messages read
+	// them, so they go back to the pool once flush has emitted those.
+	bufs []*[]byte
 }
 
 // needsUpdateAcks reports whether releases must block for update
@@ -74,15 +77,38 @@ func (n *Node) send(p rt.Proc, dst int, msg wire.Message) {
 		n.sys.tr.Send(p, n.id, dst, msg)
 		return
 	}
+	o := n.outboxOf(p)
+	if _, ok := o.q[dst]; !ok {
+		o.dsts = append(o.dsts, dst)
+	}
+	o.q[dst] = append(o.q[dst], msg)
+}
+
+// outboxOf returns p's outbox, making it on first use.
+func (n *Node) outboxOf(p rt.Proc) *outbox {
 	o := n.outboxes[p]
 	if o == nil {
 		o = &outbox{q: make(map[int][]wire.Message, 4)}
 		n.outboxes[p] = o
 	}
-	if _, ok := o.q[dst]; !ok {
-		o.dsts = append(o.dsts, dst)
+	return o
+}
+
+// sent gives back a payload buffer — a diff or a served page built in a
+// wire.GetBufN buffer only to be sent — once every message that carries
+// it has gone through n.send. Every transport encodes a message before
+// Send returns, so with batching off the buffer goes back at once; an
+// outbox keeps it until the flush that emits those messages. A nil bp is
+// ignored.
+func (n *Node) sent(p rt.Proc, bp *[]byte) {
+	switch {
+	case bp == nil:
+	case n.outboxes == nil:
+		wire.PutBuf(bp)
+	default:
+		o := n.outboxOf(p)
+		o.bufs = append(o.bufs, bp)
 	}
-	o.q[dst] = append(o.q[dst], msg)
 }
 
 // broadcast sends msg to every other node.
@@ -95,13 +121,14 @@ func (n *Node) broadcast(p rt.Proc, msg wire.Message) {
 }
 
 // flush empties p's outbox onto the transport, one envelope per
-// destination in first-enqueue order.
+// destination in first-enqueue order, then gives back the payload buffers
+// handed over by sent.
 func (n *Node) flush(p rt.Proc) {
 	if n.outboxes == nil {
 		return
 	}
 	o := n.outboxes[p]
-	if o == nil || len(o.dsts) == 0 {
+	if o == nil {
 		return
 	}
 	for _, dst := range o.dsts {
@@ -117,6 +144,21 @@ func (n *Node) flush(p rt.Proc) {
 		n.sys.tr.Send(p, n.id, dst, wire.Batch{Msgs: msgs})
 	}
 	o.dsts = o.dsts[:0]
+	n.putPayloads(p)
+}
+
+// putPayloads gives back the payload buffers p's outbox holds, emitting
+// nothing: what flush does once it has emitted, and what a dispatcher
+// unwinding from a stopped machine does with whatever its outbox still
+// queues.
+func (n *Node) putPayloads(p rt.Proc) {
+	if o := n.outboxes[p]; o != nil {
+		for _, bp := range o.bufs {
+			wire.PutBuf(bp)
+		}
+		clear(o.bufs)
+		o.bufs = o.bufs[:0]
+	}
 }
 
 // wake completes futures that other procs of this node are parked on.

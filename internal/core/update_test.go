@@ -213,3 +213,43 @@ func BenchmarkTwinCycle(b *testing.B) {
 		b.Fatal(err)
 	}
 }
+
+// BenchmarkDenseFlush measures a dense release in the steady state: node
+// 0 rewrites every word of a page that node 1 holds and flushes it, so
+// each cycle encodes one page-sized diff and sends it on chan. The diff
+// is built in a pooled buffer the send path gives back, so CI gates the
+// cycle below one page of bytes.
+func BenchmarkDenseFlush(b *testing.B) {
+	bars := []BarrierDecl{{ID: 1, Home: 0, Expected: 2}}
+	sys := NewSystem(Config{Processors: 2, Transport: rt.NewChan(model.Default(), 2)}, []Decl{wsPage()}, nil, bars)
+	err := sys.Run(func(root *Thread) {
+		addr := page(0)
+		root.Spawn(1, "holder", func(w *Thread) {
+			_ = w.ReadWord(addr)
+			w.WaitAtBarrier(1)
+		})
+		root.WaitAtBarrier(1)
+		buf := make([]byte, 8192)
+		write := func(v uint32) {
+			for i := 0; i < len(buf); i += 4 {
+				binary.LittleEndian.PutUint32(buf[i:], v)
+			}
+			root.Write(addr, buf)
+			root.Flush(addr)
+		}
+		write(1) // the one twin this run allocates
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			write(uint32(i) + 2)
+		}
+		b.StopTimer()
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	e, _ := sys.Node(1).dir.Lookup(page(0))
+	if pg, ok := sys.Node(1).Space().Lookup(page(0)); !e.Valid || !ok || word(pg.Data, 0) == 0 {
+		b.Fatal("node 1 holds no updated copy: the flushes sent nothing")
+	}
+}

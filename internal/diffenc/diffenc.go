@@ -48,7 +48,19 @@ const blockWords = 64 / WordSize
 //
 // Wire layout per run: skip uint32 (identical words), n uint32 (differing
 // words), then n little-endian 32-bit words of data.
-func Encode(twin, cur []byte) ([]byte, Stats) {
+func Encode(twin, cur []byte) ([]byte, Stats) { return AppendEncode(nil, twin, cur) }
+
+// MaxSize is the largest encoding of an object of size bytes: a run is
+// an 8-byte header and its words, and every run but the first follows an
+// identical word, so n words encode in at most 6n+6 bytes — alternating
+// words, about 1.5 times the object. A buffer of this capacity never
+// regrows under AppendEncode.
+func MaxSize(size int) int { return size + size/2 + 8 }
+
+// AppendEncode is Encode appending to dst: it returns dst extended by
+// the encoded changes, or nil when the object is unchanged (dst's bytes
+// are left as they were either way).
+func AppendEncode(dst, twin, cur []byte) ([]byte, Stats) {
 	if len(twin) != len(cur) {
 		panic(fmt.Sprintf("diffenc: twin %d bytes vs current %d bytes", len(twin), len(cur)))
 	}
@@ -57,7 +69,7 @@ func Encode(twin, cur []byte) ([]byte, Stats) {
 	}
 	words := len(cur) / WordSize
 	st := Stats{Words: words}
-	var out []byte
+	out := dst
 	i := 0
 	for i < words {
 		runStart := i
@@ -84,6 +96,9 @@ func Encode(twin, cur []byte) ([]byte, Stats) {
 		out = append(out, cur[diffStart*WordSize:(diffStart+n)*WordSize]...)
 		st.Changed += n
 		st.Runs++
+	}
+	if st.Runs == 0 {
+		return nil, st
 	}
 	return out, st
 }

@@ -317,6 +317,12 @@ func TestEncodeMatchesWordByWordReference(t *testing.T) {
 		}},
 		{"last word only", func(cur []byte, words int) { cur[words*WordSize-1] ^= 0x80 }},
 		{"first word only", func(cur []byte, _ int) { cur[0] ^= 1 }},
+		{"alternating", func(cur []byte, words int) {
+			// The longest encoding: a run for every other word.
+			for w := 0; w < words; w += 2 {
+				cur[w*WordSize] ^= 1
+			}
+		}},
 	}
 	for _, words := range sizes {
 		for _, shape := range shapes {
@@ -330,6 +336,26 @@ func TestEncodeMatchesWordByWordReference(t *testing.T) {
 				if !bytes.Equal(got, want) || gotSt != wantSt {
 					t.Fatalf("%d words, %s: Encode = %d bytes %+v, reference = %d bytes %+v",
 						words, shape.name, len(got), gotSt, len(want), wantSt)
+				}
+				if len(got) > MaxSize(len(cur)) {
+					t.Fatalf("%d words, %s: %d bytes encoded, MaxSize %d", words, shape.name, len(got), MaxSize(len(cur)))
+				}
+				// Appended to a buffer that already holds bytes: those
+				// stay, the run appended is Encode's, and an unchanged
+				// object appends nothing and reports it with nil.
+				prefix := []byte("held")
+				dst := make([]byte, len(prefix), len(prefix)+MaxSize(len(cur)))
+				copy(dst, prefix)
+				app, appSt := AppendEncode(dst, twin, cur)
+				if !bytes.Equal(dst, prefix) || appSt != wantSt {
+					t.Fatalf("%d words, %s: AppendEncode rewrote dst to %q (stats %+v)", words, shape.name, dst, appSt)
+				}
+				if want == nil {
+					if app != nil {
+						t.Fatalf("%d words, %s: AppendEncode of an unchanged object = %d bytes, want nil", words, shape.name, len(app))
+					}
+				} else if !bytes.Equal(app[:len(prefix)], prefix) || !bytes.Equal(app[len(prefix):], want) || &app[0] != &dst[0] {
+					t.Fatalf("%d words, %s: AppendEncode = %d bytes, want %q then Encode's %d in place", words, shape.name, len(app), prefix, len(want))
 				}
 			}
 		}
