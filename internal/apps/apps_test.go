@@ -126,17 +126,30 @@ func TestMuninMatMulExactCopyset(t *testing.T) {
 }
 
 func TestMuninMatMulOverrides(t *testing.T) {
-	const n = 64
-	ref := MatMulReference(n)
-	for _, a := range []protocol.Annotation{protocol.WriteShared, protocol.Conventional} {
-		r, err := runNew(NewMatMul, MatMulConfig{Procs: 4, N: n}, munin.WithOverride(a))
+	// Matrix multiply has no read-write races, so every protocol computes
+	// the exact same product. Migratory moves each result page along a
+	// probable-owner chain; the 8- and 16-proc cells catch a stale
+	// ownership notice that points the home's hint at itself.
+	for _, c := range []struct {
+		annot     protocol.Annotation
+		transport string
+		procs, n  int
+	}{
+		{protocol.WriteShared, "sim", 4, 64},
+		{protocol.Conventional, "sim", 4, 64},
+		{protocol.Migratory, "sim", 8, 128},
+		{protocol.Migratory, "sim", 16, 128},
+		{protocol.Migratory, "chan", 8, 128},
+		{protocol.Migratory, "mux", 8, 128},
+	} {
+		r, err := runNew(NewMatMul, MatMulConfig{Procs: c.procs, N: c.n},
+			munin.WithTransport(c.transport), munin.WithOverride(c.annot))
 		if err != nil {
-			t.Fatalf("%v: %v", a, err)
+			t.Errorf("%v %s p=%d: %v", c.annot, c.transport, c.procs, err)
+			continue
 		}
-		// Matrix multiply has no read-write races, so every protocol
-		// computes the exact same product.
-		if r.Check != ref {
-			t.Errorf("%v: checksum %08x, want %08x", a, r.Check, ref)
+		if ref := MatMulReference(c.n); r.Check != ref {
+			t.Errorf("%v %s p=%d: checksum %08x, want %08x", c.annot, c.transport, c.procs, r.Check, ref)
 		}
 	}
 }
@@ -184,18 +197,28 @@ func TestMuninSORExactCopyset(t *testing.T) {
 	}
 }
 
-func TestMuninSORWriteSharedOverride(t *testing.T) {
+func TestMuninSOROverrides(t *testing.T) {
 	// Write-shared keeps release-consistent update semantics, so the
-	// computation is identical to producer-consumer.
-	ws := protocol.WriteShared
-	cfg := SORConfig{Procs: 4, Rows: 16, Cols: 2048, Iters: 4}
-	ref := SORReference(cfg.Rows, cfg.Cols, cfg.Iters)
-	r, err := runNew(NewSOR, cfg, munin.WithOverride(ws))
-	if err != nil {
-		t.Fatal(err)
+	// computation is identical to producer-consumer. With its phase
+	// barrier SOR is race-free, so conventional ownership must compute the
+	// same grid too; the 5- and 8-proc cells catch a hand-off whose copy
+	// outlives its ownership and a second owner that loses writes.
+	check := func(a protocol.Annotation, cfg SORConfig) {
+		t.Helper()
+		r, err := runNew(NewSOR, cfg, munin.WithOverride(a))
+		if err != nil {
+			t.Errorf("%v p=%d %dx%dx%d: %v", a, cfg.Procs, cfg.Rows, cfg.Cols, cfg.Iters, err)
+			return
+		}
+		if ref := SORReference(cfg.Rows, cfg.Cols, cfg.Iters); r.Check != ref {
+			t.Errorf("%v p=%d %dx%dx%d: checksum %08x, want %08x", a, cfg.Procs, cfg.Rows, cfg.Cols, cfg.Iters, r.Check, ref)
+		}
 	}
-	if r.Check != ref {
-		t.Errorf("checksum %08x, want %08x", r.Check, ref)
+	check(protocol.WriteShared, SORConfig{Procs: 4, Rows: 16, Cols: 2048, Iters: 4})
+	for _, procs := range []int{2, 4, 5, 8} {
+		for _, iters := range []int{1, 3} {
+			check(protocol.Conventional, SORConfig{Procs: procs, Rows: 24, Cols: 64, Iters: iters, PhaseBarrier: true})
+		}
 	}
 }
 

@@ -241,9 +241,7 @@ func (n *Node) applyAnnotationSwitch(p rt.Proc, e *directory.Entry, annot protoc
 // the new protocol).
 func (n *Node) evacuate(p rt.Proc, e *directory.Entry) {
 	data := n.readObject(e)
-	n.dropObject(p, e)
-	e.Owned = false
-	e.ProbOwner = e.Home
+	n.handOff(p, e, e.Home)
 	n.sendBase(p, e, data)
 }
 

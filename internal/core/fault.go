@@ -85,6 +85,11 @@ func (n *Node) resolveFault(t *Thread, base vm.Addr, write bool) {
 	if n.obs != nil {
 		n.obs.Access(uint64(e.Start), write)
 	}
+	// A chase parked here while this fault's claim was in flight waits on
+	// no notify: the home owning the object is its news.
+	if e.Home == n.id && e.Owned {
+		n.redispatchChase(p, e)
+	}
 }
 
 // readMiss obtains a readable copy of the object.
@@ -387,9 +392,7 @@ func (n *Node) migrate(t *Thread, e *directory.Entry) {
 	if dst == n.id {
 		// Home with fresh backing: first use, no holder elsewhere.
 		if !e.BackingStale && e.Backing != nil {
-			n.installObject(t.proc, e, append([]byte(nil), e.Backing...), vm.ProtReadWrite)
-			e.Owned = true
-			e.ProbOwner = n.id
+			n.claim(t.proc, e, append([]byte(nil), e.Backing...))
 			return
 		}
 		fail(n.id, e.Start, "migrate", "no holder known for migratory object")
@@ -397,13 +400,11 @@ func (n *Node) migrate(t *Thread, e *directory.Entry) {
 	t0 := t.proc.Now()
 	reply := n.rpc(t, dst, pendKey{pendMigrate, uint64(e.Start)},
 		wire.MigrateReq{Addr: e.Start, Requester: uint8(n.id)}).(wire.MigrateReply)
-	n.installObject(t.proc, e, reply.Data, vm.ProtReadWrite)
+	n.claim(t.proc, e, reply.Data)
 	if n.obs != nil {
 		n.obs.Event(obs.EvFetch, int64(t0), int64(t.proc.Now()-t0), uint64(e.Start), dst, int64(e.Size))
 		n.obs.Migrated(uint64(e.Start))
 	}
-	e.Owned = true
-	e.ProbOwner = n.id
 	if e.Params.Delayed {
 		// The object switched to a delayed protocol while the migration
 		// was in flight: this copy may hold writes the home never saw.
@@ -439,13 +440,7 @@ func (n *Node) serveMigrate(p rt.Proc, m wire.MigrateReq) {
 		n.adaptEvaluate(p, e)
 	}
 	req := int(m.Requester)
-	n.dropObject(p, e)
-	e.Owned = false
-	e.ProbOwner = req
-	if e.Home == n.id {
-		e.BackingStale = true
-		n.redispatchChase(p, e)
-	}
+	n.handOff(p, e, req)
 	p.Advance(n.sys.cost.CopyCost(e.Size))
 	n.send(p, req, wire.MigrateReply{Addr: e.Start, Data: data})
 	if e.Home != n.id {
@@ -528,8 +523,7 @@ func (n *Node) conventionalWrite(t *Thread, e *directory.Entry) {
 			// Home owning a never-shared object: take write access
 			// directly from backing.
 			if !e.BackingStale && e.Backing != nil {
-				n.installObject(t.proc, e, append([]byte(nil), e.Backing...), vm.ProtReadWrite)
-				e.Owned = true
+				n.claim(t.proc, e, append([]byte(nil), e.Backing...))
 				e.Modified = true
 				return
 			}
@@ -537,16 +531,8 @@ func (n *Node) conventionalWrite(t *Thread, e *directory.Entry) {
 		}
 		reply := n.rpc(t, dst, pendKey{pendOwn, uint64(e.Start)},
 			wire.OwnReq{Addr: e.Start, Requester: uint8(n.id)}).(wire.OwnReply)
-		cs := reply.Copyset.Remove(n.id)
-		if reply.Data != nil {
-			n.installObject(t.proc, e, reply.Data, vm.ProtReadWrite)
-		} else {
-			n.protectObject(t.proc, e, vm.ProtReadWrite)
-			e.Valid = true
-		}
-		e.Owned = true
-		e.ProbOwner = n.id
-		e.Copyset = cs
+		n.claim(t.proc, e, reply.Data)
+		e.Copyset = reply.Copyset.Remove(n.id)
 		if e.Params.Delayed {
 			// The object switched to a delayed protocol while the
 			// ownership request was in flight: re-route through the new
@@ -615,14 +601,8 @@ func (n *Node) serveOwn(p rt.Proc, m wire.OwnReq) {
 		n.obs.Event(obs.EvOwnership, int64(p.Now()), 0, uint64(e.Start), req, 0)
 	}
 	cs := e.Copyset.Remove(req)
-	n.dropObject(p, e)
-	e.Owned = false
-	e.ProbOwner = req
 	e.Copyset = directory.Copyset{}
-	if e.Home == n.id {
-		e.BackingStale = true
-		n.redispatchChase(p, e)
-	}
+	n.handOff(p, e, req)
 	p.Advance(n.sys.cost.CopyCost(e.Size))
 	n.send(p, req, wire.OwnReply{Addr: e.Start, Copyset: cs, Data: data})
 	if e.Home != n.id {
@@ -685,12 +665,7 @@ func (n *Node) serveInvalidate(p rt.Proc, src int, m wire.Invalidate) {
 			n.obs.Event(obs.EvInvalidate, int64(p.Now()), 0, uint64(e.Start), src, int64(m.NewOwner))
 			n.obs.Invalidated(uint64(e.Start))
 		}
-		n.dropObject(p, e)
-		e.Owned = false
-		e.ProbOwner = int(m.NewOwner)
-		if e.Home == n.id {
-			e.BackingStale = true
-		}
+		n.handOff(p, e, int(m.NewOwner))
 	}
 	n.send(p, src, wire.InvalidateAck{Addr: m.Addr})
 }

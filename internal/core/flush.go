@@ -136,8 +136,7 @@ func (n *Node) flushEntries(t *Thread, entries []*directory.Entry) {
 			// Fl: the local copy dies once changes are flushed — unless a
 			// store during the charge queued it again; its next flush
 			// drops it then.
-			n.dropObject(p, e)
-			e.ProbOwner = e.Home
+			n.handOff(p, e, e.Home)
 		}
 	}
 

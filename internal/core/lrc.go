@@ -541,11 +541,11 @@ func (n *Node) sendLockGrant(p rt.Proc, id int, se *directory.SynchEntry, dst in
 			Lock:    uint32(id),
 			VT:      n.lrc.VT(),
 			Notices: n.lrc.NoticesSince(reqVT),
-			Updates: n.lockPiggyback(p, se),
+			Updates: n.lockPiggyback(p, se, dst),
 		})
 		return
 	}
-	n.send(p, dst, wire.LockGrant{Lock: uint32(id), Updates: n.lockPiggyback(p, se)})
+	n.send(p, dst, wire.LockGrant{Lock: uint32(id), Updates: n.lockPiggyback(p, se, dst)})
 }
 
 // lrcSuccVT returns (and forgets) the queued successor's vector timestamp

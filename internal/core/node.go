@@ -253,7 +253,9 @@ func (n *Node) serveOwnNotify(p rt.Proc, m wire.OwnNotify) {
 	if !ok {
 		return
 	}
-	if !e.Owned {
+	// A notify naming this node trails a transfer here that a later
+	// request already took onward: keep the newer hint.
+	if !e.Owned && int(m.Owner) != n.id {
 		e.ProbOwner = int(m.Owner)
 	}
 	n.redispatchChase(p, e)
@@ -883,6 +885,32 @@ func (n *Node) dropObject(p rt.Proc, e *directory.Entry) {
 		// it to the (empty) entry immediately.
 		n.applyAnnotationSwitch(p, e, *e.PendingAnnot)
 	}
+}
+
+// handOff gives the local copy away to node to. Ownership and the hint
+// commit before dropObject's charge yields, so a request or local fault
+// during it finds the object gone, not an owner without data; chases
+// parked at the home re-dispatch after the drop.
+func (n *Node) handOff(p rt.Proc, e *directory.Entry, to int) {
+	e.Owned = false
+	e.ProbOwner = to
+	home := e.Home == n.id
+	if home {
+		e.BackingStale = true
+	}
+	n.dropObject(p, e)
+	if home {
+		n.redispatchChase(p, e)
+	}
+}
+
+// claim takes ownership with data as a read-write copy, committing after
+// the install's charge: committed first, an own-req or migrate-req that
+// arrives during that yield finds an owner with no copy yet (DESIGN.md).
+func (n *Node) claim(p rt.Proc, e *directory.Entry, data []byte) {
+	n.installObject(p, e, data, vm.ProtReadWrite)
+	e.Owned = true
+	e.ProbOwner = n.id
 }
 
 // currentData returns the entry's current contents for serving a request:

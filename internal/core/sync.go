@@ -155,8 +155,8 @@ func (n *Node) serveLockRequest(p rt.Proc, m wire.Message, id, req int, reqVT []
 // lockPiggyback gathers current data for the objects associated with the
 // lock so the grant message carries it (avoiding access misses at the new
 // holder, §2.5). Migratory associated objects move with the lock: the
-// local copy is dropped.
-func (n *Node) lockPiggyback(p rt.Proc, se *directory.SynchEntry) []wire.UpdateEntry {
+// local copy is handed off to the grantee, to.
+func (n *Node) lockPiggyback(p rt.Proc, se *directory.SynchEntry, to int) []wire.UpdateEntry {
 	var out []wire.UpdateEntry
 	for _, addr := range se.Assoc {
 		e, ok := n.dir.Lookup(addr)
@@ -179,11 +179,7 @@ func (n *Node) lockPiggyback(p rt.Proc, se *directory.SynchEntry) []wire.UpdateE
 		p.Advance(n.sys.cost.CopyCost(e.Size))
 		out = append(out, wire.UpdateEntry{Addr: e.Start, Size: uint32(e.Size), Full: data})
 		if e.Annot == protocol.Migratory {
-			n.dropObject(p, e)
-			e.Owned = false
-			if e.Home == n.id {
-				e.BackingStale = true
-			}
+			n.handOff(p, e, to)
 		}
 	}
 	return out
