@@ -12,9 +12,11 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"testing"
 
+	"munin/internal/network"
 	"munin/internal/protocol"
 	"munin/internal/rt"
 	"munin/internal/sim"
@@ -257,4 +259,71 @@ func TestLazyAdaptiveExcluded(t *testing.T) {
 		}
 	}()
 	NewSystem(Config{Processors: 2, Lazy: true, Adaptive: true}, nil, nil, nil)
+}
+
+// TestLazyAcquireRefreshOrder: three writers dirty the same two lazily
+// managed objects, and a node holding copies of both then acquires the
+// lock. Its acquire refresh sends exactly one diff request per writer,
+// writers ascending, each listing both objects in address order,
+// whatever order the writers wrote in.
+func TestLazyAcquireRefreshOrder(t *testing.T) {
+	const procs = 4
+	type req struct {
+		dst int
+		m   wire.LrcDiffReq
+	}
+	var reqs []req
+	decls := []Decl{
+		{Name: "a", Start: page(0), Size: 8, Annot: protocol.WriteShared, Home: 0, Synchq: -1},
+		{Name: "b", Start: page(1), Size: 8, Annot: protocol.WriteShared, Home: 0, Synchq: -1},
+	}
+	sys := NewSystem(Config{Processors: procs, Lazy: true, Trace: func(env network.Envelope) {
+		if m, ok := env.Msg.(wire.LrcDiffReq); ok && env.Src == 0 {
+			reqs = append(reqs, req{env.Dst, m})
+		}
+	}}, decls, []LockDecl{{ID: 1, Home: 0}}, []BarrierDecl{{ID: 9, Home: 0, Expected: procs + 1}})
+	// Writers take the lock in the order 3, 1, 2, each dirtying the
+	// higher object first.
+	delay := map[int]rt.Time{3: 0, 1: 1_000_000, 2: 2_000_000}
+	err := sys.Run(func(root *Thread) {
+		root.Spawn(0, "reader", func(rd *Thread) {
+			_ = rd.ReadWord(page(0)) // hold copies of both
+			_ = rd.ReadWord(page(1))
+			rd.WaitAtBarrier(9)
+			rd.Compute(10_000_000) // until every writer has released
+			rd.AcquireLock(1)
+			a, b := rd.ReadWord(page(0)), rd.ReadWord(page(1))
+			rd.ReleaseLock(1)
+			if a != 2 || b != 12 {
+				fail(0, page(0), "lazy refresh", fmt.Sprintf("read %d and %d, want the last writer's 2 and 12", a, b))
+			}
+			rd.WaitAtBarrier(9)
+		})
+		for w := 1; w < procs; w++ {
+			root.Spawn(w, "writer", func(wt *Thread) {
+				wt.WaitAtBarrier(9)
+				wt.Compute(delay[wt.NodeID()])
+				wt.AcquireLock(1)
+				wt.WriteWord(page(1), uint32(10+wt.NodeID()))
+				wt.WriteWord(page(0), uint32(wt.NodeID()))
+				wt.ReleaseLock(1)
+				wt.WaitAtBarrier(9)
+			})
+		}
+		root.WaitAtBarrier(9)
+		root.WaitAtBarrier(9)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var writers []int
+	for _, r := range reqs {
+		writers = append(writers, r.dst)
+		if !slices.Equal(r.m.Addrs, []vm.Addr{page(0), page(1)}) {
+			t.Errorf("diff request to node %d lists %#x, want both objects in address order", r.dst, r.m.Addrs)
+		}
+	}
+	if want := []int{1, 2, 3}; !slices.Equal(writers, want) {
+		t.Errorf("reader sent diff requests to nodes %v, want one per writer in ascending order %v", writers, want)
+	}
 }

@@ -28,7 +28,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"munin/internal/diffenc"
 	"munin/internal/directory"
@@ -161,26 +160,28 @@ func (n *Node) lrcAbsorb(p rt.Proc, vt []uint32, notices []wire.LrcInterval) {
 	if n.obs != nil && p != nil && len(notices) > 0 {
 		n.obs.Event(obs.EvNoticeApply, int64(p.Now()), 0, 0, -1, int64(len(notices)))
 	}
-	advance(p, n.sys.cost.LrcNoticeCPU*rt.Time(len(touched)))
+	advance(p, n.sys.cost.LrcNoticeCPU*rt.Time(touched))
 }
 
 // lrcNeeds reports whether the entry's valid base lacks diffs some write
 // notice promised.
 func (n *Node) lrcNeeds(e *directory.Entry) bool {
-	return e.Valid && len(n.lrc.NeedsFrom(e.Start, n.lrcState(e).Applied)) > 0
+	return e.Valid && n.lrc.Stale(e.Start, n.lrcState(e).Applied)
 }
 
-// lrcRPC sends a token-routed lazy-engine request and blocks t for the
-// response. Tokens make concurrent requests from different local threads
-// independent (per-object serialization does not cover the batched
-// acquire refresh).
-func (n *Node) lrcRPC(t *Thread, dst int, build func(token uint32) wire.Message) any {
+// newLrcToken returns a fresh token for a lazy-engine request. Tokens make
+// concurrent requests from different local threads independent
+// (per-object serialization does not cover the batched acquire refresh).
+func (n *Node) newLrcToken() uint32 {
 	n.lrcToken++
-	token := n.lrcToken
-	key := pendKey{pendLrc, uint64(token)}
-	msg := build(token)
+	return n.lrcToken
+}
+
+// lrcRPC sends msg, a lazy-engine request carrying token, and blocks t
+// for the response the token routes back.
+func (n *Node) lrcRPC(t *Thread, dst int, token uint32, msg wire.Message) any {
 	f := n.sys.tr.NewFuture(n.id, n.lrcRPCNames.name(n.id, msg.Kind()))
-	n.pending[key] = f
+	n.pending[pendKey{pendLrc, uint64(token)}] = f
 	n.send(t.proc, dst, msg)
 	return n.await(t.proc, f)
 }
@@ -202,9 +203,9 @@ func (n *Node) lrcFetchBase(t *Thread, e *directory.Entry) {
 	}
 	n.ReadMisses++
 	t0 := t.proc.Now()
-	resp := n.lrcRPC(t, e.Home, func(token uint32) wire.Message {
-		return wire.LrcFetchReq{Addr: e.Start, Requester: uint8(n.id), Token: token}
-	}).(wire.LrcFetchResp)
+	token := n.newLrcToken()
+	resp := n.lrcRPC(t, e.Home, token,
+		wire.LrcFetchReq{Addr: e.Start, Requester: uint8(n.id), Token: token}).(wire.LrcFetchResp)
 	n.adoptObject(t.proc, e, resp.Data, vm.ProtRead) // decoded or re-owned for this node alone
 	if n.obs != nil {
 		n.obs.Event(obs.EvFetch, int64(t0), int64(t.proc.Now()-t0), uint64(e.Start), e.Home, int64(e.Size))
@@ -261,9 +262,9 @@ func (n *Node) serveLrcFetch(p rt.Proc, m wire.LrcFetchReq) {
 func (n *Node) lrcDiffFetch(t *Thread, writer int, addrs []vm.Addr, after []uint32) wire.LrcDiffResp {
 	n.lrc.Stats.DiffRequests++
 	t0 := t.proc.Now()
-	resp := n.lrcRPC(t, writer, func(token uint32) wire.Message {
-		return wire.LrcDiffReq{Requester: uint8(n.id), Token: token, Addrs: addrs, After: after}
-	}).(wire.LrcDiffResp)
+	token := n.newLrcToken()
+	resp := n.lrcRPC(t, writer, token,
+		wire.LrcDiffReq{Requester: uint8(n.id), Token: token, Addrs: addrs, After: after}).(wire.LrcDiffResp)
 	records := 0
 	for _, s := range resp.Sets {
 		n.lrc.Stats.RecordsFetched += len(s.Records)
@@ -392,7 +393,7 @@ func (n *Node) lrcBringCurrent(t *Thread, e *directory.Entry) {
 // alone; a later fault pulls them base-plus-diffs on demand.
 func (n *Node) lrcAcquireRefresh(t *Thread) {
 	var stale []*directory.Entry
-	for _, e := range n.dir.Entries() {
+	for e := range n.dir.All() {
 		if lazyManaged(e) && n.lrcNeeds(e) {
 			stale = append(stale, e)
 		}
@@ -400,8 +401,8 @@ func (n *Node) lrcAcquireRefresh(t *Thread) {
 	if len(stale) == 0 {
 		return
 	}
-	// Entries() is address-ascending; acquiring the semaphores in that
-	// order cannot cycle with the fault path (which holds one).
+	// All is address-ascending; acquiring the semaphores in that order
+	// cannot cycle with the fault path (which holds one).
 	for _, e := range stale {
 		n.acquire(t.proc, e.Sem)
 	}
@@ -411,50 +412,79 @@ func (n *Node) lrcAcquireRefresh(t *Thread) {
 		}
 	}()
 	// Recheck after the waits (another thread may have refreshed or the
-	// copy may have been dropped) and group the remaining needs.
-	perWriter := make(map[int][]*directory.Entry)
-	for _, e := range stale {
+	// copy may have been dropped) and snapshot the needs before the first
+	// fetch yields: one set per (entry, writer) pair, entry by entry in
+	// address order, writers ascending within an entry. stale[i]'s sets
+	// are sets[from[i]:from[i+1]].
+	from := make([]int, len(stale)+1)
+	sets := make([]lrc.WriterRecords, 0, len(stale))
+	for i, e := range stale {
+		from[i] = len(sets)
 		if !e.Valid {
 			continue
 		}
-		for _, j := range n.lrc.NeedsFrom(e.Start, n.lrcState(e).Applied) {
-			perWriter[j] = append(perWriter[j], e)
+		// NeedsFrom's test, appended in place rather than listed.
+		noticed, applied := n.lrc.Noticed(e.Start), n.lrcState(e).Applied
+		for j := range noticed {
+			if j != n.id && noticed[j] > applied[j] {
+				sets = append(sets, lrc.WriterRecords{Writer: j})
+			}
 		}
 	}
-	if len(perWriter) == 0 {
+	from[len(stale)] = len(sets)
+	if len(sets) == 0 {
 		return
 	}
-	writers := make([]int, 0, len(perWriter))
-	for j := range perWriter {
-		writers = append(writers, j)
-	}
-	sort.Ints(writers)
-	perEntry := make(map[*directory.Entry][]lrc.WriterRecords)
-	for _, j := range writers {
-		es := perWriter[j]
-		addrs := make([]vm.Addr, len(es))
-		after := make([]uint32, len(es))
-		upTo := make([]uint32, len(es))
-		for i, e := range es {
-			addrs[i] = e.Start
-			after[i] = e.Lrc.Applied[j]
-			// Snapshot before the fetch yields (see lrcBringCurrent).
-			upTo[i] = n.lrc.Noticed(e.Start)[j]
-		}
-		resp := n.lrcDiffFetch(t, j, addrs, after)
-		for i, e := range es {
-			var recs []wire.LrcRecord
-			if i < len(resp.Sets) {
-				recs = resp.Sets[i].Records
+	// One request per writer, writers ascending, each listing its objects
+	// in address order. The requests' lists share one array per field,
+	// cut per writer: a sent message is kept until it is delivered.
+	addrs := make([]vm.Addr, len(sets))
+	after := make([]uint32, len(sets))
+	lo := 0
+	for j := nextWriter(sets, -1); j >= 0; j = nextWriter(sets, j) {
+		hi := lo
+		for i, e := range stale {
+			for k := from[i]; k < from[i+1]; k++ {
+				if sets[k].Writer == j {
+					addrs[hi], after[hi] = e.Start, e.Lrc.Applied[j]
+					// Snapshot before the fetch yields (see lrcBringCurrent).
+					sets[k].UpTo = n.lrc.Noticed(e.Start)[j]
+					hi++
+				}
 			}
-			perEntry[e] = append(perEntry[e], lrc.WriterRecords{Writer: j, UpTo: upTo[i], Records: recs})
+		}
+		resp := n.lrcDiffFetch(t, j, addrs[lo:hi:hi], after[lo:hi:hi])
+		// The response lists its sets in request order, which is the
+		// order of writer j's sets in sets.
+		r := 0
+		for k := range sets {
+			if sets[k].Writer != j {
+				continue
+			}
+			if r < len(resp.Sets) {
+				sets[k].Records = resp.Sets[r].Records
+			}
+			r++
+		}
+		lo = hi
+	}
+	for i, e := range stale {
+		if es := sets[from[i]:from[i+1]]; len(es) > 0 && e.Valid {
+			n.lrcApply(t.proc, e, es)
 		}
 	}
-	for _, e := range stale {
-		if sets := perEntry[e]; len(sets) > 0 && e.Valid {
-			n.lrcApply(t.proc, e, sets)
+}
+
+// nextWriter returns the lowest writer above j among the sets, or -1
+// when there is none.
+func nextWriter(sets []lrc.WriterRecords, j int) int {
+	next := -1
+	for _, s := range sets {
+		if s.Writer > j && (next < 0 || s.Writer < next) {
+			next = s.Writer
 		}
 	}
+	return next
 }
 
 // lrcFloors computes this node's applied floors: per writer, the lowest
@@ -464,7 +494,7 @@ func (n *Node) lrcAcquireRefresh(t *Thread) {
 // vector timestamp — it cannot vouch for intervals it has not seen.
 func (n *Node) lrcFloors() []uint32 {
 	fl := n.lrc.VT()
-	for _, e := range n.dir.Entries() {
+	for e := range n.dir.All() {
 		if !lazyManaged(e) || e.Lrc == nil {
 			continue
 		}
@@ -693,7 +723,7 @@ func (s *System) finishLazy() {
 		// final virtual interval so they enter the record store, as an
 		// eager run's final image would have carried them in a copy).
 		for _, n := range s.nodes {
-			for _, e := range n.dir.Entries() {
+			for e := range n.dir.All() {
 				if !lazyManaged(e) || e.Twin == nil || !e.Valid {
 					continue
 				}
@@ -727,7 +757,7 @@ func (s *System) finishLazy() {
 		// 3. Reconcile every surviving base against the records it has
 		// not incorporated.
 		for _, n := range s.nodes {
-			for _, e := range n.dir.Entries() {
+			for e := range n.dir.All() {
 				if !lazyManaged(e) {
 					continue
 				}

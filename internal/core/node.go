@@ -365,6 +365,10 @@ func (n *Node) startDispatcher() {
 // during the serve) need nothing; anything retained past dispatch — a
 // reply completed into a future for a parked thread, an update stashed
 // or queued for later — is re-owned first (wire.Own / wire.OwnEntry).
+//
+// Replies complete their futures, and forwarded lock requests travel on,
+// as env.Msg: the delivered interface value, not the switch's typed copy,
+// which would be boxed again.
 func (n *Node) dispatch(p rt.Proc, env network.Envelope) {
 	if env.Borrowed {
 		switch env.Msg.(type) {
@@ -428,18 +432,18 @@ func (n *Node) dispatch(p rt.Proc, env network.Envelope) {
 	case wire.AdaptCommit:
 		n.serveAdaptCommit(p, m)
 	case wire.LockAcq:
-		n.serveLockRequest(p, m, int(m.Lock), int(m.Requester), nil)
+		n.serveLockRequest(p, env.Msg, int(m.Lock), int(m.Requester), nil)
 	case wire.LockGrant:
-		n.complete(pendKey{pendLock, uint64(m.Lock)}, m)
+		n.complete(pendKey{pendLock, uint64(m.Lock)}, env.Msg)
 	case wire.BarrierArrive:
 		n.serveBarrierArrive(p, m)
 	case wire.BarrierRelease:
 		n.serveBarrierRelease(p, m)
 
 	case wire.LrcLockAcq:
-		n.serveLockRequest(p, m, int(m.Lock), int(m.Requester), m.VT)
+		n.serveLockRequest(p, env.Msg, int(m.Lock), int(m.Requester), m.VT)
 	case wire.LrcLockGrant:
-		n.complete(pendKey{pendLock, uint64(m.Lock)}, m)
+		n.complete(pendKey{pendLock, uint64(m.Lock)}, env.Msg)
 	case wire.LrcBarrierArrive:
 		n.serveLrcBarrierArrive(p, m)
 	case wire.LrcBarrierRelease:
@@ -447,22 +451,22 @@ func (n *Node) dispatch(p rt.Proc, env network.Envelope) {
 	case wire.LrcDiffReq:
 		n.serveLrcDiff(p, m)
 	case wire.LrcDiffResp:
-		n.complete(pendKey{pendLrc, uint64(m.Token)}, m)
+		n.complete(pendKey{pendLrc, uint64(m.Token)}, env.Msg)
 	case wire.LrcFetchReq:
 		n.serveLrcFetch(p, m)
 	case wire.LrcFetchResp:
-		n.complete(pendKey{pendLrc, uint64(m.Token)}, m)
+		n.complete(pendKey{pendLrc, uint64(m.Token)}, env.Msg)
 	case wire.LrcGC:
 		n.serveLrcGC(m)
 
 	case wire.ReadReply:
-		n.complete(pendKey{pendRead, uint64(m.Addr)}, m)
+		n.complete(pendKey{pendRead, uint64(m.Addr)}, env.Msg)
 	case wire.OwnReply:
-		n.complete(pendKey{pendOwn, uint64(m.Addr)}, m)
+		n.complete(pendKey{pendOwn, uint64(m.Addr)}, env.Msg)
 	case wire.MigrateReply:
-		n.complete(pendKey{pendMigrate, uint64(m.Addr)}, m)
+		n.complete(pendKey{pendMigrate, uint64(m.Addr)}, env.Msg)
 	case wire.ReduceReply:
-		n.complete(pendKey{pendReduce, uint64(m.Addr)}, m)
+		n.complete(pendKey{pendReduce, uint64(m.Addr)}, env.Msg)
 	case wire.DirReply:
 		n.completeDirFetch(m)
 	case wire.CopysetReply:

@@ -507,7 +507,7 @@ func (s *System) AdaptStats() AdaptStats {
 func (s *System) FinalAnnotations() map[vm.Addr]protocol.Annotation {
 	out := make(map[vm.Addr]protocol.Annotation)
 	for _, n := range s.nodes {
-		for _, e := range n.dir.Entries() {
+		for e := range n.dir.All() {
 			if e.Home != n.id {
 				continue
 			}

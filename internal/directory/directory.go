@@ -15,6 +15,7 @@ package directory
 
 import (
 	"fmt"
+	"iter"
 	"slices"
 	"sort"
 
@@ -276,7 +277,7 @@ func (t *Table) Insert(e *Entry) {
 		}
 		t.byPage[b] = e
 	}
-	// Keep entries address-sorted, so Entries is a copy and nothing more.
+	// Keep entries address-sorted, so All is a walk and nothing more.
 	i := sort.Search(len(t.entries), func(i int) bool { return t.entries[i].Start > e.Start })
 	t.entries = slices.Insert(t.entries, i, e)
 }
@@ -306,10 +307,11 @@ func (t *Table) Lookup(addr vm.Addr) (*Entry, bool) {
 	return e, true
 }
 
-// Entries returns all entries ordered by start address.
-func (t *Table) Entries() []*Entry {
-	return append([]*Entry(nil), t.entries...)
-}
+// All iterates over the entries in start-address order without copying
+// them. The loop body must not insert or remove entries, nor yield (a
+// yield lets another thread do so); a loop that needs to collects its own
+// copy first (slices.Collect).
+func (t *Table) All() iter.Seq[*Entry] { return slices.Values(t.entries) }
 
 // Len returns the number of entries.
 func (t *Table) Len() int { return len(t.entries) }
@@ -319,7 +321,7 @@ func (t *Table) Len() int { return len(t.entries) }
 // them).
 func (t *Table) GroupEntries(base vm.Addr) []*Entry {
 	var out []*Entry
-	for _, e := range t.Entries() {
+	for e := range t.All() {
 		g := e.Group
 		if g == 0 {
 			g = e.Start

@@ -102,6 +102,9 @@ type Engine struct {
 	// materialized diffs of its closed intervals, ascending.
 	records map[vm.Addr][]wire.LrcRecord
 
+	// touched is Absorb's scratch list of the objects it advanced.
+	touched []vm.Addr
+
 	Stats Stats
 }
 
@@ -199,11 +202,7 @@ func (e *Engine) NoticesSince(vt []uint32) []wire.LrcInterval {
 // knownAbove returns node j's known intervals above vt[j] (all of them
 // when vt is shorter than that).
 func (e *Engine) knownAbove(j int, vt []uint32) []interval {
-	var after uint32
-	if j < len(vt) {
-		after = vt[j]
-	}
-	return e.known[j][firstAbove(e.known[j], after):]
+	return e.known[j][firstAbove(e.known[j], at(vt, j)):]
 }
 
 // firstAbove returns the index of the first interval above after in an
@@ -213,16 +212,19 @@ func firstAbove(ks []interval, after uint32) int {
 }
 
 // Absorb merges a synchronization message's vector timestamp and write
-// notices into the engine and returns the objects whose notice state
-// advanced (sorted; the caller refreshes or invalidates its copies of
-// them). Absorbing is idempotent.
-func (e *Engine) Absorb(vt []uint32, notices []wire.LrcInterval) []vm.Addr {
+// notices into the engine and returns the number of distinct objects
+// whose notice state advanced (the caller charges notice processing per
+// object). Absorbing is idempotent. The notices stay the caller's: the
+// addresses of the intervals it keeps are copied, into one array per
+// call.
+func (e *Engine) Absorb(vt []uint32, notices []wire.LrcInterval) int {
 	for j := range e.vt {
 		if j < len(vt) && vt[j] > e.vt[j] {
 			e.vt[j] = vt[j]
 		}
 	}
-	var touched []vm.Addr
+	backing := make([]vm.Addr, 0, e.newAddrs(notices))
+	e.touched = e.touched[:0]
 	for _, iv := range notices {
 		j := int(iv.Node)
 		if j < 0 || j >= e.nodes || j == e.self {
@@ -233,25 +235,57 @@ func (e *Engine) Absorb(vt []uint32, notices []wire.LrcInterval) []vm.Addr {
 		}
 		ks := e.known[j]
 		if len(ks) == 0 || iv.Ivl > ks[len(ks)-1].ivl {
-			e.known[j] = append(ks, interval{ivl: iv.Ivl, addrs: append([]vm.Addr(nil), iv.Addrs...)})
+			start := len(backing)
+			backing = append(backing, iv.Addrs...)
+			e.known[j] = append(ks, interval{ivl: iv.Ivl, addrs: backing[start:len(backing):len(backing)]})
 		}
 		for _, a := range iv.Addrs {
 			n := e.noticed[a]
 			if n == nil || iv.Ivl > n[j] {
 				e.noteOne(a, j, iv.Ivl)
-				touched = append(touched, a)
+				e.touched = append(e.touched, a)
 				e.Stats.NoticesAbsorbed++
 			}
 		}
 	}
 	// An object two intervals named was appended twice.
-	slices.Sort(touched)
-	return slices.Compact(touched)
+	slices.Sort(e.touched)
+	return len(slices.Compact(e.touched))
+}
+
+// newAddrs counts the addresses of the notices Absorb will keep: those
+// of intervals above what is known of their node. The count is exact
+// when each node's intervals ascend, as NoticesSince lists them.
+func (e *Engine) newAddrs(notices []wire.LrcInterval) int {
+	n := 0
+	for _, iv := range notices {
+		j := int(iv.Node)
+		if j >= e.nodes || j == e.self {
+			continue
+		}
+		if ks := e.known[j]; len(ks) == 0 || iv.Ivl > ks[len(ks)-1].ivl {
+			n += len(iv.Addrs)
+		}
+	}
+	return n
 }
 
 // Noticed returns, for each writer, the highest interval a write notice
 // named addr in (nil when the object was never noticed).
 func (e *Engine) Noticed(addr vm.Addr) []uint32 { return e.noticed[addr] }
+
+// Stale reports whether some remote writer's noticed interval for addr
+// exceeds the base's applied interval: whether NeedsFrom would list
+// anyone. It does not allocate.
+func (e *Engine) Stale(addr vm.Addr, applied []uint32) bool {
+	n := e.noticed[addr]
+	for j := range n {
+		if j != e.self && n[j] > at(applied, j) {
+			return true
+		}
+	}
+	return false
+}
 
 // NeedsFrom lists the remote writers whose noticed intervals for addr
 // exceed the base's applied intervals — the nodes a refresh must fetch
@@ -266,15 +300,19 @@ func (e *Engine) NeedsFrom(addr vm.Addr, applied []uint32) []int {
 		if j == e.self {
 			continue
 		}
-		var have uint32
-		if j < len(applied) {
-			have = applied[j]
-		}
-		if n[j] > have {
+		if n[j] > at(applied, j) {
 			out = append(out, j)
 		}
 	}
 	return out
+}
+
+// at returns vt[j], or 0 past vt's end.
+func at(vt []uint32, j int) uint32 {
+	if j < len(vt) {
+		return vt[j]
+	}
+	return 0
 }
 
 // AddRecord stores one materialized diff record for addr in this node's

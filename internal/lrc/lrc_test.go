@@ -28,21 +28,56 @@ func TestNoticesSinceAndAbsorb(t *testing.T) {
 	a.CloseInterval([]vm.Addr{0x80002000})
 
 	b := New(1, 3)
-	touched := b.Absorb(a.VT(), a.NoticesSince(b.VT()))
-	if want := []vm.Addr{0x80000000, 0x80002000}; !reflect.DeepEqual(touched, want) {
-		t.Fatalf("touched = %v, want %v", touched, want)
+	if touched := b.Absorb(a.VT(), a.NoticesSince(b.VT())); touched != 2 {
+		t.Fatalf("absorb touched %d objects, want 2", touched)
 	}
 	if got := b.VT(); !reflect.DeepEqual(got, []uint32{2, 0, 0}) {
 		t.Fatalf("vt after absorb = %v", got)
 	}
 	// Idempotent: absorbing the same notices again touches nothing.
-	if touched := b.Absorb(a.VT(), a.NoticesSince([]uint32{0, 0, 0})); len(touched) != 0 {
-		t.Fatalf("re-absorb touched %v", touched)
+	if touched := b.Absorb(a.VT(), a.NoticesSince([]uint32{0, 0, 0})); touched != 0 {
+		t.Fatalf("re-absorb touched %d objects", touched)
 	}
 	// b can now forward a's intervals to a third node.
 	ns := b.NoticesSince([]uint32{1, 0, 0})
 	if len(ns) != 1 || ns[0].Node != 0 || ns[0].Ivl != 2 {
 		t.Fatalf("forwarded notices = %+v", ns)
+	}
+}
+
+// TestAbsorbCopiesNotices: the engine keeps its own copy of the
+// addresses it absorbs, so a caller reusing its notice lists afterwards
+// cannot change what the engine forwards.
+func TestAbsorbCopiesNotices(t *testing.T) {
+	ns := []wire.LrcInterval{
+		{Node: 1, Ivl: 1, Addrs: []vm.Addr{0x80000000, 0x80002000}},
+		{Node: 1, Ivl: 2, Addrs: []vm.Addr{0x80004000}},
+		{Node: 2, Ivl: 1, Addrs: []vm.Addr{0x80002000}},
+	}
+	want := []wire.LrcInterval{
+		{Node: 1, Ivl: 1, Addrs: []vm.Addr{0x80000000, 0x80002000}},
+		{Node: 1, Ivl: 2, Addrs: []vm.Addr{0x80004000}},
+		{Node: 2, Ivl: 1, Addrs: []vm.Addr{0x80002000}},
+	}
+	e := New(0, 3)
+	if got := e.Absorb([]uint32{0, 2, 1}, ns); got != 3 {
+		t.Fatalf("absorb touched %d objects, want 3", got)
+	}
+	for i := range ns {
+		for k := range ns[i].Addrs {
+			ns[i].Addrs[k] = 0xdead0000
+		}
+		ns[i].Addrs = append(ns[i].Addrs, 0xbeef0000)
+	}
+	if got := e.NoticesSince([]uint32{0, 0, 0}); !reflect.DeepEqual(got, want) {
+		t.Fatalf("notices after the caller rewrote its lists = %+v, want %+v", got, want)
+	}
+	// Appending to what the engine hands out must not reach its copy
+	// either (each interval's addresses are capacity-clipped).
+	got := e.NoticesSince([]uint32{0, 0, 0})
+	_ = append(got[0].Addrs, 0xbeef0000)
+	if again := e.NoticesSince([]uint32{0, 0, 0}); !reflect.DeepEqual(again, want) {
+		t.Fatalf("notices after appending to a returned list = %+v, want %+v", again, want)
 	}
 }
 
@@ -58,6 +93,20 @@ func TestNeedsFrom(t *testing.T) {
 	}
 	if got := e.NeedsFrom(0x80006000, applied); got != nil {
 		t.Fatalf("needs for unnoticed object = %v", got)
+	}
+	// Stale agrees with NeedsFrom on every object and applied vector.
+	for _, a := range []vm.Addr{0x80000000, 0x80006000} {
+		for _, ap := range [][]uint32{applied, {3, 1, 0, 0}, {2, 1, 0, 0}, nil} {
+			if got, want := e.Stale(a, ap), len(e.NeedsFrom(a, ap)) > 0; got != want {
+				t.Errorf("Stale(%#x, %v) = %v, NeedsFrom says %v", a, ap, got, want)
+			}
+		}
+	}
+	// The node's own interval never makes a copy stale.
+	own := New(0, 2)
+	own.CloseInterval([]vm.Addr{0x80000000})
+	if own.Stale(0x80000000, nil) {
+		t.Error("a node's own notice made its copy stale")
 	}
 }
 

@@ -446,7 +446,7 @@ func TestIndexedStoresMatchLinearScan(t *testing.T) {
 }
 
 // TestAbsorbTouchedSortedOnce: an object named by two intervals, and by
-// two writers, is reported once, and the report is address-sorted.
+// two writers, is counted once.
 func TestAbsorbTouchedSortedOnce(t *testing.T) {
 	e := New(0, 3)
 	touched := e.Absorb(nil, []wire.LrcInterval{
@@ -454,8 +454,8 @@ func TestAbsorbTouchedSortedOnce(t *testing.T) {
 		{Node: 1, Ivl: 2, Addrs: []vm.Addr{0x80002000, 0x80004000}},
 		{Node: 2, Ivl: 1, Addrs: []vm.Addr{0x80000000, 0x80004000}},
 	})
-	if want := []vm.Addr{0x80000000, 0x80002000, 0x80004000, 0x80006000}; !reflect.DeepEqual(touched, want) {
-		t.Errorf("touched = %#x, want %#x", touched, want)
+	if touched != 4 {
+		t.Errorf("touched %d objects, want 4", touched)
 	}
 	if e.Stats.NoticesAbsorbed != 6 {
 		t.Errorf("absorbed %d notices, want 6", e.Stats.NoticesAbsorbed)

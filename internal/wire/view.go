@@ -22,25 +22,64 @@ func OwnEntry(u UpdateEntry) UpdateEntry {
 	return u
 }
 
-func ownEntries(us []UpdateEntry) []UpdateEntry {
-	for i := range us {
-		us[i] = OwnEntry(us[i])
+// ownInto copies b onto the end of buf, returning the copy
+// (capacity-clipped; nil stays nil) and the extended buf.
+func ownInto(buf, b []byte) ([]byte, []byte) {
+	if b == nil {
+		return buf, nil
 	}
-	return us
+	at := len(buf)
+	buf = append(buf, b...)
+	return buf, buf[at:len(buf):len(buf)]
 }
 
-func ownRecords(rs []LrcRecord) []LrcRecord {
-	for i := range rs {
-		rs[i].Diff = ownBytes(rs[i].Diff)
-		rs[i].Full = ownBytes(rs[i].Full)
+// ownEntries re-owns the entries' payloads in place, all of them in one
+// allocation.
+func ownEntries(us []UpdateEntry) {
+	n := 0
+	for i := range us {
+		n += len(us[i].Diff) + len(us[i].Full)
 	}
-	return rs
+	if n == 0 {
+		return
+	}
+	buf := make([]byte, 0, n)
+	for i := range us {
+		buf, us[i].Diff = ownInto(buf, us[i].Diff)
+		buf, us[i].Full = ownInto(buf, us[i].Full)
+	}
+}
+
+// ownDiffSets re-owns every record payload of the sets in place, all of
+// them in one allocation.
+func ownDiffSets(sets []LrcDiffSet) {
+	n := 0
+	for i := range sets {
+		for _, r := range sets[i].Records {
+			n += len(r.Diff) + len(r.Full)
+		}
+	}
+	if n == 0 {
+		return
+	}
+	buf := make([]byte, 0, n)
+	for i := range sets {
+		for k := range sets[i].Records {
+			r := &sets[i].Records[k]
+			buf, r.Diff = ownInto(buf, r.Diff)
+			buf, r.Full = ownInto(buf, r.Full)
+		}
+	}
 }
 
 // Own returns msg with every borrowed byte payload deep-copied. Messages
 // without byte payloads pass through unchanged; a Batch re-owns each
-// rider. The entry/record slices themselves are decoder-allocated (never
-// borrowed), so they are rewritten in place.
+// rider. The entry, record and rider slices themselves are
+// decoder-allocated (never borrowed), so messages whose payloads sit in
+// them — UpdateBatch, LockGrant, LrcLockGrant, LrcDiffResp, Batch — are
+// re-owned in place, every payload in one allocation, and msg itself is
+// returned: the interface value is not boxed again. The rest carry their
+// payload in a field of the message value and come back re-boxed.
 func Own(msg Message) Message {
 	switch m := msg.(type) {
 	case ReadReply:
@@ -53,14 +92,11 @@ func Own(msg Message) Message {
 		m.Data = ownBytes(m.Data)
 		return m
 	case UpdateBatch:
-		m.Entries = ownEntries(m.Entries)
-		return m
+		ownEntries(m.Entries)
 	case LockGrant:
-		m.Updates = ownEntries(m.Updates)
-		return m
+		ownEntries(m.Updates)
 	case LrcLockGrant:
-		m.Updates = ownEntries(m.Updates)
-		return m
+		ownEntries(m.Updates)
 	case BarrierRelease:
 		m.Subtree = append([]uint8(nil), m.Subtree...)
 		return m
@@ -71,10 +107,7 @@ func Own(msg Message) Message {
 		m.Payload = ownBytes(m.Payload)
 		return m
 	case LrcDiffResp:
-		for i := range m.Sets {
-			m.Sets[i].Records = ownRecords(m.Sets[i].Records)
-		}
-		return m
+		ownDiffSets(m.Sets)
 	case LrcFetchResp:
 		m.Data = ownBytes(m.Data)
 		return m
@@ -82,8 +115,6 @@ func Own(msg Message) Message {
 		for i := range m.Msgs {
 			m.Msgs[i] = Own(m.Msgs[i])
 		}
-		return m
-	default:
-		return msg
 	}
+	return msg
 }

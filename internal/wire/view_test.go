@@ -91,6 +91,71 @@ func TestOwnDetachesEveryKind(t *testing.T) {
 	}
 }
 
+// TestOwnInPlace: Own re-owns a diff response, a lock grant and an
+// update batch where they lie, returning the same message, so a poisoned
+// receive buffer leaves the owned records and entries equal to what was
+// sent; and all of a diff response's record payloads cost one
+// allocation, whatever their number.
+func TestOwnInPlace(t *testing.T) {
+	diff := []byte{1, 0, 0, 0, 1, 0, 0, 0, 42, 0, 0, 0}
+	resp := func(records int) LrcDiffResp {
+		m := LrcDiffResp{Token: 5, Sets: []LrcDiffSet{{Addr: 0x80000000}, {Addr: 0x80002000}}}
+		for i := 0; i < records; i++ {
+			s := &m.Sets[i%2]
+			r := LrcRecord{First: uint32(i + 1), Last: uint32(i + 1), VT: []uint32{uint32(i), 1}, Diff: diff}
+			if i%3 == 2 {
+				r.Diff, r.Full = nil, []byte{byte(i), 2, 3, 4}
+			}
+			s.Records = append(s.Records, r)
+		}
+		return m
+	}
+	entries := []UpdateEntry{
+		{Addr: 0x80005000, Size: 8192, Diff: diff},
+		{Addr: 0x80007000, Size: 16, Full: []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}},
+	}
+	for _, msg := range []Message{
+		resp(5),
+		LockGrant{Lock: 1, Updates: entries},
+		UpdateBatch{From: 4, NeedAck: true, Entries: entries},
+	} {
+		enc := Marshal(msg)
+		view, err := UnmarshalView(enc)
+		if err != nil {
+			t.Fatalf("%v: %v", msg.Kind(), err)
+		}
+		owned := Own(view)
+		for i := range enc {
+			enc[i] = 0xEE
+		}
+		if !reflect.DeepEqual(owned, msg) {
+			t.Errorf("%v: owned message corrupted by the poisoned buffer\n got %#v\nwant %#v", msg.Kind(), owned, msg)
+		}
+		// In place: the owned message's lists are the view's.
+		var same bool
+		switch m := owned.(type) {
+		case LrcDiffResp:
+			same = &m.Sets[0].Records[0] == &view.(LrcDiffResp).Sets[0].Records[0]
+		case LockGrant:
+			same = &m.Updates[0] == &view.(LockGrant).Updates[0]
+		case UpdateBatch:
+			same = &m.Entries[0] == &view.(UpdateBatch).Entries[0]
+		}
+		if !same {
+			t.Errorf("%v: Own copied the message instead of re-owning it in place", msg.Kind())
+		}
+	}
+	for _, records := range []int{1, 4, 32} {
+		view, err := UnmarshalView(Marshal(resp(records)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := testing.AllocsPerRun(100, func() { Own(view) }); got != 1 {
+			t.Errorf("Own(LrcDiffResp) of %d records: %v allocations, want 1", records, got)
+		}
+	}
+}
+
 // TestOwnEntryDetaches re-owns a single borrowed update entry (the
 // fetch-stash / pending-update-queue retention path).
 func TestOwnEntryDetaches(t *testing.T) {

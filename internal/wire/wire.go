@@ -783,12 +783,46 @@ type decoder struct {
 	// borrow makes bytes/bytes8 return views into b instead of copies
 	// (UnmarshalView); the caller owns b's lifetime.
 	borrow bool
+	// The message's arenas: its uint32 lists (vector timestamps, floors),
+	// address lists and diff records are cut from these, one array per
+	// element type. A list that holds several sublists (an interval
+	// list's addresses, a diff response's records and their timestamps)
+	// sizes its arenas exactly by scanning its headers first; a lone list
+	// finds its arena empty and gets an array of its own. Either way every
+	// cut has len == cap, so appending to one decoded slice can never
+	// write into its neighbour, and none of it aliases b.
+	u32Arena  []uint32
+	addrArena []vm.Addr
+	recArena  []LrcRecord
+}
+
+// cut returns the next n elements of *arena, capacity-clipped, or a new
+// slice of n when the arena holds fewer (nil when n is 0).
+func cut[T any](arena *[]T, n int) []T {
+	if n == 0 {
+		return nil
+	}
+	if len(*arena) < n {
+		return make([]T, n)
+	}
+	s := (*arena)[:n:n]
+	*arena = (*arena)[n:]
+	return s
 }
 
 func (d *decoder) fail() {
 	if d.err == nil {
 		d.err = ErrCorrupt
 	}
+}
+
+// skip advances past n bytes.
+func (d *decoder) skip(n int) {
+	if d.err != nil || n < 0 || len(d.b) < n {
+		d.fail()
+		return
+	}
+	d.b = d.b[n:]
 }
 func (d *decoder) u8() uint8 {
 	if d.err != nil || len(d.b) < 1 {
@@ -842,10 +876,11 @@ func (d *decoder) addrs() []vm.Addr {
 		d.fail()
 		return nil
 	}
-	out := make([]vm.Addr, n)
+	out := cut(&d.addrArena, n)
 	for i := range out {
-		out[i] = vm.Addr(d.u32())
+		out[i] = vm.Addr(binary.LittleEndian.Uint32(d.b[4*i:]))
 	}
+	d.b = d.b[4*n:]
 	return out
 }
 func (d *decoder) bytes8() []uint8 {
@@ -920,6 +955,9 @@ func (d *decoder) updates() []UpdateEntry {
 		d.fail()
 		return nil
 	}
+	if n == 0 {
+		return nil
+	}
 	out := make([]UpdateEntry, 0, n)
 	for i := 0; i < n; i++ {
 		var u UpdateEntry
@@ -943,15 +981,16 @@ func (d *decoder) u32s() []uint32 {
 		d.fail()
 		return nil
 	}
-	if n == 0 {
-		return nil
-	}
-	out := make([]uint32, n)
+	out := cut(&d.u32Arena, n)
 	for i := range out {
-		out[i] = d.u32()
+		out[i] = binary.LittleEndian.Uint32(d.b[4*i:])
 	}
+	d.b = d.b[4*n:]
 	return out
 }
+
+// intervals decodes an interval list, cutting every interval's
+// addresses from one arena sized by a walk over the interval headers.
 func (d *decoder) intervals() []LrcInterval {
 	n := int(d.u32())
 	if d.err != nil || n > len(d.b) { // each interval is >= 9 bytes
@@ -961,13 +1000,21 @@ func (d *decoder) intervals() []LrcInterval {
 	if n == 0 {
 		return nil
 	}
-	out := make([]LrcInterval, 0, n)
-	for i := 0; i < n; i++ {
-		var iv LrcInterval
-		iv.Node = d.u8()
-		iv.Ivl = d.u32()
-		iv.Addrs = d.addrs()
-		out = append(out, iv)
+	scan, addrs := decoder{b: d.b}, 0
+	for i := 0; i < n && scan.err == nil; i++ {
+		scan.skip(5) // node, interval
+		k := int(scan.u32())
+		scan.skip(4 * k)
+		addrs += k
+	}
+	if scan.err == nil {
+		d.addrArena = make([]vm.Addr, addrs)
+	}
+	out := make([]LrcInterval, n)
+	for i := range out {
+		out[i].Node = d.u8()
+		out[i].Ivl = d.u32()
+		out[i].Addrs = d.addrs()
 	}
 	return out
 }
@@ -977,12 +1024,9 @@ func (d *decoder) records() []LrcRecord {
 		d.fail()
 		return nil
 	}
-	if n == 0 {
-		return nil
-	}
-	out := make([]LrcRecord, 0, n)
-	for i := 0; i < n; i++ {
-		var r LrcRecord
+	out := cut(&d.recArena, n)
+	for i := range out {
+		r := &out[i]
 		r.First = d.u32()
 		r.Last = d.u32()
 		r.VT = d.u32s()
@@ -993,10 +1037,13 @@ func (d *decoder) records() []LrcRecord {
 		} else {
 			r.Diff = payload
 		}
-		out = append(out, r)
 	}
 	return out
 }
+
+// diffSets decodes a diff response's sets. A walk over the record
+// headers first sizes the record and timestamp arenas, so every set's
+// records, and every record's timestamp, come from one array each.
 func (d *decoder) diffSets() []LrcDiffSet {
 	n := int(d.u32())
 	if d.err != nil || n > len(d.b) { // each set is >= 8 bytes
@@ -1006,12 +1053,27 @@ func (d *decoder) diffSets() []LrcDiffSet {
 	if n == 0 {
 		return nil
 	}
-	out := make([]LrcDiffSet, 0, n)
-	for i := 0; i < n; i++ {
-		var s LrcDiffSet
-		s.Addr = vm.Addr(d.u32())
-		s.Records = d.records()
-		out = append(out, s)
+	scan, recs, words := decoder{b: d.b}, 0, 0
+	for i := 0; i < n && scan.err == nil; i++ {
+		scan.skip(4) // address
+		k := int(scan.u32())
+		for r := 0; r < k && scan.err == nil; r++ {
+			scan.skip(8) // first, last
+			w := int(scan.u32())
+			scan.skip(4*w + 1) // timestamp, full flag
+			scan.skip(int(scan.u32()))
+			words += w
+		}
+		recs += k
+	}
+	if scan.err == nil {
+		d.recArena = make([]LrcRecord, recs)
+		d.u32Arena = make([]uint32, words)
+	}
+	out := make([]LrcDiffSet, n)
+	for i := range out {
+		out[i].Addr = vm.Addr(d.u32())
+		out[i].Records = d.records()
 	}
 	return out
 }
