@@ -315,7 +315,7 @@ func (n *Node) answerRead(p rt.Proc, e *directory.Entry, m wire.ReadReq) {
 			data = make([]byte, e.Size)
 		} else {
 			bp := wire.GetBufN(e.Size)
-			defer n.sent(p, bp) // after the send, or while unwinding a stopped machine
+			defer n.sent(bp) // after the send, or while unwinding a stopped machine
 			data = (*bp)[:e.Size]
 		}
 		n.copyCurrent(data, e)
@@ -648,7 +648,7 @@ func (n *Node) serveInvalidate(p rt.Proc, src int, m wire.Invalidate) {
 		if e.Modified {
 			if e.Params.MultipleWriters && e.Twin != nil {
 				entry, bp, changed, cost := n.encodeEntry(e)
-				defer n.sent(p, bp) // after the send, or while unwinding a stopped machine
+				defer n.sent(bp) // after the send, or while unwinding a stopped machine
 				p.Advance(cost)
 				if changed {
 					n.UpdatesSent++

@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 
 	"munin/internal/diffenc"
 	"munin/internal/directory"
@@ -23,9 +22,19 @@ func (n *Node) releaseFlush(t *Thread) {
 	}
 	n.acquire(t.proc, n.flushSem)
 	defer n.flushSem.Release()
-	entries := n.duq.Drain()
+	n.release.drained = n.duq.DrainInto(n.release.drained[:0])
 	n.Flushes++
-	n.flushEntries(t, entries)
+	n.flushEntries(t, n.release.drained)
+}
+
+// releaseScratch is one node's reusable release working set, so that a
+// steady-state release allocates only what it sends. flushSem, held
+// around every flushEntries, serializes its users.
+type releaseScratch struct {
+	drained []*directory.Entry   // what the DUQ held
+	bufs    []*[]byte            // payload buffers the batches carry
+	batches [][]wire.UpdateEntry // indexed by destination node
+	dests   []int                // one entry's destinations
 }
 
 // flushEntries pushes the given enqueued entries' modifications out:
@@ -54,8 +63,10 @@ func (n *Node) flushEntries(t *Thread, entries []*directory.Entry) {
 	}
 
 	// Phase 2: encode each entry and assemble one batch per destination.
-	batches := make(map[int][]wire.UpdateEntry)
-	var bufs []*[]byte // the encodings the batches carry
+	sc := &n.release
+	if sc.batches == nil {
+		sc.batches = make([][]wire.UpdateEntry, n.sys.Nodes())
+	}
 	var invalidateDelayed []*directory.Entry
 	asked := 0 // query is a subsequence of entries: walk it in step
 	for _, e := range entries {
@@ -66,15 +77,16 @@ func (n *Node) flushEntries(t *Thread, entries []*directory.Entry) {
 		// Merge any queued incoming updates first, so the diff encoded
 		// below carries only this node's own writes.
 		n.drainPendingObject(p, e.Start)
-		var dests []int
+		dests := sc.dests[:0]
 		switch {
 		case e.Params.FlushToOwner:
 			if e.Home != n.id {
-				dests = []int{e.Home}
+				dests = append(dests, e.Home)
 			}
 		default:
-			dests = e.Copyset.Remove(n.id).Nodes(n.sys.Nodes())
+			dests = e.Copyset.Remove(n.id).AppendNodes(dests, n.sys.Nodes())
 		}
+		sc.dests = dests
 		if n.adaptEng != nil {
 			var cs directory.Copyset
 			for _, d := range dests {
@@ -111,7 +123,7 @@ func (n *Node) flushEntries(t *Thread, entries []*directory.Entry) {
 		pages := n.setProtection(e, vm.ProtRead)
 		entry, bp, changed, cost := n.encodeEntry(e)
 		if bp != nil {
-			bufs = append(bufs, bp)
+			sc.bufs = append(sc.bufs, bp)
 		}
 		n.retireTwin(e)
 		e.Modified = false
@@ -126,7 +138,7 @@ func (n *Node) flushEntries(t *Thread, entries []*directory.Entry) {
 		}
 		if changed {
 			for _, d := range dests {
-				batches[d] = append(batches[d], entry)
+				sc.batches[d] = append(sc.batches[d], entry)
 				n.UpdatesSent++
 			}
 		}
@@ -146,26 +158,33 @@ func (n *Node) flushEntries(t *Thread, entries []*directory.Entry) {
 	// in-order network delivers these updates to any node before it can
 	// observe the release itself, which satisfies release consistency
 	// condition (2). With AwaitUpdateAcks the flush instead blocks until
-	// every destination acknowledges.
-	if len(batches) > 0 {
-		await := n.sys.cfg.AwaitUpdateAcks
-		dests := make([]int, 0, len(batches))
-		for d := range batches {
-			dests = append(dests, d)
+	// every destination acknowledges. Destinations go in ascending node
+	// order.
+	ndests := 0
+	for _, b := range sc.batches {
+		if len(b) > 0 {
+			ndests++
 		}
-		sort.Ints(dests)
+	}
+	if ndests > 0 {
+		await := n.sys.cfg.AwaitUpdateAcks
 		var c *collector
 		if await {
-			c = n.newCollector(pendKey{pendRead, 0}, len(dests), "flush-acks")
+			c = n.newCollector(pendKey{pendRead, 0}, ndests, "flush-acks")
 		}
-		for _, d := range dests {
-			n.send(p, d, wire.UpdateBatch{
-				From: uint8(n.id), NeedAck: await, Entries: batches[d],
-			})
+		for d, b := range sc.batches {
+			if len(b) == 0 {
+				continue
+			}
+			n.send(p, d, wire.UpdateBatch{From: uint8(n.id), NeedAck: await, Entries: b})
+			clear(b)
+			sc.batches[d] = b[:0]
 		}
-		for _, bp := range bufs {
-			n.sent(p, bp)
+		for _, bp := range sc.bufs {
+			n.sent(bp)
 		}
+		clear(sc.bufs)
+		sc.bufs = sc.bufs[:0]
 		if await {
 			n.await(p, c.fut)
 		}

@@ -71,9 +71,9 @@ func (n *Node) lrcRelease(t *Thread) {
 	}
 	n.acquire(t.proc, n.flushSem)
 	defer n.flushSem.Release()
-	entries := n.duq.Drain()
+	n.release.drained = n.duq.DrainInto(n.release.drained[:0])
 	var lazyEntries, eager []*directory.Entry
-	for _, e := range entries {
+	for _, e := range n.release.drained {
 		if lazyManaged(e) {
 			lazyEntries = append(lazyEntries, e)
 		} else {
@@ -180,7 +180,7 @@ func (n *Node) newLrcToken() uint32 {
 // lrcRPC sends msg, a lazy-engine request carrying token, and blocks t
 // for the response the token routes back.
 func (n *Node) lrcRPC(t *Thread, dst int, token uint32, msg wire.Message) any {
-	f := n.sys.tr.NewFuture(n.id, n.lrcRPCNames.name(n.id, msg.Kind()))
+	f := n.sys.tr.NewFuture(n.id, n.lrcRPCNames.name(n.id, wire.KindOf(msg)))
 	n.pending[pendKey{pendLrc, uint64(token)}] = f
 	n.send(t.proc, dst, msg)
 	return n.await(t.proc, f)
@@ -237,7 +237,7 @@ func (n *Node) serveLrcFetch(p rt.Proc, m wire.LrcFetchReq) {
 	applied := append([]uint32(nil), st.Applied...)
 	// Only the send reads the base: it goes in a pooled buffer.
 	bp := wire.GetBufN(e.Size)
-	defer n.sent(p, bp) // after the send, or while unwinding a stopped machine
+	defer n.sent(bp) // after the send, or while unwinding a stopped machine
 	data := (*bp)[:e.Size]
 	switch {
 	case e.Valid && e.Twin != nil:

@@ -83,6 +83,8 @@ type Node struct {
 	// once those updates are out (serveCopysetNotify).
 	flushing bool
 	owed     []*directory.Entry
+	// release is the releases' reusable working set, also under flushSem.
+	release releaseScratch
 
 	// barrierWait holds local threads blocked at each barrier;
 	// barrierFrom tracks, at the barrier's owner, which nodes the
@@ -177,8 +179,13 @@ type Node struct {
 	// is the entry's twin, so a retired buffer has no other reference.
 	twinFree map[int][][]byte
 
-	// rpcNames and lrcRPCNames name the futures of rpc and lrcRPC.
-	rpcNames, lrcRPCNames futureNames
+	// Future names, formatted once per key: the futures of rpc and lrcRPC
+	// by request kind, lock waits by lock, barrier waits by barrier, and
+	// reply collectors by what they collect.
+	rpcNames, lrcRPCNames nameCache[wire.Kind]
+	lockWaitNames         nameCache[int]
+	barrierNames          nameCache[int]
+	collectorNames        nameCache[string]
 
 	// outboxes holds each local proc's outbox; nil unless Config.Batching
 	// (which is what makes n.send a plain transport send). Only touched
@@ -263,26 +270,29 @@ func (n *Node) serveOwnNotify(p rt.Proc, m wire.OwnNotify) {
 
 func newNode(s *System, id int) *Node {
 	n := &Node{
-		sys:           s,
-		id:            id,
-		space:         vm.NewSpace(s.cfg.PageSize),
-		dir:           directory.NewTable(s.cfg.PageSize),
-		synch:         directory.NewSynchTable(),
-		duq:           duq.New(),
-		pending:       make(map[pendKey]rt.Future),
-		collectors:    make(map[pendKey]*collector),
-		dirFetch:      make(map[vm.Addr]rt.Future),
-		flushSem:      s.tr.NewSemaphore(id, fmt.Sprintf("flush[%d]", id), 1),
-		barrierWait:   make(map[int][]rt.Future),
-		barrierFrom:   make(map[int][]int),
-		lockWait:      make(map[int][]rt.Future),
-		lockPend:      make(map[int]bool),
-		fetchStash:    make(map[vm.Addr][]wire.UpdateEntry),
-		deferredReads: make(map[vm.Addr][]wire.ReadReq),
-		deferredChase: make(map[vm.Addr][]wire.Message),
-		twinFree:      make(map[int][][]byte),
-		rpcNames:      futureNames{format: "rpc[n%d %v]"},
-		lrcRPCNames:   futureNames{format: "lrc-rpc[n%d %v]"},
+		sys:            s,
+		id:             id,
+		space:          vm.NewSpace(s.cfg.PageSize),
+		dir:            directory.NewTable(s.cfg.PageSize),
+		synch:          directory.NewSynchTable(),
+		duq:            duq.New(),
+		pending:        make(map[pendKey]rt.Future),
+		collectors:     make(map[pendKey]*collector),
+		dirFetch:       make(map[vm.Addr]rt.Future),
+		flushSem:       s.tr.NewSemaphore(id, fmt.Sprintf("flush[%d]", id), 1),
+		barrierWait:    make(map[int][]rt.Future),
+		barrierFrom:    make(map[int][]int),
+		lockWait:       make(map[int][]rt.Future),
+		lockPend:       make(map[int]bool),
+		fetchStash:     make(map[vm.Addr][]wire.UpdateEntry),
+		deferredReads:  make(map[vm.Addr][]wire.ReadReq),
+		deferredChase:  make(map[vm.Addr][]wire.Message),
+		twinFree:       make(map[int][][]byte),
+		rpcNames:       nameCache[wire.Kind]{format: "rpc[n%d %v]"},
+		lrcRPCNames:    nameCache[wire.Kind]{format: "lrc-rpc[n%d %v]"},
+		lockWaitNames:  nameCache[int]{format: "lockwait[n%d l%d]"},
+		barrierNames:   nameCache[int]{format: "barrier[n%d b%d]"},
+		collectorNames: nameCache[string]{format: "collect[n%d %s]"},
 	}
 	if s.cfg.Batching {
 		n.outboxes = make(map[rt.Proc]*outbox)
@@ -485,7 +495,7 @@ func (n *Node) dispatch(p rt.Proc, env network.Envelope) {
 // rpc registers a future under key, sends msg, and blocks t until the
 // reply completes it.
 func (n *Node) rpc(t *Thread, dst int, key pendKey, msg wire.Message) any {
-	f := n.expect(key, msg.Kind())
+	f := n.expect(key, wire.KindOf(msg))
 	n.send(t.proc, dst, msg)
 	return n.await(t.proc, f)
 }
@@ -501,22 +511,24 @@ func (n *Node) expect(key pendKey, k wire.Kind) rt.Future {
 	return f
 }
 
-// futureNames caches one node's RPC future names by message kind. Only a
-// deadlock report reads a future's name, so it is formatted once per kind
-// rather than once per call.
-type futureNames struct {
-	format string // of the node id and the kind
-	byKind []string
+// nameCache caches one node's future names by key. Only a deadlock report
+// reads a future's name, so it is formatted once per key rather than once
+// per wait.
+type nameCache[K comparable] struct {
+	format string // of the node id and the key
+	names  map[K]string
 }
 
-func (c *futureNames) name(node int, k wire.Kind) string {
-	for int(k) >= len(c.byKind) {
-		c.byKind = append(c.byKind, "")
+func (c *nameCache[K]) name(node int, k K) string {
+	s, ok := c.names[k]
+	if !ok {
+		if c.names == nil {
+			c.names = make(map[K]string)
+		}
+		s = fmt.Sprintf(c.format, node, k)
+		c.names[k] = s
 	}
-	if c.byKind[k] == "" {
-		c.byKind[k] = fmt.Sprintf(c.format, node, k)
-	}
-	return c.byKind[k]
+	return s
 }
 
 // complete resolves the pending request under key with v.
@@ -536,7 +548,7 @@ func (n *Node) newCollector(key pendKey, need int, name string) *collector {
 	}
 	c := &collector{
 		need: need,
-		fut:  n.sys.tr.NewFuture(n.id, fmt.Sprintf("collect[n%d %s]", n.id, name)),
+		fut:  n.sys.tr.NewFuture(n.id, n.collectorNames.name(n.id, name)),
 	}
 	n.collectors[key] = c
 	return c

@@ -52,14 +52,16 @@ import (
 	"munin/internal/wire"
 )
 
-// outbox queues one proc's outgoing messages per destination. Only its
-// proc touches it, under the node monitor, so it needs no locking.
+// outbox queues one proc's outgoing messages per destination, each
+// already encoded: a frame (wire.Encode) that no message value outlives.
+// Only its proc touches it, under the node monitor, so it needs no
+// locking.
 type outbox struct {
 	dsts []int // first-enqueue order; also emission order
-	q    map[int][]wire.Message
-	// bufs are payload buffers handed over by sent: queued messages read
-	// them, so they go back to the pool once flush has emitted those.
-	bufs []*[]byte
+	// q holds each destination's queued frames. A flushed destination
+	// keeps its (emptied) list, so steady-state queueing allocates
+	// nothing; an empty list means the destination is not in dsts.
+	q map[int][]*[]byte
 }
 
 // needsUpdateAcks reports whether releases must block for update
@@ -71,24 +73,26 @@ func needsUpdateAcks(transport string, batching bool) bool {
 }
 
 // send transmits msg from this node to dst: directly with batching off,
-// through p's outbox otherwise.
+// through p's outbox otherwise. Either way msg is encoded here, so
+// nothing holds it once send returns.
 func (n *Node) send(p rt.Proc, dst int, msg wire.Message) {
+	bp := wire.Encode(msg)
 	if n.outboxes == nil {
-		n.sys.tr.Send(p, n.id, dst, msg)
+		n.sys.tr.SendFrame(p, n.id, dst, bp)
 		return
 	}
 	o := n.outboxOf(p)
-	if _, ok := o.q[dst]; !ok {
+	if len(o.q[dst]) == 0 {
 		o.dsts = append(o.dsts, dst)
 	}
-	o.q[dst] = append(o.q[dst], msg)
+	o.q[dst] = append(o.q[dst], bp)
 }
 
 // outboxOf returns p's outbox, making it on first use.
 func (n *Node) outboxOf(p rt.Proc) *outbox {
 	o := n.outboxes[p]
 	if o == nil {
-		o = &outbox{q: make(map[int][]wire.Message, 4)}
+		o = &outbox{q: make(map[int][]*[]byte, 4)}
 		n.outboxes[p] = o
 	}
 	return o
@@ -96,18 +100,11 @@ func (n *Node) outboxOf(p rt.Proc) *outbox {
 
 // sent gives back a payload buffer — a diff or a served page built in a
 // wire.GetBufN buffer only to be sent — once every message that carries
-// it has gone through n.send. Every transport encodes a message before
-// Send returns, so with batching off the buffer goes back at once; an
-// outbox keeps it until the flush that emits those messages. A nil bp is
-// ignored.
-func (n *Node) sent(p rt.Proc, bp *[]byte) {
-	switch {
-	case bp == nil:
-	case n.outboxes == nil:
+// it has gone through n.send, which encoded (copied) it already. A nil bp
+// is ignored.
+func (n *Node) sent(bp *[]byte) {
+	if bp != nil {
 		wire.PutBuf(bp)
-	default:
-		o := n.outboxOf(p)
-		o.bufs = append(o.bufs, bp)
 	}
 }
 
@@ -120,9 +117,9 @@ func (n *Node) broadcast(p rt.Proc, msg wire.Message) {
 	}
 }
 
-// flush empties p's outbox onto the transport, one envelope per
-// destination in first-enqueue order, then gives back the payload buffers
-// handed over by sent.
+// flush empties p's outbox onto the transport, one frame per destination
+// in first-enqueue order: the lone frame queued for it, or the batch
+// frame joining them (wire.JoinBatch).
 func (n *Node) flush(p rt.Proc) {
 	if n.outboxes == nil {
 		return
@@ -132,33 +129,38 @@ func (n *Node) flush(p rt.Proc) {
 		return
 	}
 	for _, dst := range o.dsts {
-		msgs := o.q[dst]
-		delete(o.q, dst)
-		if len(msgs) == 1 {
-			n.sys.tr.Send(p, n.id, dst, msgs[0])
-			continue
+		frames := o.q[dst]
+		// Off the queue before the send yields: a proc unwinding there
+		// must not give these buffers back a second time (putPayloads).
+		o.q[dst] = frames[:0]
+		bp := frames[0]
+		if len(frames) > 1 {
+			if n.obs != nil {
+				n.obs.Event(obs.EvBatchFlush, int64(p.Now()), 0, 0, dst, int64(len(frames)))
+			}
+			bp = wire.JoinBatch(frames)
 		}
-		if n.obs != nil {
-			n.obs.Event(obs.EvBatchFlush, int64(p.Now()), 0, 0, dst, int64(len(msgs)))
-		}
-		n.sys.tr.Send(p, n.id, dst, wire.Batch{Msgs: msgs})
+		clear(frames)
+		n.sys.tr.SendFrame(p, n.id, dst, bp)
 	}
 	o.dsts = o.dsts[:0]
-	n.putPayloads(p)
 }
 
-// putPayloads gives back the payload buffers p's outbox holds, emitting
-// nothing: what flush does once it has emitted, and what a dispatcher
-// unwinding from a stopped machine does with whatever its outbox still
-// queues.
+// putPayloads gives back the frames p's outbox still queues, sending
+// nothing: what a dispatcher unwinding from a stopped machine does.
 func (n *Node) putPayloads(p rt.Proc) {
-	if o := n.outboxes[p]; o != nil {
-		for _, bp := range o.bufs {
+	o := n.outboxes[p]
+	if o == nil {
+		return
+	}
+	for dst, frames := range o.q {
+		for _, bp := range frames {
 			wire.PutBuf(bp)
 		}
-		clear(o.bufs)
-		o.bufs = o.bufs[:0]
+		clear(frames)
+		o.q[dst] = frames[:0]
 	}
+	o.dsts = o.dsts[:0]
 }
 
 // wake completes futures that other procs of this node are parked on.

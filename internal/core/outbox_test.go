@@ -12,7 +12,7 @@ import (
 )
 
 // watched wraps a transport to observe what core does at its edges:
-// every transport send, and the state of the calling proc's outbox at
+// every frame sent, decoded, and the state of the calling proc's outbox at
 // every point the proc can park (a future not yet done, a busy
 // semaphore, the dispatcher's Recv). Name passes through, so core
 // configures itself exactly as for the wrapped transport.
@@ -21,6 +21,9 @@ type watched struct {
 	t     *testing.T
 	sys   *System
 	sends []sentEnvelope
+	// drop, when set, keeps what is sent from the wire: SendFrame records
+	// the frame and gives its buffer back.
+	drop bool
 }
 
 type sentEnvelope struct {
@@ -34,9 +37,18 @@ func (w *watched) mustBeEmpty(node int, p rt.Proc, where string) {
 	}
 }
 
-func (w *watched) Send(p rt.Proc, src, dst int, msg wire.Message) {
+// SendFrame records the decoded frame before the transport takes it over.
+func (w *watched) SendFrame(p rt.Proc, src, dst int, bp *[]byte) {
+	msg, err := wire.Unmarshal(*bp)
+	if err != nil {
+		w.t.Fatalf("core sent a frame that does not decode: %v", err)
+	}
 	w.sends = append(w.sends, sentEnvelope{dst, msg})
-	w.Transport.Send(p, src, dst, msg)
+	if w.drop {
+		wire.PutBuf(bp)
+		return
+	}
+	w.Transport.SendFrame(p, src, dst, bp)
 }
 
 func (w *watched) Recv(p rt.Proc, node int) rt.Envelope {
@@ -148,6 +160,61 @@ func TestOutboxOrderAndCoalescing(t *testing.T) {
 		n.flush(p)
 		if last := w.sends[len(w.sends)-1]; last.msg.Kind() != wire.KindPhaseChange {
 			t.Errorf("a lone message left as %v", last.msg.Kind())
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestOutboxReturnsPayloadAtOnce: with batching on, a payload buffer
+// handed to sent is back in the pool before the flush; the outbox holds
+// only the frame it encoded.
+func TestOutboxReturnsPayloadAtOnce(t *testing.T) {
+	sys, w := watchedSystem(t, Config{Processors: 2, Batching: true}, nil, nil, nil)
+	w.drop = true
+	err := sys.Run(func(root *Thread) {
+		n, p := root.node, root.proc
+		before := wire.Outstanding()
+		bp := wire.GetBufN(8)
+		*bp = append(*bp, 1, 2, 3, 4, 5, 6, 7, 8)
+		n.send(p, 1, wire.ReadReply{Addr: page(0), Data: *bp})
+		n.sent(bp)
+		if d := wire.Outstanding() - before; d != 1 || len(w.sends) != 0 {
+			t.Errorf("after sent and before the flush: %d buffers borrowed (want the one queued frame), %d sends", d, len(w.sends))
+		}
+		n.flush(p)
+		if d := wire.Outstanding() - before; d != 0 || len(w.sends) != 1 {
+			t.Errorf("after the flush: %d buffers borrowed, %d sends", d, len(w.sends))
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestOutboxSendsWhatWasSent: with batching on, what leaves at the flush
+// is the message as it was when n.send took it, not its source slices as
+// they are at the flush.
+func TestOutboxSendsWhatWasSent(t *testing.T) {
+	sys, w := watchedSystem(t, Config{Processors: 2, Batching: true}, nil, nil, nil)
+	w.drop = true
+	err := sys.Run(func(root *Thread) {
+		n, p := root.node, root.proc
+		data := []byte{1, 2, 3, 4}
+		n.send(p, 1, wire.ReadReply{Addr: page(0), Data: data})
+		n.send(p, 1, mark(1))
+		data[0] = 9
+		n.flush(p)
+		if len(w.sends) != 1 {
+			t.Fatalf("%d sends, want one batch", len(w.sends))
+		}
+		b, ok := w.sends[0].msg.(wire.Batch)
+		if !ok || len(b.Msgs) != 2 {
+			t.Fatalf("sent %v, want a batch of two", w.sends[0].msg.Kind())
+		}
+		if got := b.Msgs[0].(wire.ReadReply).Data; string(got) != string([]byte{1, 2, 3, 4}) {
+			t.Errorf("delivered %v, want the data as sent, [1 2 3 4]", got)
 		}
 	})
 	if err != nil {

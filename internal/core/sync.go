@@ -29,7 +29,7 @@ func (n *Node) acquireLock(t *Thread, id int) {
 		// Ownership is here but a local thread holds the lock, or a
 		// remote acquire is already in flight: wait locally; the
 		// releasing/acquiring thread hands over directly.
-		f := n.sys.tr.NewFuture(n.id, fmt.Sprintf("lockwait[n%d l%d]", n.id, id))
+		f := n.sys.tr.NewFuture(n.id, n.lockWaitNames.name(n.id, id))
 		n.lockWait[id] = append(n.lockWait[id], f)
 		n.await(p, f)
 		n.locksHeld++
@@ -197,7 +197,7 @@ func (n *Node) waitAtBarrier(t *Thread, id int) {
 	n.adaptAtRelease(t)
 	p.Advance(n.sys.cost.BarrierHandlerCPU)
 	se := n.mustSynch(id, directory.SynchBarrier)
-	f := n.sys.tr.NewFuture(n.id, fmt.Sprintf("barrier[n%d b%d]", n.id, id))
+	f := n.sys.tr.NewFuture(n.id, n.barrierNames.name(n.id, id))
 	n.barrierWait[id] = append(n.barrierWait[id], f)
 	if n.lrc != nil {
 		n.lrcBarrierArrive(p, id, se)

@@ -58,15 +58,19 @@ func (q *Queue) Remove(e *directory.Entry) {
 	e.Enqueued = false
 }
 
-// Drain removes and returns every queued entry in enqueue order, clearing
-// the Enqueued bits. The caller propagates the changes.
-func (q *Queue) Drain() []*directory.Entry {
-	out := q.entries
-	q.entries = nil
-	for _, e := range out {
+// DrainInto removes every queued entry, clearing the Enqueued bits, and
+// appends them to dst in enqueue order; it returns the extended slice.
+// The caller propagates the changes. The queue keeps its own array, so
+// entries enqueued while the caller works on dst neither allocate in
+// steady state nor land in dst.
+func (q *Queue) DrainInto(dst []*directory.Entry) []*directory.Entry {
+	for _, e := range q.entries {
 		e.Enqueued = false
 	}
-	return out
+	dst = append(dst, q.entries...)
+	clear(q.entries)
+	q.entries = q.entries[:0]
+	return dst
 }
 
 // Entries returns the queued entries without removing them.

@@ -30,15 +30,21 @@ func TestEnqueueDrainOrder(t *testing.T) {
 	if !a.Enqueued || !b.Enqueued {
 		t.Error("Enqueued bits not set")
 	}
-	got := q.Drain()
-	if len(got) != 2 || got[0] != a || got[1] != b {
-		t.Errorf("Drain = %v", got)
+	c := entry(vm.SharedBase+0x4000, 16)
+	got := q.DrainInto([]*directory.Entry{c})
+	if len(got) != 3 || got[0] != c || got[1] != a || got[2] != b {
+		t.Errorf("DrainInto = %v", got)
 	}
 	if a.Enqueued || b.Enqueued {
-		t.Error("Enqueued bits not cleared by Drain")
+		t.Error("Enqueued bits not cleared by DrainInto")
 	}
 	if q.Len() != 0 {
-		t.Error("queue not empty after Drain")
+		t.Error("queue not empty after DrainInto")
+	}
+	// The queue refills its own array, never the drained slice.
+	q.Enqueue(a)
+	if got[1] != a || got[2] != b || q.Len() != 1 {
+		t.Errorf("an enqueue after DrainInto changed the drained slice: %v", got)
 	}
 }
 

@@ -19,9 +19,10 @@ import (
 // real lost or overtaken frame would produce. A partial batch cannot be
 // observed.
 type Faults struct {
-	// Drop, if non-nil, is consulted once per envelope; returning true
-	// silently discards it (a lost packet). Under batching msg may be a
-	// wire.Batch — dropping it drops every rider. The function may be
+	// Drop, if non-nil, is consulted once per envelope with a decoded
+	// copy of it; returning true silently discards it (a lost packet).
+	// Under batching msg may be a wire.Batch — dropping it drops every
+	// rider. The function may be
 	// called concurrently from many sender goroutines on the live
 	// transports.
 	Drop func(src, dst int, msg wire.Message) bool
@@ -67,15 +68,19 @@ func (f *Faults) group(n int) int {
 	return 0
 }
 
-// Cut reports whether a message from src to dst must be discarded, and
-// counts it. A nil receiver never cuts.
-func (f *Faults) Cut(src, dst int, msg wire.Message) bool {
+// Cut reports whether the encoded message frame from src to dst must be
+// discarded, and counts it. A nil receiver never cuts. The frame is
+// decoded only for a Drop function to look at.
+func (f *Faults) Cut(src, dst int, frame []byte) bool {
 	if f == nil {
 		return false
 	}
-	if f.Drop != nil && f.Drop(src, dst, msg) {
-		f.dropped.Add(1)
-		return true
+	if f.Drop != nil {
+		msg, err := wire.Unmarshal(frame)
+		if err == nil && f.Drop(src, dst, msg) {
+			f.dropped.Add(1)
+			return true
+		}
 	}
 	if len(f.Partition) > 0 && f.group(src) != f.group(dst) {
 		f.dropped.Add(1)

@@ -75,28 +75,30 @@ type Stats struct {
 	Delivered int
 }
 
-// CountSend records one transport send of msg whose on-the-wire size —
-// encoded payload plus framing header — is size bytes. For a batch
-// envelope every rider is counted under its own kind with its own
-// encoded size, and the envelope overhead (batch framing plus the one
-// shared header) lands under wire.KindBatch.
-func (s *Stats) CountSend(msg wire.Message, size int) {
+// CountFrame records one transport send of frame, an encoded message
+// that travels with HeaderBytes of framing. For a batch frame every rider
+// is counted under its own kind with its own encoded size, and the
+// envelope overhead (batch framing plus the one shared header) lands
+// under wire.KindBatch. Every transport counts its sends here.
+func (s *Stats) CountFrame(frame []byte) {
 	s.Sends++
-	if b, ok := msg.(wire.Batch); ok {
-		s.BatchEnvelopes++
-		s.BatchedMessages += len(b.Msgs)
-		inner := 0
-		for _, sub := range b.Msgs {
-			n := wire.Size(sub)
-			s.Messages[sub.Kind()]++
-			s.Bytes[sub.Kind()] += n
-			inner += n
-		}
-		s.Bytes[wire.KindBatch] += size - inner
+	size := len(frame) + HeaderBytes
+	kind := wire.FrameKind(frame)
+	if kind != wire.KindBatch {
+		s.Messages[kind]++
+		s.Bytes[kind] += size
 		return
 	}
-	s.Messages[msg.Kind()]++
-	s.Bytes[msg.Kind()] += size
+	s.BatchEnvelopes++
+	inner := 0
+	wire.ForEachRider(frame, func(rider []byte) {
+		k := wire.FrameKind(rider)
+		s.BatchedMessages++
+		s.Messages[k]++
+		s.Bytes[k] += len(rider)
+		inner += len(rider)
+	})
+	s.Bytes[wire.KindBatch] += size - inner
 }
 
 // TotalMessages returns the total protocol message count (batch riders
@@ -171,35 +173,41 @@ func (nw *Network) Nodes() int { return len(nw.inboxes) }
 // Stats returns the accumulated traffic statistics.
 func (nw *Network) Stats() *Stats { return &nw.stats }
 
-// Send transmits msg from p's node to dst. It charges p the send-path CPU
-// (against p's current time kind), models bus contention and wire time,
-// and delivers into dst's inbox. The encoded form is round-tripped through
-// wire.Unmarshal so that codec and simulation can never drift apart.
+// Send transmits msg from p's node to dst: it encodes msg and sends the
+// frame (SendFrame).
 func (nw *Network) Send(p *sim.Proc, src, dst int, msg wire.Message) {
+	nw.SendFrame(p, src, dst, wire.Encode(msg))
+}
+
+// SendFrame transmits the encoded message in bp from p's node to dst and
+// takes ownership of bp. It charges p the send-path CPU (against p's
+// current time kind), models bus contention and wire time, and delivers
+// into dst's inbox. The frame is decoded with wire.Unmarshal and the
+// decoded copy is what arrives, so that codec and simulation can never
+// drift apart.
+func (nw *Network) SendFrame(p *sim.Proc, src, dst int, bp *[]byte) {
+	defer wire.PutBuf(bp)
+	frame := *bp
 	if dst < 0 || dst >= len(nw.inboxes) {
 		panic(fmt.Sprintf("network: send to invalid node %d", dst))
 	}
 	if src == dst {
-		panic(fmt.Sprintf("network: node %d sending %v to itself", src, msg.Kind()))
+		panic(fmt.Sprintf("network: node %d sending %v to itself", src, wire.FrameKind(frame)))
 	}
-	bp := wire.GetBufN(wire.Size(msg))
-	encoded := wire.AppendTo(*bp, msg)
-	*bp = encoded
-	decoded, err := wire.Unmarshal(encoded)
+	decoded, err := wire.Unmarshal(frame)
 	if err != nil {
-		panic(fmt.Sprintf("network: message %v does not round-trip: %v", msg.Kind(), err))
+		panic(fmt.Sprintf("network: message %v does not round-trip: %v", wire.FrameKind(frame), err))
 	}
-	size := len(encoded) + HeaderBytes
-	wire.PutBuf(bp)
+	size := len(frame) + HeaderBytes
 
-	p.Advance(nw.cost.SendCPU(wire.Riders(msg)))
-	if nw.Faults.Cut(src, dst, decoded) {
+	p.Advance(nw.cost.SendCPU(wire.FrameRiders(frame)))
+	if nw.Faults.Cut(src, dst, frame) {
 		// Fault injection operates on whole envelopes: a dropped batch
 		// loses every rider at once, exactly as a lost frame would.
 		return
 	}
 
-	nw.stats.CountSend(decoded, size)
+	nw.stats.CountFrame(frame)
 
 	now := nw.sim.Now()
 	start := now

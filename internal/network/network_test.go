@@ -1,10 +1,12 @@
 package network
 
 import (
+	"reflect"
 	"testing"
 
 	"munin/internal/model"
 	"munin/internal/sim"
+	"munin/internal/vm"
 	"munin/internal/wire"
 )
 
@@ -130,6 +132,63 @@ func TestStatsAccumulate(t *testing.T) {
 	}
 	if st.TotalBytes() <= 5*HeaderBytes {
 		t.Errorf("total bytes = %d, implausibly small", st.TotalBytes())
+	}
+}
+
+// countMessage is the message-side reference for CountFrame: what one
+// send of msg adds to the statistics, read off the message value.
+func countMessage(s *Stats, msg wire.Message) {
+	size := wire.Size(msg) + HeaderBytes
+	s.Sends++
+	b, ok := msg.(wire.Batch)
+	if !ok {
+		s.Messages[msg.Kind()]++
+		s.Bytes[msg.Kind()] += size
+		return
+	}
+	s.BatchEnvelopes++
+	s.BatchedMessages += len(b.Msgs)
+	inner := 0
+	for _, sub := range b.Msgs {
+		n := wire.Size(sub)
+		s.Messages[sub.Kind()]++
+		s.Bytes[sub.Kind()] += n
+		inner += n
+	}
+	s.Bytes[wire.KindBatch] += size - inner
+}
+
+// TestCountFrameMatchesMessages: the statistics every transport counts
+// from the bytes it sends equal the statistics of the messages those
+// bytes encode — per kind, and for batch envelopes and their riders.
+func TestCountFrameMatchesMessages(t *testing.T) {
+	diff := []byte{1, 0, 0, 0, 1, 0, 0, 0, 42, 0, 0, 0}
+	riders := []wire.Message{
+		wire.UpdateBatch{From: 2, Entries: []wire.UpdateEntry{{Addr: 0x80005000, Size: 8192, Diff: diff}}},
+		wire.LockGrant{Lock: 1, Updates: []wire.UpdateEntry{{Addr: 0x80009000, Size: 4, Full: []byte{1, 2, 3, 4}}}},
+		wire.LockAcq{Lock: 3, Requester: 1},
+		wire.BarrierArrive{Barrier: 2, From: 5},
+		wire.BarrierRelease{Barrier: 2, Tree: true, Subtree: []uint8{3, 4}},
+		wire.CopysetQuery{From: 1, Addrs: []vm.Addr{0x80001000, 0x80002000}},
+		wire.ReadReply{Addr: 0x80001000, Owner: 2, Data: make([]byte, 8192)},
+		wire.LrcGC{Floors: []uint32{1, 2}},
+	}
+	msgs := append([]wire.Message(nil), riders...)
+	msgs = append(msgs,
+		wire.Batch{Msgs: riders},
+		wire.Batch{Msgs: riders[:2]},
+		wire.Batch{Msgs: []wire.Message{riders[2], riders[2], riders[3]}},
+	)
+	got, want := Stats{Messages: map[wire.Kind]int{}, Bytes: map[wire.Kind]int{}},
+		Stats{Messages: map[wire.Kind]int{}, Bytes: map[wire.Kind]int{}}
+	for _, m := range msgs {
+		countMessage(&want, m)
+		bp := wire.Encode(m)
+		got.CountFrame(*bp)
+		wire.PutBuf(bp)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("counted from frames:\n %+v\nfrom messages:\n %+v", got, want)
 	}
 }
 

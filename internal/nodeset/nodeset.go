@@ -186,14 +186,17 @@ func (s Set) Max() int {
 
 // Nodes lists the members below limit in ascending order (pass the
 // system's node count).
-func (s Set) Nodes(limit int) []int {
-	var out []int
+func (s Set) Nodes(limit int) []int { return s.AppendNodes(nil, limit) }
+
+// AppendNodes appends the members below limit to dst in ascending order
+// and returns the extended slice: Nodes into a buffer the caller reuses.
+func (s Set) AppendNodes(dst []int, limit int) []int {
 	s.ForEach(func(n int) {
 		if n < limit {
-			out = append(out, n)
+			dst = append(dst, n)
 		}
 	})
-	return out
+	return dst
 }
 
 // ForEach calls fn for every member in ascending order, without

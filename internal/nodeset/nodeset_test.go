@@ -112,9 +112,13 @@ func TestNodesOrdering(t *testing.T) {
 			members[m] = true
 		}
 		limit := 1 + rng.Intn(n)
-		got := s.Nodes(limit)
+		got := s.AppendNodes([]int{-1}, limit)
+		if got[0] != -1 {
+			t.Fatalf("AppendNodes overwrote dst: %v", got)
+		}
+		got = got[1:]
 		if !sort.IntsAreSorted(got) {
-			t.Fatalf("Nodes not ascending: %v", got)
+			t.Fatalf("AppendNodes not ascending: %v", got)
 		}
 		var want []int
 		for m := range members {

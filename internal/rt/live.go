@@ -31,8 +31,8 @@ type Live struct {
 	// deliver moves one encoded message toward its destination inbox and
 	// takes ownership of bp, the pooled buffer holding the encoding: it
 	// either hands bp on inside a Borrowed envelope or returns it to the
-	// pool. env.Msg is the sender's message and may alias sender memory;
-	// what reaches an inbox is always decoded from a buffer.
+	// pool. env carries no Msg yet: what reaches an inbox is always
+	// decoded from a buffer.
 	deliver func(env Envelope, bp *[]byte)
 	// shutdown tears down delivery resources after every proc exited.
 	shutdown func()
@@ -140,7 +140,7 @@ func NewChan(cost model.CostModel, n int) *Live {
 // off a mux lane does, so the message never aliases sender memory and a
 // kind that does not round-trip the codec fails here.
 func (l *Live) deliverChan(env Envelope, bp *[]byte) {
-	kind := env.Msg.Kind()
+	kind := wire.FrameKind(*bp)
 	env, err := borrow(env, bp)
 	if err != nil {
 		l.fail(fmt.Errorf("rt: message %v does not round-trip: %w", kind, err))
@@ -434,30 +434,32 @@ func (l *Live) NewSemaphore(node int, name string, permits int) Semaphore {
 	return &liveSemaphore{n: l.nodes[node], name: name, permits: permits}
 }
 
-// Send encodes msg into a pooled buffer, applies fault injection, and
-// hands the buffer to the delivery layer, which owns it from then on.
-// The sender's monitor is released around delivery: Send is a yield
-// point on the simulator too, and holding two node monitors at once (src
-// then dst) could deadlock against a concurrent dst-to-src send.
+// Send encodes msg into a pooled buffer and sends it (SendFrame).
 func (l *Live) Send(p Proc, src, dst int, msg wire.Message) {
+	l.SendFrame(p, src, dst, wire.Encode(msg))
+}
+
+// SendFrame applies fault injection to the encoded message in bp and
+// hands bp to the delivery layer, which owns it from then on. The
+// sender's monitor is released around delivery: a send is a yield point
+// on the simulator too, and holding two node monitors at once (src then
+// dst) could deadlock against a concurrent dst-to-src send.
+func (l *Live) SendFrame(p Proc, src, dst int, bp *[]byte) {
 	if dst < 0 || dst >= len(l.nodes) {
 		panic(fmt.Sprintf("rt: send to invalid node %d", dst))
 	}
 	if src == dst {
-		panic(fmt.Sprintf("rt: node %d sending %v to itself", src, msg.Kind()))
+		panic(fmt.Sprintf("rt: node %d sending %v to itself", src, wire.FrameKind(*bp)))
 	}
 	lp := l.liveProcOf(p, src)
-	bp := wire.GetBufN(wire.Size(msg))
-	*bp = wire.AppendTo(*bp, msg)
-	size := len(*bp) + network.HeaderBytes
-	lp.charge(l.cost.SendCPU(wire.Riders(msg)))
-	if l.faults.Cut(src, dst, msg) {
+	lp.charge(l.cost.SendCPU(wire.FrameRiders(*bp)))
+	if l.faults.Cut(src, dst, *bp) {
 		// Whole-envelope semantics: a dropped batch loses every rider.
 		wire.PutBuf(bp)
 		return
 	}
-	lp.node.stats.CountSend(msg, size) // under the sender's monitor, held until exit
-	env := Envelope{Src: src, Dst: dst, Msg: msg, Bytes: size, SentAt: l.Now()}
+	lp.node.stats.CountFrame(*bp) // under the sender's monitor, held until exit
+	env := Envelope{Src: src, Dst: dst, Bytes: len(*bp) + network.HeaderBytes, SentAt: l.Now()}
 	lp.exit()
 	l.deliver(env, bp)
 	lp.enter()

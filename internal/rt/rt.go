@@ -15,10 +15,15 @@
 //     over a small fixed set of shared loopback TCP connections using
 //     session frames. (NewTCP is a deprecated alias for NewMux.)
 //
-// Chan and Mux share one send path (Live.Send) and one receive rule: a
-// delivered message is a borrowed view (wire.UnmarshalView) into a
-// pooled buffer its envelope owns, which the dispatcher releases after
-// handling.
+// Every transport sends frames: a message encoded into a pooled buffer
+// where it is sent (wire.Encode), which Transport.SendFrame takes over.
+// Send(msg) is Encode plus SendFrame. Charging and traffic statistics
+// read the frame (its kind, rider count and size), so no message value
+// outlives its send. Chan and Mux share one send path (Live.SendFrame)
+// and one receive rule: a delivered message is a borrowed view
+// (wire.UnmarshalView) into a pooled buffer its envelope owns, which the
+// dispatcher releases after handling. Sim decodes a copy of every frame
+// with wire.Unmarshal and delivers that.
 //
 // The protocol code runs unmodified on all three: it sees only Proc,
 // Future, Semaphore and Transport. The simulator's cooperative scheduler
@@ -108,8 +113,8 @@ type ContextBinder interface {
 }
 
 // Transport is a runnable Munin machine substrate: it hosts procs, keeps
-// the clock, and moves wire messages between nodes. Send and Recv
-// preserve per-(src,dst) FIFO order; the simulator's serialized bus and
+// the clock, and moves encoded wire messages between nodes. Sends and
+// Recv preserve per-(src,dst) FIFO order; the simulator's serialized bus and
 // the Chan runtime's synchronous enqueue additionally preserve causal
 // order (a message sent before a causally later one is delivered first),
 // which is the guarantee release consistency leans on when update acks
@@ -130,8 +135,15 @@ type Transport interface {
 	// given node. name appears in deadlock reports.
 	NewFuture(node int, name string) Future
 	NewSemaphore(node int, name string, permits int) Semaphore
-	// Send transmits msg from src to dst, charging p the send path.
-	// Sending to self is a setup bug and panics.
+	// SendFrame transmits the encoded message in bp (wire.Encode, or
+	// wire.JoinBatch for a batch envelope) from src to dst, charging p the
+	// send path per frame and rider. It takes ownership of bp: the
+	// transport returns it to the pool or hands it to the receiver, and
+	// the caller must not touch it again. Sending to self is a setup bug
+	// and panics.
+	SendFrame(p Proc, src, dst int, bp *[]byte)
+	// Send is wire.Encode plus SendFrame: the one send path, for callers
+	// that hold a message rather than a frame.
 	Send(p Proc, src, dst int, msg wire.Message)
 	// Recv blocks p until a message arrives for node and charges the
 	// receive path. When the transport is stopped, Recv unwinds the

@@ -76,9 +76,15 @@ func (t *Sim) NewSemaphore(node int, name string, permits int) Semaphore {
 	return simSemaphore{t.sim.NewSemaphore(name, permits)}
 }
 
-// Send transmits over the modeled Ethernet.
+// Send encodes msg and transmits it over the modeled Ethernet.
 func (t *Sim) Send(p Proc, src, dst int, msg wire.Message) {
 	t.net.Send(simProc(p), src, dst, msg)
+}
+
+// SendFrame transmits an encoded message over the modeled Ethernet and
+// takes ownership of bp.
+func (t *Sim) SendFrame(p Proc, src, dst int, bp *[]byte) {
+	t.net.SendFrame(simProc(p), src, dst, bp)
 }
 
 // Recv blocks until a message arrives for node.

@@ -117,3 +117,21 @@ func BenchmarkPooledEncode(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkPooledEncodeLiteral encodes message literals built fresh in
+// every iteration, as the runtime builds them where it sends: an update
+// batch of one entry, a lock grant, a lock request and a barrier arrival.
+// None may escape to the heap on the way through Encode — a kind read
+// through the interface, or a panic formatting the message, would move
+// every one there — so the CI bench job fails if allocs/op leaves 0.
+func BenchmarkPooledEncodeLiteral(b *testing.B) {
+	diff := []byte{4, 0, 0, 0, 3, 0, 0, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		from := uint8(i)
+		PutBuf(Encode(UpdateBatch{From: from, Entries: []UpdateEntry{{Addr: 0x80005000, Size: 8192, Diff: diff}}}))
+		PutBuf(Encode(LockGrant{Lock: uint32(i)}))
+		PutBuf(Encode(LockAcq{Lock: uint32(i), Requester: from}))
+		PutBuf(Encode(BarrierArrive{Barrier: uint32(i), From: from}))
+	}
+}

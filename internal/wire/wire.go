@@ -662,8 +662,107 @@ func (LrcFetchResp) Kind() Kind      { return KindLrcFetchResp }
 func (LrcGC) Kind() Kind             { return KindLrcGC }
 func (Batch) Kind() Kind             { return KindBatch }
 
+// KindOf returns msg's kind, or KindInvalid for a type this package does
+// not define. It is msg.Kind() without the call through the interface:
+// that call makes msg escape, so an encoder taking the kind from it would
+// move every message literal its callers build to the heap.
+func KindOf(msg Message) Kind {
+	switch msg.(type) {
+	case ReadReq:
+		return KindReadReq
+	case ReadReply:
+		return KindReadReply
+	case OwnReq:
+		return KindOwnReq
+	case OwnReply:
+		return KindOwnReply
+	case Invalidate:
+		return KindInvalidate
+	case InvalidateAck:
+		return KindInvalidateAck
+	case MigrateReq:
+		return KindMigrateReq
+	case MigrateReply:
+		return KindMigrateReply
+	case UpdateBatch:
+		return KindUpdateBatch
+	case UpdateAck:
+		return KindUpdateAck
+	case CopysetQuery:
+		return KindCopysetQuery
+	case CopysetReply:
+		return KindCopysetReply
+	case ReduceReq:
+		return KindReduceReq
+	case ReduceReply:
+		return KindReduceReply
+	case LockAcq:
+		return KindLockAcq
+	case LockSetSucc:
+		return KindLockSetSucc
+	case LockOwnNotify:
+		return KindLockOwnNotify
+	case LockGrant:
+		return KindLockGrant
+	case BarrierArrive:
+		return KindBarrierArrive
+	case BarrierRelease:
+		return KindBarrierRelease
+	case DirReq:
+		return KindDirReq
+	case DirReply:
+		return KindDirReply
+	case PhaseChange:
+		return KindPhaseChange
+	case ChangeAnnot:
+		return KindChangeAnnot
+	case CopysetLookup:
+		return KindCopysetLookup
+	case CopysetInfo:
+		return KindCopysetInfo
+	case CopysetNotify:
+		return KindCopysetNotify
+	case OwnNotify:
+		return KindOwnNotify
+	case AdaptPropose:
+		return KindAdaptPropose
+	case AdaptCommit:
+		return KindAdaptCommit
+	case MPData:
+		return KindMPData
+	case LrcLockAcq:
+		return KindLrcLockAcq
+	case LrcLockSetSucc:
+		return KindLrcLockSetSucc
+	case LrcLockGrant:
+		return KindLrcLockGrant
+	case LrcBarrierArrive:
+		return KindLrcBarrierArrive
+	case LrcBarrierRelease:
+		return KindLrcBarrierRelease
+	case LrcDiffReq:
+		return KindLrcDiffReq
+	case LrcDiffResp:
+		return KindLrcDiffResp
+	case LrcFetchReq:
+		return KindLrcFetchReq
+	case LrcFetchResp:
+		return KindLrcFetchResp
+	case LrcGC:
+		return KindLrcGC
+	case Batch:
+		return KindBatch
+	}
+	return KindInvalid
+}
+
 // ErrCorrupt is returned by Unmarshal for undecodable input.
 var ErrCorrupt = errors.New("wire: corrupt message")
+
+// errUnknownType is what the encoders panic with on a Message type this
+// package does not define. A formatted panic naming the type would make
+// msg escape on every encode.
+var errUnknownType = errors.New("wire: message of a type this package does not define")
 
 type encoder struct{ b []byte }
 
@@ -1091,7 +1190,7 @@ func Marshal(msg Message) []byte {
 // encode performs no allocation at all.
 func AppendTo(buf []byte, msg Message) []byte {
 	e := encoder{b: buf}
-	e.u8(uint8(msg.Kind()))
+	e.u8(uint8(KindOf(msg)))
 	switch m := msg.(type) {
 	case ReadReq:
 		e.u32(uint32(m.Addr))
@@ -1256,7 +1355,7 @@ func AppendTo(buf []byte, msg Message) []byte {
 			e.b = AppendTo(e.b, sub)
 		}
 	default:
-		panic(fmt.Sprintf("wire: cannot marshal %T", msg))
+		panic(errUnknownType)
 	}
 	return e.b
 }
@@ -1579,17 +1678,6 @@ func Size(msg Message) int {
 		}
 		return n
 	default:
-		panic(fmt.Sprintf("wire: cannot size %T", msg))
+		panic(errUnknownType)
 	}
-}
-
-// Riders returns the number of protocol messages one transport send of
-// msg carries: len(b.Msgs) for a batch envelope, 1 for anything else.
-// The cost models charge the send path per envelope plus a reduced
-// per-rider increment (model.CostModel.SendCPU).
-func Riders(msg Message) int {
-	if b, ok := msg.(Batch); ok {
-		return len(b.Msgs)
-	}
-	return 1
 }
