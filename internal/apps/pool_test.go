@@ -59,3 +59,60 @@ func TestPayloadBuffersBalance(t *testing.T) {
 		}
 	}
 }
+
+// TestPoisonedReceiveBuffers runs the programs whose handlers keep parts
+// of what they receive — parked and queued updates, lock grants with
+// piggybacked data, lazy timestamps and notices, read replies that become
+// pages — on the simulator with every returned buffer overwritten
+// (wire.Poison), and every list a dispatcher's Reader handed out
+// overwritten when it decodes its next frame. The simulator hands each
+// receiver the sender's frame, so a handler that kept a view into it, or
+// a list decoded from it, without re-owning it reads the poison, and the
+// run's checksum stops matching its sequential reference:
+// deterministically, not when some other buffer's user happens to write.
+func TestPoisonedReceiveBuffers(t *testing.T) {
+	wire.Poison(true)
+	defer wire.Poison(false)
+	ring := LockHeavyConfig{Procs: 4, Rounds: 6}
+	sorCfg := SORConfig{Procs: 4, Rows: 16, Cols: 2048, Iters: 4, PhaseBarrier: true}
+	mmCfg := MatMulConfig{Procs: 4, N: 48}
+	lockHeavy, err := NewLockHeavy(ring)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sor, err := NewSOR(sorCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	matmul, err := NewMatMul(mmCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs := []struct {
+		name string
+		app  *App
+		opts []munin.RunOption
+		want uint32
+	}{
+		{"lock ring", lockHeavy, nil, LockHeavyReference(ring)},
+		{"lazy lock ring", lockHeavy, []munin.RunOption{munin.WithConsistency(munin.LazyRC)}, LockHeavyReference(ring)},
+		{"phase-barrier sor", sor, nil, SORReference(sorCfg.Rows, sorCfg.Cols, sorCfg.Iters)},
+		{"matmul", matmul, nil, MatMulReference(mmCfg.N)},
+		{"lazy phase-barrier sor", sor, []munin.RunOption{munin.WithConsistency(munin.LazyRC)}, SORReference(sorCfg.Rows, sorCfg.Cols, sorCfg.Iters)},
+	}
+	for _, r := range runs {
+		for _, batch := range []bool{false, true} {
+			opts := append([]munin.RunOption{munin.WithTransport("sim")}, r.opts...)
+			if batch {
+				opts = append(opts, munin.WithBatching())
+			}
+			res, err := r.app.Run(context.Background(), opts...)
+			if err != nil {
+				t.Fatalf("%s/batch=%v: %v", r.name, batch, err)
+			}
+			if res.Check != r.want {
+				t.Errorf("%s/batch=%v: checksum %08x, want %08x", r.name, batch, res.Check, r.want)
+			}
+		}
+	}
+}

@@ -294,7 +294,7 @@ func (n *Node) adaptRecover(t *Thread, e *directory.Entry, target protocol.Annot
 		}
 		f, waiting := n.annotWait[base]
 		if !waiting {
-			f = n.sys.tr.NewFuture(n.id, fmt.Sprintf("adapt[n%d %#x]", n.id, base))
+			f = n.sys.tr.NewFuture(n.id, rt.NameOf("adapt[n%d %#x]", n.id, uint64(base)))
 			n.annotWait[base] = f
 		}
 		n.send(t.proc, e.Home, wire.AdaptPropose{

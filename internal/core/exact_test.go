@@ -209,7 +209,7 @@ func TestInstallingCopyHoldsReadsAndQueuesUpdates(t *testing.T) {
 		if got := len(home.deferredReads[page(0)]); got != 1 {
 			t.Errorf("reads held during the install = %d, want 1", got)
 		}
-		home.serveUpdateBatch(root.proc, 1, wire.UpdateBatch{From: 1, Entries: []wire.UpdateEntry{empty}}, false)
+		home.serveUpdateBatch(root.proc, 1, wire.UpdateBatch{From: 1, Entries: []wire.UpdateEntry{empty}})
 		if got := len(home.fetchStash[e.Start]); got != 2 {
 			t.Errorf("updates queued during the install = %d, want 2", got)
 		}
@@ -363,7 +363,7 @@ func TestHomeAnnouncesReadsAndCountsPromises(t *testing.T) {
 			}
 			promise := wire.UpdateBatch{From: 1, Entries: []wire.UpdateEntry{{Addr: e.Start, Size: uint32(e.Size)}}}
 			for i := 0; i < c.promises; i++ {
-				home.serveUpdateBatch(root.proc, 1, promise, false)
+				home.serveUpdateBatch(root.proc, 1, promise)
 			}
 			if got := len(home.deferredReads[page(0)]); got != c.held {
 				t.Errorf("%s: reads held after %d promises = %d, want %d", c.name, c.promises, got, c.held)

@@ -210,9 +210,10 @@ func (n *Node) fetchRemoteCopy(t *Thread, e *directory.Entry, prefetch bool) {
 		reply = n.rpc(t, dst, key, req).(wire.ReadReply)
 	case homeServes:
 		// The home's own miss waits and forwards like any other read.
-		f := n.expect(key, req.Kind())
+		f := n.expect(key, wire.KindReadReq)
 		n.serveRead(p, req)
 		reply = n.await(p, f).(wire.ReadReply)
+		n.recycle(f)
 	default:
 		fail(n.id, e.Start, "read miss", "no holder known for object")
 	}
@@ -567,6 +568,7 @@ func (n *Node) invalidateCopies(t *Thread, e *directory.Entry) {
 		n.send(t.proc, d, wire.Invalidate{Addr: e.Start, NewOwner: uint8(n.id)})
 	}
 	n.await(t.proc, c.fut)
+	n.recycleCollector(c)
 	e.Copyset = directory.Copyset{}
 }
 

@@ -32,6 +32,8 @@ func (n *Node) releaseFlush(t *Thread) {
 // around every flushEntries, serializes its users.
 type releaseScratch struct {
 	drained []*directory.Entry   // what the DUQ held
+	query   []*directory.Entry   // the entries whose copysets are asked for
+	addrs   []vm.Addr            // a copyset query's addresses
 	bufs    []*[]byte            // payload buffers the batches carry
 	batches [][]wire.UpdateEntry // indexed by destination node
 	dests   []int                // one entry's destinations
@@ -50,7 +52,7 @@ func (n *Node) flushEntries(t *Thread, entries []*directory.Entry) {
 	// Result objects skip this (changes go only to the owner/home); stable
 	// objects reuse the copyset determined the first time, and
 	// home-directed ones the copyset their home keeps current.
-	var query []*directory.Entry
+	query := n.release.query[:0]
 	if n.sys.Nodes() > 1 {
 		for _, e := range entries {
 			if !e.Params.FlushToOwner && !e.CopysetKnown {
@@ -61,6 +63,7 @@ func (n *Node) flushEntries(t *Thread, entries []*directory.Entry) {
 			n.determineCopysets(t, query)
 		}
 	}
+	n.release.query = query
 
 	// Phase 2: encode each entry and assemble one batch per destination.
 	sc := &n.release
@@ -187,6 +190,7 @@ func (n *Node) flushEntries(t *Thread, entries []*directory.Entry) {
 		sc.bufs = sc.bufs[:0]
 		if await {
 			n.await(p, c.fut)
+			n.recycleCollector(c)
 		}
 	}
 	n.keepPromises(p)
@@ -304,10 +308,13 @@ func (n *Node) determineCopysets(t *Thread, entries []*directory.Entry) {
 // and let every node reply with the subset it holds. The paper calls this
 // "somewhat inefficient": 2(N−1) messages per flush that must query.
 func (n *Node) determineCopysetsBroadcast(t *Thread, entries []*directory.Entry) {
-	addrs := make([]vm.Addr, 0, len(entries))
+	// Under flushSem, like every release's scratch; the broadcast encodes
+	// the list before anything can reuse it.
+	addrs := n.release.addrs[:0]
 	for _, e := range entries {
 		addrs = append(addrs, e.Start)
 	}
+	n.release.addrs = addrs
 	c := n.newCollector(pendKey{pendDir, 0}, n.sys.Nodes()-1, "copyset-determination")
 	n.broadcast(t.proc, wire.CopysetQuery{From: uint8(n.id), Addrs: addrs})
 	holders := n.await(t.proc, c.fut).(map[vm.Addr]directory.Copyset)
@@ -317,6 +324,7 @@ func (n *Node) determineCopysetsBroadcast(t *Thread, entries []*directory.Entry)
 			e.CopysetKnown = true
 		}
 	}
+	n.recycleCollector(c)
 }
 
 // determineCopysetsExact implements the improved algorithm of §3.3
@@ -359,6 +367,7 @@ func (n *Node) determineCopysetsExact(t *Thread, entries []*directory.Entry) {
 		n.send(t.proc, run[0].Home, wire.CopysetLookup{From: uint8(n.id), Addrs: addrs})
 	}
 	n.await(t.proc, c.fut)
+	n.recycleCollector(c)
 }
 
 // serveCopysetLookup answers an exact-copyset request from the home's
@@ -415,7 +424,7 @@ func (n *Node) serveCopysetNotify(p rt.Proc, home int, m wire.CopysetNotify) {
 // completes. A home node holding only stale-able backing marks it stale
 // (a writer exists now) and remembers the writer as probable owner.
 func (n *Node) serveCopysetQuery(p rt.Proc, m wire.CopysetQuery) {
-	var held []vm.Addr
+	held := n.held[:0]
 	for _, a := range m.Addrs {
 		e, ok := n.dir.Lookup(a)
 		if !ok {
@@ -442,6 +451,7 @@ func (n *Node) serveCopysetQuery(p rt.Proc, m wire.CopysetQuery) {
 		}
 	}
 	n.send(p, int(m.From), wire.CopysetReply{Addrs: held})
+	n.held = held
 }
 
 // encodeEntry turns a modified entry into an UpdateEntry: a word diff
@@ -480,11 +490,11 @@ func (n *Node) encodeEntry(e *directory.Entry) (u wire.UpdateEntry, bp *[]byte, 
 // node with a dirty copy incorporates the changes immediately — including
 // into the twin, so its own later diff carries only its own writes).
 //
-// borrowed marks a zero-copy delivery: each entry's Diff/Full aliases
-// the transport's receive buffer, released when dispatch returns.
-// Applying in place is fine; an entry that outlives the dispatch — a
-// fetch-stash park, a pending-update enqueue — is re-owned first.
-func (n *Node) serveUpdateBatch(p rt.Proc, src int, m wire.UpdateBatch, borrowed bool) {
+// Each entry's Diff/Full is a view into the received frame, released
+// when dispatch returns. Applying in place is fine; an entry that
+// outlives the dispatch — a fetch-stash park, a pending-update enqueue —
+// is re-owned first.
+func (n *Node) serveUpdateBatch(p rt.Proc, src int, m wire.UpdateBatch) {
 	for _, u := range m.Entries {
 		e, ok := n.dir.Lookup(u.Addr)
 		if !ok {
@@ -492,10 +502,7 @@ func (n *Node) serveUpdateBatch(p rt.Proc, src int, m wire.UpdateBatch, borrowed
 				// The entry itself is still being fetched (the flushing
 				// writer's query counted the fault in progress): buffer
 				// until the copy installs.
-				if borrowed {
-					u = wire.OwnEntry(u)
-				}
-				n.fetchStash[u.Addr] = append(n.fetchStash[u.Addr], u)
+				n.fetchStash[u.Addr] = append(n.fetchStash[u.Addr], wire.OwnEntry(u))
 				continue
 			}
 			fail(n.id, u.Addr, "update apply", "update for an object this node has never seen")
@@ -504,17 +511,14 @@ func (n *Node) serveUpdateBatch(p rt.Proc, src int, m wire.UpdateBatch, borrowed
 			// Pending update queue (§6): buffer now, apply at the next
 			// synchronization point or local touch (a read serve drains
 			// the queue first).
-			n.queuePendingUpdate(u, borrowed)
+			n.queuePendingUpdate(u)
 		} else if (!e.Valid && e.Sem.Busy()) || n.installing(e) {
 			// A local fault on the object is mid-flight: the copy being
 			// fetched must observe this update (the sender's copyset
 			// query counted the fault as a holder). Buffer until the
 			// install completes (Node.fetchStash), behind the updates
 			// already buffered.
-			if borrowed {
-				u = wire.OwnEntry(u)
-			}
-			n.fetchStash[e.Start] = append(n.fetchStash[e.Start], u)
+			n.fetchStash[e.Start] = append(n.fetchStash[e.Start], wire.OwnEntry(u))
 		} else if u.Full == nil && diffenc.Empty(u.Diff) {
 			// A promise: a queried flush that turned out to carry no
 			// changes for us, or a cacher's answer to a notify. Nothing to

@@ -4,8 +4,9 @@ import (
 	"bytes"
 	"testing"
 
-	"munin/internal/network"
+	"munin/internal/model"
 	"munin/internal/protocol"
+	"munin/internal/rt"
 	"munin/internal/wire"
 )
 
@@ -14,18 +15,38 @@ import (
 // alone and become its page; an update's Full image may be parked and
 // re-applied, so it is always copied.
 
+// replyTap is a simulator whose futures record the read replies that
+// complete them: the very values the faulting threads receive.
+type replyTap struct {
+	rt.Transport
+	replies *[][]byte
+}
+
+func (tp replyTap) NewFuture(node int, name rt.Name) rt.Future {
+	return tapFuture{tp.Transport.NewFuture(node, name), tp.replies}
+}
+
+type tapFuture struct {
+	rt.Future
+	replies *[][]byte
+}
+
+func (f tapFuture) Complete(v any) {
+	if r, ok := v.(wire.ReadReply); ok {
+		*f.replies = append(*f.replies, r.Data)
+	}
+	f.Future.Complete(v)
+}
+
 // TestReadFetchAdoptsReplyBuffer: a remote read fault of a one-page
 // object maps the reply's own buffer as the page — the fetched bytes are
-// copied once, by the serve, and never again at the install.
+// copied once, out of the received frame, and never again at the
+// install.
 func TestReadFetchAdoptsReplyBuffer(t *testing.T) {
 	decl := Decl{Name: "tbl", Start: page(0), Size: 8192, Annot: protocol.ReadOnly, Synchq: -1}
 	decl.Init = words(11, 22, 33)
 	var replies [][]byte
-	cfg := Config{Processors: 2, Trace: func(env network.Envelope) {
-		if r, ok := env.Msg.(wire.ReadReply); ok && env.Dst == 1 {
-			replies = append(replies, r.Data)
-		}
-	}}
+	cfg := Config{Processors: 2, Transport: replyTap{rt.NewSim(model.Default(), 2), &replies}}
 	sys := NewSystem(cfg, []Decl{decl}, nil, nil)
 	err := sys.Run(func(root *Thread) {
 		root.Spawn(1, "reader", func(w *Thread) { _ = w.ReadWord(page(0)) })

@@ -179,7 +179,7 @@ func TestOwnLockRequestFails(t *testing.T) {
 	err := sys.Run(func(root *Thread) {
 		root.Spawn(1, "requester", func(th *Thread) {
 			n.lockPend[1], se.ProbOwner = true, 1
-			n.serveLockRequest(th.proc, wire.LockAcq{Lock: 1, Requester: 1}, 1, 1, nil)
+			n.serveLockRequest(th.proc, wire.Marshal(wire.LockAcq{Lock: 1, Requester: 1}), 1, 1, nil)
 		})
 	})
 	if !errors.Is(err, ErrOwnLockRequest) {

@@ -180,10 +180,12 @@ func (n *Node) newLrcToken() uint32 {
 // lrcRPC sends msg, a lazy-engine request carrying token, and blocks t
 // for the response the token routes back.
 func (n *Node) lrcRPC(t *Thread, dst int, token uint32, msg wire.Message) any {
-	f := n.sys.tr.NewFuture(n.id, n.lrcRPCNames.name(n.id, wire.KindOf(msg)))
+	f := n.future(n.lrcRPCNames.name(n.id, wire.KindOf(msg)))
 	n.pending[pendKey{pendLrc, uint64(token)}] = f
 	n.send(t.proc, dst, msg)
-	return n.await(t.proc, f)
+	v := n.await(t.proc, f)
+	n.recycle(f)
+	return v
 }
 
 // lrcFetchBase pulls a base copy of the object from its home node and
@@ -553,7 +555,7 @@ func (n *Node) lrcDrop(p rt.Proc, e *directory.Entry) {
 func (n *Node) lrcLockAcquire(t *Thread, id int, se *directory.SynchEntry, dst int) {
 	p := t.proc
 	grant := n.rpc(t, dst, pendKey{pendLock, uint64(id)},
-		wire.LrcLockAcq{Lock: uint32(id), Requester: uint8(n.id), VT: n.lrc.VT()}).(wire.LrcLockGrant)
+		wire.LrcLockAcq{Lock: uint32(id), Requester: uint8(n.id), VT: n.lrc.VTView()}).(wire.LrcLockGrant)
 	n.lockGranted(id, se)
 	n.drainPendingAll(p)
 	n.lrcAbsorb(p, grant.VT, grant.Notices)
@@ -567,15 +569,48 @@ func (n *Node) lrcLockAcquire(t *Thread, id int, se *directory.SynchEntry, dst i
 // associates are excluded — their consistency travels as notices).
 func (n *Node) sendLockGrant(p rt.Proc, id int, se *directory.SynchEntry, dst int, reqVT []uint32) {
 	if n.lrc != nil {
+		// The timestamp and notices are taken before the piggyback yields,
+		// into scratch no other send uses meanwhile.
+		sc := n.lrcScratch()
+		defer n.putLrcScratch(sc)
+		sc.vt = append(sc.vt[:0], n.lrc.VTView()...)
+		sc.notices = n.lrc.AppendNoticesSince(sc.notices[:0], reqVT)
 		n.send(p, dst, wire.LrcLockGrant{
 			Lock:    uint32(id),
-			VT:      n.lrc.VT(),
-			Notices: n.lrc.NoticesSince(reqVT),
+			VT:      sc.vt,
+			Notices: sc.notices,
 			Updates: n.lockPiggyback(p, se, dst),
 		})
 		return
 	}
 	n.send(p, dst, wire.LockGrant{Lock: uint32(id), Updates: n.lockPiggyback(p, se, dst)})
+}
+
+// lrcScratch is one lazy send's working set: the vector timestamp it
+// snapshots and the write notices it lists, views into the engine's own
+// lists (lrc.Engine.AppendNoticesSince). A send that yields before it
+// encodes must not share it with another proc's send, so each send takes
+// one off the node's free list and puts it back.
+type lrcScratch struct {
+	vt      []uint32
+	notices []wire.LrcInterval
+}
+
+// lrcScratch returns a free lazy-send working set.
+func (n *Node) lrcScratch() *lrcScratch {
+	k := len(n.freeLrcScratch)
+	if k == 0 {
+		return &lrcScratch{}
+	}
+	sc := n.freeLrcScratch[k-1]
+	n.freeLrcScratch = n.freeLrcScratch[:k-1]
+	return sc
+}
+
+// putLrcScratch gives back a working set whose message has been sent.
+func (n *Node) putLrcScratch(sc *lrcScratch) {
+	clear(sc.notices) // drop the views
+	n.freeLrcScratch = append(n.freeLrcScratch, sc)
 }
 
 // lrcSuccVT returns (and forgets) the queued successor's vector timestamp
@@ -603,11 +638,14 @@ func (n *Node) lrcBarrierArrive(p rt.Proc, id int, se *directory.SynchEntry) {
 		n.checkBarrier(p, id, se)
 		return
 	}
+	sc := n.lrcScratch()
+	defer n.putLrcScratch(sc)
+	sc.notices = n.lrc.AppendNoticesSince(sc.notices[:0], n.lrc.Floor())
 	n.send(p, se.Home, wire.LrcBarrierArrive{
 		Barrier: uint32(id), From: uint8(n.id),
-		VT:      n.lrc.VT(),
+		VT:      n.lrc.VTView(),
 		Floors:  n.lrcFloors(),
-		Notices: n.lrc.NoticesSince(n.lrc.Floor()),
+		Notices: sc.notices,
 	})
 }
 
@@ -623,7 +661,9 @@ func (n *Node) serveLrcBarrierArrive(p rt.Proc, m wire.LrcBarrierArrive) {
 	n.lrcAbsorb(p, m.VT, m.Notices)
 	se.Arrived++
 	n.barrierFrom[id] = append(n.barrierFrom[id], int(m.From))
-	n.lrcNoteArrival(id, int(m.From), m.VT, m.Floors, false)
+	// The master keeps the timestamp past the dispatch: a copy, not the
+	// view into the frame.
+	n.lrcNoteArrival(id, int(m.From), append([]uint32(nil), m.VT...), m.Floors, false)
 	n.checkBarrier(p, id, se)
 }
 
@@ -659,21 +699,26 @@ func (n *Node) lrcBarrierComplete(p rt.Proc, id int, from []int) {
 		for _, vt := range vts {
 			minVT = lrc.MinFloors(minVT, vt)
 		}
-		notices := n.lrc.NoticesSince(minVT)
+		sc := n.lrcScratch()
+		defer n.putLrcScratch(sc)
+		sc.notices = n.lrc.AppendNoticesSince(sc.notices[:0], minVT)
 		n.treeFanout(p, nodes, func(sub []uint8) wire.Message {
 			return wire.LrcBarrierRelease{
-				Barrier: uint32(id), Tree: true, Subtree: sub, VT: mergedVT, Notices: notices,
+				Barrier: uint32(id), Tree: true, Subtree: sub, VT: mergedVT, Notices: sc.notices,
 			}
 		})
 	} else {
+		sc := n.lrcScratch()
+		defer n.putLrcScratch(sc)
 		for i, src := range from {
 			p.Advance(n.sys.cost.BarrierHandlerCPU)
 			var vt []uint32
 			if i < len(vts) {
 				vt = vts[i]
 			}
+			sc.notices = n.lrc.AppendNoticesSince(sc.notices[:0], vt)
 			n.send(p, src, wire.LrcBarrierRelease{
-				Barrier: uint32(id), VT: mergedVT, Notices: n.lrc.NoticesSince(vt),
+				Barrier: uint32(id), VT: mergedVT, Notices: sc.notices,
 			})
 		}
 	}

@@ -53,6 +53,34 @@ type collector struct {
 	at     []int
 }
 
+// newCollector registers a reply collector expecting need replies,
+// reusing one a finished wait gave back (recycleCollector).
+func (n *Node) newCollector(key pendKey, need int, name string) *collector {
+	if _, ok := n.collectors[key]; ok {
+		panic(fmt.Sprintf("core: node %d duplicate collector %v", n.id, key))
+	}
+	var c *collector
+	if k := len(n.freeCollectors); k > 0 {
+		c = n.freeCollectors[k-1]
+		n.freeCollectors = n.freeCollectors[:k-1]
+	} else {
+		c = &collector{}
+	}
+	c.need, c.got = need, 0
+	c.fut = n.future(n.collectorNames.name(n.id, name))
+	n.collectors[key] = c
+	return c
+}
+
+// recycleCollector gives back a collector once its waiter has returned,
+// with its future and its emptied holders map.
+func (n *Node) recycleCollector(c *collector) {
+	n.recycle(c.fut)
+	clear(c.holders)
+	c.fut, c.lookup, c.at = nil, nil, nil
+	n.freeCollectors = append(n.freeCollectors, c)
+}
+
 func (c *collector) add() {
 	c.got++
 	if c.got == c.need {
@@ -75,6 +103,17 @@ type Node struct {
 	pending    map[pendKey]rt.Future
 	collectors map[pendKey]*collector
 	dirFetch   map[vm.Addr]rt.Future
+
+	// freeFutures and freeCollectors hold what finished waits gave back
+	// (recycle, recycleCollector), for the next rpc or collector.
+	freeFutures    []rt.Future
+	freeCollectors []*collector
+	freeLrcScratch []*lrcScratch
+
+	// reader decodes the dispatcher's frames in place; held is
+	// serveCopysetQuery's reply list. Only the dispatcher touches either.
+	reader wire.Reader
+	held   []vm.Addr
 
 	// flushSem serializes DUQ flushes (one release in progress per node).
 	flushSem rt.Semaphore
@@ -279,7 +318,7 @@ func newNode(s *System, id int) *Node {
 		pending:        make(map[pendKey]rt.Future),
 		collectors:     make(map[pendKey]*collector),
 		dirFetch:       make(map[vm.Addr]rt.Future),
-		flushSem:       s.tr.NewSemaphore(id, fmt.Sprintf("flush[%d]", id), 1),
+		flushSem:       s.tr.NewSemaphore(id, rt.Named(fmt.Sprintf("flush[%d]", id)), 1),
 		barrierWait:    make(map[int][]rt.Future),
 		barrierFrom:    make(map[int][]int),
 		lockWait:       make(map[int][]rt.Future),
@@ -299,7 +338,7 @@ func newNode(s *System, id int) *Node {
 	}
 	if s.cfg.PendingUpdates {
 		n.puq = newPendingUpdates()
-		n.puqSem = s.tr.NewSemaphore(id, fmt.Sprintf("puq[%d]", id), 1)
+		n.puqSem = s.tr.NewSemaphore(id, rt.Named(fmt.Sprintf("puq[%d]", id)), 1)
 	}
 	if s.cfg.Lazy {
 		n.lrc = lrc.New(id, s.cfg.Processors)
@@ -347,149 +386,161 @@ func (n *Node) startDispatcher() {
 		p.SetKind(rt.KindSystem)
 		// A dispatcher unwound in the middle of a dispatch (the machine
 		// stopped or failed while a handler was at a yield point) still
-		// holds that envelope's buffer, and its outbox the payload
-		// buffers handed over by sent; both are no-ops otherwise.
+		// holds that envelope's frame, and its outbox the frames it
+		// queued; both are no-ops otherwise.
 		var env network.Envelope
 		defer func() { env.Release(); n.putPayloads(p) }()
 		for {
-			env = n.sys.tr.Recv(p, n.id)
+			env = n.sys.tr.RecvFrame(p, n.id)
 			p.Advance(n.sys.cost.RequestHandlerCPU)
-			n.dispatch(p, env)
-			// The operation ends before the buffer goes back: nothing a
-			// handler queued outlives the envelope it answers.
+			n.dispatch(p, env.Src, env.Frame())
+			// The operation ends before the frame goes back: nothing a
+			// handler queued outlives the frame it answers.
 			n.flush(p)
-			// A borrowed envelope's payloads alias the transport's pooled
-			// receive buffer; everything a handler retains past this point
-			// was re-owned in dispatch, so the buffer goes back now.
+			// Everything a handler retains past this point was re-owned in
+			// dispatch, so the frame goes back now.
 			env.Release()
 		}
 	})
 }
 
-// dispatch handles one incoming message on the dispatcher.
+// dispatch handles one incoming frame from node src on the dispatcher.
 //
-// Zero-copy contract: when env.Borrowed, the message's byte payloads
-// alias the transport's pooled receive buffer, which the dispatcher loop
-// releases as soon as dispatch returns. Handlers that consume payloads
-// synchronously (an update applied in place, a barrier subtree walked
-// during the serve) need nothing; anything retained past dispatch — a
-// reply completed into a future for a parked thread, an update stashed
-// or queued for later — is re-owned first (wire.Own / wire.OwnEntry).
-//
-// Replies complete their futures, and forwarded lock requests travel on,
-// as env.Msg: the delivered interface value, not the switch's typed copy,
-// which would be boxed again.
-func (n *Node) dispatch(p rt.Proc, env network.Envelope) {
-	if env.Borrowed {
-		switch env.Msg.(type) {
-		case wire.ReadReply, wire.OwnReply, wire.MigrateReply,
-			wire.LockGrant, wire.LrcLockGrant, wire.LrcDiffResp, wire.LrcFetchResp:
-			// Reply kinds that complete a future: the waiter consumes the
-			// payload after the dispatcher has released the buffer.
-			env.Msg = wire.Own(env.Msg)
-		}
-	}
-	switch m := env.Msg.(type) {
-	case wire.Batch:
+// Zero-copy contract: a request is decoded in place by the node's Reader
+// into a typed value whose byte payloads are views into the frame and
+// whose lists are the Reader's, both valid until the frame is released
+// (after dispatch returns) or the next frame — a batch's next rider — is
+// decoded. Handlers that consume a request synchronously (an update
+// applied in place, a barrier subtree walked during the serve) need
+// nothing; anything retained past dispatch — an update stashed or queued
+// for later, a timestamp kept for a lock's successor — is re-owned first
+// (wire.OwnEntry, a copy). A reply that completes a future is read by its
+// waiter after the frame is gone, so it is decoded and re-owned whole:
+// one boxed wire.Message (wire.Own).
+func (n *Node) dispatch(p rt.Proc, src int, frame []byte) {
+	rd := &n.reader
+	switch wire.FrameKind(frame) {
+	case wire.KindBatch:
 		// Unpack a batching envelope: the riders are handled in exactly
 		// the order the sender queued them, so per-destination FIFO (and
 		// with it the updates-before-grant order release consistency
 		// needs) is preserved. The dispatcher loop charged the receive
 		// dispatch cost for the envelope; each further rider pays its own.
-		// The synthetic per-rider envelopes carry no Bytes: no dispatch
-		// handler reads the field, and a payload-only size would disagree
-		// with the header-inclusive sizes real envelopes carry. Riders of
-		// a borrowed envelope borrow too (Buf stays nil — only the real
-		// envelope owns, and releases, the buffer).
-		for i, sub := range m.Msgs {
-			if i > 0 {
+		first := true
+		// A batch whose framing is corrupt (a rider cut short, a batch
+		// inside it) is refused before any rider runs.
+		err := wire.ForEachRider(frame, func(rider []byte) {
+			if !first {
 				p.Advance(n.sys.cost.RequestHandlerCPU)
 			}
-			n.dispatch(p, network.Envelope{
-				Src: env.Src, Dst: env.Dst, Msg: sub,
-				SentAt: env.SentAt, DeliveredAt: env.DeliveredAt,
-				Borrowed: env.Borrowed,
-			})
+			first = false
+			n.dispatch(p, src, rider)
+		})
+		if err != nil {
+			panic(fmt.Sprintf("core: node %d received a corrupt batch from node %d: %v", n.id, src, err))
 		}
-	case wire.DirReq:
-		n.serveDirReq(p, env.Src, m)
-	case wire.ReadReq:
-		n.serveRead(p, m)
-	case wire.OwnReq:
-		n.serveOwn(p, m)
-	case wire.Invalidate:
-		n.serveInvalidate(p, env.Src, m)
-	case wire.MigrateReq:
-		n.serveMigrate(p, m)
-	case wire.CopysetQuery:
-		n.serveCopysetQuery(p, m)
-	case wire.UpdateBatch:
-		n.serveUpdateBatch(p, env.Src, m, env.Borrowed)
-	case wire.ReduceReq:
-		n.serveReduce(p, m)
-	case wire.PhaseChange:
-		n.servePhaseChange(m)
-	case wire.ChangeAnnot:
-		n.serveChangeAnnot(p, m)
-	case wire.CopysetLookup:
-		n.serveCopysetLookup(p, m)
-	case wire.CopysetNotify:
-		n.serveCopysetNotify(p, env.Src, m)
-	case wire.OwnNotify:
-		n.serveOwnNotify(p, m)
-	case wire.AdaptPropose:
-		n.serveAdaptPropose(p, m)
-	case wire.AdaptCommit:
-		n.serveAdaptCommit(p, m)
-	case wire.LockAcq:
-		n.serveLockRequest(p, env.Msg, int(m.Lock), int(m.Requester), nil)
-	case wire.LockGrant:
-		n.complete(pendKey{pendLock, uint64(m.Lock)}, env.Msg)
-	case wire.BarrierArrive:
-		n.serveBarrierArrive(p, m)
-	case wire.BarrierRelease:
-		n.serveBarrierRelease(p, m)
+	case wire.KindDirReq:
+		n.serveDirReq(p, src, must(rd.DirReq(frame)))
+	case wire.KindReadReq:
+		n.serveRead(p, must(rd.ReadReq(frame)))
+	case wire.KindOwnReq:
+		n.serveOwn(p, must(rd.OwnReq(frame)))
+	case wire.KindInvalidate:
+		n.serveInvalidate(p, src, must(rd.Invalidate(frame)))
+	case wire.KindMigrateReq:
+		n.serveMigrate(p, must(rd.MigrateReq(frame)))
+	case wire.KindCopysetQuery:
+		n.serveCopysetQuery(p, must(rd.CopysetQuery(frame)))
+	case wire.KindUpdateBatch:
+		n.serveUpdateBatch(p, src, must(rd.UpdateBatch(frame)))
+	case wire.KindReduceReq:
+		n.serveReduce(p, must(rd.ReduceReq(frame)))
+	case wire.KindPhaseChange:
+		n.servePhaseChange(must(rd.PhaseChange(frame)))
+	case wire.KindChangeAnnot:
+		n.serveChangeAnnot(p, must(rd.ChangeAnnot(frame)))
+	case wire.KindCopysetLookup:
+		n.serveCopysetLookup(p, must(rd.CopysetLookup(frame)))
+	case wire.KindCopysetNotify:
+		n.serveCopysetNotify(p, src, must(rd.CopysetNotify(frame)))
+	case wire.KindOwnNotify:
+		n.serveOwnNotify(p, must(rd.OwnNotify(frame)))
+	case wire.KindAdaptPropose:
+		n.serveAdaptPropose(p, must(rd.AdaptPropose(frame)))
+	case wire.KindAdaptCommit:
+		n.serveAdaptCommit(p, must(rd.AdaptCommit(frame)))
+	case wire.KindLockAcq:
+		m := must(rd.LockAcq(frame))
+		n.serveLockRequest(p, frame, int(m.Lock), int(m.Requester), nil)
+	case wire.KindBarrierArrive:
+		n.serveBarrierArrive(p, must(rd.BarrierArrive(frame)))
+	case wire.KindBarrierRelease:
+		n.serveBarrierRelease(p, must(rd.BarrierRelease(frame)))
 
-	case wire.LrcLockAcq:
-		n.serveLockRequest(p, env.Msg, int(m.Lock), int(m.Requester), m.VT)
-	case wire.LrcLockGrant:
-		n.complete(pendKey{pendLock, uint64(m.Lock)}, env.Msg)
-	case wire.LrcBarrierArrive:
-		n.serveLrcBarrierArrive(p, m)
-	case wire.LrcBarrierRelease:
-		n.serveLrcBarrierRelease(p, m)
-	case wire.LrcDiffReq:
-		n.serveLrcDiff(p, m)
-	case wire.LrcDiffResp:
-		n.complete(pendKey{pendLrc, uint64(m.Token)}, env.Msg)
-	case wire.LrcFetchReq:
-		n.serveLrcFetch(p, m)
-	case wire.LrcFetchResp:
-		n.complete(pendKey{pendLrc, uint64(m.Token)}, env.Msg)
-	case wire.LrcGC:
-		n.serveLrcGC(m)
+	case wire.KindLrcLockAcq:
+		m := must(rd.LrcLockAcq(frame))
+		n.serveLockRequest(p, frame, int(m.Lock), int(m.Requester), m.VT)
+	case wire.KindLrcBarrierArrive:
+		n.serveLrcBarrierArrive(p, must(rd.LrcBarrierArrive(frame)))
+	case wire.KindLrcBarrierRelease:
+		n.serveLrcBarrierRelease(p, must(rd.LrcBarrierRelease(frame)))
+	case wire.KindLrcDiffReq:
+		n.serveLrcDiff(p, must(rd.LrcDiffReq(frame)))
+	case wire.KindLrcFetchReq:
+		n.serveLrcFetch(p, must(rd.LrcFetchReq(frame)))
+	case wire.KindLrcGC:
+		n.serveLrcGC(must(rd.LrcGC(frame)))
 
-	case wire.ReadReply:
-		n.complete(pendKey{pendRead, uint64(m.Addr)}, env.Msg)
-	case wire.OwnReply:
-		n.complete(pendKey{pendOwn, uint64(m.Addr)}, env.Msg)
-	case wire.MigrateReply:
-		n.complete(pendKey{pendMigrate, uint64(m.Addr)}, env.Msg)
-	case wire.ReduceReply:
-		n.complete(pendKey{pendReduce, uint64(m.Addr)}, env.Msg)
-	case wire.DirReply:
-		n.completeDirFetch(m)
-	case wire.CopysetReply:
-		n.collectCopyset(env.Src, m)
-	case wire.CopysetInfo:
-		n.collectCopysetInfo(env.Src, m)
-	case wire.InvalidateAck:
-		n.collect(pendKey{pendOwn, uint64(m.Addr)})
-	case wire.UpdateAck:
+	case wire.KindReadReply, wire.KindOwnReply, wire.KindMigrateReply, wire.KindReduceReply,
+		wire.KindLockGrant, wire.KindLrcLockGrant, wire.KindLrcDiffResp, wire.KindLrcFetchResp:
+		msg := wire.Own(must(wire.UnmarshalView(frame)))
+		n.complete(replyKey(msg), msg)
+	case wire.KindDirReply:
+		n.completeDirFetch(must(rd.DirReply(frame)))
+	case wire.KindCopysetReply:
+		n.collectCopyset(src, must(rd.CopysetReply(frame)))
+	case wire.KindCopysetInfo:
+		n.collectCopysetInfo(src, must(rd.CopysetInfo(frame)))
+	case wire.KindInvalidateAck:
+		n.collect(pendKey{pendOwn, uint64(must(rd.InvalidateAck(frame)).Addr)})
+	case wire.KindUpdateAck:
+		must(rd.UpdateAck(frame))
 		n.collect(pendKey{pendRead, 0}) // flush-ack collector key
 	default:
-		panic(fmt.Sprintf("core: node %d cannot dispatch %T", n.id, env.Msg))
+		panic(fmt.Sprintf("core: node %d cannot dispatch %v from node %d", n.id, wire.FrameKind(frame), src))
 	}
+}
+
+// must returns m, or panics — failing the run — when the frame it was
+// decoded from did not decode: the sender's encoder is broken.
+func must[T any](m T, err error) T {
+	if err != nil {
+		panic(fmt.Sprintf("core: received a frame that does not decode: %v", err))
+	}
+	return m
+}
+
+// replyKey returns the pending request a reply completes.
+func replyKey(msg wire.Message) pendKey {
+	switch m := msg.(type) {
+	case wire.ReadReply:
+		return pendKey{pendRead, uint64(m.Addr)}
+	case wire.OwnReply:
+		return pendKey{pendOwn, uint64(m.Addr)}
+	case wire.MigrateReply:
+		return pendKey{pendMigrate, uint64(m.Addr)}
+	case wire.ReduceReply:
+		return pendKey{pendReduce, uint64(m.Addr)}
+	case wire.LockGrant:
+		return pendKey{pendLock, uint64(m.Lock)}
+	case wire.LrcLockGrant:
+		return pendKey{pendLock, uint64(m.Lock)}
+	case wire.LrcDiffResp:
+		return pendKey{pendLrc, uint64(m.Token)}
+	case wire.LrcFetchResp:
+		return pendKey{pendLrc, uint64(m.Token)}
+	}
+	panic(fmt.Sprintf("core: %v is not a reply", wire.KindOf(msg)))
 }
 
 // rpc registers a future under key, sends msg, and blocks t until the
@@ -497,7 +548,9 @@ func (n *Node) dispatch(p rt.Proc, env network.Envelope) {
 func (n *Node) rpc(t *Thread, dst int, key pendKey, msg wire.Message) any {
 	f := n.expect(key, wire.KindOf(msg))
 	n.send(t.proc, dst, msg)
-	return n.await(t.proc, f)
+	v := n.await(t.proc, f)
+	n.recycle(f)
+	return v
 }
 
 // expect registers the future a reply of the given request kind completes
@@ -506,26 +559,43 @@ func (n *Node) expect(key pendKey, k wire.Kind) rt.Future {
 	if _, ok := n.pending[key]; ok {
 		panic(fmt.Sprintf("core: node %d duplicate outstanding request %v", n.id, key))
 	}
-	f := n.sys.tr.NewFuture(n.id, n.rpcNames.name(n.id, k))
+	f := n.future(n.rpcNames.name(n.id, k))
 	n.pending[key] = f
 	return f
 }
+
+// future returns an incomplete future named name, reusing one a finished
+// wait gave back (recycle).
+func (n *Node) future(name rt.Name) rt.Future {
+	k := len(n.freeFutures)
+	if k == 0 {
+		return n.sys.tr.NewFuture(n.id, name)
+	}
+	f := n.freeFutures[k-1]
+	n.freeFutures = n.freeFutures[:k-1]
+	f.Reset(name)
+	return f
+}
+
+// recycle gives back a future made by future once its one waiter has
+// returned from it; nothing else may hold it.
+func (n *Node) recycle(f rt.Future) { n.freeFutures = append(n.freeFutures, f) }
 
 // nameCache caches one node's future names by key. Only a deadlock report
 // reads a future's name, so it is formatted once per key rather than once
 // per wait.
 type nameCache[K comparable] struct {
 	format string // of the node id and the key
-	names  map[K]string
+	names  map[K]rt.Name
 }
 
-func (c *nameCache[K]) name(node int, k K) string {
+func (c *nameCache[K]) name(node int, k K) rt.Name {
 	s, ok := c.names[k]
 	if !ok {
 		if c.names == nil {
-			c.names = make(map[K]string)
+			c.names = make(map[K]rt.Name)
 		}
-		s = fmt.Sprintf(c.format, node, k)
+		s = rt.Named(fmt.Sprintf(c.format, node, k))
 		c.names[k] = s
 	}
 	return s
@@ -539,19 +609,6 @@ func (n *Node) complete(key pendKey, v any) {
 	}
 	delete(n.pending, key)
 	f.Complete(v)
-}
-
-// newCollector registers a reply collector expecting need replies.
-func (n *Node) newCollector(key pendKey, need int, name string) *collector {
-	if _, ok := n.collectors[key]; ok {
-		panic(fmt.Sprintf("core: node %d duplicate collector %v", n.id, key))
-	}
-	c := &collector{
-		need: need,
-		fut:  n.sys.tr.NewFuture(n.id, n.collectorNames.name(n.id, name)),
-	}
-	n.collectors[key] = c
-	return c
 }
 
 // collect counts one anonymous reply toward the collector under key.
@@ -624,7 +681,7 @@ func (n *Node) entry(t *Thread, addr vm.Addr) *directory.Entry {
 	if f, ok := n.dirFetch[base]; ok {
 		n.await(t.proc, f)
 	} else {
-		f := n.sys.tr.NewFuture(n.id, fmt.Sprintf("dirfetch[n%d %#x]", n.id, base))
+		f := n.sys.tr.NewFuture(n.id, rt.NameOf("dirfetch[n%d %#x]", n.id, uint64(base)))
 		n.dirFetch[base] = f
 		n.send(t.proc, home, wire.DirReq{Addr: addr})
 		n.await(t.proc, f)
@@ -689,7 +746,7 @@ func (n *Node) completeDirFetch(m wire.DirReply) {
 			Epoch:     m.Epoch,
 			ProbOwner: int(m.Owner),
 			Synchq:    -1,
-			Sem:       n.sys.tr.NewSemaphore(n.id, fmt.Sprintf("entry[n%d %#x]", n.id, m.Start), 1),
+			Sem:       n.sys.tr.NewSemaphore(n.id, rt.NameOf("entry[n%d %#x]", n.id, uint64(m.Start)), 1),
 		})
 	}
 	// Wake every fetch waiting on any page the object covers: the fault

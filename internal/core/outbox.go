@@ -76,7 +76,20 @@ func needsUpdateAcks(transport string, batching bool) bool {
 // through p's outbox otherwise. Either way msg is encoded here, so
 // nothing holds it once send returns.
 func (n *Node) send(p rt.Proc, dst int, msg wire.Message) {
-	bp := wire.Encode(msg)
+	n.sendFrame(p, dst, wire.Encode(msg))
+}
+
+// forwardFrame sends a copy of a received frame on to dst: a request
+// passing through this node leaves byte for byte as it arrived, with no
+// decode and re-encode.
+func (n *Node) forwardFrame(p rt.Proc, dst int, frame []byte) {
+	bp := wire.GetBufN(len(frame))
+	*bp = append(*bp, frame...)
+	n.sendFrame(p, dst, bp)
+}
+
+// sendFrame is send for an encoded message, whose buffer it takes over.
+func (n *Node) sendFrame(p rt.Proc, dst int, bp *[]byte) {
 	if n.outboxes == nil {
 		n.sys.tr.SendFrame(p, n.id, dst, bp)
 		return

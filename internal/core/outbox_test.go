@@ -51,26 +51,26 @@ func (w *watched) SendFrame(p rt.Proc, src, dst int, bp *[]byte) {
 	w.Transport.SendFrame(p, src, dst, bp)
 }
 
-func (w *watched) Recv(p rt.Proc, node int) rt.Envelope {
-	w.mustBeEmpty(node, p, "Recv")
-	return w.Transport.Recv(p, node)
+func (w *watched) RecvFrame(p rt.Proc, node int) rt.Envelope {
+	w.mustBeEmpty(node, p, "RecvFrame")
+	return w.Transport.RecvFrame(p, node)
 }
 
 type watchedFuture struct {
 	rt.Future
 	w    *watched
 	node int
-	name string
+	name rt.Name
 }
 
 func (f watchedFuture) Wait(p rt.Proc) any {
 	if !f.Done() {
-		f.w.mustBeEmpty(f.node, p, f.name)
+		f.w.mustBeEmpty(f.node, p, f.name.String())
 	}
 	return f.Future.Wait(p)
 }
 
-func (w *watched) NewFuture(node int, name string) rt.Future {
+func (w *watched) NewFuture(node int, name rt.Name) rt.Future {
 	return watchedFuture{w.Transport.NewFuture(node, name), w, node, name}
 }
 
@@ -78,17 +78,17 @@ type watchedSemaphore struct {
 	rt.Semaphore
 	w    *watched
 	node int
-	name string
+	name rt.Name
 }
 
 func (s watchedSemaphore) Acquire(p rt.Proc) {
 	if s.Busy() {
-		s.w.mustBeEmpty(s.node, p, s.name)
+		s.w.mustBeEmpty(s.node, p, s.name.String())
 	}
 	s.Semaphore.Acquire(p)
 }
 
-func (w *watched) NewSemaphore(node int, name string, permits int) rt.Semaphore {
+func (w *watched) NewSemaphore(node int, name rt.Name, permits int) rt.Semaphore {
 	return watchedSemaphore{w.Transport.NewSemaphore(node, name, permits), w, node, name}
 }
 
@@ -254,7 +254,7 @@ func TestOutboxFlushesBeforeBusyAcquire(t *testing.T) {
 	sys, w := watchedSystem(t, Config{Processors: 2, Batching: true}, nil, nil, nil)
 	err := sys.Run(func(root *Thread) {
 		n, p := root.node, root.proc
-		sem := sys.tr.NewSemaphore(0, "test", 1)
+		sem := sys.tr.NewSemaphore(0, rt.Named("test"), 1)
 		n.send(p, 1, mark(1))
 		n.acquire(p, sem)
 		if len(w.sends) != 0 {

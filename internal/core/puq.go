@@ -87,14 +87,11 @@ func (q *pendingUpdates) addrs() []vm.Addr {
 	return out
 }
 
-// queuePendingUpdate buffers one incoming update at this node. A
-// borrowed entry's payloads alias the transport's receive buffer, which
-// dies when the dispatch returns; queuing retains it, so it is re-owned
-// first.
-func (n *Node) queuePendingUpdate(u wire.UpdateEntry, borrowed bool) {
-	if borrowed {
-		u = wire.OwnEntry(u)
-	}
+// queuePendingUpdate buffers one incoming update at this node. The
+// entry's payload is a view into the received frame, which dies when the
+// dispatch returns; queuing retains it, so it is re-owned first.
+func (n *Node) queuePendingUpdate(u wire.UpdateEntry) {
+	u = wire.OwnEntry(u)
 	n.PendingQueued++
 	n.PendingCoalesced += n.puq.queue(u)
 }

@@ -121,10 +121,11 @@ func (n *Node) releaseLock(t *Thread, id int) {
 
 // serveLockRequest handles a remote acquire (eager LockAcq or lazy
 // LrcLockAcq, whose vector timestamp is reqVT) by path reversal: a node
-// that is not the queue's tail passes the request on along its hint; the
-// tail grants a free lock it owns or records the requester as its
-// successor. Either way the hint then names the requester, the new tail.
-func (n *Node) serveLockRequest(p rt.Proc, m wire.Message, id, req int, reqVT []uint32) {
+// that is not the queue's tail forwards the request's frame along its
+// hint; the tail grants a free lock it owns or records the requester as
+// its successor. Either way the hint then names the requester, the new
+// tail.
+func (n *Node) serveLockRequest(p rt.Proc, frame []byte, id, req int, reqVT []uint32) {
 	p.Advance(n.sys.cost.LockHandlerCPU)
 	se := n.mustSynch(id, directory.SynchLock)
 	if req == n.id {
@@ -134,7 +135,7 @@ func (n *Node) serveLockRequest(p rt.Proc, m wire.Message, id, req int, reqVT []
 	// Every state change precedes the send, which yields.
 	if dst := se.ProbOwner; dst != n.id {
 		se.ProbOwner = req
-		n.send(p, dst, m)
+		n.forwardFrame(p, dst, frame)
 		return
 	}
 	se.ProbOwner = req

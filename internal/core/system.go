@@ -328,7 +328,7 @@ func NewSystem(cfg Config, decls []Decl, locks []LockDecl, barriers []BarrierDec
 			Owned:     true,
 			Backing:   backing,
 			Synchq:    d.Synchq,
-			Sem:       s.tr.NewSemaphore(d.Home, fmt.Sprintf("entry[%#x]", d.Start), 1),
+			Sem:       s.tr.NewSemaphore(d.Home, rt.Named(fmt.Sprintf("entry[%#x]", d.Start)), 1),
 		}
 		s.nodes[d.Home].dir.Insert(e)
 		if cfg.HomePolicy == HomeStriped {
@@ -356,7 +356,7 @@ func NewSystem(cfg Config, decls []Decl, locks []LockDecl, barriers []BarrierDec
 					Group:     d.Group,
 					ProbOwner: d.Home,
 					Synchq:    -1,
-					Sem:       s.tr.NewSemaphore(sp, fmt.Sprintf("entry[n%d %#x]", sp, d.Start), 1),
+					Sem:       s.tr.NewSemaphore(sp, rt.Named(fmt.Sprintf("entry[n%d %#x]", sp, d.Start)), 1),
 				})
 			}
 		}

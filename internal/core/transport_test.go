@@ -3,6 +3,8 @@ package core
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"reflect"
 	"sync/atomic"
 	"testing"
 
@@ -155,5 +157,42 @@ func TestTransportPartitionDeadlock(t *testing.T) {
 		if faults.Dropped() == 0 {
 			t.Errorf("%s: partition cut nothing", name)
 		}
+	}
+}
+
+// TestDeadlockReportNamesDirectoryPrimitives pins the deadlock report's
+// words for the primitives made per object, whose names are formatted
+// only when a report reads them: a directory fetch's future and a fetched
+// entry's semaphore. Node 2 is cut off from the home, so its fetch never
+// completes; on node 1 the read reply is lost, so one reader waits for
+// it forever holding the fetched entry's semaphore, and the other waits
+// on the semaphore.
+func TestDeadlockReportNamesDirectoryPrimitives(t *testing.T) {
+	tr := transportFor(t, "sim", 3)
+	tr.SetFaults(&rt.Faults{
+		Partition: []int{0, 0, 1},
+		Drop:      func(src, dst int, m wire.Message) bool { return m.Kind() == wire.KindReadReply },
+	})
+	decl := Decl{Name: "tbl", Start: page(0), Size: 4, Annot: protocol.ReadOnly, Synchq: -1}
+	sys := NewSystem(Config{Processors: 3, Transport: tr}, []Decl{decl}, nil, nil)
+	err := sys.Run(func(root *Thread) {
+		root.Spawn(2, "islanded", func(w *Thread) { w.ReadWord(page(0)) })
+		root.Spawn(1, "first", func(w *Thread) { w.ReadWord(page(0)) })
+		root.Spawn(1, "second", func(w *Thread) { w.ReadWord(page(0)) })
+	})
+	var dl *sim.DeadlockError
+	if !errors.As(err, &dl) {
+		t.Fatalf("Run = %v, want DeadlockError", err)
+	}
+	want := []string{
+		fmt.Sprintf("first@n1: semaphore entry[n1 %#x]", page(0)),
+		fmt.Sprintf("islanded@n2: future dirfetch[n2 %#x]", page(0)),
+		"munin-root@n0: mailbox inbox[0]",
+		"munin-root@n1: mailbox inbox[1]",
+		"munin-root@n2: mailbox inbox[2]",
+		"second@n1: future rpc[n1 read-req]",
+	}
+	if !reflect.DeepEqual(dl.Blocked, want) {
+		t.Errorf("deadlock report\n got %q\nwant %q", dl.Blocked, want)
 	}
 }

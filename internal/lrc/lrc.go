@@ -124,6 +124,11 @@ func New(self, nodes int) *Engine {
 // VT returns a copy of the node's vector timestamp.
 func (e *Engine) VT() []uint32 { return append([]uint32(nil), e.vt...) }
 
+// VTView returns the node's vector timestamp itself, read-only: it
+// changes as the engine does, so a caller reads it at once (a message
+// encoded where it is built) or copies it.
+func (e *Engine) VTView() []uint32 { return e.vt }
+
 // Floor returns a copy of the global-knowledge floor.
 func (e *Engine) Floor() []uint32 { return append([]uint32(nil), e.floor...) }
 
@@ -169,34 +174,28 @@ func (e *Engine) noteOne(addr vm.Addr, j int, ivl uint32) {
 	}
 }
 
-// NoticesSince lists every known interval above the given vector
-// timestamp, ordered by (node, interval) — the write notices a
-// synchronization message to a node with that timestamp must carry. Each
-// node's intervals ascend, so the ones to send are a suffix found by
-// binary search: the cost is what is returned, not what is known.
-func (e *Engine) NoticesSince(vt []uint32) []wire.LrcInterval {
-	// Size the list and one backing array for every address list first.
-	ivls, addrs := 0, 0
+// AppendNoticesSince appends to dst every known interval above the
+// given vector timestamp, ordered by (node, interval) — the write notices
+// a synchronization message to a node with that timestamp must carry.
+// Each node's intervals ascend, so the ones to send are a suffix found by
+// binary search: the cost is what is returned, not what is known. Nothing
+// is copied: each interval's Addrs is a read-only, capacity-clipped view
+// of the engine's own list, which the engine never writes in place. A
+// lazy send lists its notices this way into scratch it reuses; a caller
+// that keeps the list past the engine's next change copies it.
+func (e *Engine) AppendNoticesSince(dst []wire.LrcInterval, vt []uint32) []wire.LrcInterval {
+	ivls := 0
+	for j := 0; j < e.nodes; j++ {
+		ivls += len(e.knownAbove(j, vt))
+	}
+	dst = slices.Grow(dst, ivls)
 	for j := 0; j < e.nodes; j++ {
 		for _, iv := range e.knownAbove(j, vt) {
-			ivls++
-			addrs += len(iv.addrs)
+			dst = append(dst, wire.LrcInterval{Node: uint8(j), Ivl: iv.ivl, Addrs: slices.Clip(iv.addrs)})
+			e.Stats.NoticesSent += len(iv.addrs)
 		}
 	}
-	if ivls == 0 {
-		return nil
-	}
-	out := make([]wire.LrcInterval, 0, ivls)
-	backing := make([]vm.Addr, 0, addrs)
-	for j := 0; j < e.nodes; j++ {
-		for _, iv := range e.knownAbove(j, vt) {
-			at := len(backing)
-			backing = append(backing, iv.addrs...)
-			out = append(out, wire.LrcInterval{Node: uint8(j), Ivl: iv.ivl, Addrs: backing[at:len(backing):len(backing)]})
-		}
-	}
-	e.Stats.NoticesSent += addrs
-	return out
+	return dst
 }
 
 // knownAbove returns node j's known intervals above vt[j] (all of them
@@ -255,7 +254,7 @@ func (e *Engine) Absorb(vt []uint32, notices []wire.LrcInterval) int {
 
 // newAddrs counts the addresses of the notices Absorb will keep: those
 // of intervals above what is known of their node. The count is exact
-// when each node's intervals ascend, as NoticesSince lists them.
+// when each node's intervals ascend, as AppendNoticesSince lists them.
 func (e *Engine) newAddrs(notices []wire.LrcInterval) int {
 	n := 0
 	for _, iv := range notices {

@@ -28,18 +28,18 @@ func TestNoticesSinceAndAbsorb(t *testing.T) {
 	a.CloseInterval([]vm.Addr{0x80002000})
 
 	b := New(1, 3)
-	if touched := b.Absorb(a.VT(), a.NoticesSince(b.VT())); touched != 2 {
+	if touched := b.Absorb(a.VT(), a.AppendNoticesSince(nil, b.VT())); touched != 2 {
 		t.Fatalf("absorb touched %d objects, want 2", touched)
 	}
 	if got := b.VT(); !reflect.DeepEqual(got, []uint32{2, 0, 0}) {
 		t.Fatalf("vt after absorb = %v", got)
 	}
 	// Idempotent: absorbing the same notices again touches nothing.
-	if touched := b.Absorb(a.VT(), a.NoticesSince([]uint32{0, 0, 0})); touched != 0 {
+	if touched := b.Absorb(a.VT(), a.AppendNoticesSince(nil, []uint32{0, 0, 0})); touched != 0 {
 		t.Fatalf("re-absorb touched %d objects", touched)
 	}
 	// b can now forward a's intervals to a third node.
-	ns := b.NoticesSince([]uint32{1, 0, 0})
+	ns := b.AppendNoticesSince(nil, []uint32{1, 0, 0})
 	if len(ns) != 1 || ns[0].Node != 0 || ns[0].Ivl != 2 {
 		t.Fatalf("forwarded notices = %+v", ns)
 	}
@@ -69,14 +69,14 @@ func TestAbsorbCopiesNotices(t *testing.T) {
 		}
 		ns[i].Addrs = append(ns[i].Addrs, 0xbeef0000)
 	}
-	if got := e.NoticesSince([]uint32{0, 0, 0}); !reflect.DeepEqual(got, want) {
+	if got := e.AppendNoticesSince(nil, []uint32{0, 0, 0}); !reflect.DeepEqual(got, want) {
 		t.Fatalf("notices after the caller rewrote its lists = %+v, want %+v", got, want)
 	}
 	// Appending to what the engine hands out must not reach its copy
 	// either (each interval's addresses are capacity-clipped).
-	got := e.NoticesSince([]uint32{0, 0, 0})
+	got := e.AppendNoticesSince(nil, []uint32{0, 0, 0})
 	_ = append(got[0].Addrs, 0xbeef0000)
-	if again := e.NoticesSince([]uint32{0, 0, 0}); !reflect.DeepEqual(again, want) {
+	if again := e.AppendNoticesSince(nil, []uint32{0, 0, 0}); !reflect.DeepEqual(again, want) {
 		t.Fatalf("notices after appending to a returned list = %+v, want %+v", again, want)
 	}
 }
@@ -130,7 +130,7 @@ func TestRecordsAfterAndGC(t *testing.T) {
 		t.Fatalf("records after GC = %+v", rs)
 	}
 	// Notices at or below the floor are pruned from forwarding too.
-	if ns := e.NoticesSince([]uint32{0, 0}); len(ns) != 1 || ns[0].Ivl != 2 {
+	if ns := e.AppendNoticesSince(nil, []uint32{0, 0}); len(ns) != 1 || ns[0].Ivl != 2 {
 		t.Fatalf("notices after GC = %+v", ns)
 	}
 }

@@ -377,13 +377,19 @@ func longEngine(nodes, perNode int) (*Engine, *model) {
 // questions at every cut of every list.
 func requireStoresMatchModel(t *testing.T, when string, e *Engine, m *model, perNode int) {
 	t.Helper()
+	var scratch []wire.LrcInterval
 	for cut := 0; cut <= perNode+1; cut++ {
 		vt := make([]uint32, m.nodes)
 		for j := range vt {
 			vt[j] = uint32((cut + j) % (perNode + 2))
 		}
-		if got, want := e.NoticesSince(vt), m.noticesSince(vt); !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: NoticesSince(%v) = %d notices %+v, linear scan finds %d %+v", when, vt, len(got), got, len(want), want)
+		if got, want := e.AppendNoticesSince(nil, vt), m.noticesSince(vt); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: AppendNoticesSince(nil, %v) = %d notices %+v, linear scan finds %d %+v", when, vt, len(got), got, len(want), want)
+		}
+		// The uncopied listing, into reused scratch, lists the same.
+		scratch = e.AppendNoticesSince(scratch[:0], vt)
+		if want := m.noticesSince(vt); len(scratch) != len(want) || len(want) > 0 && !reflect.DeepEqual(scratch, want) {
+			t.Fatalf("%s: AppendNoticesSince(%v) = %+v, linear scan finds %+v", when, vt, scratch, want)
 		}
 		for a := range m.records {
 			if got, want := e.RecordsAfter(a, uint32(cut)), m.recordsAfter(0, a, uint32(cut)); !reflect.DeepEqual(got, want) {
@@ -488,9 +494,11 @@ func BenchmarkNoticesSinceLongHistory(b *testing.B) {
 	e, _ := longEngine(8, 2000)
 	vt := e.VT()
 	vt[3]--
+	var scratch []wire.LrcInterval
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		benchSink += len(e.NoticesSince(vt))
+		scratch = e.AppendNoticesSince(scratch[:0], vt)
+		benchSink += len(scratch)
 	}
 }

@@ -82,7 +82,7 @@ func MatMul(c apps.MatMulConfig) (apps.RunResult, error) {
 			copy(cOut[lo*n:], bytesInt32(payload))
 		}
 	})
-	if err := cl.sim.Run(); err != nil {
+	if err := cl.run(); err != nil {
 		return apps.RunResult{}, err
 	}
 	return cl.result(apps.ChecksumInt32(cOut)), nil

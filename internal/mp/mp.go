@@ -50,6 +50,14 @@ func newCluster(cost model.CostModel, n int) *cluster {
 		stash: make(map[int][]wire.MPData)}
 }
 
+// run runs the cluster to completion, then gives back the frames a run
+// that ended early left on the wire or in inboxes.
+func (c *cluster) run() error {
+	err := c.sim.Run()
+	c.net.Close()
+	return err
+}
+
 // send transmits a tagged payload; the receive side pays a per-byte touch
 // cost when it copies the data out (recvInto).
 func (c *cluster) send(p *sim.Proc, src, dst int, tag uint32, payload []byte) {
@@ -73,6 +81,9 @@ func (c *cluster) recvMatch(p *sim.Proc, node int, pred func(tag uint32) bool) (
 		if !ok {
 			panic(fmt.Sprintf("mp: node %d expected MPData, got %T", node, env.Msg))
 		}
+		// The payload is a view into the frame: keep a copy, free the frame.
+		m.Payload = append([]byte(nil), m.Payload...)
+		env.Release()
 		if pred(m.Tag) {
 			p.Advance(sim.Time(len(m.Payload)) * c.cost.MemTouchPerByte)
 			return m.Tag, m.Payload

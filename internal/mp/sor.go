@@ -149,7 +149,7 @@ func SOR(c apps.SORConfig) (apps.RunResult, error) {
 			}
 		}
 	})
-	if err := cl.sim.Run(); err != nil {
+	if err := cl.run(); err != nil {
 		return apps.RunResult{}, err
 	}
 	flat := make([]float32, 0, rows*cols)

@@ -114,7 +114,7 @@ func TSP(c apps.TSPConfig) (apps.RunResult, error) {
 			}
 		})
 	}
-	if err := cl.sim.Run(); err != nil {
+	if err := cl.run(); err != nil {
 		return apps.RunResult{}, fmt.Errorf("mp: tsp: %w", err)
 	}
 	return cl.result(uint32(best)), nil

@@ -21,35 +21,70 @@ import (
 // (Ethernet framing plus V-kernel style message header).
 const HeaderBytes = 34
 
-// Envelope is a message in flight or delivered.
+// Envelope is a message in flight or delivered. On its way and in an
+// inbox it carries only the encoded frame, in a pooled buffer it owns
+// (Buf); the receiver decodes what it needs. Recv decodes Msg for callers
+// that want a message value.
 type Envelope struct {
-	Src, Dst    int
+	Src, Dst int
+	// Msg is the decoded message: nil on an envelope RecvFrame returns,
+	// an owned copy on one a trace observer is shown, and on one Recv
+	// returns a view into Buf, which must not be used after Release —
+	// whatever the consumer keeps past it is re-owned first (wire.Own /
+	// wire.OwnEntry).
 	Msg         wire.Message
 	Bytes       int // payload + HeaderBytes
 	SentAt      sim.Time
 	DeliveredAt sim.Time
 
-	// Borrowed marks a zero-copy delivery: Msg was decoded with
-	// wire.UnmarshalView and its byte payloads alias the pooled receive
-	// buffer Buf. The consumer must call Release exactly once after it
-	// is done with Msg, and must re-own (wire.Own / wire.OwnEntry)
-	// anything it retains past that point.
-	Borrowed bool
-	// Buf is the pooled receive buffer backing a borrowed Msg (nil on
-	// copying transports). A field rather than a closure so synthetic
-	// batch-rider envelopes stay allocation-free.
+	// Buf is the pooled buffer holding the encoded frame. The envelope
+	// owns it: the consumer calls Release exactly once when it is done
+	// with the frame and anything decoded from it.
 	Buf *[]byte
 }
 
-// Release returns a borrowed envelope's receive buffer to the pool.
-// Safe (and a no-op) on envelopes that borrow nothing; must not be
-// called twice.
+// Frame returns the encoded message the envelope carries (nil once
+// released).
+func (e *Envelope) Frame() []byte {
+	if e.Buf == nil {
+		return nil
+	}
+	return *e.Buf
+}
+
+// Release returns the envelope's frame buffer to the pool. Safe (and a
+// no-op) on an envelope that holds none; must not be called twice.
 func (e *Envelope) Release() {
 	if e.Buf != nil {
 		wire.PutBuf(e.Buf)
 		e.Buf = nil
-		e.Borrowed = false
 	}
+}
+
+// Decoded returns env with Msg view-decoded from its frame: the decode
+// half of every transport's Recv. The message borrows from the frame, so
+// it lives until env is released. A frame that does not decode was sent
+// by a broken encoder, and panics.
+func Decoded(env Envelope) Envelope {
+	msg, err := wire.UnmarshalView(env.Frame())
+	if err != nil {
+		panic(fmt.Sprintf("network: %v frame from node %d does not decode: %v", wire.FrameKind(env.Frame()), env.Src, err))
+	}
+	env.Msg = msg
+	return env
+}
+
+// Traced returns what a trace observer is shown of env: an owned decoded
+// copy of its message and no buffer, so the observer may keep the
+// message and the receiver keeps the frame. Transports call it only when
+// an observer is installed.
+func Traced(env Envelope) Envelope {
+	msg, err := wire.Unmarshal(env.Frame())
+	if err != nil {
+		panic(fmt.Sprintf("network: %v frame from node %d does not decode: %v", wire.FrameKind(env.Frame()), env.Src, err))
+	}
+	env.Msg, env.Buf = msg, nil
+	return env
 }
 
 // Stats aggregates traffic counts. Messages and Bytes attribute traffic
@@ -91,7 +126,7 @@ func (s *Stats) CountFrame(frame []byte) {
 	}
 	s.BatchEnvelopes++
 	inner := 0
-	wire.ForEachRider(frame, func(rider []byte) {
+	_ = wire.ForEachRider(frame, func(rider []byte) {
 		k := wire.FrameKind(rider)
 		s.BatchedMessages++
 		s.Messages[k]++
@@ -134,7 +169,11 @@ type Network struct {
 	//-injected reordering never violates per-pair FIFO order.
 	pairLast map[[2]int]sim.Time
 
-	// Trace, if set, observes every delivered envelope.
+	// deliveries holds every delivery record made, and free those not on
+	// the wire: a frame in flight is scheduled as its record's fire.
+	deliveries, free []*delivery
+
+	// Trace, if set, observes every delivered envelope (Traced).
 	Trace func(Envelope)
 
 	// Faults, if set, injects drops, partitions and reordering.
@@ -182,21 +221,23 @@ func (nw *Network) Send(p *sim.Proc, src, dst int, msg wire.Message) {
 // SendFrame transmits the encoded message in bp from p's node to dst and
 // takes ownership of bp. It charges p the send-path CPU (against p's
 // current time kind), models bus contention and wire time, and delivers
-// into dst's inbox. The frame is decoded with wire.Unmarshal and the
-// decoded copy is what arrives, so that codec and simulation can never
-// drift apart.
+// the frame itself into dst's inbox: nothing is decoded on the way, and
+// the receiver decodes from the sender's buffer, which its envelope then
+// owns. A frame cut by fault injection, or left on the wire or in an
+// inbox when the run ends (Close), goes back to the pool.
 func (nw *Network) SendFrame(p *sim.Proc, src, dst int, bp *[]byte) {
-	defer wire.PutBuf(bp)
+	handed := false
+	defer func() {
+		if !handed { // cut, or unwound by the end of the run
+			wire.PutBuf(bp)
+		}
+	}()
 	frame := *bp
 	if dst < 0 || dst >= len(nw.inboxes) {
 		panic(fmt.Sprintf("network: send to invalid node %d", dst))
 	}
 	if src == dst {
 		panic(fmt.Sprintf("network: node %d sending %v to itself", src, wire.FrameKind(frame)))
-	}
-	decoded, err := wire.Unmarshal(frame)
-	if err != nil {
-		panic(fmt.Sprintf("network: message %v does not round-trip: %v", wire.FrameKind(frame), err))
 	}
 	size := len(frame) + HeaderBytes
 
@@ -234,22 +275,80 @@ func (nw *Network) SendFrame(p *sim.Proc, src, dst int, bp *[]byte) {
 		nw.pairLast[pair] = deliver
 	}
 
-	env := Envelope{Src: src, Dst: dst, Msg: decoded, Bytes: size, SentAt: now, DeliveredAt: deliver}
-	nw.sim.At(deliver, func() {
-		nw.stats.Delivered++
-		if nw.Trace != nil {
-			nw.Trace(env)
-		}
-		nw.inboxes[dst].Put(env)
-	})
+	d := nw.delivery()
+	d.env = Envelope{Src: src, Dst: dst, Bytes: size, SentAt: now, DeliveredAt: deliver, Buf: bp}
+	handed = true
+	nw.sim.At(deliver, d.fire)
 }
 
-// Recv blocks p until a message arrives for node and charges the
-// receive-path CPU.
-func (nw *Network) Recv(p *sim.Proc, node int) Envelope {
+// delivery is one frame on the modeled wire, scheduled at its delivery
+// time. fire is its run method bound once, when the record is made, so
+// scheduling a delivery allocates nothing: records are reused from the
+// network's free list.
+type delivery struct {
+	nw   *Network
+	env  Envelope
+	fire func()
+}
+
+// delivery returns a free delivery record, making one when none is.
+func (nw *Network) delivery() *delivery {
+	if k := len(nw.free); k > 0 {
+		d := nw.free[k-1]
+		nw.free = nw.free[:k-1]
+		return d
+	}
+	d := &delivery{nw: nw}
+	d.fire = d.run
+	nw.deliveries = append(nw.deliveries, d)
+	return d
+}
+
+// run puts the record's frame into its destination inbox and frees the
+// record.
+func (d *delivery) run() {
+	nw, env := d.nw, d.env
+	d.env = Envelope{}
+	nw.free = append(nw.free, d)
+	nw.stats.Delivered++
+	if nw.Trace != nil {
+		nw.Trace(Traced(env))
+	}
+	nw.inboxes[env.Dst].Put(env)
+}
+
+// Close gives back the frames a finished run left behind: those still on
+// the wire and those queued in inboxes. Call it once the simulation has
+// stopped; the network delivers nothing afterwards.
+func (nw *Network) Close() {
+	for _, d := range nw.deliveries {
+		d.env.Release()
+	}
+	for _, in := range nw.inboxes {
+		in.Drain(func(env Envelope) { env.Release() })
+	}
+}
+
+// RecvFrame blocks p until a frame arrives for node and charges the
+// receive-path CPU. The envelope carries the frame and owns its buffer;
+// the caller releases it.
+func (nw *Network) RecvFrame(p *sim.Proc, node int) Envelope {
 	env := nw.inboxes[node].Get(p)
+	received := false
+	defer func() {
+		if !received { // the run ended during the charge
+			env.Release()
+		}
+	}()
 	p.Advance(nw.cost.MsgRecvCPU)
+	received = true
 	return env
+}
+
+// Recv is RecvFrame plus decode (Decoded): the envelope's message borrows
+// from its frame until the caller releases it.
+func (nw *Network) Recv(p *sim.Proc, node int) Envelope {
+	return Decoded(nw.RecvFrame(p, node))
 }
 
 // Pending reports the number of undelivered messages queued for node.

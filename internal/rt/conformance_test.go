@@ -301,9 +301,9 @@ func TestConformanceNoSenderAliasing(t *testing.T) {
 // a live transport returns only once every proc has exited).
 func TestConformanceWakeups(t *testing.T) {
 	eachTransport(t, 2, func(t *testing.T, tr rt.Transport) {
-		futA, futB := tr.NewFuture(0, "a"), tr.NewFuture(0, "b")
-		never := tr.NewFuture(0, "never")
-		sem := tr.NewSemaphore(0, "s", 1)
+		futA, futB := tr.NewFuture(0, rt.Named("a")), tr.NewFuture(0, rt.Named("b"))
+		never := tr.NewFuture(0, rt.Named("never"))
+		sem := tr.NewSemaphore(0, rt.Named("s"), 1)
 		var parking atomic.Int32
 		var gotInbox, gotA, gotB, gotSem, send atomic.Bool
 		deadline := time.Now().Add(10 * time.Second)

@@ -30,9 +30,7 @@ type Live struct {
 
 	// deliver moves one encoded message toward its destination inbox and
 	// takes ownership of bp, the pooled buffer holding the encoding: it
-	// either hands bp on inside a Borrowed envelope or returns it to the
-	// pool. env carries no Msg yet: what reaches an inbox is always
-	// decoded from a buffer.
+	// either hands bp on as an envelope's frame or returns it to the pool.
 	deliver func(env Envelope, bp *[]byte)
 	// shutdown tears down delivery resources after every proc exited.
 	shutdown func()
@@ -116,9 +114,9 @@ func (p *liveProc) blockReason() string {
 	case onInbox:
 		return "inbox[" + p.name + "]"
 	case onFuture:
-		return "future " + p.parkedAt.(*liveFuture).name
+		return "future " + p.parkedAt.(*liveFuture).name.String()
 	case onSemaphore:
-		return "semaphore " + p.parkedAt.(*liveSemaphore).name
+		return "semaphore " + p.parkedAt.(*liveSemaphore).name.String()
 	}
 	return ""
 }
@@ -135,31 +133,13 @@ func NewChan(cost model.CostModel, n int) *Live {
 	return l
 }
 
-// deliverChan decodes the sender's encode buffer in place and enqueues
-// the result: the buffer becomes the receiver's, exactly as a frame read
-// off a mux lane does, so the message never aliases sender memory and a
-// kind that does not round-trip the codec fails here.
+// deliverChan enqueues the sender's encode buffer as the envelope's
+// frame: the buffer becomes the receiver's, exactly as a frame read off a
+// mux lane does, so the receiver never aliases memory the sender still
+// uses, and nothing is decoded until the receiver decodes it.
 func (l *Live) deliverChan(env Envelope, bp *[]byte) {
-	kind := wire.FrameKind(*bp)
-	env, err := borrow(env, bp)
-	if err != nil {
-		l.fail(fmt.Errorf("rt: message %v does not round-trip: %w", kind, err))
-		return
-	}
+	env.Buf = bp
 	l.enqueue(env)
-}
-
-// borrow is the one place a live transport turns bytes into a delivered
-// message: it view-decodes the encoding in bp into env.Msg and makes env
-// the owner of bp. On a decode error bp goes back to the pool.
-func borrow(env Envelope, bp *[]byte) (Envelope, error) {
-	msg, err := wire.UnmarshalView(*bp)
-	if err != nil {
-		wire.PutBuf(bp)
-		return Envelope{}, err
-	}
-	env.Msg, env.Borrowed, env.Buf = msg, true, bp
-	return env, nil
 }
 
 func newLive(name string, cost model.CostModel, n int) *Live {
@@ -425,12 +405,12 @@ func (l *Live) liveProcOf(p Proc, node int) *liveProc {
 }
 
 // NewFuture creates a one-shot value owned by node.
-func (l *Live) NewFuture(node int, name string) Future {
+func (l *Live) NewFuture(node int, name Name) Future {
 	return &liveFuture{n: l.nodes[node], name: name}
 }
 
 // NewSemaphore creates a counting semaphore owned by node.
-func (l *Live) NewSemaphore(node int, name string, permits int) Semaphore {
+func (l *Live) NewSemaphore(node int, name Name, permits int) Semaphore {
 	return &liveSemaphore{n: l.nodes[node], name: name, permits: permits}
 }
 
@@ -475,7 +455,7 @@ func (l *Live) enqueue(env Envelope) {
 	n.stats.Delivered++
 	env.DeliveredAt = l.Now()
 	if l.trace != nil {
-		l.trace(env)
+		l.trace(network.Traced(env))
 	}
 	if n.head > 0 && len(n.inbox) == cap(n.inbox) {
 		// Full only because of what has been received: close the gap
@@ -508,9 +488,14 @@ func (l *Live) enqueue(env Envelope) {
 	n.wake(onInbox, nil)
 }
 
-// Recv blocks p until a message arrives for node, takes the oldest
-// envelope out of the node's inbox and charges the receive path.
+// Recv is RecvFrame plus decode.
 func (l *Live) Recv(p Proc, node int) Envelope {
+	return network.Decoded(l.RecvFrame(p, node))
+}
+
+// RecvFrame blocks p until a frame arrives for node, takes the oldest
+// envelope out of the node's inbox and charges the receive path.
+func (l *Live) RecvFrame(p Proc, node int) Envelope {
 	lp := l.liveProcOf(p, node)
 	n := lp.node
 	for len(n.inbox) == 0 {
@@ -529,9 +514,9 @@ func (l *Live) Recv(p Proc, node int) Envelope {
 	return env
 }
 
-// releaseInboxes returns any borrowed receive buffers still queued to
-// the pool. Called by Run once every proc (and, via the shutdown hook,
-// every socket reader) has exited.
+// releaseInboxes returns the frames still queued to the pool. Called by
+// Run once every proc (and, via the shutdown hook, every socket reader)
+// has exited.
 func (l *Live) releaseInboxes() {
 	for _, n := range l.nodes {
 		n.mu.Lock()
@@ -637,7 +622,7 @@ func (p *liveProc) block(on parkKind, at any) {
 
 type liveFuture struct {
 	n    *liveNode
-	name string
+	name Name
 	done bool
 	v    any
 }
@@ -646,7 +631,7 @@ type liveFuture struct {
 // node holding its monitor (dispatcher or user thread context).
 func (f *liveFuture) Complete(v any) {
 	if f.done {
-		panic("rt: future " + f.name + " completed twice")
+		panic("rt: future " + f.name.String() + " completed twice")
 	}
 	f.done = true
 	f.v = v
@@ -656,6 +641,10 @@ func (f *liveFuture) Complete(v any) {
 
 // Done reports whether the future has been completed.
 func (f *liveFuture) Done() bool { return f.done }
+
+// Reset makes the completed future incomplete again under name. Must
+// hold the owning node's monitor.
+func (f *liveFuture) Reset(name Name) { f.name, f.done, f.v = name, false, nil }
 
 // Wait blocks p until the future completes.
 func (f *liveFuture) Wait(p Proc) any {
@@ -669,7 +658,7 @@ func (f *liveFuture) Wait(p Proc) any {
 
 type liveSemaphore struct {
 	n       *liveNode
-	name    string
+	name    Name
 	permits int
 }
 

@@ -35,14 +35,12 @@ import (
 // still writes a lone frame at once: there is no timer and no window.
 //
 // The receive path is zero-copy past the socket: a frame's payload is
-// read into a pooled buffer (wire.GetBufN) and decoded with
-// wire.UnmarshalView, so the envelope's message borrows its byte payloads
-// from the buffer instead of copying them. The envelope carries the
-// buffer (Envelope.Borrowed/Buf) and the consumer releases it after
-// dispatch; anything retained past dispatch is re-owned explicitly
+// read into a pooled buffer (wire.GetBufN) that becomes the envelope's
+// frame (Envelope.Buf), undecoded; the consumer decodes it in place and
+// releases it after dispatch, re-owning anything it retains past that
 // (wire.Own / wire.OwnEntry). The sender's encode buffer goes back to the
-// pool as soon as its bytes are in the lane's buffer: the receiver
-// decodes from its own buffer, so handlers never alias sender memory.
+// pool as soon as its bytes are in the lane's buffer: the receiver reads
+// its own buffer, so handlers never alias sender memory.
 //
 // Frame format, length-prefixed on the wire:
 //
@@ -287,8 +285,8 @@ func (t *Mux) close() {
 	t.loops.Wait()
 }
 
-// muxFramer reads and validates mux frames from a byte stream, decoding
-// each payload zero-copy into a borrowed envelope. It is deliberately
+// muxFramer reads and validates mux frames from a byte stream, each
+// payload into a pooled buffer an envelope owns. It is deliberately
 // separable from the transport (any io.Reader) so the fuzzer can drive it
 // with corrupt, truncated, oversized and interleaved frames directly.
 type muxFramer struct {
@@ -305,8 +303,9 @@ func newMuxFramer(r io.Reader, nodes int) *muxFramer {
 // frame reads one frame. io.EOF is returned only at a clean frame
 // boundary (stream closed between frames); every malformed input —
 // truncated header or payload, out-of-range length, invalid route, a
-// payload that does not decode — is a distinct error, never a panic, and
-// never leaves a pooled buffer borrowed.
+// payload that is not a message kind — is a distinct error, never a
+// panic, and never leaves a pooled buffer borrowed. The payload is not
+// decoded: its receiver does that.
 func (f *muxFramer) frame() (Envelope, error) {
 	// The header is parsed where it lies in the read buffer.
 	hdr, err := f.r.Peek(muxFrameHeader)
@@ -336,9 +335,9 @@ func (f *muxFramer) frame() (Envelope, error) {
 		wire.PutBuf(bp)
 		return Envelope{}, fmt.Errorf("rt: mux frame payload truncated: %w", err)
 	}
-	env, err := borrow(Envelope{Src: src, Dst: dst, Bytes: size + network.HeaderBytes, SentAt: sentAt}, bp)
-	if err != nil {
-		return Envelope{}, fmt.Errorf("rt: mux frame from node %d does not decode: %w", src, err)
+	if k := wire.FrameKind(*bp); !wire.ValidKind(k) {
+		wire.PutBuf(bp)
+		return Envelope{}, fmt.Errorf("rt: mux frame from node %d holds no message (kind %d)", src, k)
 	}
-	return env, nil
+	return Envelope{Src: src, Dst: dst, Bytes: size + network.HeaderBytes, SentAt: sentAt, Buf: bp}, nil
 }

@@ -68,8 +68,8 @@ func TestLaneForPinsPairs(t *testing.T) {
 
 // TestMuxFramerRoundTrip feeds the framer a stream of interleaved frames
 // for several different pairs — exactly what a shared lane carries — and
-// checks each envelope comes back with its own route, stamp and payload,
-// borrowed from a pooled buffer that Release returns.
+// checks each envelope comes back with its own route, stamp and frame,
+// held in a pooled buffer that Release returns.
 func TestMuxFramerRoundTrip(t *testing.T) {
 	baseline := wire.Outstanding()
 	page := make([]byte, 8192)
@@ -99,9 +99,10 @@ func TestMuxFramerRoundTrip(t *testing.T) {
 				t.Errorf("%s: frame %d: route %d->%d at %d, want %d->%d at %d",
 					split.name, i, env.Src, env.Dst, env.SentAt, routes[i][0], routes[i][1], 100+i)
 			}
-			if !env.Borrowed || env.Buf == nil {
-				t.Errorf("%s: frame %d: envelope is not borrowed from a pooled buffer", split.name, i)
+			if env.Buf == nil || env.Msg != nil {
+				t.Errorf("%s: frame %d: envelope does not carry an undecoded frame", split.name, i)
 			}
+			env = network.Decoded(env)
 			if !reflect.DeepEqual(env.Msg, want) {
 				t.Errorf("%s: frame %d: decoded %#v, want %#v", split.name, i, env.Msg, want)
 			}
@@ -167,10 +168,11 @@ func TestMuxFramerErrors(t *testing.T) {
 }
 
 // FuzzMuxFramer feeds arbitrary byte streams to the framer. The contract
-// under fuzz: every input either yields valid envelopes or a descriptive
-// error — no panics, no runaway allocation from corrupt length fields —
-// and the pooled-buffer outstanding count is exactly balanced once every
-// returned envelope is released.
+// under fuzz: every input either yields valid envelopes — a route and a
+// frame holding a message kind — or a descriptive error — no panics, no
+// runaway allocation from corrupt length fields — and the pooled-buffer
+// outstanding count is exactly balanced once every returned envelope is
+// released.
 func FuzzMuxFramer(f *testing.F) {
 	page := make([]byte, 4096)
 	for i := range page {
@@ -217,11 +219,8 @@ func FuzzMuxFramer(f *testing.F) {
 				if env.Src < 0 || env.Src >= 4 || env.Dst < 0 || env.Dst >= 4 || env.Src == env.Dst {
 					t.Fatalf("framer accepted invalid route %d->%d", env.Src, env.Dst)
 				}
-				if env.Msg == nil {
-					t.Fatal("framer returned a nil message without error")
-				}
-				if !env.Borrowed || env.Buf == nil {
-					t.Fatal("framer returned an unborrowed envelope")
+				if env.Buf == nil || !wire.ValidKind(wire.FrameKind(env.Frame())) {
+					t.Fatal("framer returned an envelope without a message frame")
 				}
 				env.Release()
 				frames++
@@ -336,7 +335,7 @@ func deliverSeq(tr *Mux, src, dst, seq int) {
 	m := seqMsg(src, seq)
 	bp := wire.GetBufN(wire.Size(m))
 	*bp = wire.AppendTo(*bp, m)
-	tr.deliverMux(Envelope{Src: src, Dst: dst, Msg: m, SentAt: Time(seq)}, bp)
+	tr.deliverMux(Envelope{Src: src, Dst: dst, SentAt: Time(seq)}, bp)
 }
 
 // TestMuxLaneCoalesces holds a lane's Write open and queues frames from
@@ -370,6 +369,7 @@ func TestMuxLaneCoalesces(t *testing.T) {
 			t.Fatalf("frame %d: %v", seq, err)
 		}
 		wantSrc := seq%3 + 1
+		env = network.Decoded(env)
 		if got := int(env.Msg.(wire.ReduceReply).Old); got != seq || env.Src != wantSrc || env.SentAt != Time(seq) {
 			t.Errorf("frame %d: seq %d from %d at %d, want seq %d from %d at %d",
 				seq, got, env.Src, env.SentAt, seq, wantSrc, seq)

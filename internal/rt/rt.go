@@ -15,15 +15,18 @@
 //     over a small fixed set of shared loopback TCP connections using
 //     session frames. (NewTCP is a deprecated alias for NewMux.)
 //
-// Every transport sends frames: a message encoded into a pooled buffer
-// where it is sent (wire.Encode), which Transport.SendFrame takes over.
-// Send(msg) is Encode plus SendFrame. Charging and traffic statistics
-// read the frame (its kind, rider count and size), so no message value
-// outlives its send. Chan and Mux share one send path (Live.SendFrame)
-// and one receive rule: a delivered message is a borrowed view
-// (wire.UnmarshalView) into a pooled buffer its envelope owns, which the
-// dispatcher releases after handling. Sim decodes a copy of every frame
-// with wire.Unmarshal and delivers that.
+// Every transport moves frames: a message encoded into a pooled buffer
+// where it is sent (wire.Encode), which Transport.SendFrame takes over,
+// and which Transport.RecvFrame hands to the receiver inside an envelope
+// that owns it. Send(msg) is Encode plus SendFrame, and Recv is RecvFrame
+// plus a view decode (network.Decoded). Charging and traffic statistics
+// read the frame (its kind, rider count and size), and no transport
+// decodes a frame on its way: the receiver decodes what it needs, in
+// place (wire.Reader), and releases the frame after handling. Only a
+// trace observer, when one is installed, is shown a decoded copy. Chan
+// and Mux share one send path (Live.SendFrame); every transport gives
+// back the frames still in flight or queued when a run ends, and those
+// a fault drops.
 //
 // The protocol code runs unmodified on all three: it sees only Proc,
 // Future, Semaphore and Transport. The simulator's cooperative scheduler
@@ -53,8 +56,18 @@ const (
 	KindSystem = sim.KindSystem
 )
 
-// Envelope is a delivered message.
+// Envelope is a delivered frame.
 type Envelope = network.Envelope
+
+// Name is what a deadlock report calls a future or a semaphore.
+type Name = sim.Name
+
+// Named returns the fixed name s.
+func Named(s string) Name { return sim.Named(s) }
+
+// NameOf returns the name fmt.Sprintf(format, node, addr), formatted only
+// if a deadlock report reads it.
+func NameOf(format string, node int, addr uint64) Name { return sim.NameOf(format, node, addr) }
 
 // Stats aggregates per-kind traffic counts.
 type Stats = network.Stats
@@ -88,11 +101,13 @@ type Proc interface {
 
 // Future is a one-shot value a proc can block on (a pending RPC reply).
 // Complete must be called from a proc hosted on the same node as the
-// waiters.
+// waiters. Once completed and every waiter has returned from Wait, Reset
+// makes it incomplete again under a new name, for reuse.
 type Future interface {
 	Complete(v any)
 	Done() bool
 	Wait(p Proc) any
+	Reset(name Name)
 }
 
 // Semaphore is a counting semaphore serializing protocol operations
@@ -133,8 +148,8 @@ type Transport interface {
 	Spawn(node int, name string, fn func(p Proc))
 	// NewFuture and NewSemaphore create blocking primitives owned by the
 	// given node. name appears in deadlock reports.
-	NewFuture(node int, name string) Future
-	NewSemaphore(node int, name string, permits int) Semaphore
+	NewFuture(node int, name Name) Future
+	NewSemaphore(node int, name Name, permits int) Semaphore
 	// SendFrame transmits the encoded message in bp (wire.Encode, or
 	// wire.JoinBatch for a batch envelope) from src to dst, charging p the
 	// send path per frame and rider. It takes ownership of bp: the
@@ -145,14 +160,23 @@ type Transport interface {
 	// Send is wire.Encode plus SendFrame: the one send path, for callers
 	// that hold a message rather than a frame.
 	Send(p Proc, src, dst int, msg wire.Message)
-	// Recv blocks p until a message arrives for node and charges the
-	// receive path. When the transport is stopped, Recv unwinds the
-	// calling proc instead of returning.
+	// RecvFrame blocks p until a frame arrives for node and charges the
+	// receive path. The envelope carries the frame (Envelope.Frame) and
+	// owns its buffer, which the caller releases (Envelope.Release) when
+	// done with it; Msg is nil. When the transport is stopped, RecvFrame
+	// unwinds the calling proc instead of returning.
+	RecvFrame(p Proc, node int) Envelope
+	// Recv is RecvFrame plus decode: Msg is a view into the frame
+	// (network.Decoded), valid until the caller releases the envelope.
+	// Every transport implements it as exactly that, so a decorator
+	// that watches receives intercepts RecvFrame, which the dispatcher
+	// calls; Recv serves callers that want the message.
 	Recv(p Proc, node int) Envelope
 	// Stats returns accumulated traffic statistics. Stable only while no
 	// procs run (before Run, or after it returns).
 	Stats() *Stats
-	// SetTrace installs an observer for every delivered envelope. On the
+	// SetTrace installs an observer for every delivered envelope, shown
+	// with an owned decoded copy of its message (network.Traced). On the
 	// live transports it is called with a transport-internal lock held
 	// and must not block or call back into the transport.
 	SetTrace(fn func(Envelope))

@@ -223,8 +223,8 @@ func TestDeadlockDetection(t *testing.T) {
 // a report is written.
 func TestLiveDeadlockReportText(t *testing.T) {
 	tr := rt.NewChan(model.Default(), 2)
-	fut := tr.NewFuture(1, "reply")
-	sem := tr.NewSemaphore(1, "entry", 1)
+	fut := tr.NewFuture(1, rt.Named("reply"))
+	sem := tr.NewSemaphore(1, rt.Named("entry"), 1)
 	tr.Spawn(0, "starved", func(p rt.Proc) { tr.Recv(p, 0) })
 	tr.Spawn(1, "waiter", func(p rt.Proc) {
 		sem.Acquire(p)
@@ -268,8 +268,8 @@ func TestProcFailure(t *testing.T) {
 // sibling proc waits on, under an entry-style semaphore.
 func TestFutureSemaphore(t *testing.T) {
 	eachTransport(t, 2, func(t *testing.T, tr rt.Transport) {
-		sem := tr.NewSemaphore(0, "entry", 1)
-		fut := tr.NewFuture(0, "reply")
+		sem := tr.NewSemaphore(0, rt.Named("entry"), 1)
+		fut := tr.NewFuture(0, rt.Named("reply"))
 		var order atomic.Int32
 		tr.Spawn(0, "waiter", func(p rt.Proc) {
 			sem.Acquire(p)

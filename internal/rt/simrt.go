@@ -58,6 +58,7 @@ type simFuture struct{ f *sim.Future }
 func (f simFuture) Complete(v any)  { f.f.Complete(v) }
 func (f simFuture) Done() bool      { return f.f.Done() }
 func (f simFuture) Wait(p Proc) any { return f.f.Wait(simProc(p)) }
+func (f simFuture) Reset(name Name) { f.f.Reset(name) }
 
 type simSemaphore struct{ s *sim.Semaphore }
 
@@ -67,12 +68,12 @@ func (s simSemaphore) Busy() bool       { return s.s.Busy() }
 func (s simSemaphore) Release()         { s.s.Release() }
 
 // NewFuture creates a one-shot value procs can wait on.
-func (t *Sim) NewFuture(node int, name string) Future {
+func (t *Sim) NewFuture(node int, name Name) Future {
 	return simFuture{t.sim.NewFuture(name)}
 }
 
 // NewSemaphore creates a counting semaphore.
-func (t *Sim) NewSemaphore(node int, name string, permits int) Semaphore {
+func (t *Sim) NewSemaphore(node int, name Name, permits int) Semaphore {
 	return simSemaphore{t.sim.NewSemaphore(name, permits)}
 }
 
@@ -87,7 +88,12 @@ func (t *Sim) SendFrame(p Proc, src, dst int, bp *[]byte) {
 	t.net.SendFrame(simProc(p), src, dst, bp)
 }
 
-// Recv blocks until a message arrives for node.
+// RecvFrame blocks until a frame arrives for node.
+func (t *Sim) RecvFrame(p Proc, node int) Envelope {
+	return t.net.RecvFrame(simProc(p), node)
+}
+
+// Recv is RecvFrame plus decode.
 func (t *Sim) Recv(p Proc, node int) Envelope {
 	return t.net.Recv(simProc(p), node)
 }
@@ -107,8 +113,13 @@ func (t *Sim) BindContext(ctx context.Context) {
 	t.sim.SetInterrupt(ctx.Err)
 }
 
-// Run executes events until Stop, a proc failure, or deadlock.
-func (t *Sim) Run() error { return t.sim.Run() }
+// Run executes events until Stop, a proc failure, or deadlock, then gives
+// back the frames left on the wire or in inboxes.
+func (t *Sim) Run() error {
+	err := t.sim.Run()
+	t.net.Close()
+	return err
+}
 
 // Stop makes Run return after the current event.
 func (t *Sim) Stop() { t.sim.Stop() }

@@ -38,7 +38,7 @@ func (m *Mailbox[T]) Put(v T) {
 func (m *Mailbox[T]) Get(p *Proc) T {
 	for m.head == len(m.q) {
 		m.waiters = append(m.waiters, p)
-		p.park("mailbox ", m.name)
+		p.park("mailbox ", Named(m.name))
 	}
 	v := m.q[m.head]
 	var zero T
@@ -48,6 +48,16 @@ func (m *Mailbox[T]) Get(p *Proc) T {
 		m.q, m.head = m.q[:0], 0
 	}
 	return v
+}
+
+// Drain removes every queued message, oldest first, and calls fn with
+// each: how a finished run gives back what nobody received.
+func (m *Mailbox[T]) Drain(fn func(v T)) {
+	for _, v := range m.q[m.head:] {
+		fn(v)
+	}
+	clear(m.q)
+	m.q, m.head = m.q[:0], 0
 }
 
 // Len reports the number of queued messages.
@@ -67,29 +77,38 @@ func popWaiter(ws []*Proc) (*Proc, []*Proc) {
 // completes the future when the reply message arrives.
 type Future struct {
 	sim     *Sim
-	name    string
+	name    Name
 	done    bool
 	v       any
 	waiters []*Proc
 }
 
 // NewFuture returns an incomplete future. name appears in deadlock reports.
-func (s *Sim) NewFuture(name string) *Future {
+func (s *Sim) NewFuture(name Name) *Future {
 	return &Future{sim: s, name: name}
+}
+
+// Reset makes a completed future incomplete again under a new name, for
+// reuse once every waiter has returned from Wait.
+func (f *Future) Reset(name Name) {
+	f.name, f.done, f.v = name, false, nil
 }
 
 // Complete resolves the future with v and wakes all waiters. Completing a
 // future twice panics: a reply must arrive exactly once.
 func (f *Future) Complete(v any) {
 	if f.done {
-		panic("sim: future " + f.name + " completed twice")
+		panic("sim: future " + f.name.String() + " completed twice")
 	}
 	f.done = true
 	f.v = v
 	for _, w := range f.waiters {
 		w.wakeLater()
 	}
-	f.waiters = nil
+	// Emptied, not dropped: a reused future parks its next waiter in the
+	// same array.
+	clear(f.waiters)
+	f.waiters = f.waiters[:0]
 }
 
 // Done reports whether the future has been completed.
@@ -120,7 +139,7 @@ func (s *Sim) NewCond(name string) *Cond {
 // Wait parks p until the next Broadcast.
 func (c *Cond) Wait(p *Proc) {
 	c.waiters = append(c.waiters, p)
-	p.park("cond ", c.name)
+	p.park("cond ", Named(c.name))
 }
 
 // Broadcast wakes every process parked on the condition.
@@ -139,13 +158,13 @@ func (c *Cond) Broadcast() {
 // only one process runs at a time.
 type Semaphore struct {
 	sim     *Sim
-	name    string
+	name    Name
 	n       int
 	waiters []*Proc
 }
 
 // NewSemaphore returns a semaphore with n initial permits.
-func (s *Sim) NewSemaphore(name string, n int) *Semaphore {
+func (s *Sim) NewSemaphore(name Name, n int) *Semaphore {
 	return &Semaphore{sim: s, name: name, n: n}
 }
 

@@ -34,7 +34,8 @@ type Proc struct {
 	// blockedOn and blockedName say what the process is parked on
 	// ("mailbox ", "inbox[3]"); they are joined only for a deadlock
 	// report, so parking builds no string.
-	blockedOn, blockedName string
+	blockedOn   string
+	blockedName Name
 
 	kind   TimeKind
 	user   Time
@@ -87,14 +88,14 @@ func (p *Proc) Advance(d Time) {
 	}
 	s := p.sim
 	s.schedule(s.now+d, p, nil)
-	p.park("advancing", "")
+	p.park("advancing", Name{})
 }
 
 // Yield reschedules the process at the current time behind already-pending
 // events, letting same-instant work interleave deterministically.
 func (p *Proc) Yield() {
 	p.wakeLater()
-	p.park("yielding", "")
+	p.park("yielding", Name{})
 }
 
 // park blocks the process until an event resumes it. While it is parked
@@ -102,7 +103,7 @@ func (p *Proc) Yield() {
 // simply returns, otherwise it hands control to the process resumed (or,
 // once the run has ended, to Run) and waits to be woken. on+name says
 // what it waits for in deadlock reports.
-func (p *Proc) park(on, name string) {
+func (p *Proc) park(on string, name Name) {
 	s := p.sim
 	if s.current != p {
 		panic(fmt.Sprintf("sim: park called by %s which is not the running process", p.name))
@@ -128,12 +129,12 @@ func (p *Proc) park(on, name string) {
 		panic(drainSignal{})
 	}
 	p.state = procRunning
-	p.blockedOn, p.blockedName = "", ""
+	p.blockedOn, p.blockedName = "", Name{}
 }
 
 // blockReason words what a parked process waits for, as deadlock reports
 // print it.
-func (p *Proc) blockReason() string { return p.blockedOn + p.blockedName }
+func (p *Proc) blockReason() string { return p.blockedOn + p.blockedName.String() }
 
 // wakeLater schedules the process to be resumed at the current virtual time
 // (behind pending same-time events). It must be called from event or

@@ -291,7 +291,7 @@ func TestMailboxMultipleWaiters(t *testing.T) {
 
 func TestFutureWaitBeforeComplete(t *testing.T) {
 	s := New()
-	f := s.NewFuture("reply")
+	f := s.NewFuture(Named("reply"))
 	var got any
 	s.Spawn("waiter", func(p *Proc) { got = f.Wait(p) })
 	s.Spawn("completer", func(p *Proc) {
@@ -311,7 +311,7 @@ func TestFutureWaitBeforeComplete(t *testing.T) {
 
 func TestFutureWaitAfterComplete(t *testing.T) {
 	s := New()
-	f := s.NewFuture("reply")
+	f := s.NewFuture(Named("reply"))
 	f.Complete("v")
 	var got any
 	s.Spawn("waiter", func(p *Proc) { got = f.Wait(p) })
@@ -325,7 +325,7 @@ func TestFutureWaitAfterComplete(t *testing.T) {
 
 func TestFutureDoubleCompletePanics(t *testing.T) {
 	s := New()
-	f := s.NewFuture("reply")
+	f := s.NewFuture(Named("reply"))
 	f.Complete(1)
 	defer func() {
 		if recover() == nil {
@@ -363,7 +363,7 @@ func TestCondBroadcastWakesAll(t *testing.T) {
 
 func TestSemaphoreMutualExclusion(t *testing.T) {
 	s := New()
-	sem := s.NewSemaphore("mutex", 1)
+	sem := s.NewSemaphore(Named("mutex"), 1)
 	inside := 0
 	maxInside := 0
 	for i := 0; i < 4; i++ {
@@ -391,7 +391,7 @@ func TestSemaphoreMutualExclusion(t *testing.T) {
 
 func TestSemaphoreTryAcquire(t *testing.T) {
 	s := New()
-	sem := s.NewSemaphore("sem", 1)
+	sem := s.NewSemaphore(Named("sem"), 1)
 	if !sem.TryAcquire() {
 		t.Error("first TryAcquire failed")
 	}
@@ -454,5 +454,22 @@ func TestSpawnDuringRun(t *testing.T) {
 	}
 	if s.Now() != 10 {
 		t.Errorf("Now = %v, want 10", s.Now())
+	}
+}
+
+// TestNameOf: a lazily formatted name reads exactly as the eager format
+// would.
+func TestNameOf(t *testing.T) {
+	for _, c := range []struct {
+		name Name
+		want string
+	}{
+		{Named("flush[3]"), "flush[3]"},
+		{NameOf("entry[n%d %#x]", 3, 0x80002000), "entry[n3 0x80002000]"},
+		{NameOf("dirfetch[n%d %#x]", 1, 0x80004000), "dirfetch[n1 0x80004000]"},
+	} {
+		if got := c.name.String(); got != c.want {
+			t.Errorf("name reads %q, want %q", got, c.want)
+		}
 	}
 }

@@ -63,23 +63,54 @@ func FrameRiders(frame []byte) int {
 	return int(binary.LittleEndian.Uint32(frame[1:]))
 }
 
+// ValidKind reports whether k is a message kind this package defines:
+// what a transport checks of a frame it receives without decoding it.
+func ValidKind(k Kind) bool { return k > KindInvalid && k < numKinds }
+
 // ForEachRider calls fn with the encoding of each rider of a batch frame,
-// in order. It stops at the first rider the frame does not hold whole; a
-// frame this package encoded always does.
-func ForEachRider(frame []byte, fn func(rider []byte)) {
+// in order. It first walks the rider headers, reading only lengths and
+// kind bytes, and returns ErrCorrupt without calling fn when frame is not
+// a batch frame, a rider is empty, not held whole, of no valid kind or
+// itself a batch, or bytes follow the last rider; a frame this package
+// encoded never is. So a batch whose framing is corrupt is refused
+// whole; a rider whose body does not decode is found only when the
+// caller decodes it, after the riders before it. fn need not escape:
+// iterating allocates nothing.
+func ForEachRider(frame []byte, fn func(rider []byte)) error {
+	if err := checkRiders(frame); err != nil {
+		return err
+	}
+	rest := frame[5:]
+	for range FrameRiders(frame) {
+		n := int(binary.LittleEndian.Uint32(rest))
+		fn(rest[4 : 4+n])
+		rest = rest[4+n:]
+	}
+	return nil
+}
+
+// checkRiders reports whether a batch frame holds exactly its riders,
+// each whole and of a valid kind other than a batch.
+func checkRiders(frame []byte) error {
 	if FrameKind(frame) != KindBatch || len(frame) < 5 {
-		return
+		return ErrCorrupt
 	}
 	rest := frame[5:]
 	for range FrameRiders(frame) {
 		if len(rest) < 4 {
-			return
+			return ErrCorrupt
 		}
 		n := int(binary.LittleEndian.Uint32(rest))
-		if n > len(rest)-4 {
-			return
+		if n < 1 || n > len(rest)-4 {
+			return ErrCorrupt
 		}
-		fn(rest[4 : 4+n])
+		if k := Kind(rest[4]); !ValidKind(k) || k == KindBatch {
+			return ErrCorrupt
+		}
 		rest = rest[4+n:]
 	}
+	if len(rest) != 0 {
+		return ErrCorrupt
+	}
+	return nil
 }

@@ -81,12 +81,13 @@ func TestFrameReaders(t *testing.T) {
 	if FrameKind(nil) != KindInvalid || FrameRiders(nil) != 1 {
 		t.Error("an empty frame must read as one rider of KindInvalid")
 	}
-	// A truncated batch frame stops the walk; it never reads past the end.
+	// A truncated batch frame is refused before any rider is visited; the
+	// walk never reads past the end.
 	frame := Marshal(Batch{Msgs: []Message{UpdateAck{Count: 1}, UpdateAck{Count: 2}}})
 	n := 0
 	ForEachRider(frame[:len(frame)-1], func([]byte) { n++ })
-	if n != 1 {
-		t.Errorf("a batch frame cut inside its second rider yielded %d riders, want 1", n)
+	if n != 0 {
+		t.Errorf("a batch frame cut inside its second rider yielded %d riders, want 0", n)
 	}
 }
 

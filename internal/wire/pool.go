@@ -63,6 +63,12 @@ func GetBufN(n int) *[]byte {
 // the contents past this call.
 func PutBuf(bp *[]byte) {
 	outstanding.Add(-1)
+	if poison.Load() {
+		b := (*bp)[:cap(*bp)]
+		for i := range b {
+			b[i] = poisonByte
+		}
+	}
 	c := cap(*bp)
 	for i := len(classSizes) - 1; i >= 0; i-- {
 		if c >= classSizes[i] {
@@ -72,6 +78,23 @@ func PutBuf(bp *[]byte) {
 	}
 	// Below the smallest class (an external slice handed in): drop it.
 }
+
+// poison, when set, makes PutBuf overwrite every buffer it takes back
+// (Poison).
+var poison atomic.Bool
+
+// poisonByte is what a poisoned buffer is filled with.
+const poisonByte = 0xA5
+
+// Poison makes PutBuf overwrite each returned buffer's whole capacity,
+// and a Reader overwrite the lists it handed out for a frame when it
+// decodes the next, from now on (on) or stops it (off). It exists for
+// tests: a receive handler that keeps a view into a frame, or a list
+// decoded from it, past its release without re-owning it then reads
+// garbage, deterministically on the simulator, instead of whatever the
+// memory's next user happens to write. It costs a pass over every
+// returned buffer and list, so it stays off outside tests.
+func Poison(on bool) { poison.Store(on) }
 
 // Outstanding reports the number of pooled buffers currently borrowed.
 // Tests snapshot it around an operation to prove every borrow is

@@ -9,8 +9,10 @@
 // the encoded length per message kind without encoding anything — the
 // wire tests hold Size(msg) == len(Marshal(msg)) for every kind over
 // randomized messages. Marshal and Unmarshal are the allocating
-// round-trip wrappers; the simulated network uses the encoded size for
-// timing and delivers the decoded form.
+// round-trip wrappers. Every transport carries the encoded frame itself
+// (frame.go), and a receiver decodes it in place with a Reader
+// (decode.go), whose typed values borrow the frame's bytes and the
+// Reader's list storage instead of allocating.
 //
 // Batch is the per-destination coalescing envelope: everything one
 // protocol operation sends to the same node rides one transport send.
@@ -876,307 +878,6 @@ func (e *encoder) diffSets(v []LrcDiffSet) {
 	}
 }
 
-type decoder struct {
-	b   []byte
-	err error
-	// borrow makes bytes/bytes8 return views into b instead of copies
-	// (UnmarshalView); the caller owns b's lifetime.
-	borrow bool
-	// The message's arenas: its uint32 lists (vector timestamps, floors),
-	// address lists and diff records are cut from these, one array per
-	// element type. A list that holds several sublists (an interval
-	// list's addresses, a diff response's records and their timestamps)
-	// sizes its arenas exactly by scanning its headers first; a lone list
-	// finds its arena empty and gets an array of its own. Either way every
-	// cut has len == cap, so appending to one decoded slice can never
-	// write into its neighbour, and none of it aliases b.
-	u32Arena  []uint32
-	addrArena []vm.Addr
-	recArena  []LrcRecord
-}
-
-// cut returns the next n elements of *arena, capacity-clipped, or a new
-// slice of n when the arena holds fewer (nil when n is 0).
-func cut[T any](arena *[]T, n int) []T {
-	if n == 0 {
-		return nil
-	}
-	if len(*arena) < n {
-		return make([]T, n)
-	}
-	s := (*arena)[:n:n]
-	*arena = (*arena)[n:]
-	return s
-}
-
-func (d *decoder) fail() {
-	if d.err == nil {
-		d.err = ErrCorrupt
-	}
-}
-
-// skip advances past n bytes.
-func (d *decoder) skip(n int) {
-	if d.err != nil || n < 0 || len(d.b) < n {
-		d.fail()
-		return
-	}
-	d.b = d.b[n:]
-}
-func (d *decoder) u8() uint8 {
-	if d.err != nil || len(d.b) < 1 {
-		d.fail()
-		return 0
-	}
-	v := d.b[0]
-	d.b = d.b[1:]
-	return v
-}
-func (d *decoder) u32() uint32 {
-	if d.err != nil || len(d.b) < 4 {
-		d.fail()
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(d.b)
-	d.b = d.b[4:]
-	return v
-}
-func (d *decoder) u64() uint64 {
-	if d.err != nil || len(d.b) < 8 {
-		d.fail()
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(d.b)
-	d.b = d.b[8:]
-	return v
-}
-func (d *decoder) boolean() bool { return d.u8() != 0 }
-func (d *decoder) bytes() []byte {
-	n := int(d.u32())
-	if d.err != nil || len(d.b) < n {
-		d.fail()
-		return nil
-	}
-	if n == 0 {
-		return nil
-	}
-	var v []byte
-	if d.borrow {
-		v = d.b[:n:n]
-	} else {
-		v = append([]byte(nil), d.b[:n]...)
-	}
-	d.b = d.b[n:]
-	return v
-}
-func (d *decoder) addrs() []vm.Addr {
-	n := int(d.u32())
-	if d.err != nil || len(d.b) < 4*n {
-		d.fail()
-		return nil
-	}
-	out := cut(&d.addrArena, n)
-	for i := range out {
-		out[i] = vm.Addr(binary.LittleEndian.Uint32(d.b[4*i:]))
-	}
-	d.b = d.b[4*n:]
-	return out
-}
-func (d *decoder) bytes8() []uint8 {
-	n := int(d.u32())
-	if d.err != nil || len(d.b) < n {
-		d.fail()
-		return nil
-	}
-	if n == 0 {
-		return nil
-	}
-	var v []uint8
-	if d.borrow {
-		v = d.b[:n:n]
-	} else {
-		v = append([]uint8(nil), d.b[:n]...)
-	}
-	d.b = d.b[n:]
-	return v
-}
-func (d *decoder) uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.b)
-	if n <= 0 {
-		d.fail()
-		return 0
-	}
-	d.b = d.b[n:]
-	return v
-}
-func (d *decoder) set() nodeset.Set {
-	w := d.u64()
-	if d.err != nil {
-		return nodeset.Set{}
-	}
-	if w != setEscape {
-		return nodeset.FromWord(w)
-	}
-	n := int(d.uvarint())
-	if d.err != nil || n > len(d.b) { // each member id is ≥ 1 byte
-		d.fail()
-		return nodeset.Set{}
-	}
-	var s nodeset.Set
-	for i := 0; i < n; i++ {
-		id := d.uvarint()
-		if d.err != nil || id >= maxWireNode {
-			d.fail()
-			return nodeset.Set{}
-		}
-		s = s.Add(int(id))
-	}
-	return s
-}
-func (d *decoder) csets() []nodeset.Set {
-	n := int(d.u32())
-	if d.err != nil || len(d.b) < 8*n { // each set is ≥ 8 bytes
-		d.fail()
-		return nil
-	}
-	out := make([]nodeset.Set, n)
-	for i := range out {
-		out[i] = d.set()
-	}
-	return out
-}
-func (d *decoder) updates() []UpdateEntry {
-	n := int(d.u32())
-	if d.err != nil || n > len(d.b) { // each entry is ≥ 13 bytes
-		d.fail()
-		return nil
-	}
-	if n == 0 {
-		return nil
-	}
-	out := make([]UpdateEntry, 0, n)
-	for i := 0; i < n; i++ {
-		var u UpdateEntry
-		u.Addr = vm.Addr(d.u32())
-		u.Size = d.u32()
-		full := d.boolean()
-		payload := d.bytes()
-		if full {
-			u.Full = payload
-		} else {
-			u.Diff = payload
-		}
-		out = append(out, u)
-	}
-	return out
-}
-
-func (d *decoder) u32s() []uint32 {
-	n := int(d.u32())
-	if d.err != nil || len(d.b) < 4*n {
-		d.fail()
-		return nil
-	}
-	out := cut(&d.u32Arena, n)
-	for i := range out {
-		out[i] = binary.LittleEndian.Uint32(d.b[4*i:])
-	}
-	d.b = d.b[4*n:]
-	return out
-}
-
-// intervals decodes an interval list, cutting every interval's
-// addresses from one arena sized by a walk over the interval headers.
-func (d *decoder) intervals() []LrcInterval {
-	n := int(d.u32())
-	if d.err != nil || n > len(d.b) { // each interval is >= 9 bytes
-		d.fail()
-		return nil
-	}
-	if n == 0 {
-		return nil
-	}
-	scan, addrs := decoder{b: d.b}, 0
-	for i := 0; i < n && scan.err == nil; i++ {
-		scan.skip(5) // node, interval
-		k := int(scan.u32())
-		scan.skip(4 * k)
-		addrs += k
-	}
-	if scan.err == nil {
-		d.addrArena = make([]vm.Addr, addrs)
-	}
-	out := make([]LrcInterval, n)
-	for i := range out {
-		out[i].Node = d.u8()
-		out[i].Ivl = d.u32()
-		out[i].Addrs = d.addrs()
-	}
-	return out
-}
-func (d *decoder) records() []LrcRecord {
-	n := int(d.u32())
-	if d.err != nil || n > len(d.b) { // each record is >= 17 bytes
-		d.fail()
-		return nil
-	}
-	out := cut(&d.recArena, n)
-	for i := range out {
-		r := &out[i]
-		r.First = d.u32()
-		r.Last = d.u32()
-		r.VT = d.u32s()
-		full := d.boolean()
-		payload := d.bytes()
-		if full {
-			r.Full = payload
-		} else {
-			r.Diff = payload
-		}
-	}
-	return out
-}
-
-// diffSets decodes a diff response's sets. A walk over the record
-// headers first sizes the record and timestamp arenas, so every set's
-// records, and every record's timestamp, come from one array each.
-func (d *decoder) diffSets() []LrcDiffSet {
-	n := int(d.u32())
-	if d.err != nil || n > len(d.b) { // each set is >= 8 bytes
-		d.fail()
-		return nil
-	}
-	if n == 0 {
-		return nil
-	}
-	scan, recs, words := decoder{b: d.b}, 0, 0
-	for i := 0; i < n && scan.err == nil; i++ {
-		scan.skip(4) // address
-		k := int(scan.u32())
-		for r := 0; r < k && scan.err == nil; r++ {
-			scan.skip(8) // first, last
-			w := int(scan.u32())
-			scan.skip(4*w + 1) // timestamp, full flag
-			scan.skip(int(scan.u32()))
-			words += w
-		}
-		recs += k
-	}
-	if scan.err == nil {
-		d.recArena = make([]LrcRecord, recs)
-		d.u32Arena = make([]uint32, words)
-	}
-	out := make([]LrcDiffSet, n)
-	for i := range out {
-		out[i].Addr = vm.Addr(d.u32())
-		out[i].Records = d.records()
-	}
-	return out
-}
-
 // Marshal encodes msg to its wire form (kind byte plus payload). It
 // allocates exactly once, sized by Size; the zero-allocation fast path
 // is AppendTo with a reused (or pooled, see GetBuf) buffer.
@@ -1358,149 +1059,6 @@ func AppendTo(buf []byte, msg Message) []byte {
 		panic(errUnknownType)
 	}
 	return e.b
-}
-
-// Unmarshal decodes a message produced by Marshal. The returned message
-// owns all of its byte payloads (deep copies); b may be reused freely.
-func Unmarshal(b []byte) (Message, error) {
-	return unmarshal(b, false)
-}
-
-// UnmarshalView decodes like Unmarshal but byte payloads (update data,
-// diffs, read-reply images, subtree lists) are views into b, not copies —
-// the zero-copy receive path. The caller owns b's lifetime: the message
-// and anything extracted from it must not outlive b unless re-owned with
-// Own or OwnEntry first.
-func UnmarshalView(b []byte) (Message, error) {
-	return unmarshal(b, true)
-}
-
-func unmarshal(b []byte, borrow bool) (Message, error) {
-	d := &decoder{b: b, borrow: borrow}
-	kind := Kind(d.u8())
-	var msg Message
-	switch kind {
-	case KindReadReq:
-		msg = ReadReq{Addr: vm.Addr(d.u32()), Requester: d.u8(), Prefetch: d.boolean()}
-	case KindReadReply:
-		msg = ReadReply{Addr: vm.Addr(d.u32()), Owner: d.u8(), Data: d.bytes()}
-	case KindOwnReq:
-		msg = OwnReq{Addr: vm.Addr(d.u32()), Requester: d.u8()}
-	case KindOwnReply:
-		msg = OwnReply{Addr: vm.Addr(d.u32()), Copyset: d.set(), Data: d.bytes()}
-	case KindInvalidate:
-		msg = Invalidate{Addr: vm.Addr(d.u32()), NewOwner: d.u8()}
-	case KindInvalidateAck:
-		msg = InvalidateAck{Addr: vm.Addr(d.u32())}
-	case KindMigrateReq:
-		msg = MigrateReq{Addr: vm.Addr(d.u32()), Requester: d.u8()}
-	case KindMigrateReply:
-		msg = MigrateReply{Addr: vm.Addr(d.u32()), Data: d.bytes()}
-	case KindUpdateBatch:
-		msg = UpdateBatch{From: d.u8(), NeedAck: d.boolean(), Entries: d.updates()}
-	case KindUpdateAck:
-		msg = UpdateAck{Count: d.u32()}
-	case KindCopysetQuery:
-		msg = CopysetQuery{From: d.u8(), Addrs: d.addrs()}
-	case KindCopysetReply:
-		msg = CopysetReply{Addrs: d.addrs()}
-	case KindReduceReq:
-		msg = ReduceReq{Addr: vm.Addr(d.u32()), Off: d.u32(), Op: ReduceOp(d.u8()), Operand: d.u32(), Requester: d.u8()}
-	case KindReduceReply:
-		msg = ReduceReply{Addr: vm.Addr(d.u32()), Old: d.u32()}
-	case KindLockAcq:
-		msg = LockAcq{Lock: d.u32(), Requester: d.u8()}
-	case KindLockSetSucc:
-		msg = LockSetSucc{Lock: d.u32(), Succ: d.u8()}
-	case KindLockOwnNotify:
-		msg = LockOwnNotify{Lock: d.u32(), Owner: d.u8()}
-	case KindLockGrant:
-		msg = LockGrant{Lock: d.u32(), Updates: d.updates()}
-	case KindBarrierArrive:
-		msg = BarrierArrive{Barrier: d.u32(), From: d.u8()}
-	case KindBarrierRelease:
-		msg = BarrierRelease{Barrier: d.u32(), Tree: d.boolean(), Subtree: d.bytes8()}
-	case KindDirReq:
-		msg = DirReq{Addr: vm.Addr(d.u32())}
-	case KindDirReply:
-		msg = DirReply{Found: d.boolean(), Start: vm.Addr(d.u32()), Size: d.u32(), Annot: d.u8(),
-			Home: d.u8(), Owner: d.u8(), Group: vm.Addr(d.u32()), Epoch: d.u32()}
-	case KindPhaseChange:
-		msg = PhaseChange{Addr: vm.Addr(d.u32())}
-	case KindChangeAnnot:
-		msg = ChangeAnnot{Addr: vm.Addr(d.u32()), Annot: d.u8()}
-	case KindCopysetLookup:
-		msg = CopysetLookup{From: d.u8(), Addrs: d.addrs()}
-	case KindCopysetInfo:
-		msg = CopysetInfo{Addrs: d.addrs(), Sets: d.csets()}
-	case KindCopysetNotify:
-		msg = CopysetNotify{Addr: vm.Addr(d.u32()), Reader: d.u8()}
-	case KindOwnNotify:
-		msg = OwnNotify{Addr: vm.Addr(d.u32()), Owner: d.u8()}
-	case KindAdaptPropose:
-		msg = AdaptPropose{Addr: vm.Addr(d.u32()), Annot: d.u8(), Epoch: d.u32(),
-			From: d.u8(), Events: d.u32(), Urgent: d.boolean()}
-	case KindAdaptCommit:
-		msg = AdaptCommit{Addr: vm.Addr(d.u32()), Annot: d.u8(), Epoch: d.u32()}
-	case KindMPData:
-		msg = MPData{Tag: d.u32(), Payload: d.bytes()}
-	case KindLrcLockAcq:
-		msg = LrcLockAcq{Lock: d.u32(), Requester: d.u8(), VT: d.u32s()}
-	case KindLrcLockSetSucc:
-		msg = LrcLockSetSucc{Lock: d.u32(), Succ: d.u8(), VT: d.u32s()}
-	case KindLrcLockGrant:
-		msg = LrcLockGrant{Lock: d.u32(), VT: d.u32s(),
-			Notices: d.intervals(), Updates: d.updates()}
-	case KindLrcBarrierArrive:
-		msg = LrcBarrierArrive{Barrier: d.u32(), From: d.u8(), VT: d.u32s(),
-			Floors: d.u32s(), Notices: d.intervals()}
-	case KindLrcBarrierRelease:
-		msg = LrcBarrierRelease{Barrier: d.u32(), Tree: d.boolean(), Subtree: d.bytes8(),
-			VT: d.u32s(), Notices: d.intervals()}
-	case KindLrcDiffReq:
-		msg = LrcDiffReq{Requester: d.u8(), Token: d.u32(), Addrs: d.addrs(), After: d.u32s()}
-	case KindLrcDiffResp:
-		msg = LrcDiffResp{Token: d.u32(), Sets: d.diffSets()}
-	case KindLrcFetchReq:
-		msg = LrcFetchReq{Addr: vm.Addr(d.u32()), Requester: d.u8(), Token: d.u32()}
-	case KindLrcFetchResp:
-		msg = LrcFetchResp{Addr: vm.Addr(d.u32()), Token: d.u32(), Applied: d.u32s(), Data: d.bytes()}
-	case KindLrcGC:
-		msg = LrcGC{Floors: d.u32s()}
-	case KindBatch:
-		n := int(d.u32())
-		if d.err != nil || n > len(d.b) { // each rider is >= 5 bytes framed
-			d.fail()
-			break
-		}
-		msgs := make([]Message, 0, n)
-		for i := 0; i < n; i++ {
-			ln := int(d.u32())
-			if d.err != nil || ln < 1 || len(d.b) < ln {
-				d.fail()
-				break
-			}
-			sub, err := unmarshal(d.b[:ln], d.borrow)
-			if err != nil {
-				return nil, fmt.Errorf("%w: batch rider %d: %v", ErrCorrupt, i, err)
-			}
-			if _, nested := sub.(Batch); nested {
-				return nil, fmt.Errorf("%w: batch inside a batch", ErrCorrupt)
-			}
-			d.b = d.b[ln:]
-			msgs = append(msgs, sub)
-		}
-		msg = Batch{Msgs: msgs}
-	default:
-		return nil, fmt.Errorf("%w: unknown kind %d", ErrCorrupt, kind)
-	}
-	if d.err != nil {
-		return nil, fmt.Errorf("%w: %v payload", d.err, kind)
-	}
-	if len(d.b) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes after %v", ErrCorrupt, len(d.b), kind)
-	}
-	return msg, nil
 }
 
 // --- Computed sizes ---

@@ -160,11 +160,10 @@ func WithBatching() RunOption {
 	return func(c *runConfig) { c.Batching = true }
 }
 
-// WithTrace observes every delivered protocol message. An observer that
-// keeps a message past its own return must copy it first (wire.Own): on
-// the live transports the message's byte payloads alias a pooled receive
-// buffer, and on every transport a read reply's data becomes the
-// receiver's page.
+// WithTrace observes every delivered protocol message. The observer is
+// shown its own decoded copy of each message (network.Traced), made only
+// because an observer is installed, so it may keep what it is shown; the
+// envelope's frame stays the receiver's.
 func WithTrace(fn func(network.Envelope)) RunOption {
 	return func(c *runConfig) { c.Trace = fn }
 }
