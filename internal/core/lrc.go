@@ -180,7 +180,7 @@ func (n *Node) newLrcToken() uint32 {
 // lrcRPC sends msg, a lazy-engine request carrying token, and blocks t
 // for the response the token routes back.
 func (n *Node) lrcRPC(t *Thread, dst int, token uint32, msg wire.Message) any {
-	f := n.future(n.lrcRPCNames.name(n.id, wire.KindOf(msg)))
+	f := n.future(rt.NameOfString("lrc-rpc[n%d %s]", n.id, wire.KindOf(msg).String()))
 	n.pending[pendKey{pendLrc, uint64(token)}] = f
 	n.send(t.proc, dst, msg)
 	v := n.await(t.proc, f)

@@ -67,7 +67,7 @@ func (n *Node) newCollector(key pendKey, need int, name string) *collector {
 		c = &collector{}
 	}
 	c.need, c.got = need, 0
-	c.fut = n.future(n.collectorNames.name(n.id, name))
+	c.fut = n.future(rt.NameOfString("collect[n%d %s]", n.id, name))
 	n.collectors[key] = c
 	return c
 }
@@ -218,14 +218,6 @@ type Node struct {
 	// is the entry's twin, so a retired buffer has no other reference.
 	twinFree map[int][][]byte
 
-	// Future names, formatted once per key: the futures of rpc and lrcRPC
-	// by request kind, lock waits by lock, barrier waits by barrier, and
-	// reply collectors by what they collect.
-	rpcNames, lrcRPCNames nameCache[wire.Kind]
-	lockWaitNames         nameCache[int]
-	barrierNames          nameCache[int]
-	collectorNames        nameCache[string]
-
 	// outboxes holds each local proc's outbox; nil unless Config.Batching
 	// (which is what makes n.send a plain transport send). Only touched
 	// under the node monitor — see outbox.go.
@@ -309,29 +301,24 @@ func (n *Node) serveOwnNotify(p rt.Proc, m wire.OwnNotify) {
 
 func newNode(s *System, id int) *Node {
 	n := &Node{
-		sys:            s,
-		id:             id,
-		space:          vm.NewSpace(s.cfg.PageSize),
-		dir:            directory.NewTable(s.cfg.PageSize),
-		synch:          directory.NewSynchTable(),
-		duq:            duq.New(),
-		pending:        make(map[pendKey]rt.Future),
-		collectors:     make(map[pendKey]*collector),
-		dirFetch:       make(map[vm.Addr]rt.Future),
-		flushSem:       s.tr.NewSemaphore(id, rt.Named(fmt.Sprintf("flush[%d]", id)), 1),
-		barrierWait:    make(map[int][]rt.Future),
-		barrierFrom:    make(map[int][]int),
-		lockWait:       make(map[int][]rt.Future),
-		lockPend:       make(map[int]bool),
-		fetchStash:     make(map[vm.Addr][]wire.UpdateEntry),
-		deferredReads:  make(map[vm.Addr][]wire.ReadReq),
-		deferredChase:  make(map[vm.Addr][]wire.Message),
-		twinFree:       make(map[int][][]byte),
-		rpcNames:       nameCache[wire.Kind]{format: "rpc[n%d %v]"},
-		lrcRPCNames:    nameCache[wire.Kind]{format: "lrc-rpc[n%d %v]"},
-		lockWaitNames:  nameCache[int]{format: "lockwait[n%d l%d]"},
-		barrierNames:   nameCache[int]{format: "barrier[n%d b%d]"},
-		collectorNames: nameCache[string]{format: "collect[n%d %s]"},
+		sys:           s,
+		id:            id,
+		space:         vm.NewSpace(s.cfg.PageSize),
+		dir:           directory.NewTable(s.cfg.PageSize),
+		synch:         directory.NewSynchTable(),
+		duq:           duq.New(),
+		pending:       make(map[pendKey]rt.Future),
+		collectors:    make(map[pendKey]*collector),
+		dirFetch:      make(map[vm.Addr]rt.Future),
+		flushSem:      s.tr.NewSemaphore(id, rt.Named(fmt.Sprintf("flush[%d]", id)), 1),
+		barrierWait:   make(map[int][]rt.Future),
+		barrierFrom:   make(map[int][]int),
+		lockWait:      make(map[int][]rt.Future),
+		lockPend:      make(map[int]bool),
+		fetchStash:    make(map[vm.Addr][]wire.UpdateEntry),
+		deferredReads: make(map[vm.Addr][]wire.ReadReq),
+		deferredChase: make(map[vm.Addr][]wire.Message),
+		twinFree:      make(map[int][][]byte),
 	}
 	if s.cfg.Batching {
 		n.outboxes = make(map[rt.Proc]*outbox)
@@ -559,7 +546,7 @@ func (n *Node) expect(key pendKey, k wire.Kind) rt.Future {
 	if _, ok := n.pending[key]; ok {
 		panic(fmt.Sprintf("core: node %d duplicate outstanding request %v", n.id, key))
 	}
-	f := n.future(n.rpcNames.name(n.id, k))
+	f := n.future(rt.NameOfString("rpc[n%d %s]", n.id, k.String()))
 	n.pending[key] = f
 	return f
 }
@@ -580,26 +567,6 @@ func (n *Node) future(name rt.Name) rt.Future {
 // recycle gives back a future made by future once its one waiter has
 // returned from it; nothing else may hold it.
 func (n *Node) recycle(f rt.Future) { n.freeFutures = append(n.freeFutures, f) }
-
-// nameCache caches one node's future names by key. Only a deadlock report
-// reads a future's name, so it is formatted once per key rather than once
-// per wait.
-type nameCache[K comparable] struct {
-	format string // of the node id and the key
-	names  map[K]rt.Name
-}
-
-func (c *nameCache[K]) name(node int, k K) rt.Name {
-	s, ok := c.names[k]
-	if !ok {
-		if c.names == nil {
-			c.names = make(map[K]rt.Name)
-		}
-		s = rt.Named(fmt.Sprintf(c.format, node, k))
-		c.names[k] = s
-	}
-	return s
-}
 
 // complete resolves the pending request under key with v.
 func (n *Node) complete(key pendKey, v any) {

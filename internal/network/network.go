@@ -94,8 +94,9 @@ func Traced(env Envelope) Envelope {
 // are attributed to wire.KindBatch bytes. Sends counts transport sends —
 // the number the batching fast path exists to reduce.
 type Stats struct {
-	Messages map[wire.Kind]int
-	Bytes    map[wire.Kind]int
+	// Messages and Bytes are indexed by wire.Kind.
+	Messages [wire.NumKinds]int
+	Bytes    [wire.NumKinds]int
 	// Sends counts transport sends (envelopes): an unbatched message is
 	// one send; a wire.Batch of k messages is one send carrying k.
 	Sends int
@@ -169,9 +170,11 @@ type Network struct {
 	//-injected reordering never violates per-pair FIFO order.
 	pairLast map[[2]int]sim.Time
 
-	// deliveries holds every delivery record made, and free those not on
-	// the wire: a frame in flight is scheduled as its record's fire.
-	deliveries, free []*delivery
+	// slabs holds every delivery record made, deliverySlab to a block,
+	// and free those not on the wire: a frame in flight is scheduled as
+	// its record's fire.
+	slabs [][]delivery
+	free  []*delivery
 
 	// Trace, if set, observes every delivered envelope (Traced).
 	Trace func(Envelope)
@@ -195,10 +198,6 @@ func New(s *sim.Sim, cost model.CostModel, n int) *Network {
 		sim:      s,
 		cost:     cost,
 		pairLast: make(map[[2]int]sim.Time),
-		stats: Stats{
-			Messages: make(map[wire.Kind]int),
-			Bytes:    make(map[wire.Kind]int),
-		},
 	}
 	for i := 0; i < n; i++ {
 		nw.inboxes = append(nw.inboxes, sim.NewMailbox[Envelope](s, fmt.Sprintf("inbox[%d]", i)))
@@ -291,16 +290,24 @@ type delivery struct {
 	fire func()
 }
 
-// delivery returns a free delivery record, making one when none is.
+// deliverySlab is how many delivery records are made at a time.
+const deliverySlab = 32
+
+// delivery returns a free delivery record, making a slab of them when
+// none is.
 func (nw *Network) delivery() *delivery {
-	if k := len(nw.free); k > 0 {
-		d := nw.free[k-1]
-		nw.free = nw.free[:k-1]
-		return d
+	if len(nw.free) == 0 {
+		slab := make([]delivery, deliverySlab)
+		nw.slabs = append(nw.slabs, slab)
+		for i := range slab {
+			d := &slab[i]
+			d.nw, d.fire = nw, d.run
+			nw.free = append(nw.free, d)
+		}
 	}
-	d := &delivery{nw: nw}
-	d.fire = d.run
-	nw.deliveries = append(nw.deliveries, d)
+	k := len(nw.free) - 1
+	d := nw.free[k]
+	nw.free = nw.free[:k]
 	return d
 }
 
@@ -321,8 +328,10 @@ func (d *delivery) run() {
 // the wire and those queued in inboxes. Call it once the simulation has
 // stopped; the network delivers nothing afterwards.
 func (nw *Network) Close() {
-	for _, d := range nw.deliveries {
-		d.env.Release()
+	for _, slab := range nw.slabs {
+		for i := range slab {
+			slab[i].env.Release()
+		}
 	}
 	for _, in := range nw.inboxes {
 		in.Drain(func(env Envelope) { env.Release() })

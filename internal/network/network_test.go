@@ -179,8 +179,7 @@ func TestCountFrameMatchesMessages(t *testing.T) {
 		wire.Batch{Msgs: riders[:2]},
 		wire.Batch{Msgs: []wire.Message{riders[2], riders[2], riders[3]}},
 	)
-	got, want := Stats{Messages: map[wire.Kind]int{}, Bytes: map[wire.Kind]int{}},
-		Stats{Messages: map[wire.Kind]int{}, Bytes: map[wire.Kind]int{}}
+	var got, want Stats
 	for _, m := range msgs {
 		countMessage(&want, m)
 		bp := wire.Encode(m)

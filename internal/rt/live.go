@@ -153,7 +153,7 @@ func newLive(name string, cost model.CostModel, n int) *Live {
 		done:  make(chan struct{}),
 	}
 	for i := 0; i < n; i++ {
-		l.nodes = append(l.nodes, &liveNode{rt: l, id: i, stats: newStats()})
+		l.nodes = append(l.nodes, &liveNode{rt: l, id: i})
 	}
 	return l
 }
@@ -172,22 +172,15 @@ func (l *Live) Nodes() int { return len(l.nodes) }
 // the live transports are informational, not modeled.
 func (l *Live) Now() Time { return Time(time.Since(l.start)) }
 
-// newStats returns a zero Stats ready to count into.
-func newStats() Stats {
-	return Stats{Messages: make(map[wire.Kind]int), Bytes: make(map[wire.Kind]int)}
-}
-
 // Stats returns the accumulated traffic statistics, summed over the
 // nodes that counted them.
 func (l *Live) Stats() *Stats {
-	total := newStats()
+	var total Stats
 	for _, n := range l.nodes {
 		n.mu.Lock()
-		for k, v := range n.stats.Messages {
-			total.Messages[k] += v
-		}
-		for k, v := range n.stats.Bytes {
-			total.Bytes[k] += v
+		for k := range total.Messages {
+			total.Messages[k] += n.stats.Messages[k]
+			total.Bytes[k] += n.stats.Bytes[k]
 		}
 		total.Sends += n.stats.Sends
 		total.BatchEnvelopes += n.stats.BatchEnvelopes

@@ -69,6 +69,10 @@ func Named(s string) Name { return sim.Named(s) }
 // if a deadlock report reads it.
 func NameOf(format string, node int, addr uint64) Name { return sim.NameOf(format, node, addr) }
 
+// NameOfString returns the name fmt.Sprintf(format, node, s), formatted
+// only if a deadlock report reads it. s must not be empty.
+func NameOfString(format string, node int, s string) Name { return sim.NameOfString(format, node, s) }
+
 // Stats aggregates per-kind traffic counts.
 type Stats = network.Stats
 

@@ -71,12 +71,22 @@ func TestHandoverAllocatesNothing(t *testing.T) {
 	}
 }
 
-// endsCleanly runs s, checks its error with ok, and waits for the
-// goroutine count to return to start: no process outlives Run.
+// errExited stands for a Run that did not return: its goroutine exited,
+// as runtime.Goexit (t.FailNow) in a process makes it.
+var errExited = errors.New("Run's goroutine exited")
+
+// endsCleanly runs s on a goroutine of its own, checks its error with ok
+// (errExited if Run never returned), and waits for the goroutine count
+// to return to start: no process outlives Run.
 func endsCleanly(t *testing.T, s *Sim, start int, ok func(error) bool) {
 	t.Helper()
-	err := s.Run()
-	if !ok(err) {
+	errc := make(chan error, 1)
+	go func() {
+		err := errExited
+		defer func() { errc <- err }()
+		err = s.Run()
+	}()
+	if err := <-errc; !ok(err) {
 		t.Errorf("Run() = %v", err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
@@ -210,6 +220,154 @@ func TestHandoverEventCallbackPanic(t *testing.T) {
 	allDrained(t, unwound, 3)
 }
 
+// TestHandoverGoexitWhileOthersParked: a process that calls
+// runtime.Goexit, as t.FailNow does, ends Run's goroutine in turn, and
+// the processes still parked are unwound before it goes.
+func TestHandoverGoexitWhileOthersParked(t *testing.T) {
+	start := runtime.NumGoroutine()
+	s := New()
+	var unwound []bool
+	parkForever(s, 3, &unwound)
+	s.Spawn("ticker", func(p *Proc) {
+		defer func() { unwound = append(unwound, s.draining) }()
+		for {
+			p.Advance(1)
+		}
+	})
+	s.Spawn("quitter", func(p *Proc) {
+		p.Advance(5)
+		runtime.Goexit()
+	})
+	endsCleanly(t, s, start, func(err error) bool { return err == errExited })
+	allDrained(t, unwound, 4)
+	if s.Now() != 5 {
+		t.Errorf("Now = %v, want 5: nothing runs after the Goexit", s.Now())
+	}
+}
+
+// TestHandoverSpawnFromProc: a process spawned by a running one starts
+// at the spawner's time, behind the events already pending then.
+func TestHandoverSpawnFromProc(t *testing.T) {
+	start := runtime.NumGoroutine()
+	s := New()
+	m := NewMailbox[Time](s, "box")
+	var order []string
+	s.Spawn("other", func(p *Proc) {
+		p.Advance(3)
+		order = append(order, "other")
+	})
+	s.Spawn("parent", func(p *Proc) {
+		p.Advance(3)
+		s.Spawn("child", func(c *Proc) {
+			order = append(order, "child")
+			c.Advance(2)
+			m.Put(c.Now())
+		})
+		order = append(order, "parent")
+		if got := m.Get(p); got != 5 {
+			t.Errorf("child put at %v, want 5", got)
+		}
+	})
+	endsCleanly(t, s, start, func(err error) bool { return err == nil })
+	if want := []string{"other", "parent", "child"}; !slices.Equal(order, want) {
+		t.Errorf("ran in order %v, want %v", order, want)
+	}
+}
+
+// TestHandoverStopBeforeStart: processes that never started — spawned
+// before a Stop that precedes Run, or by a process in the step that
+// stops the run — are unwound without running their bodies.
+func TestHandoverStopBeforeStart(t *testing.T) {
+	t.Run("before Run", func(t *testing.T) {
+		start := runtime.NumGoroutine()
+		s := New()
+		started := 0
+		for i := 0; i < 3; i++ {
+			s.Spawn("never", func(p *Proc) { started++ })
+		}
+		s.Stop()
+		endsCleanly(t, s, start, func(err error) bool { return err == nil })
+		if started != 0 {
+			t.Errorf("%d processes started after Stop", started)
+		}
+	})
+	t.Run("from a process", func(t *testing.T) {
+		start := runtime.NumGoroutine()
+		s := New()
+		started := 0
+		s.Spawn("stopper", func(p *Proc) {
+			s.Spawn("late", func(p *Proc) { started++ })
+			s.Stop()
+			p.Yield()
+			t.Error("stopper resumed after Stop")
+		})
+		s.Spawn("never", func(p *Proc) { started++ })
+		endsCleanly(t, s, start, func(err error) bool { return err == nil })
+		if started != 0 {
+			t.Errorf("%d processes started after Stop", started)
+		}
+	})
+}
+
+// TestHandoverDeferParksWhileDraining: deferred code that parks while
+// its process is being unwound does not park — it keeps unwinding — and
+// the drain goes on to the processes after it.
+func TestHandoverDeferParksWhileDraining(t *testing.T) {
+	start := runtime.NumGoroutine()
+	s := New()
+	var unwound []bool
+	m := NewMailbox[int](s, "never")
+	returned := false
+	s.Spawn("cleaner", func(p *Proc) {
+		defer func() { unwound = append(unwound, s.draining) }()
+		defer func() {
+			m.Get(p) // the run has ended: nothing would resume this
+			returned = true
+		}()
+		m.Get(p)
+	})
+	parkForever(s, 2, &unwound)
+	endsCleanly(t, s, start, func(err error) bool {
+		var dl *DeadlockError
+		return errors.As(err, &dl) && len(dl.Blocked) == 3
+	})
+	allDrained(t, unwound, 3)
+	if returned {
+		t.Error("a park in deferred code returned while draining")
+	}
+}
+
+// TestHandoverProcRecoversOwnPanic: a process body's own recover still
+// catches a panic raised under it after it has parked and been resumed,
+// and the process and the run carry on.
+func TestHandoverProcRecoversOwnPanic(t *testing.T) {
+	start := runtime.NumGoroutine()
+	s := New()
+	var caught any
+	finished := false
+	s.Spawn("ticker", func(p *Proc) {
+		for i := 0; i < 10; i++ {
+			p.Advance(1)
+		}
+	})
+	s.Spawn("recoverer", func(p *Proc) {
+		func() {
+			defer func() { caught = recover() }()
+			p.Advance(2)
+			panic("inner")
+		}()
+		p.Advance(3)
+		finished = true
+	})
+	endsCleanly(t, s, start, func(err error) bool { return err == nil })
+	if caught != "inner" || !finished {
+		t.Errorf("recovered %v, finished %v; want inner, true", caught, finished)
+	}
+	if s.Now() != 10 {
+		t.Errorf("Now = %v, want 10", s.Now())
+	}
+}
+
 func TestHandoverProcFinishesWhileOthersWait(t *testing.T) {
 	start := runtime.NumGoroutine()
 	s := New()
@@ -228,6 +386,42 @@ func TestHandoverProcFinishesWhileOthersWait(t *testing.T) {
 	if got != 6 {
 		t.Errorf("waiters received %d in total, want 6", got)
 	}
+}
+
+// BenchmarkSimHandover measures the kernel's two ways back to a process:
+// "yield" is two processes alternating Yield, so every Yield hands over
+// to the other (one op is a round, each process yielding once), and
+// "advance" is one process advancing alone, whose next event is always
+// its own resume, so it never switches. Both allocate nothing per op.
+func BenchmarkSimHandover(b *testing.B) {
+	b.Run("yield", func(b *testing.B) {
+		s := New()
+		for i := 0; i < 2; i++ {
+			s.Spawn("yielder", func(p *Proc) {
+				for i := 0; i < b.N; i++ {
+					p.Yield()
+				}
+			})
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		if err := s.Run(); err != nil {
+			b.Fatal(err)
+		}
+	})
+	b.Run("advance", func(b *testing.B) {
+		s := New()
+		s.Spawn("advancer", func(p *Proc) {
+			for i := 0; i < b.N; i++ {
+				p.Advance(1)
+			}
+		})
+		b.ReportAllocs()
+		b.ResetTimer()
+		if err := s.Run(); err != nil {
+			b.Fatal(err)
+		}
+	})
 }
 
 // TestMailboxOrderWhileNeverEmpty keeps a mailbox growing while it is

@@ -9,6 +9,7 @@ import "fmt"
 // report reads it, so making one formats nothing.
 type Name struct {
 	text string // the name, or its format when lazy
+	str  string // the format's second argument, if a string (NameOfString)
 	node int
 	addr uint64
 	lazy bool
@@ -23,10 +24,19 @@ func NameOf(format string, node int, addr uint64) Name {
 	return Name{text: format, node: node, addr: addr, lazy: true}
 }
 
+// NameOfString returns the name fmt.Sprintf(format, node, s), formatted
+// when String is called. s must not be empty.
+func NameOfString(format string, node int, s string) Name {
+	return Name{text: format, str: s, node: node, lazy: true}
+}
+
 // String formats the name.
 func (n Name) String() string {
-	if !n.lazy {
+	switch {
+	case !n.lazy:
 		return n.text
+	case n.str != "":
+		return fmt.Sprintf(n.text, n.node, n.str)
 	}
 	return fmt.Sprintf(n.text, n.node, n.addr)
 }

@@ -24,13 +24,17 @@ const (
 )
 
 // Proc is a simulated thread of control. All methods must be called from
-// the process's own goroutine (i.e. from within the fn passed to Spawn),
-// except the read-only accessors Name, UserTime and SystemTime.
+// the process itself (i.e. from within the fn passed to Spawn), except the
+// read-only accessors Name, UserTime and SystemTime.
 type Proc struct {
 	sim   *Sim
 	name  string
-	wake  chan struct{}
 	state procState
+	// resume runs the process's coroutine until it parks (true) or
+	// finishes (false); yield, called inside it, returns to resume's
+	// caller.
+	resume func() (struct{}, bool)
+	yield  func(struct{}) bool
 	// blockedOn and blockedName say what the process is parked on
 	// ("mailbox ", "inbox[3]"); they are joined only for a deadlock
 	// report, so parking builds no string.
@@ -99,10 +103,10 @@ func (p *Proc) Yield() {
 }
 
 // park blocks the process until an event resumes it. While it is parked
-// the event loop runs on its goroutine: if the next resume is its own it
-// simply returns, otherwise it hands control to the process resumed (or,
-// once the run has ended, to Run) and waits to be woken. on+name says
-// what it waits for in deadlock reports.
+// the event loop runs in it: if the next resume is its own it simply
+// returns, otherwise it yields the process resumed (or, once the run has
+// ended, nil) to Run and waits to be resumed. on+name says what it waits
+// for in deadlock reports.
 func (p *Proc) park(on string, name Name) {
 	s := p.sim
 	if s.current != p {
@@ -116,14 +120,13 @@ func (p *Proc) park(on string, name Name) {
 	p.state = procBlocked
 	p.blockedOn, p.blockedName = on, name
 	s.current = nil
-	if next := s.dispatch(); next == p {
+	if s.next = s.dispatch(); s.next == p {
 		s.current = p
 	} else {
-		s.handOver(next)
-		<-p.wake
+		p.yield(struct{}{})
 	}
 	if s.draining {
-		// Woken only to unwind: the run has ended (Stop, cancellation,
+		// Resumed only to unwind: the run has ended (Stop, cancellation,
 		// failure or deadlock) and this process will never be resumed
 		// for real. The panic propagates to Spawn's recover.
 		panic(drainSignal{})

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"iter"
 	"sort"
 	"strings"
 )
@@ -67,36 +68,35 @@ func (h *eventHeap) pop() event {
 
 // Sim is a discrete-event simulation. The zero value is not usable; call New.
 //
-// Exactly one simulated process runs at any instant. There is no scheduler
-// goroutine: the event loop runs on whichever goroutine holds control — Run's
-// until the first resume, then that of the process that last parked or
-// finished — and hands control straight to the next process to resume, so a
-// handover costs one goroutine switch, and none when a process's next event
-// is its own resume. Code inside processes needs no locking and observes a
+// Exactly one simulated process runs at any instant. Each process runs as
+// a coroutine (iter.Pull) and Run is the kernel that resumes them: a
+// process that parks runs the event loop itself, returns straight away
+// when the next event is its own resume, and otherwise yields the chosen
+// process to Run, which resumes it. A handover is thus one coroutine
+// switch into Run and one out, with no channel and no scheduler in
+// between. Code inside processes needs no locking and observes a
 // consistent virtual clock.
 type Sim struct {
 	now      Time
 	seq      uint64
 	events   eventHeap
-	done     chan struct{} // tells Run's goroutine the loop (or a drained process) ended
 	procs    []*Proc
 	current  *Proc
-	failure  any // first panic raised by a process or an event callback
+	next     *Proc // the process a parking one chose for Run to resume
+	failure  any   // first panic raised by a process or an event callback
 	stopped  bool
 	draining bool
 	// interrupt, if set, is polled every 64 events; a non-nil return
 	// stops the event loop with that error (context cancellation), kept
 	// in interrupted. polls counts events popped, here rather than in a
-	// local because the loop moves between goroutines.
+	// local because the loop runs in whichever process parks.
 	interrupt   func() error
 	interrupted error
 	polls       uint
 }
 
 // New returns an empty simulation with the clock at zero.
-func New() *Sim {
-	return &Sim{done: make(chan struct{})}
-}
+func New() *Sim { return &Sim{} }
 
 // Now returns the current virtual time.
 func (s *Sim) Now() Time { return s.now }
@@ -123,20 +123,14 @@ func (s *Sim) schedule(t Time, p *Proc, fn func()) {
 // Spawn creates a new process named name executing fn and schedules it to
 // start at the current virtual time. The name appears in deadlock reports.
 func (s *Sim) Spawn(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{
-		sim:   s,
-		name:  name,
-		wake:  make(chan struct{}),
-		state: procBlocked,
-	}
-	s.procs = append(s.procs, p)
-	go func() {
-		<-p.wake
+	p := &Proc{sim: s, name: name, state: procBlocked}
+	// No stop function is kept: Run resumes every coroutine to its end.
+	p.resume, _ = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
 		if s.draining {
-			// Woken only to unwind: the run ended before this process
+			// Resumed only to unwind: the run ended before this process
 			// ever started.
 			p.state = procDone
-			s.done <- struct{}{}
 			return
 		}
 		p.state = procRunning
@@ -147,24 +141,20 @@ func (s *Sim) Spawn(name string, fn func(p *Proc)) *Proc {
 				}
 			}
 			p.state = procDone
-			if s.draining {
-				s.done <- struct{}{}
-				return
-			}
 			s.current = nil
-			s.handOver(s.dispatch())
 		}()
 		fn(p)
-	}()
+	})
+	s.procs = append(s.procs, p)
 	s.schedule(s.now, p, nil)
 	return p
 }
 
-// dispatch runs events on the calling goroutine until one resumes a
-// process, which it returns, or the run ends (no events, a failure, Stop
-// or an interrupt), when it returns nil. A panicking event callback is
-// recovered into s.failure here, so it ends the run the same way on every
-// goroutine and never unwinds through a parked process's deferred code.
+// dispatch runs events until one resumes a process, which it returns, or
+// the run ends (no events, a failure, Stop or an interrupt), when it
+// returns nil. A panicking event callback is recovered into s.failure
+// here, so it ends the run the same way in Run or in a parking process
+// and never unwinds through that process's deferred code.
 func (s *Sim) dispatch() *Proc {
 	for len(s.events) > 0 && s.failure == nil && !s.stopped {
 		if s.interrupt != nil && s.polls%64 == 0 {
@@ -196,17 +186,6 @@ func (s *Sim) call(fn func()) {
 	fn()
 }
 
-// handOver gives control to next, or, when the run has ended (next is
-// nil), back to Run's goroutine. The caller must then block or exit.
-func (s *Sim) handOver(next *Proc) {
-	if next == nil {
-		s.done <- struct{}{}
-		return
-	}
-	s.current = next
-	next.wake <- struct{}{}
-}
-
 // DeadlockError reports processes still blocked when the event queue drained.
 type DeadlockError struct {
 	// Blocked lists "name: reason" for every parked process.
@@ -229,15 +208,24 @@ func (s *Sim) SetInterrupt(f func() error) { s.interrupt = f }
 // (wrapped if needed), or a *DeadlockError if processes remain blocked
 // with no pending events. A clean completion returns nil. However Run
 // ends, processes still parked are unwound before it returns, so a
-// stopped, canceled or deadlocked run leaks no goroutines.
+// stopped, canceled or deadlocked run leaks no goroutines. A process that
+// calls runtime.Goexit (t.FailNow) ends Run's goroutine the same way,
+// after the others are unwound.
+//
+// Run is the kernel loop: it resumes the process dispatch chose, and when
+// that process parks resumes the one it chose in turn, or, when it
+// finishes, dispatches the next itself.
 func (s *Sim) Run() error {
-	if next := s.dispatch(); next != nil {
-		s.handOver(next)
-		<-s.done
+	defer s.drain()
+	for p := s.dispatch(); p != nil; {
+		s.current = p
+		if _, parked := p.resume(); parked {
+			p = s.next
+		} else {
+			p = s.dispatch()
+		}
 	}
-	err := s.result()
-	s.drain()
-	return err
+	return s.result()
 }
 
 // result is Run's error once the event loop has ended.
@@ -268,17 +256,15 @@ func (s *Sim) result() error {
 type drainSignal struct{}
 
 // drain resumes every still-parked process with the draining flag set:
-// park (or the pre-start wait in Spawn) observes it and unwinds instead
-// of continuing, so their goroutines exit now rather than living as
-// long as the host process. Each unwound process reports back on s.done
-// before the next is resumed. Must run after the event loop has ended.
+// park (or a process's start in Spawn) observes it and unwinds instead of
+// continuing, so each coroutine finishes now rather than living as long
+// as the host process. Must run after the event loop has ended.
 func (s *Sim) drain() {
 	s.draining = true
 	for i := 0; i < len(s.procs); i++ {
 		if p := s.procs[i]; p.state == procBlocked {
 			s.current = p
-			p.wake <- struct{}{}
-			<-s.done
+			p.resume()
 		}
 	}
 	s.current = nil

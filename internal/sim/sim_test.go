@@ -467,6 +467,8 @@ func TestNameOf(t *testing.T) {
 		{Named("flush[3]"), "flush[3]"},
 		{NameOf("entry[n%d %#x]", 3, 0x80002000), "entry[n3 0x80002000]"},
 		{NameOf("dirfetch[n%d %#x]", 1, 0x80004000), "dirfetch[n1 0x80004000]"},
+		{NameOf("lockwait[n%d l%d]", 2, 7), "lockwait[n2 l7]"},
+		{NameOfString("rpc[n%d %s]", 4, "lock-acq"), "rpc[n4 lock-acq]"},
 	} {
 		if got := c.name.String(); got != c.want {
 			t.Errorf("name reads %q, want %q", got, c.want)

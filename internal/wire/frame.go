@@ -65,7 +65,7 @@ func FrameRiders(frame []byte) int {
 
 // ValidKind reports whether k is a message kind this package defines:
 // what a transport checks of a frame it receives without decoding it.
-func ValidKind(k Kind) bool { return k > KindInvalid && k < numKinds }
+func ValidKind(k Kind) bool { return k > KindInvalid && k < NumKinds }
 
 // ForEachRider calls fn with the encoding of each rider of a batch frame,
 // in order. It first walks the rider headers, reading only lengths and

@@ -80,7 +80,9 @@ const (
 	KindLrcFetchResp
 	KindLrcGC
 	KindBatch
-	numKinds
+	// NumKinds bounds the kinds: every Kind is below it, so an array of
+	// NumKinds counters is indexed by Kind.
+	NumKinds
 )
 
 var kindNames = [...]string{
@@ -139,8 +141,8 @@ func (k Kind) String() string {
 
 // Kinds returns every valid kind, for statistics tables.
 func Kinds() []Kind {
-	out := make([]Kind, 0, numKinds-1)
-	for k := KindReadReq; k < numKinds; k++ {
+	out := make([]Kind, 0, NumKinds-1)
+	for k := KindReadReq; k < NumKinds; k++ {
 		out = append(out, k)
 	}
 	return out

@@ -77,13 +77,14 @@ type Result struct {
 // newResult captures a finished system's observable state.
 func newResult(p *Program, cfg runConfig, sys *core.System) *Result {
 	st := sys.Transport().Stats()
-	perKind := make(map[wire.Kind]int, len(st.Messages))
-	for k, v := range st.Messages {
-		perKind[k] = v
-	}
-	perKindBytes := make(map[wire.Kind]int, len(st.Bytes))
-	for k, v := range st.Bytes {
-		perKindBytes[k] = v
+	perKind, perKindBytes := make(map[wire.Kind]int), make(map[wire.Kind]int)
+	for k := range st.Messages {
+		if v := st.Messages[k]; v != 0 {
+			perKind[wire.Kind(k)] = v
+		}
+		if v := st.Bytes[k]; v != 0 {
+			perKindBytes[wire.Kind(k)] = v
+		}
 	}
 	ast := sys.AdaptStats()
 	lst := sys.LrcStats()
