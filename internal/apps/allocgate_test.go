@@ -6,12 +6,18 @@ import (
 	"context"
 	"runtime"
 	"testing"
+
+	"munin"
 )
 
-// simLockRingAllocsPerCS bounds the heap allocations one critical
-// section of the simulated 16-node lock ring costs, set-up and teardown
-// included.
-const simLockRingAllocsPerCS = 1.5
+// The bounds on the heap allocations one critical section of the
+// simulated 16-node lock ring costs, set-up and teardown included: eager
+// release consistency, and the lazy engine, whose diffs, intervals and
+// timestamps are kept state rather than per-message garbage.
+const (
+	simLockRingAllocsPerCS     = 0.40
+	simLazyLockRingAllocsPerCS = 5.5
+)
 
 // TestSimLockRingAllocs is the whole-run allocation gate on the
 // simulator: the 16-node lock ring at 250 rounds runs twice in one
@@ -22,6 +28,20 @@ const simLockRingAllocsPerCS = 1.5
 // file is left out of race-detector builds, whose sync.Pool drops
 // entries on purpose, so counts there are not the program's.
 func TestSimLockRingAllocs(t *testing.T) {
+	lockRingAllocs(t, simLockRingAllocsPerCS)
+}
+
+// TestSimLazyLockRingAllocs is TestSimLockRingAllocs under lazy release
+// consistency, bound simLazyLockRingAllocsPerCS.
+func TestSimLazyLockRingAllocs(t *testing.T) {
+	lockRingAllocs(t, simLazyLockRingAllocsPerCS, munin.WithConsistency(munin.LazyRC))
+}
+
+// lockRingAllocs runs the 16×250 lock ring on the simulator twice with
+// opts and fails when the second run allocates more than bound per
+// critical section.
+func lockRingAllocs(t *testing.T, bound float64, opts ...munin.RunOption) {
+	t.Helper()
 	cfg := LockHeavyConfig{Procs: 16, Rounds: 250}
 	app, err := NewLockHeavy(cfg)
 	if err != nil {
@@ -30,7 +50,7 @@ func TestSimLockRingAllocs(t *testing.T) {
 	want := LockHeavyReference(cfg)
 	run := func() {
 		t.Helper()
-		r, err := app.Run(context.Background())
+		r, err := app.Run(context.Background(), opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -47,7 +67,7 @@ func TestSimLockRingAllocs(t *testing.T) {
 	sections := cfg.Procs * 2 * cfg.Rounds
 	perCS := float64(after.Mallocs-before.Mallocs) / float64(sections)
 	t.Logf("%d allocations over %d critical sections: %.3f each", after.Mallocs-before.Mallocs, sections, perCS)
-	if perCS > simLockRingAllocsPerCS {
-		t.Errorf("%.3f allocations per critical section, bound %.2f", perCS, simLockRingAllocsPerCS)
+	if perCS > bound {
+		t.Errorf("%.3f allocations per critical section, bound %.2f", perCS, bound)
 	}
 }

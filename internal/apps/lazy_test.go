@@ -10,6 +10,7 @@ package apps
 import (
 	"bytes"
 	"context"
+	"os"
 	"testing"
 
 	"munin"
@@ -104,7 +105,10 @@ func TestLazyEquivalenceSim(t *testing.T) {
 // TestLazyEquivalenceLive: the same workloads under LazyRC on the
 // concurrent transports produce the defined outputs (the WriteShared
 // matmul override also exercises lazy management of the output matrix).
-func TestLazyEquivalenceLive(t *testing.T) {
+func TestLazyEquivalenceLive(t *testing.T) { lazyEquivalenceLive(t) }
+
+func lazyEquivalenceLive(t *testing.T) {
+	t.Helper()
 	ws := protocol.WriteShared
 	borrowed := wire.Outstanding()
 	for _, tr := range []string{"chan", "mux"} {
@@ -153,6 +157,27 @@ func TestLazyEquivalenceLive(t *testing.T) {
 		}
 		if want := uint32(TSPReference(8)); tsp.Check != want {
 			t.Errorf("%s tsp %d, want %d", tr, tsp.Check, want)
+		}
+	}
+}
+
+// TestLazyEquivalenceLiveRepro repeats TestLazyEquivalenceLive. Under
+// the race detector its 8-node lazy TSP on chan has returned a tour
+// longer than the optimum (195 against 189), about once in hundreds of
+// passes: a wrong answer, not an error, through protocols the lazy
+// engine does not manage (ROADMAP item 4(e)). The TSP run alone, looped,
+// has not reproduced it. It is skipped unless MUNIN_REPRO is set, since
+// it fails only by chance:
+//
+//	MUNIN_REPRO=1 go test -race -run TestLazyEquivalenceLiveRepro -timeout 30m ./internal/apps
+func TestLazyEquivalenceLiveRepro(t *testing.T) {
+	if os.Getenv("MUNIN_REPRO") == "" {
+		t.Skip("chance repro of a wrong lazy TSP tour on chan (ROADMAP item 4(e)); set MUNIN_REPRO=1 to run")
+	}
+	for i := 0; i < 1000 && !t.Failed(); i++ {
+		lazyEquivalenceLive(t)
+		if t.Failed() {
+			t.Logf("failed on pass %d", i)
 		}
 	}
 }

@@ -76,6 +76,7 @@ func TestPoisonedReceiveBuffers(t *testing.T) {
 	ring := LockHeavyConfig{Procs: 4, Rounds: 6}
 	sorCfg := SORConfig{Procs: 4, Rows: 16, Cols: 2048, Iters: 4, PhaseBarrier: true}
 	mmCfg := MatMulConfig{Procs: 4, N: 48}
+	demoCfg := DemoConfig{Procs: 4}
 	lockHeavy, err := NewLockHeavy(ring)
 	if err != nil {
 		t.Fatal(err)
@@ -85,6 +86,13 @@ func TestPoisonedReceiveBuffers(t *testing.T) {
 		t.Fatal(err)
 	}
 	matmul, err := NewMatMul(mmCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Each lock grant carries the counter associated with the lock: a
+	// waiter that applied the grant's updates, or absorbed its lazy
+	// timestamp, after giving the reply back would read the poison.
+	lockDemo, err := NewLockDemo(demoCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,6 +107,8 @@ func TestPoisonedReceiveBuffers(t *testing.T) {
 		{"phase-barrier sor", sor, nil, SORReference(sorCfg.Rows, sorCfg.Cols, sorCfg.Iters)},
 		{"matmul", matmul, nil, MatMulReference(mmCfg.N)},
 		{"lazy phase-barrier sor", sor, []munin.RunOption{munin.WithConsistency(munin.LazyRC)}, SORReference(sorCfg.Rows, sorCfg.Cols, sorCfg.Iters)},
+		{"lock grant updates", lockDemo, nil, uint32(demoCfg.Procs)},
+		{"lazy lock grant updates", lockDemo, []munin.RunOption{munin.WithConsistency(munin.LazyRC)}, uint32(demoCfg.Procs)},
 	}
 	for _, r := range runs {
 		for _, batch := range []bool{false, true} {

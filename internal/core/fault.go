@@ -159,7 +159,7 @@ func (n *Node) fetchReadCopy(t *Thread, e *directory.Entry, prefetch bool) {
 	if e.Home == n.id && !e.BackingStale && e.Backing != nil {
 		// The home can materialize from its own fresh backing without any
 		// message: the initial contents are right here.
-		n.adoptObject(p, e, append([]byte(nil), e.Backing...), vm.ProtRead)
+		n.installObject(p, e, e.Backing, vm.ProtRead)
 	} else {
 		n.fetchRemoteCopy(t, e, prefetch)
 	}
@@ -204,28 +204,28 @@ func (n *Node) fetchRemoteCopy(t *Thread, e *directory.Entry, prefetch bool) {
 	req := wire.ReadReq{Addr: e.Start, Requester: uint8(n.id), Prefetch: prefetch}
 	key := pendKey{pendRead, uint64(e.Start)}
 	t0 := p.Now()
-	var reply wire.ReadReply
+	var r *reply
 	switch {
 	case dst != n.id:
-		reply = n.rpc(t, dst, key, req).(wire.ReadReply)
+		r = n.rpc(t, dst, key, req)
 	case homeServes:
 		// The home's own miss waits and forwards like any other read.
 		f := n.expect(key, wire.KindReadReq)
 		n.serveRead(p, req)
-		reply = n.await(p, f).(wire.ReadReply)
+		r = n.awaitReply(p, f)
 		n.recycle(f)
 	default:
 		fail(n.id, e.Start, "read miss", "no holder known for object")
 	}
+	reply := must(r.rd.ReadReply(r.frame()))
 	if !homeServes {
 		// (A home-served object's reads ignore the hint, and at the home
 		// it names the writer that forwards go to.)
 		e.ProbOwner = int(reply.Owner)
 	}
-	// The reply's bytes are this node's alone: decoded for it (sim),
-	// re-owned out of the receive buffer (live), or a serve's fresh copy
-	// (a chase that came back here).
-	n.adoptObject(p, e, reply.Data, vm.ProtRead)
+	// The page is the one copy of the reply's bytes.
+	n.installObject(p, e, reply.Data, vm.ProtRead)
+	n.done(r)
 	if n.obs != nil {
 		n.obs.Event(obs.EvFetch, int64(t0), int64(p.Now()-t0), uint64(e.Start), dst, int64(e.Size))
 		n.obs.Fetched(uint64(e.Start))
@@ -306,19 +306,15 @@ func (n *Node) answerRead(p rt.Proc, e *directory.Entry, m wire.ReadReq) {
 		n.deferredReads[e.Start] = append(n.deferredReads[e.Start], m)
 		return
 	}
-	// The data is taken here, before the first yield below. A reply to
-	// another node is read only by its send, so it goes in a pooled
-	// buffer; our own chase's reply becomes this node's page, so it gets
-	// its own allocation.
+	// The data is taken here, before the first yield below. The reply is
+	// read only where it is encoded — by its send, or for our own chase
+	// by the frame that completes the waiting fault — so it goes in a
+	// pooled buffer.
 	data := stashed
 	if data == nil {
-		if req == n.id {
-			data = make([]byte, e.Size)
-		} else {
-			bp := wire.GetBufN(e.Size)
-			defer n.sent(bp) // after the send, or while unwinding a stopped machine
-			data = (*bp)[:e.Size]
-		}
+		bp := wire.GetBufN(e.Size)
+		defer n.sent(bp) // after the send, or while unwinding a stopped machine
+		data = (*bp)[:e.Size]
 		n.copyCurrent(data, e)
 	}
 	n.checkStableSharing(p, e, req, "read serve")
@@ -349,7 +345,8 @@ func (n *Node) answerRead(p rt.Proc, e *directory.Entry, m wire.ReadReq) {
 		// Our own chase came back to us (possible once it re-routes via
 		// the home) and this node can now supply the data: complete the
 		// waiting fault directly.
-		n.complete(pendKey{pendRead, uint64(e.Start)}, wire.ReadReply{Addr: e.Start, Owner: uint8(owner), Data: data})
+		n.resolve(pendKey{pendRead, uint64(e.Start)}).Complete(
+			n.newReply(wire.Encode(wire.ReadReply{Addr: e.Start, Owner: uint8(owner), Data: data})))
 		return
 	}
 	n.send(p, req, wire.ReadReply{Addr: e.Start, Owner: uint8(owner), Data: data})
@@ -399,9 +396,10 @@ func (n *Node) migrate(t *Thread, e *directory.Entry) {
 		fail(n.id, e.Start, "migrate", "no holder known for migratory object")
 	}
 	t0 := t.proc.Now()
-	reply := n.rpc(t, dst, pendKey{pendMigrate, uint64(e.Start)},
-		wire.MigrateReq{Addr: e.Start, Requester: uint8(n.id)}).(wire.MigrateReply)
-	n.claim(t.proc, e, reply.Data)
+	r := n.rpc(t, dst, pendKey{pendMigrate, uint64(e.Start)},
+		wire.MigrateReq{Addr: e.Start, Requester: uint8(n.id)})
+	n.claim(t.proc, e, must(r.rd.MigrateReply(r.frame())).Data)
+	n.done(r)
 	if n.obs != nil {
 		n.obs.Event(obs.EvFetch, int64(t0), int64(t.proc.Now()-t0), uint64(e.Start), dst, int64(e.Size))
 		n.obs.Migrated(uint64(e.Start))
@@ -530,10 +528,12 @@ func (n *Node) conventionalWrite(t *Thread, e *directory.Entry) {
 			}
 			fail(n.id, e.Start, "write miss", "no owner known for object")
 		}
-		reply := n.rpc(t, dst, pendKey{pendOwn, uint64(e.Start)},
-			wire.OwnReq{Addr: e.Start, Requester: uint8(n.id)}).(wire.OwnReply)
+		r := n.rpc(t, dst, pendKey{pendOwn, uint64(e.Start)},
+			wire.OwnReq{Addr: e.Start, Requester: uint8(n.id)})
+		reply := must(r.rd.OwnReply(r.frame()))
 		n.claim(t.proc, e, reply.Data)
 		e.Copyset = reply.Copyset.Remove(n.id)
+		n.done(r)
 		if e.Params.Delayed {
 			// The object switched to a delayed protocol while the
 			// ownership request was in flight: re-route through the new

@@ -32,6 +32,8 @@ func (n *Node) releaseFlush(t *Thread) {
 // around every flushEntries, serializes its users.
 type releaseScratch struct {
 	drained []*directory.Entry   // what the DUQ held
+	lazy    []*directory.Entry   // a lazy release's entries that close an interval
+	eager   []*directory.Entry   // and those it flushes
 	query   []*directory.Entry   // the entries whose copysets are asked for
 	addrs   []vm.Addr            // a copyset query's addresses
 	bufs    []*[]byte            // payload buffers the batches carry

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"munin/internal/model"
 	"munin/internal/protocol"
 	"munin/internal/rt"
 	"munin/internal/vm"
@@ -187,5 +188,45 @@ func TestOwnLockRequestFails(t *testing.T) {
 	}
 	if se.Succ != -1 {
 		t.Errorf("node 1 queued node %d as its successor", se.Succ)
+	}
+}
+
+// BenchmarkSimLockPingPong: two nodes on the simulator take one lock in
+// turn, each b.N times, so every acquire is a remote request and a grant
+// — the lock transfer every critical section of the lock ring pays. Only
+// the steady state is timed: set-up, a warm-up that fills the node's
+// reusable futures, replies and pools, and teardown are not. It must
+// report 0 allocs/op; the CI zero-copy receive gate fails otherwise.
+func BenchmarkSimLockPingPong(b *testing.B) {
+	const warm = 64
+	sys := NewSystem(Config{Processors: 2, Transport: rt.NewSim(model.Default(), 2)}, nil,
+		[]LockDecl{{ID: 1, Home: 0}}, []BarrierDecl{{ID: 9, Home: 0, Expected: 2}})
+	turns := func(th *Thread, n int) {
+		for range n {
+			th.AcquireLock(1)
+			th.Compute(1000) // 1 µs inside
+			th.ReleaseLock(1)
+		}
+	}
+	b.ReportAllocs()
+	err := sys.Run(func(root *Thread) {
+		root.Spawn(1, "pong", func(th *Thread) {
+			turns(th, warm)
+			th.WaitAtBarrier(9)
+			turns(th, b.N)
+			th.WaitAtBarrier(9)
+		})
+		turns(root, warm)
+		root.WaitAtBarrier(9)
+		b.ResetTimer()
+		turns(root, b.N)
+		root.WaitAtBarrier(9)
+		b.StopTimer()
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if got := sys.Transport().Stats().Messages[wire.KindLockGrant]; got < b.N {
+		b.Fatalf("%d lock grants over %d turns each: the lock did not move", got, b.N)
 	}
 }

@@ -28,6 +28,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"munin/internal/diffenc"
 	"munin/internal/directory"
@@ -71,21 +72,22 @@ func (n *Node) lrcRelease(t *Thread) {
 	}
 	n.acquire(t.proc, n.flushSem)
 	defer n.flushSem.Release()
-	n.release.drained = n.duq.DrainInto(n.release.drained[:0])
-	var lazyEntries, eager []*directory.Entry
-	for _, e := range n.release.drained {
+	rs := &n.release
+	rs.drained = n.duq.DrainInto(rs.drained[:0])
+	rs.lazy, rs.eager = rs.lazy[:0], rs.eager[:0]
+	for _, e := range rs.drained {
 		if lazyManaged(e) {
-			lazyEntries = append(lazyEntries, e)
+			rs.lazy = append(rs.lazy, e)
 		} else {
-			eager = append(eager, e)
+			rs.eager = append(rs.eager, e)
 		}
 	}
-	if len(eager) > 0 {
+	if len(rs.eager) > 0 {
 		n.Flushes++
-		n.flushEntries(t, eager)
+		n.flushEntries(t, rs.eager)
 	}
-	if len(lazyEntries) > 0 {
-		n.lrcCloseEntries(t.proc, lazyEntries)
+	if len(rs.lazy) > 0 {
+		n.lrcCloseEntries(t.proc, rs.lazy)
 	}
 }
 
@@ -93,12 +95,15 @@ func (n *Node) lrcRelease(t *Thread) {
 // record the write notices, extend each entry's pending (unmaterialized)
 // range, and write-protect the pages so the next local store opens a new
 // interval. The twin is kept — the diff is not computed until someone
-// asks for it.
+// asks for it. The caller holds flushSem.
 func (n *Node) lrcCloseEntries(p rt.Proc, entries []*directory.Entry) {
-	addrs := make([]vm.Addr, 0, len(entries))
+	// The engine copies the list it keeps (CloseInterval), so the
+	// releases' address scratch serves.
+	addrs := n.release.addrs[:0]
 	for _, e := range entries {
 		addrs = append(addrs, e.Start)
 	}
+	n.release.addrs = addrs
 	ivl := n.lrc.CloseInterval(addrs)
 	closeVT := n.lrc.VT() // the interval's happens-before stamp
 	if n.obs != nil && p != nil {
@@ -178,14 +183,15 @@ func (n *Node) newLrcToken() uint32 {
 }
 
 // lrcRPC sends msg, a lazy-engine request carrying token, and blocks t
-// for the response the token routes back.
-func (n *Node) lrcRPC(t *Thread, dst int, token uint32, msg wire.Message) any {
+// for the response the token routes back, which the caller decodes and
+// gives back (done).
+func (n *Node) lrcRPC(t *Thread, dst int, token uint32, msg wire.Message) *reply {
 	f := n.future(rt.NameOfString("lrc-rpc[n%d %s]", n.id, wire.KindOf(msg).String()))
 	n.pending[pendKey{pendLrc, uint64(token)}] = f
 	n.send(t.proc, dst, msg)
-	v := n.await(t.proc, f)
+	r := n.awaitReply(t.proc, f)
 	n.recycle(f)
-	return v
+	return r
 }
 
 // lrcFetchBase pulls a base copy of the object from its home node and
@@ -200,15 +206,16 @@ func (n *Node) lrcFetchBase(t *Thread, e *directory.Entry) {
 		// The home's base is its backing; st.Applied already describes
 		// it (zeros initially, refreshed when a lazy drop folded the
 		// live copy back in).
-		n.adoptObject(t.proc, e, append([]byte(nil), e.Backing...), vm.ProtRead)
+		n.installObject(t.proc, e, e.Backing, vm.ProtRead)
 		return
 	}
 	n.ReadMisses++
 	t0 := t.proc.Now()
 	token := n.newLrcToken()
-	resp := n.lrcRPC(t, e.Home, token,
-		wire.LrcFetchReq{Addr: e.Start, Requester: uint8(n.id), Token: token}).(wire.LrcFetchResp)
-	n.adoptObject(t.proc, e, resp.Data, vm.ProtRead) // decoded or re-owned for this node alone
+	r := n.lrcRPC(t, e.Home, token,
+		wire.LrcFetchReq{Addr: e.Start, Requester: uint8(n.id), Token: token})
+	resp := must(r.rd.LrcFetchResp(r.frame()))
+	n.installObject(t.proc, e, resp.Data, vm.ProtRead) // the page is the one copy
 	if n.obs != nil {
 		n.obs.Event(obs.EvFetch, int64(t0), int64(t.proc.Now()-t0), uint64(e.Start), e.Home, int64(e.Size))
 		n.obs.Fetched(uint64(e.Start))
@@ -220,6 +227,7 @@ func (n *Node) lrcFetchBase(t *Thread, e *directory.Entry) {
 			st.Applied[j] = 0
 		}
 	}
+	n.done(r)
 	// Note Applied[self] stays whatever the SERVED base incorporates:
 	// this node's own committed records are not in the home's base
 	// unless the home applied them, and lrcBringCurrent replays the
@@ -260,13 +268,16 @@ func (n *Node) serveLrcFetch(p rt.Proc, m wire.LrcFetchReq) {
 }
 
 // lrcDiffFetch pulls, from one writer, the diff records for the given
-// objects beyond the given applied intervals.
-func (n *Node) lrcDiffFetch(t *Thread, writer int, addrs []vm.Addr, after []uint32) wire.LrcDiffResp {
+// objects beyond the given applied intervals. The response's records are
+// views into its reply, which the caller gives back (done) once it has
+// applied them.
+func (n *Node) lrcDiffFetch(t *Thread, writer int, addrs []vm.Addr, after []uint32) (wire.LrcDiffResp, *reply) {
 	n.lrc.Stats.DiffRequests++
 	t0 := t.proc.Now()
 	token := n.newLrcToken()
-	resp := n.lrcRPC(t, writer, token,
-		wire.LrcDiffReq{Requester: uint8(n.id), Token: token, Addrs: addrs, After: after}).(wire.LrcDiffResp)
+	r := n.lrcRPC(t, writer, token,
+		wire.LrcDiffReq{Requester: uint8(n.id), Token: token, Addrs: addrs, After: after})
+	resp := must(r.rd.LrcDiffResp(r.frame()))
 	records := 0
 	for _, s := range resp.Sets {
 		n.lrc.Stats.RecordsFetched += len(s.Records)
@@ -280,14 +291,16 @@ func (n *Node) lrcDiffFetch(t *Thread, writer int, addrs []vm.Addr, after []uint
 			n.obs.Fetched(uint64(a))
 		}
 	}
-	return resp
+	return resp, r
 }
 
 // serveLrcDiff answers a diff request from the node's writer store,
 // materializing pending diffs first — the "created lazily at the first
 // remote request" half of the engine. Never blocks.
 func (n *Node) serveLrcDiff(p rt.Proc, m wire.LrcDiffReq) {
-	sets := make([]wire.LrcDiffSet, 0, len(m.Addrs))
+	// The response is encoded where it is sent, so the dispatcher's
+	// scratch holds its sets; only the dispatcher serves.
+	sets := n.diffSets[:0]
 	for i, a := range m.Addrs {
 		if e, ok := n.dir.Lookup(a); ok && e.Lrc != nil {
 			n.lrcMaterialize(p, e)
@@ -300,6 +313,8 @@ func (n *Node) serveLrcDiff(p rt.Proc, m wire.LrcDiffReq) {
 		p.Advance(n.sys.cost.LrcDiffFetchCPU)
 	}
 	n.send(p, int(m.Requester), wire.LrcDiffResp{Token: m.Token, Sets: sets})
+	clear(sets) // drop the views of the record store
+	n.diffSets = sets
 }
 
 // lrcApply merges fetched diff records into the entry's page (and twin,
@@ -360,7 +375,8 @@ func (n *Node) lrcBringCurrent(t *Thread, e *directory.Entry) {
 		n.lrcFetchBase(t, e)
 	}
 	st := n.lrcState(e)
-	var sets []lrc.WriterRecords
+	sc := &t.lrcFetch
+	sets := sc.sets[:0]
 	// A freshly fetched base may lack this node's OWN committed records
 	// (the home serves what it has applied, which need not include
 	// them): replay the missing ones from the local store, no messages.
@@ -373,17 +389,21 @@ func (n *Node) lrcBringCurrent(t *Thread, e *directory.Entry) {
 		// Snapshot the noticed interval before the fetch yields: the
 		// response covers exactly this much.
 		upTo := n.lrc.Noticed(e.Start)[j]
-		resp := n.lrcDiffFetch(t, j, []vm.Addr{e.Start}, []uint32{st.Applied[j]})
+		sc.addrs = append(sc.addrs[:0], e.Start)
+		sc.after = append(sc.after[:0], st.Applied[j])
+		resp, r := n.lrcDiffFetch(t, j, sc.addrs, sc.after)
+		sc.replies = append(sc.replies, r)
 		var recs []wire.LrcRecord
 		if len(resp.Sets) > 0 {
 			recs = resp.Sets[0].Records
 		}
 		sets = append(sets, lrc.WriterRecords{Writer: j, UpTo: upTo, Records: recs})
 	}
-	if len(sets) == 0 {
-		return
+	if len(sets) > 0 {
+		n.lrcApply(t.proc, e, sets)
 	}
-	n.lrcApply(t.proc, e, sets)
+	sc.sets = sets
+	n.lrcFetched(sc)
 }
 
 // lrcAcquireRefresh is the acquire-directed propagation step: after
@@ -394,12 +414,14 @@ func (n *Node) lrcBringCurrent(t *Thread, e *directory.Entry) {
 // per (writer, holder, flush)). Copies this node does not hold are left
 // alone; a later fault pulls them base-plus-diffs on demand.
 func (n *Node) lrcAcquireRefresh(t *Thread) {
-	var stale []*directory.Entry
+	sc := &t.lrcFetch
+	stale := sc.stale[:0]
 	for e := range n.dir.All() {
 		if lazyManaged(e) && n.lrcNeeds(e) {
 			stale = append(stale, e)
 		}
 	}
+	sc.stale = stale
 	if len(stale) == 0 {
 		return
 	}
@@ -412,14 +434,16 @@ func (n *Node) lrcAcquireRefresh(t *Thread) {
 		for i := len(stale) - 1; i >= 0; i-- {
 			stale[i].Sem.Release()
 		}
+		clear(stale)
 	}()
 	// Recheck after the waits (another thread may have refreshed or the
 	// copy may have been dropped) and snapshot the needs before the first
 	// fetch yields: one set per (entry, writer) pair, entry by entry in
 	// address order, writers ascending within an entry. stale[i]'s sets
 	// are sets[from[i]:from[i+1]].
-	from := make([]int, len(stale)+1)
-	sets := make([]lrc.WriterRecords, 0, len(stale))
+	from := slices.Grow(sc.from[:0], len(stale)+1)[:len(stale)+1]
+	sc.from = from
+	sets := sc.sets[:0]
 	for i, e := range stale {
 		from[i] = len(sets)
 		if !e.Valid {
@@ -434,14 +458,15 @@ func (n *Node) lrcAcquireRefresh(t *Thread) {
 		}
 	}
 	from[len(stale)] = len(sets)
+	sc.sets = sets
 	if len(sets) == 0 {
 		return
 	}
 	// One request per writer, writers ascending, each listing its objects
-	// in address order. The requests' lists share one array per field,
-	// cut per writer: a sent message is kept until it is delivered.
-	addrs := make([]vm.Addr, len(sets))
-	after := make([]uint32, len(sets))
+	// in address order, cut from one array per field.
+	addrs := slices.Grow(sc.addrs[:0], len(sets))[:len(sets)]
+	after := slices.Grow(sc.after[:0], len(sets))[:len(sets)]
+	sc.addrs, sc.after = addrs, after
 	lo := 0
 	for j := nextWriter(sets, -1); j >= 0; j = nextWriter(sets, j) {
 		hi := lo
@@ -455,7 +480,8 @@ func (n *Node) lrcAcquireRefresh(t *Thread) {
 				}
 			}
 		}
-		resp := n.lrcDiffFetch(t, j, addrs[lo:hi:hi], after[lo:hi:hi])
+		resp, rp := n.lrcDiffFetch(t, j, addrs[lo:hi:hi], after[lo:hi:hi])
+		sc.replies = append(sc.replies, rp)
 		// The response lists its sets in request order, which is the
 		// order of writer j's sets in sets.
 		r := 0
@@ -475,6 +501,32 @@ func (n *Node) lrcAcquireRefresh(t *Thread) {
 			n.lrcApply(t.proc, e, es)
 		}
 	}
+	n.lrcFetched(sc)
+}
+
+// lrcFetch is a thread's working set for pulling diffs (lrcAcquireRefresh,
+// lrcBringCurrent), reused across its acquires and faults: the objects
+// and per-writer sets of one refresh, its requests' lists, and the
+// responses whose records the sets view until they are applied. A thread
+// runs one such pull at a time, and no other proc touches its set.
+type lrcFetch struct {
+	stale   []*directory.Entry
+	from    []int
+	sets    []lrc.WriterRecords
+	addrs   []vm.Addr
+	after   []uint32
+	replies []*reply
+}
+
+// lrcFetched ends a pull: it gives back the responses and drops the
+// sets' views of them.
+func (n *Node) lrcFetched(sc *lrcFetch) {
+	for _, r := range sc.replies {
+		n.done(r)
+	}
+	clear(sc.replies)
+	sc.replies = sc.replies[:0]
+	clear(sc.sets)
 }
 
 // nextWriter returns the lowest writer above j among the sets, or -1
@@ -554,13 +606,17 @@ func (n *Node) lrcDrop(p rt.Proc, e *directory.Entry) {
 // stale copies this node holds.
 func (n *Node) lrcLockAcquire(t *Thread, id int, se *directory.SynchEntry, dst int) {
 	p := t.proc
-	grant := n.rpc(t, dst, pendKey{pendLock, uint64(id)},
-		wire.LrcLockAcq{Lock: uint32(id), Requester: uint8(n.id), VT: n.lrc.VTView()}).(wire.LrcLockGrant)
+	r := n.rpc(t, dst, pendKey{pendLock, uint64(id)},
+		wire.LrcLockAcq{Lock: uint32(id), Requester: uint8(n.id), VT: n.lrc.VTView()})
+	grant := must(r.rd.LrcLockGrant(r.frame()))
 	n.lockGranted(id, se)
 	n.drainPendingAll(p)
 	n.lrcAbsorb(p, grant.VT, grant.Notices)
+	// The refresh decodes its own responses; the grant's reply and
+	// Reader stay this thread's until its updates are applied.
 	n.lrcAcquireRefresh(t)
 	n.applyGrantUpdates(t, grant.Updates)
+	n.done(r)
 }
 
 // sendLockGrant transfers lock ownership to dst: the eager grant, or the
@@ -614,15 +670,13 @@ func (n *Node) putLrcScratch(sc *lrcScratch) {
 }
 
 // lrcSuccVT returns (and forgets) the queued successor's vector timestamp
-// for the lock, recorded from its request; a missing record degrades to
-// "send everything above the floor" (zeros), which is correct, just
-// fatter.
+// for the lock, recorded from its request; a missing record is empty,
+// which sends every notice above zero: correct, just fatter. The slice is
+// the lock's slot, which the next successor's request overwrites, so the
+// grant reads it before it first yields (sendLockGrant).
 func (n *Node) lrcSuccVT(id int) []uint32 {
 	vt := n.lockSuccVT[id]
-	delete(n.lockSuccVT, id)
-	if vt == nil {
-		vt = make([]uint32, n.sys.Nodes())
-	}
+	n.lockSuccVT[id] = vt[:0]
 	return vt
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"munin/internal/adapt"
 	"munin/internal/diffenc"
@@ -109,11 +110,19 @@ type Node struct {
 	freeFutures    []rt.Future
 	freeCollectors []*collector
 	freeLrcScratch []*lrcScratch
+	// replies is every reply this node has made, held or free, and
+	// freeReplies the free ones: a reply is held from the dispatcher's
+	// complete until its waiter is done with it (done). What a stopped
+	// machine left held goes back at teardown (dropReplies).
+	replies     []*reply
+	freeReplies []*reply
 
 	// reader decodes the dispatcher's frames in place; held is
 	// serveCopysetQuery's reply list. Only the dispatcher touches either.
 	reader wire.Reader
 	held   []vm.Addr
+	// diffSets is serveLrcDiff's response list, the dispatcher's too.
+	diffSets []wire.LrcDiffSet
 
 	// flushSem serializes DUQ flushes (one release in progress per node).
 	flushSem rt.Semaphore
@@ -380,18 +389,20 @@ func (n *Node) startDispatcher() {
 		for {
 			env = n.sys.tr.RecvFrame(p, n.id)
 			p.Advance(n.sys.cost.RequestHandlerCPU)
-			n.dispatch(p, env.Src, env.Frame())
+			n.dispatch(p, env.Src, env.Frame(), &env)
 			// The operation ends before the frame goes back: nothing a
 			// handler queued outlives the frame it answers.
 			n.flush(p)
 			// Everything a handler retains past this point was re-owned in
-			// dispatch, so the frame goes back now.
+			// dispatch, so the frame goes back now — unless a reply took
+			// the buffer over (complete), which leaves nothing to release.
 			env.Release()
 		}
 	})
 }
 
 // dispatch handles one incoming frame from node src on the dispatcher.
+// env is the envelope whose whole frame this is, nil for a batch's rider.
 //
 // Zero-copy contract: a request is decoded in place by the node's Reader
 // into a typed value whose byte payloads are views into the frame and
@@ -401,10 +412,13 @@ func (n *Node) startDispatcher() {
 // applied in place, a barrier subtree walked during the serve) need
 // nothing; anything retained past dispatch — an update stashed or queued
 // for later, a timestamp kept for a lock's successor — is re-owned first
-// (wire.OwnEntry, a copy). A reply that completes a future is read by its
-// waiter after the frame is gone, so it is decoded and re-owned whole:
-// one boxed wire.Message (wire.Own).
-func (n *Node) dispatch(p rt.Proc, src int, frame []byte) {
+// (wire.OwnEntry, a copy). A reply that completes a future is not decoded
+// for its waiter here: the dispatcher reads only the pending key from it
+// and completes the future with the frame itself — the envelope's buffer,
+// which the future then owns, or a pooled copy of a batch's rider. The
+// waiter decodes the frame with a Reader of its own, after the
+// dispatcher has moved on (see reply).
+func (n *Node) dispatch(p rt.Proc, src int, frame []byte, env *network.Envelope) {
 	rd := &n.reader
 	switch wire.FrameKind(frame) {
 	case wire.KindBatch:
@@ -421,7 +435,7 @@ func (n *Node) dispatch(p rt.Proc, src int, frame []byte) {
 				p.Advance(n.sys.cost.RequestHandlerCPU)
 			}
 			first = false
-			n.dispatch(p, src, rider)
+			n.dispatch(p, src, rider, nil)
 		})
 		if err != nil {
 			panic(fmt.Sprintf("core: node %d received a corrupt batch from node %d: %v", n.id, src, err))
@@ -478,10 +492,22 @@ func (n *Node) dispatch(p rt.Proc, src int, frame []byte) {
 	case wire.KindLrcGC:
 		n.serveLrcGC(must(rd.LrcGC(frame)))
 
-	case wire.KindReadReply, wire.KindOwnReply, wire.KindMigrateReply, wire.KindReduceReply,
-		wire.KindLockGrant, wire.KindLrcLockGrant, wire.KindLrcDiffResp, wire.KindLrcFetchResp:
-		msg := wire.Own(must(wire.UnmarshalView(frame)))
-		n.complete(replyKey(msg), msg)
+	case wire.KindReadReply:
+		n.complete(pendKey{pendRead, uint64(must(rd.ReadReply(frame)).Addr)}, frame, env)
+	case wire.KindOwnReply:
+		n.complete(pendKey{pendOwn, uint64(must(rd.OwnReply(frame)).Addr)}, frame, env)
+	case wire.KindMigrateReply:
+		n.complete(pendKey{pendMigrate, uint64(must(rd.MigrateReply(frame)).Addr)}, frame, env)
+	case wire.KindReduceReply:
+		n.complete(pendKey{pendReduce, uint64(must(rd.ReduceReply(frame)).Addr)}, frame, env)
+	case wire.KindLockGrant:
+		n.complete(pendKey{pendLock, uint64(must(rd.LockGrant(frame)).Lock)}, frame, env)
+	case wire.KindLrcLockGrant:
+		n.complete(pendKey{pendLock, uint64(must(rd.LrcLockGrant(frame)).Lock)}, frame, env)
+	case wire.KindLrcDiffResp:
+		n.complete(pendKey{pendLrc, uint64(must(rd.LrcDiffResp(frame)).Token)}, frame, env)
+	case wire.KindLrcFetchResp:
+		n.complete(pendKey{pendLrc, uint64(must(rd.LrcFetchResp(frame)).Token)}, frame, env)
 	case wire.KindDirReply:
 		n.completeDirFetch(must(rd.DirReply(frame)))
 	case wire.KindCopysetReply:
@@ -507,38 +533,72 @@ func must[T any](m T, err error) T {
 	return m
 }
 
-// replyKey returns the pending request a reply completes.
-func replyKey(msg wire.Message) pendKey {
-	switch m := msg.(type) {
-	case wire.ReadReply:
-		return pendKey{pendRead, uint64(m.Addr)}
-	case wire.OwnReply:
-		return pendKey{pendOwn, uint64(m.Addr)}
-	case wire.MigrateReply:
-		return pendKey{pendMigrate, uint64(m.Addr)}
-	case wire.ReduceReply:
-		return pendKey{pendReduce, uint64(m.Addr)}
-	case wire.LockGrant:
-		return pendKey{pendLock, uint64(m.Lock)}
-	case wire.LrcLockGrant:
-		return pendKey{pendLock, uint64(m.Lock)}
-	case wire.LrcDiffResp:
-		return pendKey{pendLrc, uint64(m.Token)}
-	case wire.LrcFetchResp:
-		return pendKey{pendLrc, uint64(m.Token)}
+// A reply is a response frame handed to the thread that waited for it,
+// with the Reader that thread decodes it through: the dispatcher's own
+// Reader is reused at its next frame, so a waiter that runs later, or
+// decodes while another reply of its own is still in use, never shares
+// one. A reply's values are views into its frame and lists in its
+// Reader, valid until done gives it back; a caller that keeps any of it
+// longer re-owns that part first, and data that becomes a page is copied
+// into the page (installObject), the one copy a read pays.
+type reply struct {
+	bp *[]byte
+	rd wire.Reader
+}
+
+// frame returns the reply's encoded message.
+func (r *reply) frame() []byte { return *r.bp }
+
+// newReply wraps the reply frame bp, which it takes over, in a reply off
+// the node's free list.
+func (n *Node) newReply(bp *[]byte) *reply {
+	k := len(n.freeReplies)
+	if k == 0 {
+		r := &reply{bp: bp}
+		n.replies = append(n.replies, r)
+		return r
 	}
-	panic(fmt.Sprintf("core: %v is not a reply", wire.KindOf(msg)))
+	r := n.freeReplies[k-1]
+	n.freeReplies = n.freeReplies[:k-1]
+	r.bp = bp
+	return r
+}
+
+// done gives back a reply its waiter has finished with: the frame to the
+// pool, the reply to the free list.
+func (n *Node) done(r *reply) {
+	r.rd.Done()
+	wire.PutBuf(r.bp)
+	r.bp = nil
+	n.freeReplies = append(n.freeReplies, r)
+}
+
+// dropReplies returns the frames of replies still held once the machine
+// has stopped: completed into a future whose waiter was unwound before it
+// woke, or taken by a waiter unwound before it was done. No proc runs any
+// more, so nothing else can touch them.
+func (n *Node) dropReplies() {
+	for _, r := range n.replies {
+		if r.bp != nil {
+			wire.PutBuf(r.bp)
+			r.bp = nil
+		}
+	}
 }
 
 // rpc registers a future under key, sends msg, and blocks t until the
-// reply completes it.
-func (n *Node) rpc(t *Thread, dst int, key pendKey, msg wire.Message) any {
+// reply completes it. The caller decodes the reply and gives it back
+// (done).
+func (n *Node) rpc(t *Thread, dst int, key pendKey, msg wire.Message) *reply {
 	f := n.expect(key, wire.KindOf(msg))
 	n.send(t.proc, dst, msg)
-	v := n.await(t.proc, f)
+	r := n.awaitReply(t.proc, f)
 	n.recycle(f)
-	return v
+	return r
 }
+
+// awaitReply waits on f, an rpc's future, for its reply.
+func (n *Node) awaitReply(p rt.Proc, f rt.Future) *reply { return n.await(p, f).(*reply) }
 
 // expect registers the future a reply of the given request kind completes
 // under key.
@@ -568,14 +628,31 @@ func (n *Node) future(name rt.Name) rt.Future {
 // returned from it; nothing else may hold it.
 func (n *Node) recycle(f rt.Future) { n.freeFutures = append(n.freeFutures, f) }
 
-// complete resolves the pending request under key with v.
-func (n *Node) complete(key pendKey, v any) {
+// complete resolves the pending request under key with the reply in
+// frame, whose waiter owns the buffer from then on: the envelope's own,
+// which the dispatcher then no longer releases, or for a batch's rider a
+// pooled copy, so that the batch still goes back after dispatch.
+func (n *Node) complete(key pendKey, frame []byte, env *network.Envelope) {
+	f := n.resolve(key)
+	var bp *[]byte
+	if env != nil {
+		bp, env.Buf = env.Buf, nil
+	} else {
+		bp = wire.GetBufN(len(frame))
+		*bp = append(*bp, frame...)
+	}
+	f.Complete(n.newReply(bp))
+}
+
+// resolve returns the future of the pending request under key, which
+// its reply is about to complete, and forgets the request.
+func (n *Node) resolve(key pendKey) rt.Future {
 	f, ok := n.pending[key]
 	if !ok {
 		panic(fmt.Sprintf("core: node %d unexpected reply %v", n.id, key))
 	}
 	delete(n.pending, key)
-	f.Complete(v)
+	return f
 }
 
 // collect counts one anonymous reply toward the collector under key.
@@ -805,53 +882,35 @@ func (n *Node) retireTwin(e *directory.Entry) {
 	}
 }
 
-// installObject maps data as the entry's local copy with the given
-// protection, allocating pages as needed.
+// installObject copies data in as the entry's local copy with the given
+// protection, allocating pages as needed: a page the object fills whole
+// is a copy of its bytes, with nothing zeroed first.
 func (n *Node) installObject(p rt.Proc, e *directory.Entry, data []byte, prot vm.Prot) {
 	if len(data) != e.Size {
 		panic(fmt.Sprintf("core: installing %d bytes into %v", len(data), e))
 	}
+	ps := n.sys.cfg.PageSize
 	off := 0
-	for base, end := n.pagesOf(e); base < end; base += vm.Addr(n.sys.cfg.PageSize) {
-		pg, ok := n.space.Lookup(base)
-		if !ok {
-			pg = n.space.Map(base, make([]byte, n.sys.cfg.PageSize), prot)
-		} else {
-			pg.Prot = prot
-		}
-		start := 0
+	for base, last := n.pagesOf(e); base < last; base += vm.Addr(ps) {
+		start, end := 0, ps
 		if base < e.Start {
 			start = int(e.Start - base)
 		}
-		end := n.sys.cfg.PageSize
-		if base+vm.Addr(n.sys.cfg.PageSize) > e.End() {
+		if base+vm.Addr(ps) > e.End() {
 			end = int(e.End() - base)
 		}
-		off += copy(pg.Data[start:end], data[off:])
+		seg := data[off : off+end-start]
+		off += len(seg)
+		if pg, ok := n.space.Lookup(base); ok {
+			pg.Prot = prot
+			copy(pg.Data[start:end], seg)
+		} else if end-start == ps {
+			n.space.Map(base, slices.Clone(seg), prot)
+		} else {
+			copy(n.space.Map(base, make([]byte, ps), prot).Data[start:end], seg)
+		}
 		advance(p, n.sys.cost.PageMapOp)
 	}
-	e.Valid = true
-	e.Writable = prot == vm.ProtReadWrite
-}
-
-// adoptObject is installObject for a buffer the caller owns outright and
-// will not touch again: when the object is exactly one page and that page
-// is not mapped here yet, data becomes the page itself, with no copy and
-// no allocation. Any other shape falls back to installObject's copy.
-//
-// Only a read fetch's freshly allocated bytes qualify (the home's copy of
-// its backing, a reply decoded or re-owned for this node alone). An
-// update's Full image never does: on a live transport serveUpdateBatch
-// applies a borrowed entry in place, so Full aliases the pooled receive
-// buffer the transport reuses once dispatch returns.
-func (n *Node) adoptObject(p rt.Proc, e *directory.Entry, data []byte, prot vm.Prot) {
-	if len(data) != n.sys.cfg.PageSize || e.Size != len(data) ||
-		n.space.PageBase(e.Start) != e.Start || n.space.Mapped(e.Start) {
-		n.installObject(p, e, data, prot)
-		return
-	}
-	n.space.Map(e.Start, data, prot)
-	advance(p, n.sys.cost.PageMapOp)
 	e.Valid = true
 	e.Writable = prot == vm.ProtReadWrite
 }

@@ -65,13 +65,15 @@ func (n *Node) fetchAndOp(t *Thread, addr vm.Addr, off int, op wire.ReduceOp, op
 		return n.reduceAtHome(p, e, off, op, operand)
 	}
 	t0 := p.Now()
-	reply := n.rpc(t, e.Home, pendKey{pendReduce, uint64(addr)},
+	r := n.rpc(t, e.Home, pendKey{pendReduce, uint64(addr)},
 		wire.ReduceReq{Addr: e.Start, Off: uint32(off * vm.WordSize), Op: op,
-			Operand: operand, Requester: uint8(n.id)}).(wire.ReduceReply)
+			Operand: operand, Requester: uint8(n.id)})
+	old := must(r.rd.ReduceReply(r.frame())).Old
+	n.done(r)
 	if n.obs != nil {
 		n.obs.Latency(obs.OpRemoteOp, int64(p.Now()-t0))
 	}
-	return reply.Old
+	return old
 }
 
 // reduceAtHome applies the operation at the fixed owner and eagerly

@@ -47,12 +47,14 @@ func (n *Node) acquireLock(t *Thread, id int) {
 		n.lrcLockAcquire(t, id, se, dst)
 		return
 	}
-	grant := n.rpc(t, dst, pendKey{pendLock, uint64(id)},
-		wire.LockAcq{Lock: uint32(id), Requester: uint8(n.id)}).(wire.LockGrant)
+	r := n.rpc(t, dst, pendKey{pendLock, uint64(id)},
+		wire.LockAcq{Lock: uint32(id), Requester: uint8(n.id)})
+	grant := must(r.rd.LockGrant(r.frame()))
 	n.lockGranted(id, se)
 	// Acquire semantics: queued incoming updates become visible now.
 	n.drainPendingAll(p)
 	n.applyGrantUpdates(t, grant.Updates)
+	n.done(r)
 }
 
 // lockGranted takes ownership of a lock whose grant has arrived. The hint
@@ -149,7 +151,9 @@ func (n *Node) serveLockRequest(p rt.Proc, frame []byte, id, req int, reqVT []ui
 	}
 	se.Succ = req
 	if n.lrc != nil {
-		n.lockSuccVT[id] = append([]uint32(nil), reqVT...)
+		// A lock queues one successor here at a time, so its timestamp
+		// reuses the lock's slot (lrcSuccVT).
+		n.lockSuccVT[id] = append(n.lockSuccVT[id][:0], reqVT...)
 	}
 }
 

@@ -424,7 +424,11 @@ func (s *System) Run(root func(t *Thread)) error {
 		// the liveUser countdown can stop the machine.
 		rootThread.node.flush(p)
 	})
-	return s.tr.Run()
+	err := s.tr.Run()
+	for _, n := range s.nodes {
+		n.dropReplies()
+	}
+	return err
 }
 
 // newThread allocates a thread bound to a node.

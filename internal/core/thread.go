@@ -22,6 +22,8 @@ type Thread struct {
 	// viewing is set while a View callback runs: every runtime entry
 	// point checks it (guard), since the callback holds a page in place.
 	viewing bool
+	// lrcFetch is the thread's lazy diff-pull working set.
+	lrcFetch lrcFetch
 }
 
 // ID returns the thread's unique identifier.

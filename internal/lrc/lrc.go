@@ -84,6 +84,8 @@ type Engine struct {
 	// interval of node j this node has seen notices for (vt[self] is the
 	// number of intervals closed here).
 	vt []uint32
+	// vtSlab is the unused rest of the array VT cuts its copies from.
+	vtSlab []uint32
 
 	// floor is the vector timestamp of the last barrier release absorbed:
 	// every barrier participant knows all intervals at or below it, so
@@ -121,8 +123,23 @@ func New(self, nodes int) *Engine {
 	}
 }
 
-// VT returns a copy of the node's vector timestamp.
-func (e *Engine) VT() []uint32 { return append([]uint32(nil), e.vt...) }
+// vtsPerSlab is how many VT copies share one allocation.
+const vtsPerSlab = 16
+
+// VT returns a copy of the node's vector timestamp. The copies are kept
+// (an interval's close stamp lives on in its diff record), so they cannot
+// be scratch; instead vtsPerSlab of them are cut from one array, each
+// capacity-clipped so that appending to one never reaches the next.
+func (e *Engine) VT() []uint32 {
+	n := len(e.vt)
+	if len(e.vtSlab) < n {
+		e.vtSlab = make([]uint32, vtsPerSlab*n)
+	}
+	v := e.vtSlab[:n:n]
+	e.vtSlab = e.vtSlab[n:]
+	copy(v, e.vt)
+	return v
+}
 
 // VTView returns the node's vector timestamp itself, read-only: it
 // changes as the engine does, so a caller reads it at once (a message

@@ -573,7 +573,8 @@ func unmarshal(b []byte, borrow bool) (Message, error) {
 }
 
 // Reader decodes frames in place, for one consumer at a time (a node's
-// dispatcher), into typed message values instead of boxed Messages. Byte
+// dispatcher, or a thread reading the reply it waited for), into typed
+// message values instead of boxed Messages. Byte
 // payloads are views into the frame, as with UnmarshalView, and every
 // list — addresses, timestamps, update entries, intervals, records — is
 // cut from the Reader's own arenas, which each accessor rewinds. A
@@ -615,6 +616,16 @@ func (d *decoder) spoil() {
 	d.csetArena.spoil(nodeset.FromWord(^uint64(0)))
 }
 
+// Done ends the Reader's use of its last frame ahead of its next decode:
+// under Poison it overwrites the lists it handed out now, as that decode
+// would, so a consumer that gives its frame back (a reply's waiter) and
+// kept a list past it reads junk at once. Otherwise it does nothing.
+func (r *Reader) Done() {
+	if poison.Load() {
+		r.d.spoil()
+	}
+}
+
 // read decodes frame, a k message, with decode.
 func read[T any](r *Reader, frame []byte, k Kind, decode func(*decoder) T) (T, error) {
 	d := r.begin(frame, k)
@@ -628,7 +639,13 @@ func read[T any](r *Reader, frame []byte, k Kind, decode func(*decoder) T) (T, e
 func (r *Reader) ReadReq(f []byte) (ReadReq, error) {
 	return read(r, f, KindReadReq, (*decoder).readReq)
 }
+func (r *Reader) ReadReply(f []byte) (ReadReply, error) {
+	return read(r, f, KindReadReply, (*decoder).readReply)
+}
 func (r *Reader) OwnReq(f []byte) (OwnReq, error) { return read(r, f, KindOwnReq, (*decoder).ownReq) }
+func (r *Reader) OwnReply(f []byte) (OwnReply, error) {
+	return read(r, f, KindOwnReply, (*decoder).ownReply)
+}
 func (r *Reader) Invalidate(f []byte) (Invalidate, error) {
 	return read(r, f, KindInvalidate, (*decoder).invalidate)
 }
@@ -637,6 +654,9 @@ func (r *Reader) InvalidateAck(f []byte) (InvalidateAck, error) {
 }
 func (r *Reader) MigrateReq(f []byte) (MigrateReq, error) {
 	return read(r, f, KindMigrateReq, (*decoder).migrateReq)
+}
+func (r *Reader) MigrateReply(f []byte) (MigrateReply, error) {
+	return read(r, f, KindMigrateReply, (*decoder).migrateReply)
 }
 func (r *Reader) UpdateBatch(f []byte) (UpdateBatch, error) {
 	return read(r, f, KindUpdateBatch, (*decoder).updateBatch)
@@ -653,8 +673,14 @@ func (r *Reader) CopysetReply(f []byte) (CopysetReply, error) {
 func (r *Reader) ReduceReq(f []byte) (ReduceReq, error) {
 	return read(r, f, KindReduceReq, (*decoder).reduceReq)
 }
+func (r *Reader) ReduceReply(f []byte) (ReduceReply, error) {
+	return read(r, f, KindReduceReply, (*decoder).reduceReply)
+}
 func (r *Reader) LockAcq(f []byte) (LockAcq, error) {
 	return read(r, f, KindLockAcq, (*decoder).lockAcq)
+}
+func (r *Reader) LockGrant(f []byte) (LockGrant, error) {
+	return read(r, f, KindLockGrant, (*decoder).lockGrant)
 }
 func (r *Reader) BarrierArrive(f []byte) (BarrierArrive, error) {
 	return read(r, f, KindBarrierArrive, (*decoder).barrierArrive)
@@ -693,6 +719,9 @@ func (r *Reader) AdaptCommit(f []byte) (AdaptCommit, error) {
 func (r *Reader) LrcLockAcq(f []byte) (LrcLockAcq, error) {
 	return read(r, f, KindLrcLockAcq, (*decoder).lrcLockAcq)
 }
+func (r *Reader) LrcLockGrant(f []byte) (LrcLockGrant, error) {
+	return read(r, f, KindLrcLockGrant, (*decoder).lrcLockGrant)
+}
 func (r *Reader) LrcBarrierArrive(f []byte) (LrcBarrierArrive, error) {
 	return read(r, f, KindLrcBarrierArrive, (*decoder).lrcBarrierArrive)
 }
@@ -702,7 +731,13 @@ func (r *Reader) LrcBarrierRelease(f []byte) (LrcBarrierRelease, error) {
 func (r *Reader) LrcDiffReq(f []byte) (LrcDiffReq, error) {
 	return read(r, f, KindLrcDiffReq, (*decoder).lrcDiffReq)
 }
+func (r *Reader) LrcDiffResp(f []byte) (LrcDiffResp, error) {
+	return read(r, f, KindLrcDiffResp, (*decoder).lrcDiffResp)
+}
 func (r *Reader) LrcFetchReq(f []byte) (LrcFetchReq, error) {
 	return read(r, f, KindLrcFetchReq, (*decoder).lrcFetchReq)
+}
+func (r *Reader) LrcFetchResp(f []byte) (LrcFetchResp, error) {
+	return read(r, f, KindLrcFetchResp, (*decoder).lrcFetchResp)
 }
 func (r *Reader) LrcGC(f []byte) (LrcGC, error) { return read(r, f, KindLrcGC, (*decoder).lrcGC) }

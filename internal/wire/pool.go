@@ -88,7 +88,8 @@ const poisonByte = 0xA5
 
 // Poison makes PutBuf overwrite each returned buffer's whole capacity,
 // and a Reader overwrite the lists it handed out for a frame when it
-// decodes the next, from now on (on) or stops it (off). It exists for
+// decodes the next or is told it is done (Reader.Done), from now on (on)
+// or stops it (off). It exists for
 // tests: a receive handler that keeps a view into a frame, or a list
 // decoded from it, past its release without re-owning it then reads
 // garbage, deterministically on the simulator, instead of whatever the

@@ -16,16 +16,21 @@ func boxed[T Message](m T, err error) (Message, error) { return m, err }
 func readerAccessors(r *Reader) map[Kind]func([]byte) (Message, error) {
 	return map[Kind]func([]byte) (Message, error){
 		KindReadReq:           func(f []byte) (Message, error) { return boxed(r.ReadReq(f)) },
+		KindReadReply:         func(f []byte) (Message, error) { return boxed(r.ReadReply(f)) },
 		KindOwnReq:            func(f []byte) (Message, error) { return boxed(r.OwnReq(f)) },
+		KindOwnReply:          func(f []byte) (Message, error) { return boxed(r.OwnReply(f)) },
 		KindInvalidate:        func(f []byte) (Message, error) { return boxed(r.Invalidate(f)) },
 		KindInvalidateAck:     func(f []byte) (Message, error) { return boxed(r.InvalidateAck(f)) },
 		KindMigrateReq:        func(f []byte) (Message, error) { return boxed(r.MigrateReq(f)) },
+		KindMigrateReply:      func(f []byte) (Message, error) { return boxed(r.MigrateReply(f)) },
 		KindUpdateBatch:       func(f []byte) (Message, error) { return boxed(r.UpdateBatch(f)) },
 		KindUpdateAck:         func(f []byte) (Message, error) { return boxed(r.UpdateAck(f)) },
 		KindCopysetQuery:      func(f []byte) (Message, error) { return boxed(r.CopysetQuery(f)) },
 		KindCopysetReply:      func(f []byte) (Message, error) { return boxed(r.CopysetReply(f)) },
 		KindReduceReq:         func(f []byte) (Message, error) { return boxed(r.ReduceReq(f)) },
+		KindReduceReply:       func(f []byte) (Message, error) { return boxed(r.ReduceReply(f)) },
 		KindLockAcq:           func(f []byte) (Message, error) { return boxed(r.LockAcq(f)) },
+		KindLockGrant:         func(f []byte) (Message, error) { return boxed(r.LockGrant(f)) },
 		KindBarrierArrive:     func(f []byte) (Message, error) { return boxed(r.BarrierArrive(f)) },
 		KindBarrierRelease:    func(f []byte) (Message, error) { return boxed(r.BarrierRelease(f)) },
 		KindDirReq:            func(f []byte) (Message, error) { return boxed(r.DirReq(f)) },
@@ -39,10 +44,13 @@ func readerAccessors(r *Reader) map[Kind]func([]byte) (Message, error) {
 		KindAdaptPropose:      func(f []byte) (Message, error) { return boxed(r.AdaptPropose(f)) },
 		KindAdaptCommit:       func(f []byte) (Message, error) { return boxed(r.AdaptCommit(f)) },
 		KindLrcLockAcq:        func(f []byte) (Message, error) { return boxed(r.LrcLockAcq(f)) },
+		KindLrcLockGrant:      func(f []byte) (Message, error) { return boxed(r.LrcLockGrant(f)) },
 		KindLrcBarrierArrive:  func(f []byte) (Message, error) { return boxed(r.LrcBarrierArrive(f)) },
 		KindLrcBarrierRelease: func(f []byte) (Message, error) { return boxed(r.LrcBarrierRelease(f)) },
 		KindLrcDiffReq:        func(f []byte) (Message, error) { return boxed(r.LrcDiffReq(f)) },
+		KindLrcDiffResp:       func(f []byte) (Message, error) { return boxed(r.LrcDiffResp(f)) },
 		KindLrcFetchReq:       func(f []byte) (Message, error) { return boxed(r.LrcFetchReq(f)) },
+		KindLrcFetchResp:      func(f []byte) (Message, error) { return boxed(r.LrcFetchResp(f)) },
 		KindLrcGC:             func(f []byte) (Message, error) { return boxed(r.LrcGC(f)) },
 	}
 }
@@ -129,9 +137,9 @@ func TestForEachRiderRejects(t *testing.T) {
 }
 
 // TestPoisonSpoilsKeptLists: with Poison on, a list a Reader handed out
-// reads junk once the Reader decodes its next frame, as a byte view into
-// a released buffer does; so does one cut from an array the arena has
-// since outgrown.
+// reads junk once the Reader decodes its next frame or is done with it
+// (Done), as a byte view into a released buffer does; so does one cut
+// from an array the arena has since outgrown.
 func TestPoisonSpoilsKeptLists(t *testing.T) {
 	Poison(true)
 	defer Poison(false)
@@ -148,6 +156,14 @@ func TestPoisonSpoilsKeptLists(t *testing.T) {
 		if a != junkWord {
 			t.Fatalf("a kept address list reads %#x after the next frame, want the poison %#x", kept, junkWord)
 		}
+	}
+	g, err := r.LrcLockGrant(Marshal(LrcLockGrant{Lock: 1, VT: []uint32{3, 4}}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Done()
+	if g.VT[0] != junkWord || g.VT[1] != junkWord {
+		t.Fatalf("a kept timestamp reads %v after Done, want the poison %#x", g.VT, junkWord)
 	}
 
 	var a arena[uint32]
